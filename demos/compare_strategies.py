@@ -4,6 +4,7 @@ The sequential sweep never builds a matrix-matrix product, so its cost is
 quadratic in the bond dimension. The pairwise schedule multiplies adjacent
 matrices in rounds, paying a cubic term for the right to run wide. Brute
 force sums all 2^N index assignments and is the ground truth for tiny N.
+FLOPs are counted from the nodes a recording tape keeps.
 
 Run: python3 demos/compare_strategies.py
 """
@@ -11,8 +12,8 @@ Run: python3 demos/compare_strategies.py
 import numpy as np
 
 from mpsclassify import (
-    ContractionPlan,
     Strategy,
+    Tape,
     brute_force_logits,
     encode_batch,
     forward_batch,
@@ -46,9 +47,10 @@ for chi in (8, 16, 32, 64):
     f = encode_batch(big.feature_map, images)
     totals = {}
     for strategy in (Strategy.SEQUENTIAL, Strategy.PAIRWISE):
-        plan = ContractionPlan(strategy)
-        forward_batch(big, f, strategy, plan=plan)
-        totals[strategy] = plan.total_flops
+        tape = Tape()
+        tape.watch_model(big)
+        forward_batch(big, f, strategy, tape=tape)
+        totals[strategy] = tape.forward_flops()
     ratio = totals[Strategy.PAIRWISE] / totals[Strategy.SEQUENTIAL]
     print(f"{chi:>5} {totals[Strategy.SEQUENTIAL]:>14,} {totals[Strategy.PAIRWISE]:>14,}   {ratio:.1f}x")
 print("doubling chi multiplies the sequential column by ~4 and the pairwise one by ~8")

@@ -15,10 +15,8 @@ from .autodiff import (
     backward,
     grad_check,
     model_gradients,
-    softmax,
 )
 from .contraction import (
-    ContractionPlan,
     EffectiveChain,
     Strategy,
     absorb_inputs,
@@ -69,13 +67,6 @@ from .model import (
     save_checkpoint,
 )
 from .losses import cross_entropy_loss, mean_square_loss
-from .tensor import (
-    batched_matmul,
-    contract_last_first,
-    get_num_threads,
-    matmul,
-    set_num_threads,
-)
 from .training import (
     AdamState,
     EpochMetrics,

@@ -1,10 +1,13 @@
 """Reverse-mode gradients over a recorded contraction graph.
 
 The tape records a small set of primitives (multilinear contractions,
-stacked matrix products, losses, and a few elementwise helpers) as they
-execute. ``backward`` walks the records in reverse and applies the matching
-adjoint rule for each, accumulating across batch entries by summation.
-Arrays are treated as immutable while a tape referencing them is alive.
+rounds of stacked matrix products, structural slicing, constant scaling
+and the losses) as they execute. ``backward`` walks the records in
+reverse and applies the matching adjoint rule for each, accumulating
+across batch entries by summation. Arrays are treated as immutable while
+a tape referencing them is alive. The per-node FLOP counters
+(``forward_flops``, ``backward_flops``) are the package's only FLOP
+accounting.
 """
 
 from dataclasses import dataclass
@@ -12,51 +15,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DimensionError, MpsError, NumericError
+from .losses import LossKind, compute_loss
 from .model import MpsClassifier
-from .tensor import DTYPE, batched_matmul
+from .tensor import DTYPE
 
 _EINSUM_KINDS = ("contract", "absorb", "combine")
+_LOSS_KINDS = ("cross_entropy", "mean_square")
 
 
 def _einsum(subscripts: str, *ops) -> np.ndarray:
     return np.einsum(subscripts, *ops, optimize=True)
 
 
-def _adjacent_products(stack: np.ndarray, threads) -> np.ndarray:
-    """Products of rows (0,1), (2,3), ... of ``stack`` over the last two axes."""
+def _pair_round_value(stack: np.ndarray) -> np.ndarray:
+    """Products of rows (0,1), (2,3), ... of ``stack``; an odd last row is carried."""
     pairs = stack.shape[0] // 2
-    a = stack[0 : 2 * pairs : 2]
-    b = stack[1 : 2 * pairs : 2]
-    if threads is not None and threads != 1 and stack.ndim > 3:
-        mat = stack.shape[-2:]
-        flat = batched_matmul(
-            np.ascontiguousarray(a).reshape(-1, *mat),
-            np.ascontiguousarray(b).reshape(-1, *mat),
-            threads=threads,
-        )
-        return flat.reshape(a.shape)
-    return a @ b
-
-
-def _pair_round_value(stack: np.ndarray, threads) -> np.ndarray:
-    pairs = stack.shape[0] // 2
-    prod = _adjacent_products(stack, threads)
+    prod = stack[0 : 2 * pairs : 2] @ stack[1 : 2 * pairs : 2]
     if stack.shape[0] % 2:
         return np.concatenate([prod, stack[2 * pairs :]], axis=0)
     return prod
-
-
-def _one_hot(labels: np.ndarray, n_labels: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], n_labels), dtype=DTYPE)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted by the row max for stability."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 class Node:
@@ -74,29 +51,18 @@ class Node:
     def recompute(self) -> np.ndarray:
         if self.kind in _EINSUM_KINDS:
             return _einsum(self.extra, *self.inputs)
-        if self.kind in ("matmul", "batched_matmul"):
-            return self.inputs[0] @ self.inputs[1]
         if self.kind == "pair_round":
-            return _pair_round_value(self.inputs[0], self.extra)
+            return _pair_round_value(self.inputs[0])
         if self.kind == "gather":
             return self.inputs[0][self.extra]
         if self.kind == "slice_rows":
             start, stop = self.extra
             return self.inputs[0][start:stop]
-        if self.kind == "add":
-            return self.inputs[0] + self.inputs[1]
         if self.kind == "scale_const":
             return self.inputs[0] * self.extra
-        if self.kind == "reduce_sum":
-            return np.asarray(self.inputs[0].sum())
-        if self.kind == "cross_entropy":
-            labels, probs = self.extra
-            logp = np.log(probs[np.arange(labels.shape[0]), labels])
-            return np.asarray(-logp.mean())
-        if self.kind == "mean_square":
-            labels, onehot = self.extra
-            diff = self.inputs[0] - onehot
-            return np.asarray(0.5 * (diff * diff).sum(axis=1).mean())
+        if self.kind in _LOSS_KINDS:
+            loss_kind, labels, _ = self.extra
+            return np.asarray(compute_loss(loss_kind, self.inputs[0], labels))
         raise MpsError(f"unknown node kind {self.kind!r}")
 
 
@@ -132,14 +98,7 @@ class Tape:
         out = _einsum(subscripts, *ops)
         return self._record(kind, ops, out, subscripts)
 
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product over the last two axes; leading axes must match."""
-        if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-            raise DimensionError(f"matmul operands disagree: {a.shape} x {b.shape}")
-        kind = "matmul" if a.ndim == 2 else "batched_matmul"
-        return self._record(kind, (a, b), a @ b)
-
-    def pair_round(self, stack: np.ndarray, threads: int | None = None) -> np.ndarray:
+    def pair_round(self, stack: np.ndarray) -> np.ndarray:
         """One reduction round: products of adjacent rows of [T, ..., k, k].
 
         Rows (0,1), (2,3), ... are multiplied; when T is odd the final row is
@@ -152,9 +111,7 @@ class Tape:
             )
         if stack.shape[0] < 2:
             raise DimensionError("pair_round needs at least two matrices")
-        return self._record(
-            "pair_round", (stack,), _pair_round_value(stack, threads), threads
-        )
+        return self._record("pair_round", (stack,), _pair_round_value(stack))
 
     def gather(self, x: np.ndarray, index: int) -> np.ndarray:
         """Select row ``index`` along the leading axis, differentiably."""
@@ -171,35 +128,24 @@ class Tape:
             )
         return self._record("slice_rows", (x,), x[start:stop], (start, stop))
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if np.shape(a) != np.shape(b):
-            raise DimensionError(f"add operands disagree: {np.shape(a)} x {np.shape(b)}")
-        return self._record("add", (a, b), a + b)
-
     def scale_const(self, x: np.ndarray, c) -> np.ndarray:
         """Multiply by a constant factor that is NOT differentiated through."""
         return self._record("scale_const", (x,), x * c, np.asarray(c, dtype=DTYPE))
 
-    def reduce_sum(self, x: np.ndarray) -> np.ndarray:
-        return self._record("reduce_sum", (x,), np.asarray(x.sum()))
+    def loss(self, kind: LossKind, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Batch-mean loss of ``kind`` as one scalar node.
+
+        The node's kind is ``cross_entropy`` or ``mean_square``. It keeps
+        d(loss)/d(logits), so its adjoint is that array times the seed.
+        """
+        value, grad = compute_loss(kind, logits, labels, with_grad=True)
+        return self._record(
+            kind.name.lower(), (logits,), np.asarray(value), (kind, labels, grad)
+        )
 
     def cross_entropy(self, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Mean negative log softmax of the true-label logit."""
-        from .losses import cross_entropy_with_grad
-
-        value, _, probs = cross_entropy_with_grad(logits, labels)
-        return self._record(
-            "cross_entropy", (logits,), np.asarray(value), (labels, probs)
-        )
-
-    def mean_square(self, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Mean over the batch of half the squared distance to the one-hot target."""
-        from .losses import mean_square_with_grad
-
-        value, _, onehot = mean_square_with_grad(logits, labels)
-        return self._record(
-            "mean_square", (logits,), np.asarray(value), (labels, onehot)
-        )
+        """``loss`` with ``LossKind.CROSS_ENTROPY`` (perfbench/selftest.py calls it)."""
+        return self.loss(LossKind.CROSS_ENTROPY, logits, labels)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -232,21 +178,17 @@ def _node_forward_flops(node: Node) -> int:
     if node.kind in _EINSUM_KINDS:
         ext = _subscript_extents(node.extra, node.inputs)
         return 2 * int(np.prod(list(ext.values())))
-    if node.kind in ("matmul", "batched_matmul"):
-        a, b = node.inputs
-        slices = int(np.prod(a.shape[:-2])) if a.ndim > 2 else 1
-        return 2 * slices * a.shape[-2] * a.shape[-1] * b.shape[-1]
     if node.kind == "pair_round":
         stack = node.inputs[0]
         pairs = stack.shape[0] // 2
         slices = int(np.prod(stack.shape[1:-2])) if stack.ndim > 3 else 1
         k = stack.shape[-1]
         return 2 * pairs * slices * k * k * k
-    if node.kind in ("gather", "slice_rows"):
-        return 0
-    if node.kind in ("cross_entropy", "mean_square"):
+    if node.kind in _LOSS_KINDS:
         return 3 * node.inputs[0].size
-    return node.output.size if node.output.ndim else node.inputs[0].size
+    if node.kind == "scale_const":
+        return node.output.size
+    return 0  # gather, slice_rows
 
 
 def _node_backward_flops(node: Node) -> int:
@@ -254,8 +196,6 @@ def _node_backward_flops(node: Node) -> int:
         ext = _subscript_extents(node.extra, node.inputs)
         per = 2 * int(np.prod(list(ext.values())))
         return per * sum(node.needs)
-    if node.kind in ("matmul", "batched_matmul"):
-        return _node_forward_flops(node) * sum(node.needs)
     if node.kind == "pair_round":
         # dA and dB per pair: two products for each forward product.
         return 2 * _node_forward_flops(node)
@@ -279,17 +219,8 @@ class Adjoints:
         return id(arr) in self._watched
 
 
-def _accumulate(acc: dict, key: int, val: np.ndarray, fresh: bool) -> None:
-    if key in acc:
-        acc[key] += val
-    else:
-        # Pass-through adjoints may alias arrays owned by other records;
-        # copy those before they can be mutated by later accumulation.
-        acc[key] = val if fresh else val.copy()
-
-
 def _input_adjoints(node: Node, g: np.ndarray):
-    """Yield (input index, adjoint, freshly allocated) for graded inputs."""
+    """Yield (input index, adjoint) for graded inputs; each adjoint is a new array."""
     kind = node.kind
     if kind in _EINSUM_KINDS:
         ins, out = node.extra.split("->")
@@ -300,14 +231,7 @@ def _input_adjoints(node: Node, g: np.ndarray):
             parts = [out if j == i else ins[j] for j in range(len(ins))]
             operands = [g if j == i else node.inputs[j] for j in range(len(ins))]
             adj = _einsum(",".join(parts) + "->" + ins[i], *operands)
-            yield i, adj, True
-        return
-    if kind in ("matmul", "batched_matmul"):
-        a, b = node.inputs
-        if node.needs[0]:
-            yield 0, g @ np.swapaxes(b, -1, -2), True
-        if node.needs[1]:
-            yield 1, np.swapaxes(a, -1, -2) @ g, True
+            yield i, adj
         return
     if kind == "pair_round":
         stack = node.inputs[0]
@@ -320,39 +244,24 @@ def _input_adjoints(node: Node, g: np.ndarray):
         dx[1 : 2 * pairs : 2] = np.swapaxes(a, -1, -2) @ gp
         if stack.shape[0] % 2:
             dx[2 * pairs :] = g[pairs:]
-        yield 0, dx, True
+        yield 0, dx
         return
     if kind == "gather":
         adj = np.zeros_like(node.inputs[0])
         adj[node.extra] = g
-        yield 0, adj, True
+        yield 0, adj
         return
     if kind == "slice_rows":
         start, stop = node.extra
         adj = np.zeros_like(node.inputs[0])
         adj[start:stop] = g
-        yield 0, adj, True
-        return
-    if kind == "add":
-        if node.needs[0]:
-            yield 0, g, False
-        if node.needs[1]:
-            yield 1, g, False
+        yield 0, adj
         return
     if kind == "scale_const":
-        yield 0, g * node.extra, True
+        yield 0, g * node.extra
         return
-    if kind == "reduce_sum":
-        yield 0, np.full_like(node.inputs[0], float(g)), True
-        return
-    if kind == "cross_entropy":
-        labels, probs = node.extra
-        onehot = _one_hot(labels, probs.shape[1])
-        yield 0, float(g) * (probs - onehot) / labels.shape[0], True
-        return
-    if kind == "mean_square":
-        labels, onehot = node.extra
-        yield 0, float(g) * (node.inputs[0] - onehot) / labels.shape[0], True
+    if kind in _LOSS_KINDS:
+        yield 0, float(g) * node.extra[2]
         return
     raise MpsError(f"unknown node kind {kind!r}")
 
@@ -374,8 +283,12 @@ def backward(tape: Tape, loss_adjoint: float = 1.0) -> Adjoints:
         g = acc.get(id(node.output))
         if g is None:
             continue
-        for i, adj, fresh in _input_adjoints(node, g):
-            _accumulate(acc, id(node.inputs[i]), adj, fresh)
+        for i, adj in _input_adjoints(node, g):
+            key = id(node.inputs[i])
+            if key in acc:
+                acc[key] += adj
+            else:
+                acc[key] = adj
     return Adjoints(acc, set(tape._live))
 
 
@@ -461,7 +374,7 @@ def grad_check(
     labels: np.ndarray,
     h: float = 1e-5,
     tolerance: float = 1e-6,
-    loss_kind=None,
+    loss_kind: LossKind = LossKind.CROSS_ENTROPY,
     atol: float = 1e-3,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
@@ -475,10 +388,8 @@ def grad_check(
     near-zero gradient entries. Cost is two forward passes per parameter.
     """
     from .encoding import encode_batch
-    from .training import LossKind, batch_loss, loss_and_gradients
+    from .training import batch_loss, loss_and_gradients
 
-    if loss_kind is None:
-        loss_kind = LossKind.CROSS_ENTROPY
     feats = encode_batch(model.feature_map, images)
     labels = np.asarray(labels)
 

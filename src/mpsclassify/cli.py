@@ -15,19 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .contraction import ContractionPlan, Strategy, forward_batch, predict_batch
+from .contraction import Strategy, forward_batch, predict_batch
 from .dataset import downsample, load_split, synthetic_digits, take
 from .encoding import FeatureMap, encode_batch
 from .errors import MpsError
 from .model import init_model, load_checkpoint, save_checkpoint
 from .autodiff import Tape, backward, grad_check, model_gradients
-from .training import (
-    METRICS_COLUMNS,
-    LossKind,
-    TrainConfig,
-    evaluate,
-    train,
-)
+from .training import LossKind, TrainConfig, evaluate, train, write_metrics_csv
 
 _STRATEGIES = {s.value: s for s in Strategy}
 _LOSSES = {k.value: k for k in LossKind}
@@ -88,15 +82,8 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         strategy=_STRATEGIES[args.strategy],
         renormalize=args.renormalize,
-        threads=args.threads,
     )
-
-    csv_fh = None
-    writer = None
-    if args.metrics_csv:
-        csv_fh = open(args.metrics_csv, "w", newline="")
-        writer = csv.writer(csv_fh)
-        writer.writerow(METRICS_COLUMNS)
+    done = []
 
     def on_epoch(m):
         print(
@@ -104,15 +91,12 @@ def _cmd_train(args) -> int:
             f"  test loss {m.test_loss:.4f} acc {m.test_acc:.4f}  {m.seconds:.1f}s",
             flush=True,
         )
-        if writer is not None:
-            writer.writerow(m.row())
-            csv_fh.flush()
+        done.append(m)
+        if args.metrics_csv:
+            # Rewritten whole each epoch, so an interrupted run keeps its rows.
+            write_metrics_csv(args.metrics_csv, done)
 
-    try:
-        history = train(model, train_set, test_set, config, on_epoch=on_epoch)
-    finally:
-        if csv_fh is not None:
-            csv_fh.close()
+    history = train(model, train_set, test_set, config, on_epoch=on_epoch)
     if args.checkpoint:
         save_checkpoint(model, args.checkpoint)
         print(f"checkpoint written to {args.checkpoint}")
@@ -188,47 +172,44 @@ def _cmd_bench(args) -> int:
         feats = encode_batch(model.feature_map, images)
         for strategy_name in args.strategies:
             strategy = _STRATEGIES[strategy_name]
-            for threads in args.threads:
-                best_fwd = float("inf")
+            best_fwd = float("inf")
+            for _ in range(args.repeats):
+                started = time.perf_counter()
+                forward_batch(model, feats, strategy)
+                best_fwd = min(best_fwd, time.perf_counter() - started)
+            counted = Tape()
+            counted.watch_model(model)
+            forward_batch(model, feats, strategy, tape=counted)
+            row = {
+                "strategy": strategy_name,
+                "bond_dim": chi,
+                "batch": args.batch,
+                "sites": args.sites,
+                "forward_seconds": best_fwd,
+                "forward_flops": counted.forward_flops(),
+            }
+            if args.backward:
+                best_bwd = float("inf")
+                tape = None
                 for _ in range(args.repeats):
                     started = time.perf_counter()
-                    forward_batch(model, feats, strategy, threads=threads)
-                    best_fwd = min(best_fwd, time.perf_counter() - started)
-                plan = ContractionPlan(strategy)
-                forward_batch(model, feats, strategy, plan=plan, threads=threads)
-                row = {
-                    "strategy": strategy_name,
-                    "bond_dim": chi,
-                    "threads": threads,
-                    "batch": args.batch,
-                    "sites": args.sites,
-                    "forward_seconds": best_fwd,
-                    "forward_flops": plan.total_flops,
-                }
-                if args.backward:
-                    best_bwd = float("inf")
-                    tape = None
-                    for _ in range(args.repeats):
-                        started = time.perf_counter()
-                        tape = Tape()
-                        tape.watch_model(model)
-                        logits = forward_batch(
-                            model, feats, strategy, tape=tape, threads=threads
-                        )
-                        loss = tape.cross_entropy(
-                            logits, np.zeros(args.batch, dtype=np.int64)
-                        )
-                        adj = backward(tape)
-                        model_gradients(adj, model)
-                        best_bwd = min(best_bwd, time.perf_counter() - started)
-                    row["forward_backward_seconds"] = best_bwd
-                    row["backward_flops"] = tape.backward_flops()
-                rows.append(row)
-                print(
-                    "  ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-                              for k, v in row.items()),
-                    flush=True,
-                )
+                    tape = Tape()
+                    tape.watch_model(model)
+                    logits = forward_batch(model, feats, strategy, tape=tape)
+                    tape.loss(
+                        LossKind.CROSS_ENTROPY, logits, np.zeros(args.batch, dtype=np.int64)
+                    )
+                    adj = backward(tape)
+                    model_gradients(adj, model)
+                    best_bwd = min(best_bwd, time.perf_counter() - started)
+                row["forward_backward_seconds"] = best_bwd
+                row["backward_flops"] = tape.backward_flops()
+            rows.append(row)
+            print(
+                "  ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
+                          for k, v in row.items()),
+                flush=True,
+            )
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -273,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feature-map", choices=sorted(_FEATURE_MAPS), default="linear")
     p.add_argument("--renormalize", action="store_true",
                    help="rescale intermediates, compensating at the end")
-    p.add_argument("--threads", type=int, default=None,
-                   help="threads for pairwise round products")
     p.add_argument("--metrics-csv", help="write per-epoch metrics here")
     p.add_argument("--checkpoint", help="write the trained model here")
     p.set_defaults(func=_cmd_train)
@@ -307,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="A,B,...")
     p.add_argument("--strategies", type=_str_list, default=["sequential", "pairwise"],
                    metavar="A,B,...")
-    p.add_argument("--threads", type=_int_list, default=[1], metavar="A,B,...")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--backward", action="store_true",

@@ -7,19 +7,21 @@ Two production schedules plus a brute-force oracle:
   enters only the final step. Matrix-vector work throughout.
 * ``pairwise``: absorb every pixel at once, then repeatedly multiply
   adjacent effective matrices in rounds. All products of a round are
-  independent, which makes the schedule batch- and thread-friendly at the
-  price of matrix-matrix (chi^3) products. An odd matrix at the end of a
-  round is carried to the next round unpaired.
+  independent, so a round is one stacked matrix product, at the price of
+  matrix-matrix (chi^3) products. An odd matrix at the end of a round is
+  carried to the next round unpaired.
 * ``brute force``: the literal sum over every pixel-index assignment,
   guarded to small chains. Exists to anchor the fast schedules.
 
 The chain is split at the label core; each half reduces independently and
 the halves meet at the label block, so L never multiplies the inner work.
+FLOPs are counted from the nodes a recording tape keeps
+(``Tape.forward_flops``).
 """
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,37 +42,6 @@ class Strategy(enum.Enum):
     SEQUENTIAL = "sequential"
     PAIRWISE = "pairwise"
     BRUTE_FORCE = "brute-force"
-
-
-@dataclass
-class PlanStep:
-    label: str
-    m: int
-    k: int
-    n: int
-    count: int
-
-    @property
-    def flops(self) -> int:
-        return 2 * self.m * self.k * self.n * self.count
-
-
-@dataclass
-class ContractionPlan:
-    """Recorded per-step operand shapes and arithmetic cost of one forward pass."""
-
-    strategy: Strategy
-    steps: list[PlanStep] = field(default_factory=list)
-
-    def add(self, label: str, m: int, k: int, n: int, count: int) -> None:
-        self.steps.append(PlanStep(label, m, k, n, count))
-
-    @property
-    def total_flops(self) -> int:
-        return sum(s.flops for s in self.steps)
-
-    def flops_matching(self, prefix: str) -> int:
-        return sum(s.flops for s in self.steps if s.label.startswith(prefix))
 
 
 @dataclass
@@ -126,9 +97,7 @@ def absorb_inputs(model: MpsClassifier, image: np.ndarray) -> EffectiveChain:
     )
 
 
-def _absorb_batch(model, feats, tape, plan):
-    batch = feats.shape[0]
-    d, chi, big_l = model.local_dim, model.bond_dim, model.n_labels
+def _absorb_batch(model, feats, tape):
     m = model.label_site
     mid_sites = _mid_site_order(model)
 
@@ -140,10 +109,6 @@ def _absorb_batch(model, feats, tape, plan):
     rv = tape.contract(
         "bd,dx->bx", feats[:, model.n_sites - 1, :], model.right_boundary, kind="absorb"
     )
-    if plan is not None:
-        plan.add("absorb:boundaries", 1, d, chi, 2 * batch)
-        plan.add("absorb:mid", 1, d, chi * chi, len(mid_sites) * batch)
-        plan.add("absorb:label", 1, d, big_l * chi * chi, batch)
     return lv, mids, lab, rv
 
 
@@ -155,63 +120,41 @@ def _rescale_stack(tape, stack, logscale):
     return out
 
 
-def _reduce_half(tape, stack, half_name, plan, renormalize, logscale, threads):
+def _reduce_half(tape, stack, renormalize, logscale):
     """Pairwise rounds until one [B, chi, chi] matrix remains; None if empty."""
     if stack.shape[0] == 0:
         return None
-    chi = stack.shape[-1]
-    batch = stack.shape[1]
-    rnd = 0
     while stack.shape[0] > 1:
-        rnd += 1
-        pairs = stack.shape[0] // 2
-        if plan is not None:
-            plan.add(f"pair_round:{half_name}:{rnd}", chi, chi, chi, pairs * batch)
-        stack = tape.pair_round(stack, threads=threads)
+        stack = tape.pair_round(stack)
         if renormalize:
             stack = _rescale_stack(tape, stack, logscale)
     return tape.gather(stack, 0)
 
 
-def _combine(model, tape, plan, lv, left_mat, lab, right_mat, rv):
-    batch = lv.shape[0]
-    chi, big_l = model.bond_dim, model.n_labels
+def _combine(tape, lv, left_mat, lab, right_mat, rv):
     if left_mat is not None:
         lv = tape.contract("bx,bxy->by", lv, left_mat, kind="combine")
-        if plan is not None:
-            plan.add("combine:left_vec", 1, chi, chi, batch)
     if right_mat is not None:
         rv = tape.contract("bxy,by->bx", right_mat, rv, kind="combine")
-        if plan is not None:
-            plan.add("combine:right_vec", 1, chi, chi, batch)
-    logits = tape.contract("bx,blxy,by->bl", lv, lab, rv, kind="combine")
-    if plan is not None:
-        plan.add("combine:label", big_l, chi, chi, batch)
-        plan.add("combine:label_vec", big_l, chi, 1, batch)
-    return logits
+    return tape.contract("bx,blxy,by->bl", lv, lab, rv, kind="combine")
 
 
-def _forward_pairwise_batch(model, feats, tape, plan, renormalize, threads):
+def _forward_pairwise_batch(model, feats, tape, renormalize):
     batch = feats.shape[0]
-    lv, mids, lab, rv = _absorb_batch(model, feats, tape, plan)
+    lv, mids, lab, rv = _absorb_batch(model, feats, tape)
     n_left = model.label_site - 1
     n_mid = mids.shape[0]
     logscale = np.zeros(batch, dtype=DTYPE)
-    left_mat = _reduce_half(
-        tape, tape.slice_rows(mids, 0, n_left), "left", plan, renormalize, logscale, threads
-    )
-    right_mat = _reduce_half(
-        tape, tape.slice_rows(mids, n_left, n_mid), "right", plan, renormalize, logscale, threads
-    )
-    logits = _combine(model, tape, plan, lv, left_mat, lab, right_mat, rv)
+    left_mat = _reduce_half(tape, tape.slice_rows(mids, 0, n_left), renormalize, logscale)
+    right_mat = _reduce_half(tape, tape.slice_rows(mids, n_left, n_mid), renormalize, logscale)
+    logits = _combine(tape, lv, left_mat, lab, right_mat, rv)
     if renormalize:
         logits = tape.scale_const(logits, np.exp(logscale)[:, None])
     return logits
 
 
-def _forward_sequential_batch(model, feats, tape, plan, renormalize, threads):
+def _forward_sequential_batch(model, feats, tape, renormalize):
     batch = feats.shape[0]
-    d, chi = model.local_dim, model.bond_dim
     m = model.label_site
     logscale = np.zeros(batch, dtype=DTYPE)
 
@@ -220,16 +163,10 @@ def _forward_sequential_batch(model, feats, tape, plan, renormalize, threads):
         "bd,dx->bx", feats[:, model.n_sites - 1, :], model.right_boundary, kind="absorb"
     )
     lab = tape.contract("bd,dlxy->blxy", feats[:, m, :], model.label_core, kind="absorb")
-    if plan is not None:
-        plan.add("absorb:boundaries", 1, d, chi, 2 * batch)
-        plan.add("absorb:label", 1, d, model.n_labels * chi * chi, batch)
 
     def site_matrix(site):
         core = tape.gather(model.cores, model.core_stack_index(site))
-        eff = tape.contract("bd,dxy->bxy", feats[:, site, :], core, kind="absorb")
-        if plan is not None:
-            plan.add("absorb:site", 1, d, chi * chi, batch)
-        return eff
+        return tape.contract("bd,dxy->bxy", feats[:, site, :], core, kind="absorb")
 
     for site in range(1, m):
         lv = tape.contract("bx,bxy->by", lv, site_matrix(site), kind="contract")
@@ -239,11 +176,8 @@ def _forward_sequential_batch(model, feats, tape, plan, renormalize, threads):
         rv = tape.contract("bxy,by->bx", site_matrix(site), rv, kind="contract")
         if renormalize:
             rv, logscale = _rescale_vec(tape, rv, logscale)
-    if plan is not None:
-        n_steps = model.n_sites - 3
-        plan.add("sweep:vecmat", 1, chi, chi, n_steps * batch)
 
-    logits = _combine(model, tape, plan, lv, None, lab, None, rv)
+    logits = _combine(tape, lv, None, lab, None, rv)
     if renormalize:
         logits = tape.scale_const(logits, np.exp(logscale)[:, None])
     return logits
@@ -259,18 +193,16 @@ def forward_batch(
     feats: np.ndarray,
     strategy: Strategy = Strategy.PAIRWISE,
     tape: Tape | None = None,
-    plan: ContractionPlan | None = None,
     renormalize: bool = False,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Logits [B, L] for a batch of encoded images [B, N, d]."""
     feats = _check_batch_features(model, feats)
     if tape is None:
         tape = Tape(recording=False)
     if strategy is Strategy.PAIRWISE:
-        return _forward_pairwise_batch(model, feats, tape, plan, renormalize, threads)
+        return _forward_pairwise_batch(model, feats, tape, renormalize)
     if strategy is Strategy.SEQUENTIAL:
-        return _forward_sequential_batch(model, feats, tape, plan, renormalize, threads)
+        return _forward_sequential_batch(model, feats, tape, renormalize)
     if strategy is Strategy.BRUTE_FORCE:
         return np.stack([brute_force_logits(model, feats[b]) for b in range(feats.shape[0])])
     raise ConfigError(f"unknown strategy {strategy!r}")
@@ -279,24 +211,22 @@ def forward_batch(
 def forward_pairwise(
     model: MpsClassifier,
     image: np.ndarray,
-    plan: ContractionPlan | None = None,
     renormalize: bool = False,
 ) -> np.ndarray:
     """Logits for one encoded image via the parallel pairwise schedule."""
     return forward_batch(
-        model, np.asarray(image)[None], Strategy.PAIRWISE, plan=plan, renormalize=renormalize
+        model, np.asarray(image)[None], Strategy.PAIRWISE, renormalize=renormalize
     )[0]
 
 
 def forward_sequential(
     model: MpsClassifier,
     image: np.ndarray,
-    plan: ContractionPlan | None = None,
     renormalize: bool = False,
 ) -> np.ndarray:
     """Logits for one encoded image via the two-ended sequential sweep."""
     return forward_batch(
-        model, np.asarray(image)[None], Strategy.SEQUENTIAL, plan=plan, renormalize=renormalize
+        model, np.asarray(image)[None], Strategy.SEQUENTIAL, renormalize=renormalize
     )[0]
 
 

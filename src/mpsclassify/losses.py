@@ -2,13 +2,21 @@
 
 Both losses are batch means, so the learning rate keeps its meaning when
 the batch size changes. Gradient helpers return the closed-form derivative
-with respect to the logits alongside the value.
+with respect to the logits alongside the value. ``compute_loss`` is the one
+place that maps a ``LossKind`` to its functions.
 """
+
+import enum
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import ConfigError, DimensionError, NumericError
 from .tensor import DTYPE
+
+
+class LossKind(enum.Enum):
+    CROSS_ENTROPY = "cross-entropy"
+    MEAN_SQUARE = "mean-square"
 
 
 def _check_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,3 +82,20 @@ def mean_square_loss(logits, labels) -> float:
     """Mean over the batch of half the squared distance to the one-hot target."""
     value, _, _ = mean_square_with_grad(logits, labels)
     return value
+
+
+def compute_loss(kind: LossKind, logits, labels, with_grad: bool = False):
+    """Loss of ``kind``; with ``with_grad``, (value, d(loss)/d(logits)).
+
+    The loss functions are looked up by name on each call, so a wrapper put
+    on this module's ``cross_entropy_loss`` sees every value-only call.
+    """
+    if kind is LossKind.CROSS_ENTROPY:
+        if with_grad:
+            return cross_entropy_with_grad(logits, labels)[:2]
+        return cross_entropy_loss(logits, labels)
+    if kind is LossKind.MEAN_SQUARE:
+        if with_grad:
+            return mean_square_with_grad(logits, labels)[:2]
+        return mean_square_loss(logits, labels)
+    raise ConfigError(f"unknown loss kind {kind!r}")

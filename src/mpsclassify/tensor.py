@@ -1,128 +1,8 @@
-"""Minimal dense tensor algebra used by every contraction in the package.
+"""Array conventions shared by every module: all arrays are float64.
 
-All arrays are C-contiguous float64. There is no broadcasting: shape
-agreement is checked explicitly so that adjoint rules stay unambiguous.
-Results are independent of the configured thread count because threaded
-paths partition work over disjoint output slices of the batch axis.
+Parallelism is left to the BLAS that NumPy links against.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import DimensionError
-
 DTYPE = np.float64
-
-_num_threads = 1
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
-
-
-def set_num_threads(n: int) -> None:
-    """Set the default thread count for batched operations (>= 1)."""
-    global _num_threads
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    _num_threads = int(n)
-
-
-def get_num_threads() -> int:
-    return _num_threads
-
-
-def _get_pool(size: int) -> ThreadPoolExecutor:
-    global _pool, _pool_size
-    if _pool is None or _pool_size < size:
-        if _pool is not None:
-            _pool.shutdown(wait=False)
-        _pool = ThreadPoolExecutor(max_workers=size)
-        _pool_size = size
-    return _pool
-
-
-def as_tensor(x) -> np.ndarray:
-    """Coerce to a C-contiguous float64 ndarray without copying when possible."""
-    return np.ascontiguousarray(x, dtype=DTYPE)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two rank-2 tensors [m,k] x [k,n] -> [m,n]."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(
-            f"matmul expects rank-2 operands, got shapes {a.shape} and {b.shape}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul inner extents differ: {a.shape} x {b.shape}"
-        )
-    return a @ b
-
-
-def batched_matmul(a: np.ndarray, b: np.ndarray, threads: int | None = None) -> np.ndarray:
-    """Slice-wise matrix product [B,m,k] x [B,k,n] -> [B,m,n].
-
-    Slices are independent; with ``threads > 1`` the batch axis is split into
-    contiguous chunks computed concurrently. Chunking does not change results:
-    each output slice is produced by the same kernel either way.
-    """
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 3 or b.ndim != 3:
-        raise DimensionError(
-            f"batched_matmul expects rank-3 operands, got shapes {a.shape} and {b.shape}"
-        )
-    if a.shape[0] != b.shape[0]:
-        raise DimensionError(
-            f"batched_matmul batch extents differ: {a.shape} x {b.shape}"
-        )
-    if a.shape[2] != b.shape[1]:
-        raise DimensionError(
-            f"batched_matmul inner extents differ: {a.shape} x {b.shape}"
-        )
-    n_threads = _num_threads if threads is None else max(1, int(threads))
-    batch = a.shape[0]
-    if n_threads == 1 or batch < 2 * n_threads:
-        return a @ b
-
-    out = np.empty((batch, a.shape[1], b.shape[2]), dtype=DTYPE)
-    bounds = [batch * i // n_threads for i in range(n_threads + 1)]
-
-    def run(lo: int, hi: int) -> None:
-        np.matmul(a[lo:hi], b[lo:hi], out=out[lo:hi])
-
-    pool = _get_pool(n_threads)
-    futures = [
-        pool.submit(run, lo, hi)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    for f in futures:
-        f.result()
-    return out
-
-
-def contract_last_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Contract the last axis of ``a`` against the first axis of ``b``.
-
-    Output shape is a.shape[:-1] + b.shape[1:]; entries sum over the shared
-    axis. On rank-2 operands this is exactly ``matmul``.
-    """
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim == 0 or b.ndim == 0:
-        raise DimensionError(
-            f"contract_last_first needs rank >= 1 operands, got shapes {a.shape} and {b.shape}"
-        )
-    k = a.shape[-1]
-    if k != b.shape[0]:
-        raise DimensionError(
-            f"contract_last_first extent mismatch: {a.shape} x {b.shape}"
-        )
-    out_shape = a.shape[:-1] + b.shape[1:]
-    # Reshape to a single matrix product so the rank-2 case is bit-identical
-    # to matmul.
-    flat = a.reshape(-1, k) @ b.reshape(k, -1)
-    return flat.reshape(out_shape)

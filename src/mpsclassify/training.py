@@ -8,7 +8,6 @@ one site at a time.
 """
 
 import csv
-import enum
 import time
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ from .autodiff import Gradients, Tape, backward, model_gradients
 from .contraction import Strategy, forward_batch, predict_batch
 from .encoding import encode_batch
 from .errors import ConfigError, ConsistencyError, NumericError
-from .losses import cross_entropy_loss, mean_square_loss
+from .losses import LossKind, compute_loss, cross_entropy_loss, mean_square_loss
 from .model import MpsClassifier
 from .tensor import DTYPE
 
@@ -42,11 +41,6 @@ __all__ = [
 METRICS_COLUMNS = ("epoch", "train_loss", "train_acc", "test_loss", "test_acc", "seconds")
 
 
-class LossKind(enum.Enum):
-    CROSS_ENTROPY = "cross-entropy"
-    MEAN_SQUARE = "mean-square"
-
-
 @dataclass
 class TrainConfig:
     """Knobs for one training run. Defaults follow common Adam practice."""
@@ -58,7 +52,6 @@ class TrainConfig:
     seed: int = 0
     strategy: Strategy = Strategy.PAIRWISE
     renormalize: bool = False
-    threads: int | None = None
     eval_batch_size: int = 256
 
     def __post_init__(self):
@@ -95,14 +88,6 @@ class EpochMetrics:
 # -- losses over a forward pass ---------------------------------------------
 
 
-def _loss_node(tape: Tape, logits: np.ndarray, labels: np.ndarray, loss_kind: LossKind):
-    if loss_kind is LossKind.CROSS_ENTROPY:
-        return tape.cross_entropy(logits, labels)
-    if loss_kind is LossKind.MEAN_SQUARE:
-        return tape.mean_square(logits, labels)
-    raise ConfigError(f"unknown loss kind {loss_kind!r}")
-
-
 def batch_loss(
     model: MpsClassifier,
     feats: np.ndarray,
@@ -113,11 +98,7 @@ def batch_loss(
 ) -> float:
     """Loss of one encoded batch, no gradients."""
     logits = forward_batch(model, feats, strategy, renormalize=renormalize)
-    if loss_kind is LossKind.CROSS_ENTROPY:
-        return cross_entropy_loss(logits, labels)
-    if loss_kind is LossKind.MEAN_SQUARE:
-        return mean_square_loss(logits, labels)
-    raise ConfigError(f"unknown loss kind {loss_kind!r}")
+    return compute_loss(loss_kind, logits, labels)
 
 
 def loss_and_gradients(
@@ -127,15 +108,12 @@ def loss_and_gradients(
     loss_kind: LossKind = LossKind.CROSS_ENTROPY,
     strategy: Strategy = Strategy.PAIRWISE,
     renormalize: bool = False,
-    threads: int | None = None,
 ) -> tuple[float, Gradients]:
     """Taped forward + loss, then the reverse sweep. Returns (loss, gradients)."""
     tape = Tape()
     tape.watch_model(model)
-    logits = forward_batch(
-        model, feats, strategy, tape=tape, renormalize=renormalize, threads=threads
-    )
-    loss = _loss_node(tape, logits, labels, loss_kind)
+    logits = forward_batch(model, feats, strategy, tape=tape, renormalize=renormalize)
+    loss = tape.loss(loss_kind, logits, labels)
     adjoints = backward(tape)
     return float(loss), model_gradients(adjoints, model)
 
@@ -214,10 +192,7 @@ def evaluate(
         fb = feats[start : start + batch_size]
         lb = labels[start : start + batch_size]
         logits = forward_batch(model, fb, strategy, renormalize=renormalize)
-        if loss_kind is LossKind.CROSS_ENTROPY:
-            loss_sum += cross_entropy_loss(logits, lb) * fb.shape[0]
-        else:
-            loss_sum += mean_square_loss(logits, lb) * fb.shape[0]
+        loss_sum += compute_loss(loss_kind, logits, lb) * fb.shape[0]
         correct += int((predict_batch(logits) == lb).sum())
     return loss_sum / count, correct / count
 
@@ -261,14 +236,9 @@ def train(
             tape.watch_model(model)
             try:
                 logits = forward_batch(
-                    model,
-                    fb,
-                    config.strategy,
-                    tape=tape,
-                    renormalize=config.renormalize,
-                    threads=config.threads,
+                    model, fb, config.strategy, tape=tape, renormalize=config.renormalize
                 )
-                loss = float(_loss_node(tape, logits, lb, config.loss_kind))
+                loss = float(tape.loss(config.loss_kind, logits, lb))
             except NumericError as exc:
                 raise NumericError(
                     f"epoch {epoch}, batch {batch_index}: {exc}"

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from mpsclassify import (
-    ContractionPlan,
     FeatureMap,
     LossKind,
     Strategy,
+    Tape,
     TrainConfig,
     brute_force_logits,
     downsample,
@@ -181,9 +181,10 @@ class TestCostModel:
             model = init_model(n_sites, n_labels, int(chi), seed=0)
             feats = encode_batch(model.feature_map, images)
             for strategy in totals:
-                plan = ContractionPlan(strategy)
-                forward_batch(model, feats, strategy, plan=plan)
-                totals[strategy].append(plan.total_flops)
+                tape = Tape()
+                tape.watch_model(model)
+                forward_batch(model, feats, strategy, tape=tape)
+                totals[strategy].append(tape.forward_flops())
 
         def worst_residual(design: np.ndarray, observed: np.ndarray) -> float:
             coef, *_ = np.linalg.lstsq(design, observed, rcond=None)
@@ -204,24 +205,6 @@ class TestCostModel:
         )
         assert seq_resid <= 0.10
         assert pair_resid <= 0.10
-
-    def test_thread_speedup_reported_not_asserted(self, rng):
-        """Wall-clock ratio is hardware-dependent; measure and print only."""
-        model = init_model(64, 10, 32, seed=0)
-        feats = encode_batch(model.feature_map, rng.random((32, 64)))
-        timings = {}
-        for threads in (1, 4):
-            started = time.perf_counter()
-            for _ in range(3):
-                forward_batch(model, feats, Strategy.PAIRWISE, threads=threads)
-            timings[threads] = time.perf_counter() - started
-        ratio = timings[1] / timings[4]
-        report(
-            "thread-speedup",
-            True,
-            f"4-thread speedup {ratio:.2f}x over 1 thread "
-            f"(informational; host may be single-core)",
-        )
 
 
 class TestRerunDeterminism:

@@ -12,52 +12,53 @@ from mpsclassify import (
     init_model,
     loss_and_gradients,
     model_gradients,
-    softmax,
 )
 from mpsclassify.autodiff import Adjoints
 from mpsclassify.encoding import encode_batch
-from mpsclassify.errors import ConsistencyError, DimensionError
-from mpsclassify.losses import cross_entropy_loss
+from mpsclassify.errors import ConfigError, ConsistencyError
+from mpsclassify.losses import cross_entropy_loss, cross_entropy_with_grad, mean_square_with_grad
 from mpsclassify.training import batch_loss
+
+
+def weighted_sum(tape, y, w):
+    """Record the scalar sum(y * w) so that the adjoint reaching ``y`` is ``w``."""
+    letters = "ijkl"[: y.ndim]
+    return tape.contract(f"{letters},{letters}->", y, w)
 
 
 class TestMatmulAdjoint:
     def test_closed_form_for_sum_of_product(self, rng):
-        """loss = sum(A B): dA = ones @ B^T, dB = A^T @ ones."""
+        """loss = sum(W * (A B)): dA = W @ B^T, dB = A^T @ W."""
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((4, 5))
+        w = rng.standard_normal((3, 5))
         tape = Tape()
         tape.watch(a)
         tape.watch(b)
-        c = tape.matmul(a, b)
-        tape.reduce_sum(c)
+        c = tape.contract("ij,jk->ik", a, b)
+        weighted_sum(tape, c, w)
         adj = backward(tape)
-        ones = np.ones((3, 5))
-        np.testing.assert_allclose(adj.of(a), ones @ b.T, rtol=1e-14)
-        np.testing.assert_allclose(adj.of(b), a.T @ ones, rtol=1e-14)
+        np.testing.assert_allclose(adj.of(a), w @ b.T, rtol=1e-14)
+        np.testing.assert_allclose(adj.of(b), a.T @ w, rtol=1e-14)
 
     def test_batched_variant(self, rng):
         a = rng.standard_normal((2, 3, 4))
         b = rng.standard_normal((2, 4, 3))
+        w = rng.standard_normal((2, 3, 3))
         tape = Tape()
         tape.watch(a)
-        c = tape.matmul(a, b)
-        tape.reduce_sum(c)
+        c = tape.contract("bij,bjk->bik", a, b)
+        weighted_sum(tape, c, w)
         adj = backward(tape)
-        want = np.ones((2, 3, 3)) @ np.swapaxes(b, -1, -2)
+        want = w @ np.swapaxes(b, -1, -2)
         np.testing.assert_allclose(adj.of(a), want, rtol=1e-14)
         np.testing.assert_array_equal(adj.of(b), np.zeros_like(b))  # unwatched
-
-    def test_leading_dim_mismatch(self):
-        tape = Tape()
-        with pytest.raises(DimensionError):
-            tape.matmul(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
 
 
 class TestTapeMechanics:
     def test_unwatched_graph_records_nothing(self, rng):
         tape = Tape()
-        tape.matmul(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
+        tape.contract("ij,jk->ik", rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
         assert tape.nodes == []
 
     def test_replay_reproduces_outputs(self, rng):
@@ -69,15 +70,15 @@ class TestTapeMechanics:
         from mpsclassify.contraction import forward_batch
 
         logits = forward_batch(model, feats, tape=tape)
-        tape.cross_entropy(logits, labels)
+        tape.loss(LossKind.CROSS_ENTROPY, logits, labels)
         tape.replay()  # must not raise
 
     def test_replay_detects_tampering(self, rng):
         a = rng.standard_normal((2, 2))
         tape = Tape()
         tape.watch(a)
-        c = tape.matmul(a, a)
-        tape.reduce_sum(c)
+        c = tape.contract("ij,jk->ik", a, a)
+        weighted_sum(tape, c, np.ones((2, 2)))
         tape.nodes[0].output[0, 0] += 1.0
         with pytest.raises(ConsistencyError, match="replay"):
             tape.replay()
@@ -91,14 +92,16 @@ class TestTapeMechanics:
         recording = Tape()
         recording.watch(a)
         silent = Tape(recording=False)
-        np.testing.assert_array_equal(silent.matmul(a, a), recording.matmul(a, a))
+        np.testing.assert_array_equal(
+            silent.contract("ij,jk->ik", a, a), recording.contract("ij,jk->ik", a, a)
+        )
         assert silent.nodes == []
 
     def test_zero_loss_adjoint_gives_zero_gradients(self, rng):
         a = rng.standard_normal((3, 3))
         tape = Tape()
         tape.watch(a)
-        tape.reduce_sum(tape.matmul(a, a))
+        weighted_sum(tape, tape.contract("ij,jk->ik", a, a), rng.standard_normal((3, 3)))
         adj = backward(tape, loss_adjoint=0.0)
         np.testing.assert_array_equal(adj.of(a), np.zeros_like(a))
 
@@ -112,7 +115,7 @@ class TestTapeMechanics:
             tape = Tape()
             tape.watch_model(model)
             logits = forward_batch(model, feats, tape=tape)
-            tape.cross_entropy(logits, np.array([0, 1]))
+            tape.loss(LossKind.CROSS_ENTROPY, logits, np.array([0, 1]))
             return model_gradients(backward(tape, loss_adjoint=seed_value), model)
 
         one = run(1.0)
@@ -121,21 +124,25 @@ class TestTapeMechanics:
             np.testing.assert_array_equal(2.0 * g1, g2)
 
     def test_sum_rule(self, rng):
-        """Gradient of loss1 + loss2 equals the sum of separate gradients."""
+        """Adjoints reaching x along two paths add up to the gradient.
+
+        loss = sum((x a) * (x b)); each path's share is the gradient with the
+        other path's product held constant.
+        """
         x = rng.standard_normal((3, 3))
         a = rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3))
 
-        def grad_of(mats):
+        def grad_of(watch_a, watch_b):
             tape = Tape()
             tape.watch(x)
-            parts = [tape.matmul(x, mat) for mat in mats]
-            total = parts[0] if len(parts) == 1 else tape.add(parts[0], parts[1])
-            tape.reduce_sum(total)
+            xa = tape.contract("ij,jk->ik", x, a) if watch_a else x @ a
+            xb = tape.contract("ij,jk->ik", x, b) if watch_b else x @ b
+            weighted_sum(tape, xa, xb)
             return backward(tape).of(x)
 
-        combined = grad_of([a, b])
-        separate = grad_of([a]) + grad_of([b])
+        combined = grad_of(True, True)
+        separate = grad_of(True, False) + grad_of(False, True)
         np.testing.assert_allclose(combined, separate, rtol=1e-12, atol=1e-15)
 
     def test_scale_const_factor_is_not_differentiated(self, rng):
@@ -143,36 +150,40 @@ class TestTapeMechanics:
         tape = Tape()
         tape.watch(x)
         y = tape.scale_const(x, 3.0)
-        tape.reduce_sum(y)
+        w = rng.standard_normal((2, 2))
+        weighted_sum(tape, y, w)
         adj = backward(tape)
-        np.testing.assert_allclose(adj.of(x), 3.0 * np.ones_like(x), rtol=1e-15)
+        np.testing.assert_allclose(adj.of(x), 3.0 * w, rtol=1e-15)
 
     def test_gather_and_slice_scatter_back(self, rng):
         stack = rng.standard_normal((4, 2, 2))
         tape = Tape()
         tape.watch(stack)
         row = tape.gather(stack, 2)
-        tape.reduce_sum(row)
+        w_row = rng.standard_normal((2, 2))
+        weighted_sum(tape, row, w_row)
         adj = backward(tape).of(stack)
         want = np.zeros_like(stack)
-        want[2] = 1.0
+        want[2] = w_row
         np.testing.assert_array_equal(adj, want)
 
         tape = Tape()
         tape.watch(stack)
         part = tape.slice_rows(stack, 1, 3)
-        tape.reduce_sum(part)
+        w_part = rng.standard_normal((2, 2, 2))
+        weighted_sum(tape, part, w_part)
         adj = backward(tape).of(stack)
         want = np.zeros_like(stack)
-        want[1:3] = 1.0
+        want[1:3] = w_part
         np.testing.assert_array_equal(adj, want)
 
     def test_pair_round_adjoint_matches_finite_differences(self, rng):
         stack = rng.standard_normal((5, 1, 3, 3))
+        w = rng.standard_normal((3, 1, 3, 3))
         tape = Tape()
         tape.watch(stack)
         out = tape.pair_round(stack)
-        tape.reduce_sum(out)
+        weighted_sum(tape, out, w)
         analytic = backward(tape).of(stack)
 
         h = 1e-6
@@ -184,7 +195,7 @@ class TestTapeMechanics:
 
             def value():
                 t = Tape(recording=False)
-                return float(t.pair_round(stack).sum())
+                return float((t.pair_round(stack) * w).sum())
 
             up = value()
             flat[k] = orig - h
@@ -192,6 +203,25 @@ class TestTapeMechanics:
             flat[k] = orig
             numeric.reshape(-1)[k] = (up - down) / (2 * h)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-7, atol=1e-9)
+
+    def test_loss_node_kind_value_and_adjoint(self, rng):
+        logits = rng.standard_normal((4, 3))
+        labels = np.array([0, 2, 1, 2])
+        cases = (
+            (LossKind.CROSS_ENTROPY, "cross_entropy", cross_entropy_with_grad),
+            (LossKind.MEAN_SQUARE, "mean_square", mean_square_with_grad),
+        )
+        for kind, node_kind, with_grad in cases:
+            tape = Tape()
+            tape.watch(logits)
+            value = tape.loss(kind, logits, labels)
+            want_value, want_grad, _ = with_grad(logits, labels)
+            assert tape.nodes[-1].kind == node_kind
+            assert float(value) == want_value
+            adj = backward(tape, loss_adjoint=2.0).of(logits)
+            np.testing.assert_array_equal(adj, 2.0 * want_grad)
+        with pytest.raises(ConfigError, match="unknown loss kind"):
+            Tape().loss("cross-entropy", logits, labels)
 
     def test_flop_counters_are_positive_and_ordered(self, rng):
         model = init_model(12, 3, 4, seed=0)
@@ -201,7 +231,7 @@ class TestTapeMechanics:
         tape = Tape()
         tape.watch_model(model)
         logits = forward_batch(model, feats, tape=tape)
-        tape.cross_entropy(logits, np.zeros(4, dtype=np.int64))
+        tape.loss(LossKind.CROSS_ENTROPY, logits, np.zeros(4, dtype=np.int64))
         assert tape.forward_flops() > 0
         assert tape.backward_flops() > 0
 
@@ -216,7 +246,7 @@ class TestModelGradients:
         from mpsclassify.contraction import forward_batch
 
         logits = forward_batch(model, feats, tape=tape)
-        tape.cross_entropy(logits, np.array([0]))
+        tape.loss(LossKind.CROSS_ENTROPY, logits, np.array([0]))
         adjoints = backward(tape)
         with pytest.raises(ConsistencyError, match="watched"):
             model_gradients(adjoints, other)
@@ -300,19 +330,28 @@ class TestGradCheck:
 
 
 class TestSoftmaxHelper:
+    """The softmax probabilities that ``cross_entropy_with_grad`` returns."""
+
+    @staticmethod
+    def softmax(logits):
+        labels = np.zeros(logits.shape[0], dtype=np.int64)
+        return cross_entropy_with_grad(logits, labels)[2]
+
     def test_rows_sum_to_one(self, rng):
-        p = softmax(rng.standard_normal((4, 6)))
+        p = self.softmax(rng.standard_normal((4, 6)))
         np.testing.assert_allclose(p.sum(axis=1), np.ones(4), rtol=1e-14)
 
     def test_large_logits_do_not_overflow(self):
-        p = softmax(np.array([[1000.0, 0.0]]))
+        p = self.softmax(np.array([[1000.0, 0.0]]))
         np.testing.assert_allclose(p, [[1.0, 0.0]], atol=1e-300)
 
     def test_matches_cross_entropy_probabilities(self, rng):
         logits = rng.standard_normal((3, 4))
         labels = np.array([0, 1, 2])
         value = cross_entropy_loss(logits, labels)
-        p = softmax(logits)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        p = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(self.softmax(logits), p, rtol=1e-14)
         direct = -np.log(p[np.arange(3), labels]).mean()
         np.testing.assert_allclose(value, direct, rtol=1e-12)
 

@@ -55,6 +55,27 @@ class TestTrain:
         assert main(args + ["--metrics-csv", str(b)]) == 0
         assert drop_seconds(read_rows(a)) == drop_seconds(read_rows(b))
 
+    def test_interrupted_run_keeps_finished_epoch_rows(self, tmp_path, monkeypatch):
+        import mpsclassify.cli as cli
+
+        real_train = cli.train
+
+        def stop_after_first_epoch(model, train_set, test_set, config, on_epoch):
+            def hook(metrics):
+                on_epoch(metrics)
+                raise KeyboardInterrupt
+
+            return real_train(model, train_set, test_set, config, on_epoch=hook)
+
+        monkeypatch.setattr(cli, "train", stop_after_first_epoch)
+        csv_path = tmp_path / "metrics.csv"
+        with pytest.raises(KeyboardInterrupt):
+            main(["train", "--synthetic", "40", "--epochs", "3", "--bond-dim", "2",
+                  "--metrics-csv", str(csv_path)])
+        rows = read_rows(csv_path)
+        assert rows[0][0] == "epoch"
+        assert [row[0] for row in rows[1:]] == ["1"]
+
     def test_downsample_flag_changes_sites(self, tmp_path):
         ckpt = tmp_path / "small.mps"
         code = main(
@@ -162,7 +183,7 @@ class TestBenchCommand:
         )
         assert code == 0
         rows = read_rows(out)
-        assert rows[0][:3] == ["strategy", "bond_dim", "threads"]
+        assert rows[0][:3] == ["strategy", "bond_dim", "batch"]
         assert len(rows) == 1 + 2 * 2
 
     def test_backward_flag_adds_columns(self, tmp_path):

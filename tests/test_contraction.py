@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mpsclassify import (
-    ContractionPlan,
     Strategy,
+    Tape,
     absorb_inputs,
     brute_force_logits,
     encode_and_forward,
@@ -17,8 +17,21 @@ from mpsclassify import (
     predict,
     predict_batch,
 )
+from mpsclassify.autodiff import _node_forward_flops
 from mpsclassify.encoding import FeatureMap, encode_batch, encode_image
 from mpsclassify.errors import ConfigError, DimensionError, NumericError
+
+
+def taped_forward(model, feats, strategy):
+    """Nodes recorded by a model-watching tape over one forward pass of [B, N, d]."""
+    tape = Tape()
+    tape.watch_model(model)
+    forward_batch(model, feats, strategy, tape=tape)
+    return tape
+
+
+def flops_of(tape, match):
+    return sum(_node_forward_flops(n) for n in tape.nodes if match(n))
 
 
 def random_instance(rng, n_sites, n_labels, bond_dim, fmap=FeatureMap.LINEAR):
@@ -212,13 +225,13 @@ class TestPairwiseRounds:
         """A chain with an 8-matrix left half reduces it in exactly 3 rounds."""
         model = init_model(18, 2, 2, seed=0)
         assert model.label_site == 9
-        feats = encode_image(model.feature_map, rng.uniform(0, 1, size=18))
-        plan = ContractionPlan(Strategy.PAIRWISE)
-        forward_pairwise(model, feats, plan=plan)
-        left_rounds = {s.label for s in plan.steps if s.label.startswith("pair_round:left")}
-        assert left_rounds == {f"pair_round:left:{r}" for r in (1, 2, 3)}
-        right_rounds = {s.label for s in plan.steps if s.label.startswith("pair_round:right")}
-        assert len(right_rounds) == num_pairwise_rounds(18 - 2 - model.label_site)
+        feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(1, 18)))
+        tape = taped_forward(model, feats, Strategy.PAIRWISE)
+        rows = [n.inputs[0].shape[0] for n in tape.nodes if n.kind == "pair_round"]
+        n_right = 18 - 2 - model.label_site
+        assert rows[:3] == [8, 4, 2]
+        assert len(rows) == 3 + num_pairwise_rounds(n_right)
+        assert rows[3] == n_right
 
     def test_odd_carry(self, rng):
         """Five matrices per half still reduce correctly (odd rounds)."""
@@ -229,52 +242,48 @@ class TestPairwiseRounds:
 
 
 class TestPlanFlops:
-    def test_step_flops_formula(self):
-        plan = ContractionPlan(Strategy.PAIRWISE)
-        plan.add("x", 3, 4, 5, 7)
-        assert plan.total_flops == 2 * 3 * 4 * 5 * 7
+    """FLOPs of the contraction plan, read from the nodes a tape records."""
+
+    def test_step_flops_formula(self, rng):
+        tape = Tape()
+        a = rng.standard_normal((7, 3, 4))
+        tape.watch(a)
+        tape.contract("bmk,bkn->bmn", a, rng.standard_normal((7, 4, 5)))
+        assert tape.forward_flops() == 2 * 3 * 4 * 5 * 7
 
     def test_sequential_has_no_cubic_steps(self, rng):
+        """Doubling chi at most quadruples the cost of every sequential node."""
+        feats = encode_batch(FeatureMap.LINEAR, rng.uniform(0, 1, size=(1, 16)))
+        per_node = {}
         for chi in (2, 4, 8):
-            model = init_model(16, 3, chi, seed=0)
-            feats = encode_image(model.feature_map, rng.uniform(0, 1, size=16))
-            plan = ContractionPlan(Strategy.SEQUENTIAL)
-            forward_sequential(model, feats, plan=plan)
-            for step in plan.steps:
-                assert (step.m, step.k, step.n) != (chi, chi, chi)
+            tape = taped_forward(init_model(16, 3, chi, seed=0), feats, Strategy.SEQUENTIAL)
+            assert not any(n.kind == "pair_round" for n in tape.nodes)
+            per_node[chi] = np.array([_node_forward_flops(n) for n in tape.nodes])
+        for lo, hi in ((2, 4), (4, 8)):
+            assert (per_node[hi] <= 4 * per_node[lo]).all()
 
     def test_pairwise_round_flops_scale_cubically(self, rng):
+        feats = encode_batch(FeatureMap.LINEAR, rng.uniform(0, 1, size=(1, 16)))
         totals = {}
         for chi in (2, 4, 8):
-            model = init_model(16, 3, chi, seed=0)
-            feats = encode_image(model.feature_map, rng.uniform(0, 1, size=16))
-            plan = ContractionPlan(Strategy.PAIRWISE)
-            forward_pairwise(model, feats, plan=plan)
-            totals[chi] = plan.flops_matching("pair_round")
+            tape = taped_forward(init_model(16, 3, chi, seed=0), feats, Strategy.PAIRWISE)
+            totals[chi] = flops_of(tape, lambda n: n.kind == "pair_round")
         assert totals[4] == 8 * totals[2]
         assert totals[8] == 8 * totals[4]
 
     def test_sequential_sweep_flops_scale_quadratically(self, rng):
+        """The sweep's vector-matrix steps plus the per-site absorbs."""
+        feats = encode_batch(FeatureMap.LINEAR, rng.uniform(0, 1, size=(1, 16)))
+
+        def sweep_or_site(node):
+            return node.kind == "contract" or node.extra == "bd,dxy->bxy"
+
         totals = {}
         for chi in (2, 4, 8):
-            model = init_model(16, 3, chi, seed=0)
-            feats = encode_image(model.feature_map, rng.uniform(0, 1, size=16))
-            plan = ContractionPlan(Strategy.SEQUENTIAL)
-            forward_sequential(model, feats, plan=plan)
-            totals[chi] = plan.flops_matching("sweep") + plan.flops_matching("absorb:site")
+            tape = taped_forward(init_model(16, 3, chi, seed=0), feats, Strategy.SEQUENTIAL)
+            totals[chi] = flops_of(tape, sweep_or_site)
         assert totals[4] == 4 * totals[2]
         assert totals[8] == 4 * totals[4]
-
-
-class TestThreadIndependence:
-    def test_pairwise_bitwise_across_thread_counts(self, rng):
-        model = init_model(40, 4, 8, seed=6)
-        feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(16, 40)))
-        base = forward_batch(model, feats, threads=1)
-        for threads in (2, 4, 8):
-            np.testing.assert_array_equal(
-                forward_batch(model, feats, threads=threads), base
-            )
 
 
 class TestRenormalization:

@@ -305,6 +305,16 @@ class TestTrainLoop:
         class_zero_share = float((test_set.labels == 0).mean())
         assert acc == class_zero_share
 
+    def test_evaluate_rejects_unknown_loss_kind(self):
+        """A loss kind that is not a LossKind member is refused, not taken as MSE."""
+        test_set = synthetic_blobs(10, seed=4)
+        model = init_model(16, 2, 3, seed=0)
+        feats = encode_batch(model.feature_map, test_set.images)
+        with pytest.raises(ConfigError, match="unknown loss kind"):
+            evaluate(model, feats, test_set.labels, loss_kind="cross-entropy")
+        with pytest.raises(ConfigError, match="unknown loss kind"):
+            batch_loss(model, feats, test_set.labels, loss_kind="cross-entropy")
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)
