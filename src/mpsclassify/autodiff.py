@@ -8,8 +8,17 @@ across batch entries by summation. Arrays are treated as immutable while
 a tape referencing them is alive. The per-node FLOP counters
 (``forward_flops``, ``backward_flops``) are the package's only FLOP
 accounting.
+
+Every contraction, forward or adjoint, runs through ``einsum``. It compiles
+each (subscripts, operand shapes) pair once into a plan of transposes,
+reshapes and one ``np.matmul`` (or a broadcast multiply) per pairwise step,
+so repeated calls do no path search and no subscript parsing. The adjoints
+of ``gather`` and ``slice_rows`` add into the rows they came from, in one
+buffer per source array, instead of scattering into a fresh zero copy of
+the source for every node.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +29,137 @@ from .model import MpsClassifier
 from .tensor import DTYPE
 
 _EINSUM_KINDS = ("contract", "absorb", "combine")
+_ROW_KINDS = ("gather", "slice_rows")
 _LOSS_KINDS = ("cross_entropy", "mean_square")
 
 
-def _einsum(subscripts: str, *ops) -> np.ndarray:
-    return np.einsum(subscripts, *ops, optimize=True)
+def einsum(subscripts: str, *ops: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, *ops, optimize=True)`` run from a cached plan.
+
+    ``subscripts`` must be explicit (``->``), with no index repeated inside
+    one operand, no index summed within a single operand and no
+    broadcasting. The first call for a given set of operand shapes compiles
+    the plan; later calls only run it. The result equals NumPy 2.4's bit for
+    bit, since its optimized einsum also runs each pairwise step as one
+    ``matmul``; NumPy releases that run those steps another way agree with
+    it to rounding.
+    """
+    operands = list(ops)
+    for positions, run in _compile(subscripts, tuple([op.shape for op in ops])):
+        operands.append(run(*[operands.pop(p) for p in positions]))
+    return operands[0]
+
+
+@functools.lru_cache(maxsize=512)
+def _compile(subscripts: str, shapes: tuple) -> tuple:
+    """Steps ``(positions, run)`` of ``einsum``: pop ``positions``, push ``run(*popped)``.
+
+    The pairwise order is the one ``np.einsum_path(optimize=True)`` picks.
+    Operands are popped, and intermediates are indexed, in the order
+    ``np.einsum`` uses, and each step mirrors the ``matmul`` or multiply
+    that NumPy's optimized einsum performs for it, so the values and the
+    memory layouts agree exactly.
+    """
+    inputs, output = subscripts.split("->")
+    terms = inputs.split(",")
+    if len(terms) != len(shapes):
+        raise DimensionError(f"{subscripts!r} names {len(terms)} operands, got {len(shapes)}")
+    sizes: dict[str, int] = {}
+    for term, shape in zip(terms, shapes):
+        if len(term) != len(shape) or len(set(term)) != len(term):
+            raise DimensionError(f"{subscripts!r} does not fit operand shapes {shapes}")
+        for ix, n in zip(term, shape):
+            if sizes.setdefault(ix, n) != n:
+                raise DimensionError(f"index {ix!r} of {subscripts!r} has extents {sizes[ix]} and {n}")
+    for ix in sizes:
+        if ix not in output and inputs.count(ix) < 2 and sizes[ix] != 1:
+            raise DimensionError(f"index {ix!r} of {subscripts!r} is summed within one operand")
+    dummies = [np.broadcast_to(np.zeros((), DTYPE), shape) for shape in shapes]
+    path = np.einsum_path(subscripts, *dummies, optimize=True)[0][1:]
+    steps = []
+    for k, positions in enumerate(path):
+        positions = tuple(sorted(positions, reverse=True))
+        picked = [terms.pop(p) for p in positions]
+        if k == len(path) - 1:
+            result = output
+        else:
+            needed = set(output).union(*terms)
+            kept = set("".join(picked)) & needed
+            result = "".join(sorted(kept, key=lambda ix: (sizes[ix], ix)))
+        terms.append(result)
+        summed = any(ix not in result and sizes[ix] != 1 for ix in picked[0])
+        if len(picked) == 2 and summed:
+            steps.append((positions, _matmul_step(*picked, result, sizes)))
+        elif not summed:
+            steps.append((positions, _product_step(picked, result, sizes)))
+        else:
+            raise DimensionError(f"{subscripts!r} has no pairwise contraction order")
+    return tuple(steps)
+
+
+def _arrange(term: str, order: str, sizes: dict, shape=None):
+    """Bring an operand indexed by ``term`` to the index order ``order``, then to ``shape``.
+
+    Size-1 indices of ``term`` that ``order`` leaves out are dropped.
+    """
+    if order == term:
+        return (lambda x: x) if shape is None else (lambda x: x.reshape(shape))
+    dropped = tuple(i for i, ix in enumerate(term) if ix not in order)
+    perm = tuple(term.index(ix) for ix in order) + dropped
+    shape = shape or tuple(sizes[ix] for ix in order)
+    return lambda x: x.transpose(perm).reshape(shape)
+
+
+def _matmul_step(a: str, b: str, out: str, sizes: dict):
+    """One batched ``matmul`` over the shared indices of ``a`` and ``b``."""
+    big = {ix for ix in a + b if sizes[ix] != 1}
+    bat = [ix for ix in a if ix in big and ix in b and ix in out]
+    con = [ix for ix in a if ix in big and ix in b and ix not in out]
+    a_keep = [ix for ix in a if ix in big and ix not in b]
+    b_keep = [ix for ix in b if ix in big and ix not in a]
+    groups_a, groups_b, groups_ab = (bat, a_keep, con), (bat, con, b_keep), (bat, a_keep, b_keep)
+    if not bat:
+        groups_a, groups_b, groups_ab = groups_a[1:], groups_b[1:], groups_ab[1:]
+
+    def fused(groups):
+        if all(len(group) == 1 for group in groups):
+            return None
+        return tuple(int(np.prod([sizes[ix] for ix in group])) for group in groups)
+
+    arrange_a = _arrange(a, "".join(bat + a_keep + con), sizes, fused(groups_a))
+    arrange_b = _arrange(b, "".join(bat + con + b_keep), sizes, fused(groups_b))
+    ones = [ix for ix in out if sizes[ix] == 1]
+    ab_shape = None
+    if ones or fused(groups_ab) is not None:
+        ab_shape = (1,) * len(ones) + tuple(sizes[ix] for group in groups_ab for ix in group)
+    produced = "".join(ones + bat + a_keep + b_keep)
+    ab_perm = None if produced == out else tuple(produced.index(ix) for ix in out)
+
+    def run(x, y):
+        ab = np.matmul(arrange_a(x), arrange_b(y))
+        if ab_shape is not None:
+            ab = ab.reshape(ab_shape)
+        return ab if ab_perm is None else ab.transpose(ab_perm)
+
+    return run
+
+
+def _product_step(terms: list, out: str, sizes: dict):
+    """A broadcast product of operands that share no summed index."""
+    arranges = [
+        _arrange(
+            term,
+            "".join(ix for ix in out if ix in term),
+            sizes,
+            tuple(sizes[ix] if ix in term else 1 for ix in out),
+        )
+        for term in terms
+    ]
+
+    def run(*xs):
+        return functools.reduce(np.multiply, [f(x) for f, x in zip(arranges, xs)])
+
+    return run
 
 
 def _pair_round_value(stack: np.ndarray) -> np.ndarray:
@@ -50,14 +185,11 @@ class Node:
 
     def recompute(self) -> np.ndarray:
         if self.kind in _EINSUM_KINDS:
-            return _einsum(self.extra, *self.inputs)
+            return einsum(self.extra, *self.inputs)
         if self.kind == "pair_round":
             return _pair_round_value(self.inputs[0])
-        if self.kind == "gather":
+        if self.kind in _ROW_KINDS:
             return self.inputs[0][self.extra]
-        if self.kind == "slice_rows":
-            start, stop = self.extra
-            return self.inputs[0][start:stop]
         if self.kind == "scale_const":
             return self.inputs[0] * self.extra
         if self.kind in _LOSS_KINDS:
@@ -95,8 +227,7 @@ class Tape:
 
     def contract(self, subscripts: str, *ops, kind: str = "contract") -> np.ndarray:
         """Multilinear einsum with no repeated index inside one operand."""
-        out = _einsum(subscripts, *ops)
-        return self._record(kind, ops, out, subscripts)
+        return self._record(kind, ops, einsum(subscripts, *ops), subscripts)
 
     def pair_round(self, stack: np.ndarray) -> np.ndarray:
         """One reduction round: products of adjacent rows of [T, ..., k, k].
@@ -126,7 +257,8 @@ class Tape:
             raise DimensionError(
                 f"slice_rows [{start}:{stop}] out of range for {x.shape}"
             )
-        return self._record("slice_rows", (x,), x[start:stop], (start, stop))
+        rows = slice(start, stop)
+        return self._record("slice_rows", (x,), x[rows], rows)
 
     def scale_const(self, x: np.ndarray, c) -> np.ndarray:
         """Multiply by a constant factor that is NOT differentiated through."""
@@ -220,7 +352,11 @@ class Adjoints:
 
 
 def _input_adjoints(node: Node, g: np.ndarray):
-    """Yield (input index, adjoint) for graded inputs; each adjoint is a new array."""
+    """Yield (input index, adjoint) for graded inputs; each adjoint is a new array.
+
+    ``gather`` and ``slice_rows`` have no rule here: ``backward`` adds their
+    adjoint into the source's rows in place.
+    """
     kind = node.kind
     if kind in _EINSUM_KINDS:
         ins, out = node.extra.split("->")
@@ -230,8 +366,7 @@ def _input_adjoints(node: Node, g: np.ndarray):
                 continue
             parts = [out if j == i else ins[j] for j in range(len(ins))]
             operands = [g if j == i else node.inputs[j] for j in range(len(ins))]
-            adj = _einsum(",".join(parts) + "->" + ins[i], *operands)
-            yield i, adj
+            yield i, einsum(",".join(parts) + "->" + ins[i], *operands)
         return
     if kind == "pair_round":
         stack = node.inputs[0]
@@ -245,17 +380,6 @@ def _input_adjoints(node: Node, g: np.ndarray):
         if stack.shape[0] % 2:
             dx[2 * pairs :] = g[pairs:]
         yield 0, dx
-        return
-    if kind == "gather":
-        adj = np.zeros_like(node.inputs[0])
-        adj[node.extra] = g
-        yield 0, adj
-        return
-    if kind == "slice_rows":
-        start, stop = node.extra
-        adj = np.zeros_like(node.inputs[0])
-        adj[start:stop] = g
-        yield 0, adj
         return
     if kind == "scale_const":
         yield 0, g * node.extra
@@ -271,7 +395,9 @@ def backward(tape: Tape, loss_adjoint: float = 1.0) -> Adjoints:
 
     The seed fills the last recorded output (broadcast for non-scalar
     outputs), so a tape ending in a loss node receives the scalar loss
-    adjoint directly.
+    adjoint directly. A ``gather`` or ``slice_rows`` adjoint is added into
+    the rows of its source's accumulator, which is allocated once per
+    source array.
     """
     if not tape.recording:
         raise ConsistencyError("cannot run backward over a non-recording tape")
@@ -282,6 +408,13 @@ def backward(tape: Tape, loss_adjoint: float = 1.0) -> Adjoints:
     for node in reversed(tape.nodes):
         g = acc.get(id(node.output))
         if g is None:
+            continue
+        if node.kind in _ROW_KINDS:
+            source = node.inputs[0]
+            rows = acc.get(id(source))
+            if rows is None:
+                rows = acc[id(source)] = np.zeros_like(source)
+            rows[node.extra] += g
             continue
         for i, adj in _input_adjoints(node, g):
             key = id(node.inputs[i])

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape
+from .autodiff import Tape, einsum
 from .encoding import encode_batch
 from .errors import ConfigError, DimensionError, NumericError
 from .model import MpsClassifier
@@ -91,8 +91,8 @@ def absorb_inputs(model: MpsClassifier, image: np.ndarray) -> EffectiveChain:
     mids = image[_mid_site_order(model)]
     return EffectiveChain(
         left=image[0] @ model.left_boundary,
-        matrices=np.einsum("sd,sdxy->sxy", mids, model.cores, optimize=True),
-        label_block=np.einsum("d,dlxy->lxy", image[m], model.label_core, optimize=True),
+        matrices=einsum("sd,sdxy->sxy", mids, model.cores),
+        label_block=einsum("d,dlxy->lxy", image[m], model.label_core),
         right=image[model.n_sites - 1] @ model.right_boundary,
     )
 

@@ -186,6 +186,8 @@ def evaluate(
 ) -> tuple[float, float]:
     """(mean loss, accuracy) over an encoded set, evaluated in batches."""
     count = feats.shape[0]
+    if count == 0:
+        raise ConfigError("cannot evaluate an empty set: it holds no images")
     loss_sum = 0.0
     correct = 0
     for start in range(0, count, batch_size):
@@ -220,6 +222,8 @@ def train(
     test_feats = encode_batch(model.feature_map, test_set.images)
     test_labels = np.asarray(test_set.labels)
     count = train_feats.shape[0]
+    if count == 0:
+        raise ConfigError("cannot train on an empty train set: it holds no images")
 
     adam = init_adam(model)
     history: list[EpochMetrics] = []

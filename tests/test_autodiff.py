@@ -14,6 +14,7 @@ from mpsclassify import (
     model_gradients,
 )
 from mpsclassify.autodiff import Adjoints
+from mpsclassify.contraction import forward_batch
 from mpsclassify.encoding import encode_batch
 from mpsclassify.errors import ConfigError, ConsistencyError
 from mpsclassify.losses import cross_entropy_loss, cross_entropy_with_grad, mean_square_with_grad
@@ -234,6 +235,78 @@ class TestTapeMechanics:
         tape.loss(LossKind.CROSS_ENTROPY, logits, np.zeros(4, dtype=np.int64))
         assert tape.forward_flops() > 0
         assert tape.backward_flops() > 0
+
+
+class TestRowAdjointsInPlace:
+    """``gather``/``slice_rows`` adjoints add into one buffer per source array."""
+
+    @staticmethod
+    def zeros_like_shapes_in_backward(monkeypatch, model, strategy):
+        feats = encode_batch(model.feature_map, np.random.default_rng(0).random((4, model.n_sites)))
+        tape = Tape()
+        tape.watch_model(model)
+        logits = forward_batch(model, feats, strategy, tape=tape)
+        tape.loss(LossKind.CROSS_ENTROPY, logits, np.array([0, 1, 2, 0]))
+        shapes = []
+        real = np.zeros_like
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros_like", counting)
+        backward(tape)
+        return shapes
+
+    def test_sequential_allocates_one_cores_buffer(self, monkeypatch):
+        model = init_model(20, 3, 3, seed=0)
+        shapes = self.zeros_like_shapes_in_backward(monkeypatch, model, Strategy.SEQUENTIAL)
+        assert shapes.count(model.cores.shape) == 1  # not one per site (N-3 = 17)
+
+    def test_pairwise_allocates_one_mids_buffer(self, monkeypatch):
+        model = init_model(20, 3, 3, seed=0)
+        shapes = self.zeros_like_shapes_in_backward(monkeypatch, model, Strategy.PAIRWISE)
+        mids_shape = (model.n_sites - 3, 4, 3, 3)
+        assert shapes.count(mids_shape) == 1  # not one per half
+
+    @pytest.mark.parametrize("rows_first", [True, False])
+    def test_gathered_and_dense_array_matches_finite_differences(self, rng, rows_first):
+        """x reaches the loss through gather, slice_rows and a dense contract.
+
+        ``rows_first`` records the row nodes before the dense use, so backward
+        adds the rows into the dense adjoint; otherwise the dense adjoint is
+        added into the row buffer.
+        """
+        x = rng.standard_normal((4, 3))
+        u = rng.standard_normal(3)
+        v = rng.standard_normal(4)
+        w = rng.standard_normal((2, 3))
+
+        def loss(tape):
+            if rows_first:
+                row, part = tape.gather(x, 1), tape.slice_rows(x, 2, 4)
+                dense = tape.contract("ij,j->i", x, u)
+            else:
+                dense = tape.contract("ij,j->i", x, u)
+                row, part = tape.gather(x, 1), tape.slice_rows(x, 2, 4)
+            return tape.contract("i,i,j,kj,kj->", dense, v, row, part, w)
+
+        tape = Tape()
+        tape.watch(x)
+        loss(tape)
+        analytic = backward(tape).of(x)
+
+        h = 1e-6
+        numeric = np.zeros_like(x)
+        for k in range(x.size):
+            orig = x.flat[k]
+            x.flat[k] = orig + h
+            up = float(loss(Tape(recording=False)))
+            x.flat[k] = orig - h
+            down = float(loss(Tape(recording=False)))
+            x.flat[k] = orig
+            numeric.flat[k] = (up - down) / (2 * h)
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-7, atol=1e-9)
 
 
 class TestModelGradients:

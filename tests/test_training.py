@@ -315,6 +315,23 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="unknown loss kind"):
             batch_loss(model, feats, test_set.labels, loss_kind="cross-entropy")
 
+    def test_evaluate_on_empty_set_names_it(self):
+        """An empty encoded set raises a named error, not ZeroDivisionError."""
+        model = init_model(16, 2, 3, seed=0)
+        feats = encode_batch(model.feature_map, np.zeros((0, 16)))
+        with pytest.raises(ConfigError, match="empty set"):
+            evaluate(model, feats, np.zeros(0, dtype=np.int64))
+
+    def test_train_on_empty_train_set_names_it(self):
+        class Empty:
+            images = np.zeros((0, 16))
+            labels = np.zeros(0, dtype=np.int64)
+
+        model = init_model(16, 2, 3, seed=0)
+        config = TrainConfig(learning_rate=1e-3, batch_size=10, epochs=1, seed=0)
+        with pytest.raises(ConfigError, match="empty train set"):
+            train(model, Empty, synthetic_blobs(10, seed=1), config)
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)
