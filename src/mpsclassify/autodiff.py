@@ -1,13 +1,12 @@
 """Reverse-mode gradients over a recorded contraction graph.
 
 The tape records a small set of primitives (multilinear contractions,
-rounds of stacked matrix products, structural slicing, constant scaling
-and the losses) as they execute. ``backward`` walks the records in
-reverse and applies the matching adjoint rule for each, accumulating
-across batch entries by summation. Arrays are treated as immutable while
-a tape referencing them is alive. The per-node FLOP counters
-(``forward_flops``, ``backward_flops``) are the package's only FLOP
-accounting.
+rounds of stacked matrix products, structural slicing and the losses) as
+they execute. ``backward`` walks the records in reverse and applies the
+matching adjoint rule for each, accumulating across batch entries by
+summation. Arrays are treated as immutable while a tape referencing them
+is alive. The per-node FLOP counters (``forward_flops``,
+``backward_flops``) are the package's only FLOP accounting.
 
 Every contraction, forward or adjoint, runs through ``einsum``. It compiles
 each (subscripts, operand shapes) pair once into a plan of transposes,
@@ -190,8 +189,6 @@ class Node:
             return _pair_round_value(self.inputs[0])
         if self.kind in _ROW_KINDS:
             return self.inputs[0][self.extra]
-        if self.kind == "scale_const":
-            return self.inputs[0] * self.extra
         if self.kind in _LOSS_KINDS:
             loss_kind, labels, _ = self.extra
             return np.asarray(compute_loss(loss_kind, self.inputs[0], labels))
@@ -260,10 +257,6 @@ class Tape:
         rows = slice(start, stop)
         return self._record("slice_rows", (x,), x[rows], rows)
 
-    def scale_const(self, x: np.ndarray, c) -> np.ndarray:
-        """Multiply by a constant factor that is NOT differentiated through."""
-        return self._record("scale_const", (x,), x * c, np.asarray(c, dtype=DTYPE))
-
     def loss(self, kind: LossKind, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Batch-mean loss of ``kind`` as one scalar node.
 
@@ -318,8 +311,6 @@ def _node_forward_flops(node: Node) -> int:
         return 2 * pairs * slices * k * k * k
     if node.kind in _LOSS_KINDS:
         return 3 * node.inputs[0].size
-    if node.kind == "scale_const":
-        return node.output.size
     return 0  # gather, slice_rows
 
 
@@ -380,9 +371,6 @@ def _input_adjoints(node: Node, g: np.ndarray):
         if stack.shape[0] % 2:
             dx[2 * pairs :] = g[pairs:]
         yield 0, dx
-        return
-    if kind == "scale_const":
-        yield 0, g * node.extra
         return
     if kind in _LOSS_KINDS:
         yield 0, float(g) * node.extra[2]

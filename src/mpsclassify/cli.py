@@ -15,13 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .contraction import Strategy, forward_batch, predict_batch
+from .contraction import Strategy, forward_batch
 from .dataset import downsample, load_split, synthetic_digits, take
 from .encoding import FeatureMap, encode_batch
 from .errors import MpsError
 from .model import init_model, load_checkpoint, save_checkpoint
 from .autodiff import Tape, backward, grad_check, model_gradients
-from .training import LossKind, TrainConfig, evaluate, train, write_metrics_csv
+from .training import LossKind, TrainConfig, evaluate_predictions, train, write_metrics_csv
 
 _STRATEGIES = {s.value: s for s in Strategy}
 _LOSSES = {k.value: k for k in LossKind}
@@ -81,7 +81,6 @@ def _cmd_train(args) -> int:
         loss_kind=_LOSSES[args.loss],
         seed=args.seed,
         strategy=_STRATEGIES[args.strategy],
-        renormalize=args.renormalize,
     )
     done = []
 
@@ -121,15 +120,12 @@ def _cmd_eval(args) -> int:
             f"N={test_set.n_sites}; check --downsample"
         )
     feats = encode_batch(model.feature_map, test_set.images)
-    loss, acc = evaluate(model, feats, test_set.labels, loss_kind=_LOSSES[args.loss])
+    loss, acc, preds = evaluate_predictions(
+        model, feats, test_set.labels, loss_kind=_LOSSES[args.loss]
+    )
     print(f"{test_set.summary()}")
     print(f"loss {loss:.6f}  accuracy {acc:.4f}")
     if args.confusion:
-        preds = []
-        for start in range(0, feats.shape[0], 256):
-            logits = forward_batch(model, feats[start : start + 256])
-            preds.append(predict_batch(logits))
-        preds = np.concatenate(preds)
         n = model.n_labels
         table = np.zeros((n, n), dtype=np.int64)
         np.add.at(table, (test_set.labels, preds), 1)
@@ -252,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=sorted(_LOSSES), default="cross-entropy")
     p.add_argument("--strategy", choices=["sequential", "pairwise"], default="pairwise")
     p.add_argument("--feature-map", choices=sorted(_FEATURE_MAPS), default="linear")
-    p.add_argument("--renormalize", action="store_true",
-                   help="rescale intermediates, compensating at the end")
     p.add_argument("--metrics-csv", help="write per-epoch metrics here")
     p.add_argument("--checkpoint", help="write the trained model here")
     p.set_defaults(func=_cmd_train)

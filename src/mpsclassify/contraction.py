@@ -17,6 +17,10 @@ The chain is split at the label core; each half reduces independently and
 the halves meet at the label block, so L never multiplies the inner work.
 FLOPs are counted from the nodes a recording tape keeps
 (``Tape.forward_flops``).
+
+Each schedule has one path, in plain float64 with no rescaling: a badly
+scaled long chain overflows to non-finite logits or underflows to all-zero
+logits, and ``train`` names either failure with its epoch and batch.
 """
 
 import enum
@@ -32,10 +36,6 @@ from .model import MpsClassifier
 from .tensor import DTYPE
 
 BRUTE_FORCE_MAX_SITES = 12
-
-# Floor for renormalization scales; an exactly zero half collapses to zero
-# logits and must not divide by zero.
-_SCALE_FLOOR = 1e-300
 
 
 class Strategy(enum.Enum):
@@ -112,22 +112,12 @@ def _absorb_batch(model, feats, tape):
     return lv, mids, lab, rv
 
 
-def _rescale_stack(tape, stack, logscale):
-    scales = np.abs(stack).max(axis=(-2, -1), keepdims=True)
-    scales = np.maximum(scales, _SCALE_FLOOR)
-    out = tape.scale_const(stack, 1.0 / scales)
-    logscale += np.log(scales[..., 0, 0]).sum(axis=0)
-    return out
-
-
-def _reduce_half(tape, stack, renormalize, logscale):
+def _reduce_half(tape, stack):
     """Pairwise rounds until one [B, chi, chi] matrix remains; None if empty."""
     if stack.shape[0] == 0:
         return None
     while stack.shape[0] > 1:
         stack = tape.pair_round(stack)
-        if renormalize:
-            stack = _rescale_stack(tape, stack, logscale)
     return tape.gather(stack, 0)
 
 
@@ -139,25 +129,16 @@ def _combine(tape, lv, left_mat, lab, right_mat, rv):
     return tape.contract("bx,blxy,by->bl", lv, lab, rv, kind="combine")
 
 
-def _forward_pairwise_batch(model, feats, tape, renormalize):
-    batch = feats.shape[0]
+def _forward_pairwise_batch(model, feats, tape):
     lv, mids, lab, rv = _absorb_batch(model, feats, tape)
     n_left = model.label_site - 1
-    n_mid = mids.shape[0]
-    logscale = np.zeros(batch, dtype=DTYPE)
-    left_mat = _reduce_half(tape, tape.slice_rows(mids, 0, n_left), renormalize, logscale)
-    right_mat = _reduce_half(tape, tape.slice_rows(mids, n_left, n_mid), renormalize, logscale)
-    logits = _combine(tape, lv, left_mat, lab, right_mat, rv)
-    if renormalize:
-        logits = tape.scale_const(logits, np.exp(logscale)[:, None])
-    return logits
+    left_mat = _reduce_half(tape, tape.slice_rows(mids, 0, n_left))
+    right_mat = _reduce_half(tape, tape.slice_rows(mids, n_left, mids.shape[0]))
+    return _combine(tape, lv, left_mat, lab, right_mat, rv)
 
 
-def _forward_sequential_batch(model, feats, tape, renormalize):
-    batch = feats.shape[0]
+def _forward_sequential_batch(model, feats, tape):
     m = model.label_site
-    logscale = np.zeros(batch, dtype=DTYPE)
-
     lv = tape.contract("bd,dx->bx", feats[:, 0, :], model.left_boundary, kind="absorb")
     rv = tape.contract(
         "bd,dx->bx", feats[:, model.n_sites - 1, :], model.right_boundary, kind="absorb"
@@ -170,22 +151,9 @@ def _forward_sequential_batch(model, feats, tape, renormalize):
 
     for site in range(1, m):
         lv = tape.contract("bx,bxy->by", lv, site_matrix(site), kind="contract")
-        if renormalize:
-            lv, logscale = _rescale_vec(tape, lv, logscale)
     for site in range(model.n_sites - 2, m, -1):
         rv = tape.contract("bxy,by->bx", site_matrix(site), rv, kind="contract")
-        if renormalize:
-            rv, logscale = _rescale_vec(tape, rv, logscale)
-
-    logits = _combine(tape, lv, None, lab, None, rv)
-    if renormalize:
-        logits = tape.scale_const(logits, np.exp(logscale)[:, None])
-    return logits
-
-
-def _rescale_vec(tape, vec, logscale):
-    scales = np.maximum(np.abs(vec).max(axis=-1, keepdims=True), _SCALE_FLOOR)
-    return tape.scale_const(vec, 1.0 / scales), logscale + np.log(scales[:, 0])
+    return _combine(tape, lv, None, lab, None, rv)
 
 
 def forward_batch(
@@ -193,41 +161,28 @@ def forward_batch(
     feats: np.ndarray,
     strategy: Strategy = Strategy.PAIRWISE,
     tape: Tape | None = None,
-    renormalize: bool = False,
 ) -> np.ndarray:
     """Logits [B, L] for a batch of encoded images [B, N, d]."""
     feats = _check_batch_features(model, feats)
     if tape is None:
         tape = Tape(recording=False)
     if strategy is Strategy.PAIRWISE:
-        return _forward_pairwise_batch(model, feats, tape, renormalize)
+        return _forward_pairwise_batch(model, feats, tape)
     if strategy is Strategy.SEQUENTIAL:
-        return _forward_sequential_batch(model, feats, tape, renormalize)
+        return _forward_sequential_batch(model, feats, tape)
     if strategy is Strategy.BRUTE_FORCE:
         return np.stack([brute_force_logits(model, feats[b]) for b in range(feats.shape[0])])
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
-def forward_pairwise(
-    model: MpsClassifier,
-    image: np.ndarray,
-    renormalize: bool = False,
-) -> np.ndarray:
+def forward_pairwise(model: MpsClassifier, image: np.ndarray) -> np.ndarray:
     """Logits for one encoded image via the parallel pairwise schedule."""
-    return forward_batch(
-        model, np.asarray(image)[None], Strategy.PAIRWISE, renormalize=renormalize
-    )[0]
+    return forward_batch(model, np.asarray(image)[None], Strategy.PAIRWISE)[0]
 
 
-def forward_sequential(
-    model: MpsClassifier,
-    image: np.ndarray,
-    renormalize: bool = False,
-) -> np.ndarray:
+def forward_sequential(model: MpsClassifier, image: np.ndarray) -> np.ndarray:
     """Logits for one encoded image via the two-ended sequential sweep."""
-    return forward_batch(
-        model, np.asarray(image)[None], Strategy.SEQUENTIAL, renormalize=renormalize
-    )[0]
+    return forward_batch(model, np.asarray(image)[None], Strategy.SEQUENTIAL)[0]
 
 
 def brute_force_logits(model: MpsClassifier, image: np.ndarray) -> np.ndarray:
@@ -286,8 +241,7 @@ def encode_and_forward(
     model: MpsClassifier,
     images: np.ndarray,
     strategy: Strategy = Strategy.PAIRWISE,
-    renormalize: bool = False,
 ) -> np.ndarray:
     """Convenience: encode raw [B, N] pixels with the model's feature map, then contract."""
     feats = encode_batch(model.feature_map, images)
-    return forward_batch(model, feats, strategy, renormalize=renormalize)
+    return forward_batch(model, feats, strategy)

@@ -32,6 +32,7 @@ __all__ = [
     "loss_and_gradients",
     "train",
     "evaluate",
+    "evaluate_predictions",
     "write_metrics_csv",
     "METRICS_COLUMNS",
     "cross_entropy_loss",
@@ -51,7 +52,6 @@ class TrainConfig:
     loss_kind: LossKind = LossKind.CROSS_ENTROPY
     seed: int = 0
     strategy: Strategy = Strategy.PAIRWISE
-    renormalize: bool = False
     eval_batch_size: int = 256
 
     def __post_init__(self):
@@ -94,10 +94,9 @@ def batch_loss(
     labels: np.ndarray,
     loss_kind: LossKind = LossKind.CROSS_ENTROPY,
     strategy: Strategy = Strategy.PAIRWISE,
-    renormalize: bool = False,
 ) -> float:
     """Loss of one encoded batch, no gradients."""
-    logits = forward_batch(model, feats, strategy, renormalize=renormalize)
+    logits = forward_batch(model, feats, strategy)
     return compute_loss(loss_kind, logits, labels)
 
 
@@ -107,12 +106,11 @@ def loss_and_gradients(
     labels: np.ndarray,
     loss_kind: LossKind = LossKind.CROSS_ENTROPY,
     strategy: Strategy = Strategy.PAIRWISE,
-    renormalize: bool = False,
 ) -> tuple[float, Gradients]:
     """Taped forward + loss, then the reverse sweep. Returns (loss, gradients)."""
     tape = Tape()
     tape.watch_model(model)
-    logits = forward_batch(model, feats, strategy, tape=tape, renormalize=renormalize)
+    logits = forward_batch(model, feats, strategy, tape=tape)
     loss = tape.loss(loss_kind, logits, labels)
     adjoints = backward(tape)
     return float(loss), model_gradients(adjoints, model)
@@ -182,21 +180,33 @@ def evaluate(
     loss_kind: LossKind = LossKind.CROSS_ENTROPY,
     batch_size: int = 256,
     strategy: Strategy = Strategy.PAIRWISE,
-    renormalize: bool = False,
 ) -> tuple[float, float]:
     """(mean loss, accuracy) over an encoded set, evaluated in batches."""
+    return evaluate_predictions(model, feats, labels, loss_kind, batch_size, strategy)[:2]
+
+
+def evaluate_predictions(
+    model: MpsClassifier,
+    feats: np.ndarray,
+    labels: np.ndarray,
+    loss_kind: LossKind = LossKind.CROSS_ENTROPY,
+    batch_size: int = 256,
+    strategy: Strategy = Strategy.PAIRWISE,
+) -> tuple[float, float, np.ndarray]:
+    """``evaluate`` plus the predicted label of every image, from the same pass."""
     count = feats.shape[0]
     if count == 0:
         raise ConfigError("cannot evaluate an empty set: it holds no images")
     loss_sum = 0.0
-    correct = 0
+    preds = np.empty(count, dtype=np.int64)
     for start in range(0, count, batch_size):
         fb = feats[start : start + batch_size]
         lb = labels[start : start + batch_size]
-        logits = forward_batch(model, fb, strategy, renormalize=renormalize)
+        logits = forward_batch(model, fb, strategy)
         loss_sum += compute_loss(loss_kind, logits, lb) * fb.shape[0]
-        correct += int((predict_batch(logits) == lb).sum())
-    return loss_sum / count, correct / count
+        preds[start : start + fb.shape[0]] = predict_batch(logits)
+    correct = int((preds == labels).sum())
+    return loss_sum / count, correct / count, preds
 
 
 def train(
@@ -239,9 +249,7 @@ def train(
             tape = Tape()
             tape.watch_model(model)
             try:
-                logits = forward_batch(
-                    model, fb, config.strategy, tape=tape, renormalize=config.renormalize
-                )
+                logits = forward_batch(model, fb, config.strategy, tape=tape)
                 loss = float(tape.loss(config.loss_kind, logits, lb))
             except NumericError as exc:
                 raise NumericError(
@@ -250,6 +258,11 @@ def train(
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}"
+                )
+            if not logits.any():
+                raise NumericError(
+                    f"all logits are exactly zero at epoch {epoch}, batch {batch_index}: "
+                    "the chain product underflowed float64"
                 )
             grads = model_gradients(backward(tape), model).check_finite()
             adam_step(model, grads, adam, config.learning_rate)
@@ -262,7 +275,6 @@ def train(
             loss_kind=config.loss_kind,
             batch_size=config.eval_batch_size,
             strategy=config.strategy,
-            renormalize=config.renormalize,
         )
         metrics = EpochMetrics(
             epoch=epoch,

@@ -146,16 +146,6 @@ class TestTapeMechanics:
         separate = grad_of(True, False) + grad_of(False, True)
         np.testing.assert_allclose(combined, separate, rtol=1e-12, atol=1e-15)
 
-    def test_scale_const_factor_is_not_differentiated(self, rng):
-        x = rng.standard_normal((2, 2))
-        tape = Tape()
-        tape.watch(x)
-        y = tape.scale_const(x, 3.0)
-        w = rng.standard_normal((2, 2))
-        weighted_sum(tape, y, w)
-        adj = backward(tape)
-        np.testing.assert_allclose(adj.of(x), 3.0 * w, rtol=1e-15)
-
     def test_gather_and_slice_scatter_back(self, rng):
         stack = rng.standard_normal((4, 2, 2))
         tape = Tape()
@@ -348,16 +338,6 @@ class TestModelGradients:
         _, via_seq = loss_and_gradients(model, feats, labels, strategy=Strategy.SEQUENTIAL)
         for (_, gp), (_, gs) in zip(via_pair.arrays(), via_seq.arrays()):
             np.testing.assert_allclose(gp, gs, rtol=1e-11, atol=1e-14)
-
-    def test_renormalized_gradients_match_plain(self, rng):
-        """The detached rescaling factors must not perturb gradients."""
-        model = init_model(14, 3, 3, seed=9)
-        feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(2, 14)))
-        labels = np.array([2, 0])
-        _, plain = loss_and_gradients(model, feats, labels)
-        _, renorm = loss_and_gradients(model, feats, labels, renormalize=True)
-        for (_, gp), (_, gr) in zip(plain.arrays(), renorm.arrays()):
-            np.testing.assert_allclose(gp, gr, rtol=1e-11, atol=1e-14)
 
 
 class TestGradCheck:

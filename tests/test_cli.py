@@ -126,6 +126,28 @@ class TestEval:
         assert code == 0
         assert "confusion" in capsys.readouterr().out
 
+    def test_eval_confusion_contracts_each_image_once(self, tmp_path, capsys, monkeypatch):
+        import mpsclassify.cli
+        import mpsclassify.training
+
+        calls = []
+        for module in (mpsclassify.cli, mpsclassify.training):
+            original = module.forward_batch
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args[1].shape[0])
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "forward_batch", counted)
+        ckpt = tmp_path / "model.mps"
+        save_checkpoint(init_model(196, 10, 2, seed=0), ckpt)
+        code = main(
+            ["eval", "--checkpoint", str(ckpt), "--synthetic", "300", "--confusion"]
+        )
+        assert code == 0
+        assert "confusion" in capsys.readouterr().out
+        assert calls == [256, 44]
+
     def test_degenerate_model_predicts_class_zero_share(self, tmp_path, capsys):
         """sigma=0 checkpoint: equal logits, tie-break to 0, accuracy = share of 0s."""
         from mpsclassify.dataset import synthetic_digits

@@ -286,46 +286,6 @@ class TestPlanFlops:
         assert totals[8] == 4 * totals[4]
 
 
-class TestRenormalization:
-    def test_matches_plain_forward(self, rng):
-        model, feats = random_instance(rng, 20, 3, 3)
-        plain = forward_pairwise(model, feats)
-        np.testing.assert_allclose(
-            forward_pairwise(model, feats, renormalize=True), plain, rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            forward_sequential(model, feats, renormalize=True), plain, rtol=1e-12
-        )
-
-    def test_rescues_underflowing_chain(self):
-        """Halves that under/overflow separately still combine correctly.
-
-        chi=1 makes the chain a product of scalars with an analytically known
-        value: 129 left-half factors of 1e-4 (underflows float64), 128
-        right-half factors of 1e+4 (overflows float64), true logits exactly
-        1e-4. The plain schedule hits 0 * inf on the way.
-        """
-        n = 260
-        model = init_model(n_sites=n, n_labels=2, bond_dim=1, seed=0, sigma=0.0)
-        m = model.label_site
-        for site in range(1, n - 1):
-            if site == m:
-                continue
-            model.cores[model.core_stack_index(site)] = 1e-4 if site < m else 1e4
-        feats = encode_image(model.feature_map, np.zeros(n))
-        n_left, n_right = m - 1, n - 2 - m
-        want = 10.0 ** (-4 * n_left + 4 * n_right)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            plain = forward_pairwise(model, feats)
-        assert not np.isfinite(plain).all()
-
-        logits = forward_pairwise(model, feats, renormalize=True)
-        np.testing.assert_allclose(logits, [want, want], rtol=1e-9)
-        seq = forward_sequential(model, feats, renormalize=True)
-        np.testing.assert_allclose(seq, [want, want], rtol=1e-9)
-
-
 class TestBruteForceGuard:
     def test_refuses_large_n(self, rng):
         model = init_model(13, 2, 2, seed=0)

@@ -296,6 +296,13 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match="epoch 1, batch 0"):
             train(model, train_set, test_set, config)
 
+        # Thirteen middle cores at 1e-30 put the chain below the smallest
+        # float64, so every logit is exactly zero: a named error, not log 2.
+        model = init_model(16, 2, 3, seed=5)
+        model.cores *= 1e-30
+        with pytest.raises(NumericError, match="exactly zero at epoch 1, batch 0"):
+            train(model, train_set, test_set, config)
+
     def test_evaluate_on_degenerate_model_predicts_class_zero(self):
         """sigma=0 makes all logits equal; tie-break sends everything to 0."""
         test_set = synthetic_blobs(50, seed=4)
