@@ -8,14 +8,7 @@ itself, so every core updates at once under Adam.
 
 __version__ = "0.1.0"
 
-from .autodiff import (
-    Adjoints,
-    Gradients,
-    Tape,
-    backward,
-    grad_check,
-    model_gradients,
-)
+from .autodiff import Gradients, Tape, backward, grad_check
 from .contraction import (
     EffectiveChain,
     Strategy,

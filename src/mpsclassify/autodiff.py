@@ -2,10 +2,11 @@
 
 The tape records a small set of primitives (multilinear contractions,
 rounds of stacked matrix products, structural slicing and the losses) as
-they execute. ``backward`` walks the records in reverse and applies the
-matching adjoint rule for each, accumulating across batch entries by
-summation. Arrays are treated as immutable while a tape referencing them
-is alive. The per-node FLOP counters (``forward_flops``,
+they execute. ``backward(tape, wrt)`` walks the records in reverse,
+applies the matching adjoint rule for each, accumulating across batch
+entries by summation, and returns the adjoints of the watched arrays in
+``wrt`` only. Arrays are treated as immutable while a tape referencing
+them is alive. The per-node FLOP counters (``forward_flops``,
 ``backward_flops``) are the package's only FLOP accounting.
 
 Every contraction, forward or adjoint, runs through ``einsum``. It compiles
@@ -18,7 +19,7 @@ the source for every node.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -325,23 +326,6 @@ def _node_backward_flops(node: Node) -> int:
     return _node_forward_flops(node)
 
 
-class Adjoints:
-    """Accumulated adjoints from one backward pass, looked up by array identity."""
-
-    def __init__(self, acc: dict[int, np.ndarray], watched: set[int]):
-        self._acc = acc
-        self._watched = watched
-
-    def of(self, arr: np.ndarray) -> np.ndarray:
-        got = self._acc.get(id(arr))
-        if got is None:
-            return np.zeros_like(arr)
-        return got
-
-    def was_watched(self, arr: np.ndarray) -> bool:
-        return id(arr) in self._watched
-
-
 def _input_adjoints(node: Node, g: np.ndarray):
     """Yield (input index, adjoint) for graded inputs; each adjoint is a new array.
 
@@ -378,17 +362,21 @@ def _input_adjoints(node: Node, g: np.ndarray):
     raise MpsError(f"unknown node kind {kind!r}")
 
 
-def backward(tape: Tape, loss_adjoint: float = 1.0) -> Adjoints:
-    """Apply adjoint rules in reverse tape order, seeding the final output.
+def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
+    """The adjoints of the watched arrays ``wrt``, in order, from one reverse sweep.
 
     The seed fills the last recorded output (broadcast for non-scalar
     outputs), so a tape ending in a loss node receives the scalar loss
-    adjoint directly. A ``gather`` or ``slice_rows`` adjoint is added into
-    the rows of its source's accumulator, which is allocated once per
-    source array.
+    adjoint directly. An array of ``wrt`` that the output does not reach
+    gets zeros; one the tape does not watch raises ``ConsistencyError``. A
+    ``gather`` or ``slice_rows`` adjoint is added into the rows of its
+    source's accumulator, which is allocated once per source array.
     """
     if not tape.recording:
         raise ConsistencyError("cannot run backward over a non-recording tape")
+    for arr in wrt:
+        if id(arr) not in tape._live:
+            raise ConsistencyError(f"array of shape {arr.shape} was not watched by this tape")
     acc: dict[int, np.ndarray] = {}
     if tape.nodes:
         final = tape.nodes[-1].output
@@ -410,7 +398,7 @@ def backward(tape: Tape, loss_adjoint: float = 1.0) -> Adjoints:
                 acc[key] += adj
             else:
                 acc[key] = adj
-    return Adjoints(acc, set(tape._live))
+    return [acc[id(arr)] if id(arr) in acc else np.zeros_like(arr) for arr in wrt]
 
 
 @dataclass
@@ -423,35 +411,13 @@ class Gradients:
     right_boundary: np.ndarray
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("left_boundary", self.left_boundary),
-            ("cores", self.cores),
-            ("label_core", self.label_core),
-            ("right_boundary", self.right_boundary),
-        ]
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
     def check_finite(self) -> "Gradients":
         for name, arr in self.arrays():
             if not np.isfinite(arr).all():
                 raise NumericError(f"non-finite gradient in {name}")
         return self
-
-
-def model_gradients(adjoints: Adjoints, model: MpsClassifier) -> Gradients:
-    """Assemble model-shaped gradients from a backward pass."""
-    grads = {}
-    for name, arr in model.parameters():
-        if not adjoints.was_watched(arr):
-            raise ConsistencyError(
-                f"model array {name!r} was not watched by this tape"
-            )
-        grads[name] = adjoints.of(arr)
-    return Gradients(
-        left_boundary=grads["left_boundary"],
-        cores=grads["cores"],
-        label_core=grads["label_core"],
-        right_boundary=grads["right_boundary"],
-    )
 
 
 @dataclass
@@ -535,16 +501,7 @@ def grad_check(
             if rel >= worst[0]:
                 index = tuple(int(i) for i in np.unravel_index(k, arr.shape))
                 worst = (rel, index, float(a), numeric)
-        entries.append(
-            GradCheckEntry(
-                name=name,
-                n_params=arr.size,
-                max_rel_err=worst[0],
-                worst_index=worst[1],
-                analytic=worst[2],
-                numeric=worst[3],
-            )
-        )
+        entries.append(GradCheckEntry(name, arr.size, *worst))
         overall = max(overall, worst[0])
     return GradCheckReport(
         entries=entries,

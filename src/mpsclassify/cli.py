@@ -20,8 +20,9 @@ from .dataset import downsample, load_split, synthetic_digits, take
 from .encoding import FeatureMap, encode_batch
 from .errors import MpsError
 from .model import init_model, load_checkpoint, save_checkpoint
-from .autodiff import Tape, backward, grad_check, model_gradients
-from .training import LossKind, TrainConfig, evaluate_predictions, train, write_metrics_csv
+from .autodiff import Tape, grad_check
+from .training import (LossKind, TrainConfig, evaluate_predictions, loss_and_gradients, train,
+                       write_metrics_csv)
 
 _STRATEGIES = {s.value: s for s in Strategy}
 _LOSSES = {k.value: k for k in LossKind}
@@ -175,7 +176,7 @@ def _cmd_bench(args) -> int:
                 best_fwd = min(best_fwd, time.perf_counter() - started)
             counted = Tape()
             counted.watch_model(model)
-            forward_batch(model, feats, strategy, tape=counted)
+            logits = forward_batch(model, feats, strategy, tape=counted)
             row = {
                 "strategy": strategy_name,
                 "bond_dim": chi,
@@ -185,21 +186,15 @@ def _cmd_bench(args) -> int:
                 "forward_flops": counted.forward_flops(),
             }
             if args.backward:
+                labels = np.zeros(args.batch, dtype=np.int64)
                 best_bwd = float("inf")
-                tape = None
                 for _ in range(args.repeats):
                     started = time.perf_counter()
-                    tape = Tape()
-                    tape.watch_model(model)
-                    logits = forward_batch(model, feats, strategy, tape=tape)
-                    tape.loss(
-                        LossKind.CROSS_ENTROPY, logits, np.zeros(args.batch, dtype=np.int64)
-                    )
-                    adj = backward(tape)
-                    model_gradients(adj, model)
+                    loss_and_gradients(model, feats, labels, strategy=strategy)
                     best_bwd = min(best_bwd, time.perf_counter() - started)
+                counted.loss(LossKind.CROSS_ENTROPY, logits, labels)
                 row["forward_backward_seconds"] = best_bwd
-                row["backward_flops"] = tape.backward_flops()
+                row["backward_flops"] = counted.backward_flops()
             rows.append(row)
             print(
                 "  ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
@@ -278,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=50)
     p.add_argument("--bond-dims", type=_int_list, default=[8, 16, 32, 64],
                    metavar="A,B,...")
-    p.add_argument("--strategies", type=_str_list, default=["sequential", "pairwise"],
+    p.add_argument("--strategies", type=_strategy_list, default=["sequential", "pairwise"],
                    metavar="A,B,...")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
@@ -290,11 +285,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    values = [int(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+    return values
 
 
-def _str_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _strategy_list(text: str) -> list[str]:
+    names = [part.strip() for part in text.split(",") if part.strip()]
+    unknown = [name for name in names if name not in _STRATEGIES]
+    if unknown or not names:
+        raise argparse.ArgumentTypeError(
+            f"expected strategies from {', '.join(_STRATEGIES)}, got {text!r}"
+        )
+    return names
 
 
 def main(argv=None) -> int:

@@ -19,8 +19,10 @@ FLOPs are counted from the nodes a recording tape keeps
 (``Tape.forward_flops``).
 
 Each schedule has one path, in plain float64 with no rescaling: a badly
-scaled long chain overflows to non-finite logits or underflows to all-zero
-logits, and ``train`` names either failure with its epoch and batch.
+scaled long chain overflows to non-finite logits or underflows to logits
+too small to carry a scale, and the taped training step names either
+failure (``train`` adds the epoch and batch). ``absorb_inputs`` runs the
+batched absorb on a one-image batch, so it is the code that trains.
 """
 
 import enum
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, einsum
+from .autodiff import Tape
 from .encoding import encode_batch
 from .errors import ConfigError, DimensionError, NumericError
 from .model import MpsClassifier
@@ -83,31 +85,30 @@ def _mid_site_order(model: MpsClassifier) -> list[int]:
 
 def absorb_inputs(model: MpsClassifier, image: np.ndarray) -> EffectiveChain:
     """Contract every pixel index of one encoded image ([N, d]) into the chain."""
-    image = np.ascontiguousarray(image, dtype=DTYPE)
+    image = np.asarray(image)
     if image.ndim != 2:
         raise DimensionError(f"expected [N, d] encoded image, got shape {image.shape}")
-    _check_batch_features(model, image[None])
-    m = model.label_site
-    mids = image[_mid_site_order(model)]
-    return EffectiveChain(
-        left=image[0] @ model.left_boundary,
-        matrices=einsum("sd,sdxy->sxy", mids, model.cores),
-        label_block=einsum("d,dlxy->lxy", image[m], model.label_core),
-        right=image[model.n_sites - 1] @ model.right_boundary,
+    feats = _check_batch_features(model, image[None])
+    lv, mids, lab, rv = _absorb_batch(model, feats, Tape(recording=False))
+    return EffectiveChain(left=lv[0], matrices=mids[:, 0], label_block=lab[0], right=rv[0])
+
+
+def _absorb_ends(model, feats, tape):
+    """Absorb both boundary sites and the label site: (lv, lab, rv)."""
+    lv = tape.contract("bd,dx->bx", feats[:, 0, :], model.left_boundary, kind="absorb")
+    lab = tape.contract(
+        "bd,dlxy->blxy", feats[:, model.label_site, :], model.label_core, kind="absorb"
     )
+    rv = tape.contract(
+        "bd,dx->bx", feats[:, model.n_sites - 1, :], model.right_boundary, kind="absorb"
+    )
+    return lv, lab, rv
 
 
 def _absorb_batch(model, feats, tape):
-    m = model.label_site
-    mid_sites = _mid_site_order(model)
-
-    lv = tape.contract("bd,dx->bx", feats[:, 0, :], model.left_boundary, kind="absorb")
+    lv, lab, rv = _absorb_ends(model, feats, tape)
     mids = tape.contract(
-        "bsd,sdxy->sbxy", feats[:, mid_sites, :], model.cores, kind="absorb"
-    )
-    lab = tape.contract("bd,dlxy->blxy", feats[:, m, :], model.label_core, kind="absorb")
-    rv = tape.contract(
-        "bd,dx->bx", feats[:, model.n_sites - 1, :], model.right_boundary, kind="absorb"
+        "bsd,sdxy->sbxy", feats[:, _mid_site_order(model), :], model.cores, kind="absorb"
     )
     return lv, mids, lab, rv
 
@@ -139,11 +140,7 @@ def _forward_pairwise_batch(model, feats, tape):
 
 def _forward_sequential_batch(model, feats, tape):
     m = model.label_site
-    lv = tape.contract("bd,dx->bx", feats[:, 0, :], model.left_boundary, kind="absorb")
-    rv = tape.contract(
-        "bd,dx->bx", feats[:, model.n_sites - 1, :], model.right_boundary, kind="absorb"
-    )
-    lab = tape.contract("bd,dlxy->blxy", feats[:, m, :], model.label_core, kind="absorb")
+    lv, lab, rv = _absorb_ends(model, feats, tape)
 
     def site_matrix(site):
         core = tape.gather(model.cores, model.core_stack_index(site))
@@ -220,11 +217,9 @@ def brute_force_logits(model: MpsClassifier, image: np.ndarray) -> np.ndarray:
 def predict(logits: np.ndarray) -> int:
     """Index of the largest logit; ties break to the lowest index."""
     logits = np.asarray(logits, dtype=DTYPE)
-    if logits.ndim != 1 or logits.shape[0] < 2:
-        raise DimensionError(f"predict expects at least two logits, got shape {logits.shape}")
-    if not np.isfinite(logits).all():
-        raise NumericError(f"non-finite logits in predict: {logits}")
-    return int(np.argmax(logits))
+    if logits.ndim != 1:
+        raise DimensionError(f"predict expects one row of logits, got shape {logits.shape}")
+    return int(predict_batch(logits[None])[0])
 
 
 def predict_batch(logits: np.ndarray) -> np.ndarray:

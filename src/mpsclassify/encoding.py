@@ -24,10 +24,6 @@ class FeatureMap(enum.Enum):
     LINEAR = "linear"
     TRIG = "trig"
 
-    @property
-    def d(self) -> int:
-        return 2
-
 
 DEFAULT_FEATURE_MAP = FeatureMap.LINEAR
 

@@ -12,7 +12,7 @@ a single [N-3, d, chi, chi] array ordered by ascending site index.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ _FEATURE_MAP_CODES = {FeatureMap.LINEAR: 0, FeatureMap.TRIG: 1}
 _FEATURE_MAP_FROM_CODE = {v: k for k, v in _FEATURE_MAP_CODES.items()}
 
 DEFAULT_INIT_STD = 1e-2
+LOCAL_DIM = 2  # both feature maps give two components per pixel
 
 
 @dataclass
@@ -66,18 +67,7 @@ class MpsClassifier:
         return site - 1 if site < self.label_site else site - 2
 
     def copy(self) -> "MpsClassifier":
-        return MpsClassifier(
-            n_sites=self.n_sites,
-            n_labels=self.n_labels,
-            local_dim=self.local_dim,
-            bond_dim=self.bond_dim,
-            label_site=self.label_site,
-            feature_map=self.feature_map,
-            left_boundary=self.left_boundary.copy(),
-            cores=self.cores.copy(),
-            label_core=self.label_core.copy(),
-            right_boundary=self.right_boundary.copy(),
-        )
+        return replace(self, **{name: arr.copy() for name, arr in self.parameters()})
 
     def summary(self) -> str:
         return (
@@ -92,7 +82,6 @@ def init_model(
     n_labels: int,
     bond_dim: int,
     seed: int,
-    local_dim: int = 2,
     sigma: float = DEFAULT_INIT_STD,
     label_site: int | None = None,
     feature_map: FeatureMap = FeatureMap.LINEAR,
@@ -101,8 +90,12 @@ def init_model(
 
     Every bond matrix slice is the chi x chi identity plus i.i.d. Gaussian
     noise of standard deviation ``sigma``; boundary vectors are the first
-    identity row/column plus noise. Near-identity products keep the first
-    forward pass of long chains at order one. Deterministic given ``seed``.
+    identity row/column plus noise. Under the linear feature map, whose
+    components sum to one, near-identity products keep the first forward
+    pass of long chains at order one. The trig map's components sum to
+    between 1 and sqrt 2 per site, so its logits grow with N: at N=196 the
+    largest |logit| per synthetic digit is 1e25 to 3e27. Deterministic
+    given ``seed``.
     """
     if n_sites < 3:
         raise ConfigError(
@@ -113,8 +106,6 @@ def init_model(
         raise ConfigError(f"n_labels must be >= 2, got {n_labels}")
     if bond_dim < 1:
         raise ConfigError(f"bond_dim must be >= 1, got {bond_dim}")
-    if local_dim != 2:
-        raise ConfigError(f"only local_dim=2 is supported, got {local_dim}")
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
     m = n_sites // 2 if label_site is None else label_site
@@ -123,7 +114,7 @@ def init_model(
             f"label_site must lie in [1, {n_sites - 2}], got {m}"
         )
 
-    d, chi, big_l = local_dim, bond_dim, n_labels
+    d, chi, big_l = LOCAL_DIM, bond_dim, n_labels
     rng = np.random.default_rng(seed)
     e1 = np.zeros(chi, dtype=DTYPE)
     e1[0] = 1.0
@@ -149,9 +140,9 @@ def init_model(
     )
 
 
-def expected_parameter_count(n_sites: int, n_labels: int, bond_dim: int, local_dim: int = 2) -> int:
+def expected_parameter_count(n_sites: int, n_labels: int, bond_dim: int) -> int:
     """Closed-form weight count for the chain layout above."""
-    d, chi = local_dim, bond_dim
+    d, chi = LOCAL_DIM, bond_dim
     return d * chi * 2 + (n_sites - 2) * d * chi * chi + d * chi * chi * (n_labels - 1)
 
 

@@ -5,6 +5,10 @@ runs the adjoint sweep, and feeds the resulting gradients to Adam. All
 weight arrays (both boundaries, every bond core, the label core) are
 updated simultaneously from the same pass; nothing is frozen or swept
 one site at a time.
+
+``loss_and_gradients`` and ``train`` run the one taped step, which raises
+``NumericError`` when the float64 range is left (see ``_taped_step`` and
+``adam_step``); ``train`` prefixes the epoch and batch.
 """
 
 import csv
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Gradients, Tape, backward, model_gradients
+from .autodiff import Gradients, Tape, backward
 from .contraction import Strategy, forward_batch, predict_batch
 from .encoding import encode_batch
 from .errors import ConfigError, ConsistencyError, NumericError
@@ -40,6 +44,14 @@ __all__ = [
 ]
 
 METRICS_COLUMNS = ("epoch", "train_loss", "train_acc", "test_loss", "test_acc", "seconds")
+
+# Below this magnitude a logit carries no usable scale: every such batch
+# scores log L to about 15 digits and its gradients cannot move a weight.
+TINY_LOGIT = 1e-100
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -100,6 +112,27 @@ def batch_loss(
     return compute_loss(loss_kind, logits, labels)
 
 
+def _taped_step(model, feats, labels, loss_kind, strategy) -> tuple[float, np.ndarray, Gradients]:
+    """Taped forward, loss and reverse sweep: (loss, logits, gradients).
+
+    Raises ``NumericError`` when the loss is not finite, when every logit
+    is below ``TINY_LOGIT`` in magnitude, or when a gradient is not finite.
+    """
+    tape = Tape()
+    tape.watch_model(model)
+    logits = forward_batch(model, feats, strategy, tape=tape)
+    loss = float(tape.loss(loss_kind, logits, labels))
+    if not np.isfinite(loss):
+        raise NumericError(f"non-finite loss {loss}")
+    if not (np.abs(logits) >= TINY_LOGIT).any():
+        raise NumericError(
+            f"every logit is below {TINY_LOGIT:g} in magnitude "
+            f"(largest {np.abs(logits).max():.3g}): the chain product underflowed float64"
+        )
+    params = [arr for _, arr in model.parameters()]
+    return loss, logits, Gradients(*backward(tape, params)).check_finite()
+
+
 def loss_and_gradients(
     model: MpsClassifier,
     feats: np.ndarray,
@@ -108,12 +141,8 @@ def loss_and_gradients(
     strategy: Strategy = Strategy.PAIRWISE,
 ) -> tuple[float, Gradients]:
     """Taped forward + loss, then the reverse sweep. Returns (loss, gradients)."""
-    tape = Tape()
-    tape.watch_model(model)
-    logits = forward_batch(model, feats, strategy, tape=tape)
-    loss = tape.loss(loss_kind, logits, labels)
-    adjoints = backward(tape)
-    return float(loss), model_gradients(adjoints, model)
+    loss, _, grads = _taped_step(model, feats, labels, loss_kind, strategy)
+    return loss, grads
 
 
 # -- Adam ---------------------------------------------------------------------
@@ -123,18 +152,13 @@ def loss_and_gradients(
 class AdamState:
     """First/second moment accumulators per weight array, plus the step count."""
 
-    beta1: float
-    beta2: float
-    eps: float
     step_count: int
     m: dict = field(repr=False, default_factory=dict)
     v: dict = field(repr=False, default_factory=dict)
 
 
-def init_adam(
-    model: MpsClassifier, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
-) -> AdamState:
-    state = AdamState(beta1=beta1, beta2=beta2, eps=eps, step_count=0)
+def init_adam(model: MpsClassifier) -> AdamState:
+    state = AdamState(step_count=0)
     for name, arr in model.parameters():
         state.m[name] = np.zeros_like(arr)
         state.v[name] = np.zeros_like(arr)
@@ -148,26 +172,34 @@ def adam_step(
 
     Bias-corrected moments; the eps sits outside the square root, so the
     magnitude of any single update is bounded by roughly the learning rate.
+    A second moment that would leave the float64 range raises
+    ``NumericError`` naming its weight array, before any array changes.
     """
-    state.step_count += 1
-    t = state.step_count
-    b1, b2 = state.beta1, state.beta2
     grad_by_name = dict(grads.arrays())
+    v_next = {}
     for name, param in model.parameters():
         g = grad_by_name[name]
         if g.shape != param.shape:
             raise ConsistencyError(
                 f"gradient shape {g.shape} does not match parameter {name!r} {param.shape}"
             )
+        with np.errstate(over="ignore"):
+            v_next[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+        if not np.isfinite(v_next[name]).all():
+            raise NumericError(
+                f"Adam second moment of {name!r} overflows float64 "
+                f"(largest gradient entry {np.abs(g).max():.3g})"
+            )
+    state.step_count += 1
+    t = state.step_count
+    for name, param in model.parameters():
         m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        param -= learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad_by_name[name]
+        v = state.v[name] = v_next[name]
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        param -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # -- training loop -------------------------------------------------------------
@@ -246,26 +278,11 @@ def train(
             pick = order[start : start + config.batch_size]
             fb = train_feats[pick]
             lb = train_labels[pick]
-            tape = Tape()
-            tape.watch_model(model)
             try:
-                logits = forward_batch(model, fb, config.strategy, tape=tape)
-                loss = float(tape.loss(config.loss_kind, logits, lb))
+                loss, logits, grads = _taped_step(model, fb, lb, config.loss_kind, config.strategy)
+                adam_step(model, grads, adam, config.learning_rate)
             except NumericError as exc:
-                raise NumericError(
-                    f"epoch {epoch}, batch {batch_index}: {exc}"
-                ) from exc
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_index}"
-                )
-            if not logits.any():
-                raise NumericError(
-                    f"all logits are exactly zero at epoch {epoch}, batch {batch_index}: "
-                    "the chain product underflowed float64"
-                )
-            grads = model_gradients(backward(tape), model).check_finite()
-            adam_step(model, grads, adam, config.learning_rate)
+                raise NumericError(f"epoch {epoch}, batch {batch_index}: {exc}") from exc
             loss_sum += loss * fb.shape[0]
             correct += int((predict_batch(logits) == lb).sum())
         test_loss, test_acc = evaluate(

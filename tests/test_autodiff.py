@@ -11,9 +11,8 @@ from mpsclassify import (
     grad_check,
     init_model,
     loss_and_gradients,
-    model_gradients,
 )
-from mpsclassify.autodiff import Adjoints
+from mpsclassify.autodiff import Gradients
 from mpsclassify.contraction import forward_batch
 from mpsclassify.encoding import encode_batch
 from mpsclassify.errors import ConfigError, ConsistencyError
@@ -38,9 +37,9 @@ class TestMatmulAdjoint:
         tape.watch(b)
         c = tape.contract("ij,jk->ik", a, b)
         weighted_sum(tape, c, w)
-        adj = backward(tape)
-        np.testing.assert_allclose(adj.of(a), w @ b.T, rtol=1e-14)
-        np.testing.assert_allclose(adj.of(b), a.T @ w, rtol=1e-14)
+        da, db = backward(tape, [a, b])
+        np.testing.assert_allclose(da, w @ b.T, rtol=1e-14)
+        np.testing.assert_allclose(db, a.T @ w, rtol=1e-14)
 
     def test_batched_variant(self, rng):
         a = rng.standard_normal((2, 3, 4))
@@ -50,10 +49,11 @@ class TestMatmulAdjoint:
         tape.watch(a)
         c = tape.contract("bij,bjk->bik", a, b)
         weighted_sum(tape, c, w)
-        adj = backward(tape)
+        (da,) = backward(tape, [a])
         want = w @ np.swapaxes(b, -1, -2)
-        np.testing.assert_allclose(adj.of(a), want, rtol=1e-14)
-        np.testing.assert_array_equal(adj.of(b), np.zeros_like(b))  # unwatched
+        np.testing.assert_allclose(da, want, rtol=1e-14)
+        with pytest.raises(ConsistencyError, match="not watched"):
+            backward(tape, [a, b])
 
 
 class TestTapeMechanics:
@@ -86,7 +86,7 @@ class TestTapeMechanics:
 
     def test_backward_requires_recording_tape(self):
         with pytest.raises(ConsistencyError):
-            backward(Tape(recording=False))
+            backward(Tape(recording=False), [])
 
     def test_non_recording_tape_still_computes(self, rng):
         a = rng.standard_normal((2, 2))
@@ -103,8 +103,19 @@ class TestTapeMechanics:
         tape = Tape()
         tape.watch(a)
         weighted_sum(tape, tape.contract("ij,jk->ik", a, a), rng.standard_normal((3, 3)))
-        adj = backward(tape, loss_adjoint=0.0)
-        np.testing.assert_array_equal(adj.of(a), np.zeros_like(a))
+        (da,) = backward(tape, [a], loss_adjoint=0.0)
+        np.testing.assert_array_equal(da, np.zeros_like(a))
+
+    def test_watched_array_the_output_does_not_reach_gets_zeros(self, rng):
+        a = rng.standard_normal((3, 3))
+        unused = rng.standard_normal((2, 4))
+        tape = Tape()
+        tape.watch(a)
+        tape.watch(unused)
+        weighted_sum(tape, tape.contract("ij,jk->ik", a, a), rng.standard_normal((3, 3)))
+        da, d_unused = backward(tape, [a, unused])
+        assert np.abs(da).max() > 0
+        np.testing.assert_array_equal(d_unused, np.zeros((2, 4)))
 
     def test_adjoint_linearity_in_seed(self, rng):
         """Scaling the seed by 2 scales every adjoint exactly (binary float)."""
@@ -117,7 +128,8 @@ class TestTapeMechanics:
             tape.watch_model(model)
             logits = forward_batch(model, feats, tape=tape)
             tape.loss(LossKind.CROSS_ENTROPY, logits, np.array([0, 1]))
-            return model_gradients(backward(tape, loss_adjoint=seed_value), model)
+            params = [arr for _, arr in model.parameters()]
+            return Gradients(*backward(tape, params, loss_adjoint=seed_value))
 
         one = run(1.0)
         two = run(2.0)
@@ -140,7 +152,7 @@ class TestTapeMechanics:
             xa = tape.contract("ij,jk->ik", x, a) if watch_a else x @ a
             xb = tape.contract("ij,jk->ik", x, b) if watch_b else x @ b
             weighted_sum(tape, xa, xb)
-            return backward(tape).of(x)
+            return backward(tape, [x])[0]
 
         combined = grad_of(True, True)
         separate = grad_of(True, False) + grad_of(False, True)
@@ -153,7 +165,7 @@ class TestTapeMechanics:
         row = tape.gather(stack, 2)
         w_row = rng.standard_normal((2, 2))
         weighted_sum(tape, row, w_row)
-        adj = backward(tape).of(stack)
+        (adj,) = backward(tape, [stack])
         want = np.zeros_like(stack)
         want[2] = w_row
         np.testing.assert_array_equal(adj, want)
@@ -163,7 +175,7 @@ class TestTapeMechanics:
         part = tape.slice_rows(stack, 1, 3)
         w_part = rng.standard_normal((2, 2, 2))
         weighted_sum(tape, part, w_part)
-        adj = backward(tape).of(stack)
+        (adj,) = backward(tape, [stack])
         want = np.zeros_like(stack)
         want[1:3] = w_part
         np.testing.assert_array_equal(adj, want)
@@ -175,7 +187,7 @@ class TestTapeMechanics:
         tape.watch(stack)
         out = tape.pair_round(stack)
         weighted_sum(tape, out, w)
-        analytic = backward(tape).of(stack)
+        (analytic,) = backward(tape, [stack])
 
         h = 1e-6
         numeric = np.zeros_like(stack)
@@ -209,7 +221,7 @@ class TestTapeMechanics:
             want_value, want_grad, _ = with_grad(logits, labels)
             assert tape.nodes[-1].kind == node_kind
             assert float(value) == want_value
-            adj = backward(tape, loss_adjoint=2.0).of(logits)
+            (adj,) = backward(tape, [logits], loss_adjoint=2.0)
             np.testing.assert_array_equal(adj, 2.0 * want_grad)
         with pytest.raises(ConfigError, match="unknown loss kind"):
             Tape().loss("cross-entropy", logits, labels)
@@ -245,7 +257,7 @@ class TestRowAdjointsInPlace:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "zeros_like", counting)
-        backward(tape)
+        backward(tape, [arr for _, arr in model.parameters()])
         return shapes
 
     def test_sequential_allocates_one_cores_buffer(self, monkeypatch):
@@ -284,7 +296,7 @@ class TestRowAdjointsInPlace:
         tape = Tape()
         tape.watch(x)
         loss(tape)
-        analytic = backward(tape).of(x)
+        (analytic,) = backward(tape, [x])
 
         h = 1e-6
         numeric = np.zeros_like(x)
@@ -310,9 +322,8 @@ class TestModelGradients:
 
         logits = forward_batch(model, feats, tape=tape)
         tape.loss(LossKind.CROSS_ENTROPY, logits, np.array([0]))
-        adjoints = backward(tape)
         with pytest.raises(ConsistencyError, match="watched"):
-            model_gradients(adjoints, other)
+            backward(tape, [arr for _, arr in other.parameters()])
 
     def test_shapes_match_model(self, rng):
         model = init_model(9, 4, 3, seed=2)
@@ -408,10 +419,3 @@ class TestSoftmaxHelper:
         direct = -np.log(p[np.arange(3), labels]).mean()
         np.testing.assert_allclose(value, direct, rtol=1e-12)
 
-
-class TestAdjointsContainer:
-    def test_of_returns_zeros_for_unknown_array(self):
-        adj = Adjoints({}, set())
-        x = np.ones((2, 2))
-        np.testing.assert_array_equal(adj.of(x), np.zeros((2, 2)))
-        assert not adj.was_watched(x)

@@ -227,6 +227,25 @@ class TestBenchCommand:
         assert "backward_flops" in rows[0]
         assert int(rows[1][rows[0].index("backward_flops")]) > 0
 
+    def test_unknown_strategy_rejected_before_timing(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-contraction", "--sites", "10", "--bond-dims", "2",
+                  "--strategies", "pairwise,bogus", "--repeats", "1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--strategies" in err and "'pairwise,bogus'" in err
+
+    def test_empty_bond_dims_rejected_before_timing(self, tmp_path, capsys):
+        out_csv = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-contraction", "--bond-dims", ",", "--csv", str(out_csv)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--bond-dims" in err
+        assert not out_csv.exists()
+
 
 class TestParser:
     def test_version_flag(self):

@@ -16,8 +16,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "mpsclassify"
 # The label combine of both schedules and the adjoint of each of its operands.
 COMBINE_FORMS = {"bx,blxy,by->bl", "bl,blxy,by->bx", "bx,bl,by->blxy", "bx,blxy,bl->by"}
 
-# Every subscript form a taped step records, forward and adjoint, plus the
-# single-image absorb of ``absorb_inputs``.
+# Every subscript form a taped step records, forward and adjoint, plus two
+# single-image absorb forms.
 FORMS = sorted(COMBINE_FORMS | {
     "bd,dx->bx", "bd,bx->dx",
     "bsd,sdxy->sbxy", "bsd,sbxy->sdxy",

@@ -79,7 +79,6 @@ class TestInit:
             dict(n_sites=2, n_labels=2, bond_dim=2),
             dict(n_sites=8, n_labels=1, bond_dim=2),
             dict(n_sites=8, n_labels=2, bond_dim=0),
-            dict(n_sites=8, n_labels=2, bond_dim=2, local_dim=3),
             dict(n_sites=8, n_labels=2, bond_dim=2, label_site=0),
             dict(n_sites=8, n_labels=2, bond_dim=2, label_site=7),
             dict(n_sites=8, n_labels=2, bond_dim=2, sigma=-1.0),

@@ -11,6 +11,7 @@ from mpsclassify import (
     adam_step,
     batch_loss,
     evaluate,
+    forward_batch,
     init_adam,
     init_model,
     loss_and_gradients,
@@ -32,7 +33,7 @@ from mpsclassify.losses import (
     mean_square_loss,
     mean_square_with_grad,
 )
-from mpsclassify.training import METRICS_COLUMNS
+from mpsclassify.training import ADAM_EPS, METRICS_COLUMNS
 
 
 def cross_entropy_mpmath(logits, labels, dps=50):
@@ -157,7 +158,7 @@ class TestAdam:
         lr = 1e-2
         adam_step(model, grads, state, learning_rate=lr)
         for (name, after), (_, g) in zip(model.parameters(), grads.arrays()):
-            want = before[name] - lr * g / (np.abs(g) + state.eps)
+            want = before[name] - lr * g / (np.abs(g) + ADAM_EPS)
             np.testing.assert_allclose(after, want, rtol=1e-12)
         assert state.step_count == 1
 
@@ -219,6 +220,24 @@ class TestAdam:
         )
         adam_step(model, g, state, learning_rate=1e-2)
         assert model.cores is ref
+
+    def test_second_moment_overflow_names_the_array(self):
+        """A finite gradient whose square overflows raises before any update."""
+        model = init_model(6, 2, 2, seed=0)
+        state = init_adam(model)
+        before = {name: arr.copy() for name, arr in model.parameters()}
+        huge = Gradients(
+            left_boundary=np.zeros_like(model.left_boundary),
+            cores=np.full_like(model.cores, 1e200),
+            label_core=np.zeros_like(model.label_core),
+            right_boundary=np.zeros_like(model.right_boundary),
+        )
+        with pytest.raises(NumericError, match="second moment of 'cores' overflows"):
+            adam_step(model, huge, state, learning_rate=1e-3)
+        assert state.step_count == 0
+        for name, arr in model.parameters():
+            np.testing.assert_array_equal(arr, before[name])
+            np.testing.assert_array_equal(state.v[name], 0.0)
 
 
 class TestTrainLoop:
@@ -293,15 +312,41 @@ class TestTrainLoop:
         model = init_model(16, 2, 3, seed=5)
         model.cores[0, 0, 0, 0] = np.nan
         config = TrainConfig(learning_rate=1e-3, batch_size=10, epochs=1, seed=0)
-        with pytest.raises(NumericError, match="epoch 1, batch 0"):
+        with pytest.raises(NumericError, match="epoch 1, batch 0: non-finite logits"):
             train(model, train_set, test_set, config)
 
         # Thirteen middle cores at 1e-30 put the chain below the smallest
-        # float64, so every logit is exactly zero: a named error, not log 2.
+        # float64, so every logit is exactly zero; at 1e-10 every logit is
+        # near 1e-130. Both are named errors, not a loss of log 2.
+        for scale in (1e-30, 1e-10):
+            model = init_model(16, 2, 3, seed=5)
+            model.cores *= scale
+            with pytest.raises(
+                NumericError,
+                match=r"epoch 1, batch 0: every logit is below 1e-100 .*underflowed",
+            ):
+                train(model, train_set, test_set, config)
+
+    def test_adam_overflow_names_epoch_and_batch(self):
+        """Cores near 2.5e15 give finite logits near 1e200 and gradients
+        whose squares overflow in Adam's second moment."""
+        train_set = synthetic_blobs(40, seed=0)
+        test_set = synthetic_blobs(20, seed=1)
+        config = TrainConfig(learning_rate=1e-3, batch_size=10, epochs=1, seed=0)
         model = init_model(16, 2, 3, seed=5)
-        model.cores *= 1e-30
-        with pytest.raises(NumericError, match="exactly zero at epoch 1, batch 0"):
+        model.cores *= 10**15.4
+        with pytest.raises(NumericError, match="epoch 1, batch 0: Adam second moment"):
             train(model, train_set, test_set, config)
+
+    def test_loss_and_gradients_rejects_tiny_logits(self):
+        """Logits near 1e-130 raise, instead of a loss of log 2 and ~0 gradients."""
+        train_set = synthetic_blobs(10, seed=0)
+        model = init_model(16, 2, 3, seed=5)
+        model.cores *= 1e-10
+        feats = encode_batch(model.feature_map, train_set.images)
+        assert 0 < np.abs(forward_batch(model, feats)).max() < 1e-100
+        with pytest.raises(NumericError, match="below 1e-100 in magnitude"):
+            loss_and_gradients(model, feats, train_set.labels)
 
     def test_evaluate_on_degenerate_model_predicts_class_zero(self):
         """sigma=0 makes all logits equal; tie-break sends everything to 0."""
