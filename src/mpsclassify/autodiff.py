@@ -16,6 +16,11 @@ so repeated calls do no path search and no subscript parsing. The adjoints
 of ``gather`` and ``slice_rows`` add into the rows they came from, in one
 buffer per source array, instead of scattering into a fresh zero copy of
 the source for every node.
+
+A ``pair_round`` and its adjoint each write into one C-order output through
+``np.matmul(..., out=)``, with the carried odd row copied in place. Given the
+batch-major, C-contiguous stacks that the absorbs produce, every matrix of
+a round, forward or adjoint, is contiguous.
 """
 
 import functools
@@ -163,12 +168,15 @@ def _product_step(terms: list, out: str, sizes: dict):
 
 
 def _pair_round_value(stack: np.ndarray) -> np.ndarray:
-    """Products of rows (0,1), (2,3), ... of ``stack``; an odd last row is carried."""
+    """Products of rows (0,1), (2,3), ... of ``stack``; an odd last row is carried.
+
+    The products and the carried row are written into one C-order output.
+    """
     pairs = stack.shape[0] // 2
-    prod = stack[0 : 2 * pairs : 2] @ stack[1 : 2 * pairs : 2]
-    if stack.shape[0] % 2:
-        return np.concatenate([prod, stack[2 * pairs :]], axis=0)
-    return prod
+    out = np.empty((stack.shape[0] - pairs,) + stack.shape[1:], dtype=DTYPE)
+    np.matmul(stack[0 : 2 * pairs : 2], stack[1 : 2 * pairs : 2], out=out[:pairs])
+    out[pairs:] = stack[2 * pairs :]
+    return out
 
 
 class Node:
@@ -349,11 +357,10 @@ def _input_adjoints(node: Node, g: np.ndarray):
         a = stack[0 : 2 * pairs : 2]
         b = stack[1 : 2 * pairs : 2]
         gp = g[:pairs]
-        dx = np.empty_like(stack)
-        dx[0 : 2 * pairs : 2] = gp @ np.swapaxes(b, -1, -2)
-        dx[1 : 2 * pairs : 2] = np.swapaxes(a, -1, -2) @ gp
-        if stack.shape[0] % 2:
-            dx[2 * pairs :] = g[pairs:]
+        dx = np.empty(stack.shape, dtype=DTYPE)
+        np.matmul(gp, np.swapaxes(b, -1, -2), out=dx[0 : 2 * pairs : 2])
+        np.matmul(np.swapaxes(a, -1, -2), gp, out=dx[1 : 2 * pairs : 2])
+        dx[2 * pairs :] = g[pairs:]
         yield 0, dx
         return
     if kind in _LOSS_KINDS:

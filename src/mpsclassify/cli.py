@@ -8,6 +8,7 @@ gzipped). ``--synthetic`` sidesteps files entirely with a generated set.
 import argparse
 import csv
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -158,6 +159,18 @@ def _cmd_grad_check(args) -> int:
     return 0 if report.passed else 1
 
 
+def _timed(repeats: int, call) -> tuple[float, int]:
+    """Best wall time of ``repeats`` calls, and their mean count of minor page faults."""
+    best = float("inf")
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(repeats):
+        started = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - started)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return best, round(faults / repeats)
+
+
 def _cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     images = rng.uniform(0.0, 1.0, size=(args.batch, args.sites))
@@ -169,11 +182,9 @@ def _cmd_bench(args) -> int:
         feats = encode_batch(model.feature_map, images)
         for strategy_name in args.strategies:
             strategy = _STRATEGIES[strategy_name]
-            best_fwd = float("inf")
-            for _ in range(args.repeats):
-                started = time.perf_counter()
-                forward_batch(model, feats, strategy)
-                best_fwd = min(best_fwd, time.perf_counter() - started)
+            best_fwd, fwd_faults = _timed(
+                args.repeats, lambda: forward_batch(model, feats, strategy)
+            )
             counted = Tape()
             counted.watch_model(model)
             logits = forward_batch(model, feats, strategy, tape=counted)
@@ -184,17 +195,18 @@ def _cmd_bench(args) -> int:
                 "sites": args.sites,
                 "forward_seconds": best_fwd,
                 "forward_flops": counted.forward_flops(),
+                "forward_minor_faults": fwd_faults,
             }
             if args.backward:
                 labels = np.zeros(args.batch, dtype=np.int64)
-                best_bwd = float("inf")
-                for _ in range(args.repeats):
-                    started = time.perf_counter()
-                    loss_and_gradients(model, feats, labels, strategy=strategy)
-                    best_bwd = min(best_bwd, time.perf_counter() - started)
+                best_bwd, bwd_faults = _timed(
+                    args.repeats,
+                    lambda: loss_and_gradients(model, feats, labels, strategy=strategy),
+                )
                 counted.loss(LossKind.CROSS_ENTROPY, logits, labels)
                 row["forward_backward_seconds"] = best_bwd
                 row["backward_flops"] = counted.backward_flops()
+                row["forward_backward_minor_faults"] = bwd_faults
             rows.append(row)
             print(
                 "  ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"

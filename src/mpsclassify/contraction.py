@@ -23,6 +23,13 @@ scaled long chain overflows to non-finite logits or underflows to logits
 too small to carry a scale, and the taped training step names either
 failure (``train`` adds the epoch and batch). ``absorb_inputs`` runs the
 batched absorb on a one-image batch, so it is the code that trains.
+
+Layout: every absorb names the weights as its first operand (for example
+``"sdxy,bsd->sbxy"``), so the compiled plan's final ``matmul`` writes the
+stack batch-major and C-contiguous, ``[..., B, chi, chi]``, with no
+transposed view. Each matrix a pairwise round multiplies is then
+contiguous for BLAS. Brute force records nothing on a tape and has no
+gradients.
 """
 
 import enum
@@ -95,12 +102,12 @@ def absorb_inputs(model: MpsClassifier, image: np.ndarray) -> EffectiveChain:
 
 def _absorb_ends(model, feats, tape):
     """Absorb both boundary sites and the label site: (lv, lab, rv)."""
-    lv = tape.contract("bd,dx->bx", feats[:, 0, :], model.left_boundary, kind="absorb")
+    lv = tape.contract("dx,bd->bx", model.left_boundary, feats[:, 0, :], kind="absorb")
     lab = tape.contract(
-        "bd,dlxy->blxy", feats[:, model.label_site, :], model.label_core, kind="absorb"
+        "dlxy,bd->blxy", model.label_core, feats[:, model.label_site, :], kind="absorb"
     )
     rv = tape.contract(
-        "bd,dx->bx", feats[:, model.n_sites - 1, :], model.right_boundary, kind="absorb"
+        "dx,bd->bx", model.right_boundary, feats[:, model.n_sites - 1, :], kind="absorb"
     )
     return lv, lab, rv
 
@@ -108,7 +115,7 @@ def _absorb_ends(model, feats, tape):
 def _absorb_batch(model, feats, tape):
     lv, lab, rv = _absorb_ends(model, feats, tape)
     mids = tape.contract(
-        "bsd,sdxy->sbxy", feats[:, _mid_site_order(model), :], model.cores, kind="absorb"
+        "sdxy,bsd->sbxy", model.cores, feats[:, _mid_site_order(model), :], kind="absorb"
     )
     return lv, mids, lab, rv
 
@@ -144,7 +151,7 @@ def _forward_sequential_batch(model, feats, tape):
 
     def site_matrix(site):
         core = tape.gather(model.cores, model.core_stack_index(site))
-        return tape.contract("bd,dxy->bxy", feats[:, site, :], core, kind="absorb")
+        return tape.contract("dxy,bd->bxy", core, feats[:, site, :], kind="absorb")
 
     for site in range(1, m):
         lv = tape.contract("bx,bxy->by", lv, site_matrix(site), kind="contract")

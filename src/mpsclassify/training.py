@@ -117,7 +117,13 @@ def _taped_step(model, feats, labels, loss_kind, strategy) -> tuple[float, np.nd
 
     Raises ``NumericError`` when the loss is not finite, when every logit
     is below ``TINY_LOGIT`` in magnitude, or when a gradient is not finite.
+    Brute force records nothing on the tape, so it raises ``ConfigError``.
     """
+    if strategy is Strategy.BRUTE_FORCE:
+        raise ConfigError(
+            "brute force is an untaped oracle and has no gradients: "
+            "use the pairwise or sequential strategy"
+        )
     tape = Tape()
     tape.watch_model(model)
     logits = forward_batch(model, feats, strategy, tape=tape)

@@ -226,6 +226,14 @@ class TestBenchCommand:
         rows = read_rows(out)
         assert "backward_flops" in rows[0]
         assert int(rows[1][rows[0].index("backward_flops")]) > 0
+        for column in ("forward_minor_faults", "forward_backward_minor_faults"):
+            assert int(rows[1][rows[0].index(column)]) >= 0
+
+    def test_brute_force_backward_is_a_named_error(self, capsys):
+        code = main(["bench-contraction", "--sites", "8", "--batch", "2", "--bond-dims", "2",
+                     "--strategies", "brute-force", "--repeats", "1", "--backward"])
+        assert code == 1
+        assert "brute force is an untaped oracle" in capsys.readouterr().err
 
     def test_unknown_strategy_rejected_before_timing(self, capsys):
         with pytest.raises(SystemExit) as exc:

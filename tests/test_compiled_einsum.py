@@ -19,10 +19,10 @@ COMBINE_FORMS = {"bx,blxy,by->bl", "bl,blxy,by->bx", "bx,bl,by->blxy", "bx,blxy,
 # Every subscript form a taped step records, forward and adjoint, plus two
 # single-image absorb forms.
 FORMS = sorted(COMBINE_FORMS | {
-    "bd,dx->bx", "bd,bx->dx",
-    "bsd,sdxy->sbxy", "bsd,sbxy->sdxy",
-    "bd,dlxy->blxy", "bd,blxy->dlxy",
-    "bd,dxy->bxy", "bd,bxy->dxy",
+    "dx,bd->bx", "bx,bd->dx",
+    "sdxy,bsd->sbxy", "sbxy,bsd->sdxy",
+    "dlxy,bd->blxy", "blxy,bd->dlxy",
+    "dxy,bd->bxy", "bxy,bd->dxy",
     "bx,bxy->by", "bx,by->bxy", "by,bxy->bx",
     "bxy,by->bx", "bxy,bx->by",
     "sd,sdxy->sxy", "d,dlxy->lxy",

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from mpsclassify import (
+    LossKind,
     Strategy,
     Tape,
     absorb_inputs,
+    backward,
     brute_force_logits,
     encode_and_forward,
     forward_batch,
@@ -17,6 +19,7 @@ from mpsclassify import (
     predict,
     predict_batch,
 )
+from mpsclassify import autodiff
 from mpsclassify.autodiff import _node_forward_flops
 from mpsclassify.encoding import FeatureMap, encode_batch, encode_image
 from mpsclassify.errors import ConfigError, DimensionError, NumericError
@@ -241,6 +244,39 @@ class TestPairwiseRounds:
         )
 
 
+class TestStackLayout:
+    """Absorbed stacks, round outputs and round adjoints are C-contiguous.
+
+    Each is batch-major, [..., B, chi, chi], so every matrix that a round
+    or its adjoint hands to ``np.matmul`` is contiguous.
+    """
+
+    @pytest.mark.parametrize("strategy", [Strategy.PAIRWISE, Strategy.SEQUENTIAL])
+    def test_desk_step_stacks_are_c_contiguous(self, monkeypatch, rng, strategy):
+        model = init_model(196, 10, 10, seed=0)
+        feats = encode_batch(model.feature_map, rng.random((50, 196)))
+        tape = taped_forward(model, feats, strategy)
+        tape.loss(LossKind.CROSS_ENTROPY, tape.nodes[-1].output, rng.integers(0, 10, 50))
+        round_adjoints = []
+        real = autodiff._input_adjoints
+
+        def recording(node, g):
+            for i, adj in real(node, g):
+                if node.kind == "pair_round":
+                    round_adjoints.append(adj)
+                yield i, adj
+
+        monkeypatch.setattr(autodiff, "_input_adjoints", recording)
+        backward(tape, [arr for _, arr in model.parameters()])
+        absorbed = [n.output for n in tape.nodes if n.kind == "absorb"]
+        rounds = [n.output for n in tape.nodes if n.kind == "pair_round"]
+        assert absorbed and all(a.flags.c_contiguous for a in absorbed)
+        assert all(r.flags.c_contiguous for r in rounds)
+        assert all(dx.flags.c_contiguous for dx in round_adjoints)
+        assert len(round_adjoints) == len(rounds)
+        assert bool(rounds) == (strategy is Strategy.PAIRWISE)
+
+
 class TestPlanFlops:
     """FLOPs of the contraction plan, read from the nodes a tape records."""
 
@@ -276,7 +312,7 @@ class TestPlanFlops:
         feats = encode_batch(FeatureMap.LINEAR, rng.uniform(0, 1, size=(1, 16)))
 
         def sweep_or_site(node):
-            return node.kind == "contract" or node.extra == "bd,dxy->bxy"
+            return node.kind == "contract" or node.extra == "dxy,bd->bxy"
 
         totals = {}
         for chi in (2, 4, 8):

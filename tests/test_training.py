@@ -348,6 +348,22 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match="below 1e-100 in magnitude"):
             loss_and_gradients(model, feats, train_set.labels)
 
+    def test_brute_force_has_no_gradients_and_says_so(self):
+        """Brute force records no tape nodes: a named error, not zero gradients."""
+        from mpsclassify import Strategy
+
+        train_set = synthetic_blobs(20, seed=0)
+        model = init_model(8, 2, 3, seed=5)
+        feats = encode_batch(model.feature_map, train_set.images[:4, :8])
+        with pytest.raises(ConfigError, match="brute force is an untaped oracle"):
+            loss_and_gradients(model, feats, train_set.labels[:4], strategy=Strategy.BRUTE_FORCE)
+        model = init_model(16, 2, 3, seed=5)
+        config = TrainConfig(
+            learning_rate=1e-3, batch_size=10, epochs=1, seed=0, strategy=Strategy.BRUTE_FORCE
+        )
+        with pytest.raises(ConfigError, match="brute force is an untaped oracle"):
+            train(model, train_set, synthetic_blobs(10, seed=1), config)
+
     def test_evaluate_on_degenerate_model_predicts_class_zero(self):
         """sigma=0 makes all logits equal; tie-break sends everything to 0."""
         test_set = synthetic_blobs(50, seed=4)
