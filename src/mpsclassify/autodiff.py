@@ -17,13 +17,35 @@ of ``gather`` and ``slice_rows`` add into the rows they came from, in one
 buffer per source array, instead of scattering into a fresh zero copy of
 the source for every node.
 
-A ``pair_round`` and its adjoint each write into one C-order output through
-``np.matmul(..., out=)``, with the carried odd row copied in place. Given the
-batch-major, C-contiguous stacks that the absorbs produce, every matrix of
-a round, forward or adjoint, is contiguous.
+A ``pair_round`` writes into one C-order output through
+``np.matmul(..., out=)``, with the carried odd row copied in place. Its
+adjoint stores the transpose of its result, ``dx^T[0::2] = b @ g^T`` and
+``dx^T[1::2] = g^T @ a``, in one C-order array and yields the transposed
+view. The ``g^T`` that the round below receives is then C-contiguous, so
+every product of a round, forward or adjoint, multiplies contiguous,
+non-transposed matrices; only the topmost round's adjoint, seeded by a
+contiguous ``g``, passes a transposed operand.
+
+The pairwise schedule takes its large per-call arrays from one module-level
+``Workspace``, a flat float64 buffer that is kept, at the largest size asked
+for so far, across calls, so a step touches no fresh pages. ``lend_workspace``
+lends it to one tape at a time and takes it back when its block exits. Only
+the package's own callers whose results never alias it borrow it:
+``training._taped_step`` and the untaped ``contraction.forward_batch``. A
+tape the user builds is never lent it. On a lent tape the absorbed label
+block and ``mids`` stack, every ``pair_round`` output and adjoint, and the
+row accumulator of a source that is not in ``wrt`` are views of the
+workspace. Nothing returned, the gradients included, is one: the next
+borrower overwrites them. A row accumulator takes the layout of the first
+adjoint added to it, so the ``mids`` accumulator is transposed like the
+round adjoints, and the absorb adjoint runs its plan on its C-order
+transpose (``_adjoint_forms``).
 """
 
 import functools
+import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,7 +60,7 @@ _ROW_KINDS = ("gather", "slice_rows")
 _LOSS_KINDS = ("cross_entropy", "mean_square")
 
 
-def einsum(subscripts: str, *ops: np.ndarray) -> np.ndarray:
+def einsum(subscripts: str, *ops: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.einsum(subscripts, *ops, optimize=True)`` run from a cached plan.
 
     ``subscripts`` must be explicit (``->``), with no index repeated inside
@@ -48,11 +70,23 @@ def einsum(subscripts: str, *ops: np.ndarray) -> np.ndarray:
     bit, since its optimized einsum also runs each pairwise step as one
     ``matmul``; NumPy releases that run those steps another way agree with
     it to rounding.
+
+    With ``out``, an array of the result's shape, the result is written into
+    it and ``out`` is returned. A final ``matmul`` that produces the output
+    order writes into a C-contiguous ``out`` directly; any other final step
+    is copied in.
     """
     operands = list(ops)
-    for positions, run in _compile(subscripts, tuple([op.shape for op in ops])):
+    steps = _compile(subscripts, tuple([op.shape for op in ops]))
+    for positions, run in steps if out is None else steps[:-1]:
         operands.append(run(*[operands.pop(p) for p in positions]))
-    return operands[0]
+    if out is None:
+        return operands[0]
+    positions, run = steps[-1]
+    result = run(*[operands.pop(p) for p in positions], out=out)
+    if result is not out:
+        out[...] = result
+    return out
 
 
 @functools.lru_cache(maxsize=512)
@@ -139,8 +173,12 @@ def _matmul_step(a: str, b: str, out: str, sizes: dict):
         ab_shape = (1,) * len(ones) + tuple(sizes[ix] for group in groups_ab for ix in group)
     produced = "".join(ones + bat + a_keep + b_keep)
     ab_perm = None if produced == out else tuple(produced.index(ix) for ix in out)
+    mm_shape = tuple(math.prod(sizes[ix] for ix in group) for group in groups_ab)
 
-    def run(x, y):
+    def run(x, y, out=None):
+        if out is not None and ab_perm is None and out.flags.c_contiguous:
+            np.matmul(arrange_a(x), arrange_b(y), out=out.reshape(mm_shape))
+            return out
         ab = np.matmul(arrange_a(x), arrange_b(y))
         if ab_shape is not None:
             ab = ab.reshape(ab_shape)
@@ -161,22 +199,81 @@ def _product_step(terms: list, out: str, sizes: dict):
         for term in terms
     ]
 
-    def run(*xs):
+    def run(*xs, out=None):
         return functools.reduce(np.multiply, [f(x) for f, x in zip(arranges, xs)])
 
     return run
 
 
-def _pair_round_value(stack: np.ndarray) -> np.ndarray:
+def _pair_round_value(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Products of rows (0,1), (2,3), ... of ``stack``; an odd last row is carried.
 
-    The products and the carried row are written into one C-order output.
+    The products and the carried row are written into one C-order output,
+    ``out`` when given.
     """
     pairs = stack.shape[0] // 2
-    out = np.empty((stack.shape[0] - pairs,) + stack.shape[1:], dtype=DTYPE)
+    if out is None:
+        out = np.empty(_round_shape(stack), dtype=DTYPE)
     np.matmul(stack[0 : 2 * pairs : 2], stack[1 : 2 * pairs : 2], out=out[:pairs])
     out[pairs:] = stack[2 * pairs :]
     return out
+
+
+def _round_shape(stack: np.ndarray) -> tuple:
+    """Shape of a ``pair_round`` output: ceil(T/2) rows of ``stack``'s [T, ...]."""
+    return (stack.shape[0] - stack.shape[0] // 2,) + stack.shape[1:]
+
+
+class Workspace:
+    """One flat float64 buffer, handed out as bump-allocated views in call order.
+
+    ``reserve`` grows it to the largest size asked for so far and restarts
+    the bump at its front, so every view taken before is then free to be
+    overwritten. Taking more than was reserved is a sizing bug and raises
+    ``ConsistencyError``.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self._flat = np.empty(0, dtype=DTYPE)
+        self._used = 0
+
+    def reserve(self, floats: int) -> None:
+        if floats > self._flat.size:
+            self._flat = None  # release the old buffer before the larger one is made
+            self._flat = np.empty(floats, dtype=DTYPE)
+        self._used = 0
+
+    def empty(self, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        start = self._used
+        if start + size > self._flat.size:
+            raise ConsistencyError(
+                f"workspace of {self._flat.size} floats cannot take {shape} after {start}"
+            )
+        self._used = start + size
+        return self._flat[start : start + size].reshape(shape)
+
+    def zeros_like(self, arr: np.ndarray) -> np.ndarray:
+        out = self.empty(arr.shape)
+        out.fill(0.0)
+        return out
+
+
+class _Fresh:
+    """Stands in for the workspace on a tape that is not lent it: every array is new."""
+
+    @staticmethod
+    def empty(shape: tuple) -> np.ndarray:
+        return np.empty(shape, dtype=DTYPE)
+
+    @staticmethod
+    def zeros_like(arr: np.ndarray) -> np.ndarray:
+        return np.zeros_like(arr, order="C")
+
+
+_FRESH = _Fresh()
+_WORKSPACE = Workspace()
 
 
 class Node:
@@ -205,12 +302,17 @@ class Node:
 
 
 class Tape:
-    """Records primitive applications; with ``recording=False`` it only computes."""
+    """Records primitive applications; with ``recording=False`` it only computes.
+
+    ``workspace`` allocates the arrays the pairwise schedule asks for: fresh
+    ones unless ``lend_workspace`` has lent the tape the module's workspace.
+    """
 
     def __init__(self, recording: bool = True):
         self.recording = recording
         self.nodes: list[Node] = []
         self._live: set[int] = set()
+        self.workspace = _FRESH
 
     def watch(self, arr: np.ndarray) -> None:
         """Mark ``arr`` as a differentiation leaf."""
@@ -231,16 +333,19 @@ class Tape:
 
     # -- primitives -------------------------------------------------------
 
-    def contract(self, subscripts: str, *ops, kind: str = "contract") -> np.ndarray:
-        """Multilinear einsum with no repeated index inside one operand."""
-        return self._record(kind, ops, einsum(subscripts, *ops), subscripts)
+    def contract(
+        self, subscripts: str, *ops, kind: str = "contract", out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Multilinear einsum with no repeated index inside one operand, into ``out`` if given."""
+        return self._record(kind, ops, einsum(subscripts, *ops, out=out), subscripts)
 
-    def pair_round(self, stack: np.ndarray) -> np.ndarray:
+    def pair_round(self, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One reduction round: products of adjacent rows of [T, ..., k, k].
 
         Rows (0,1), (2,3), ... are multiplied; when T is odd the final row is
         carried through unchanged, so the output has ceil(T/2) rows and the
-        overall ordered chain product is preserved.
+        overall ordered chain product is preserved. The output is written
+        into ``out`` when given, else into an array from ``workspace``.
         """
         if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2]:
             raise DimensionError(
@@ -248,7 +353,9 @@ class Tape:
             )
         if stack.shape[0] < 2:
             raise DimensionError("pair_round needs at least two matrices")
-        return self._record("pair_round", (stack,), _pair_round_value(stack))
+        if out is None:
+            out = self.workspace.empty(_round_shape(stack))
+        return self._record("pair_round", (stack,), _pair_round_value(stack, out))
 
     def gather(self, x: np.ndarray, index: int) -> np.ndarray:
         """Select row ``index`` along the leading axis, differentiably."""
@@ -299,6 +406,27 @@ class Tape:
         return sum(_node_backward_flops(n) for n in self.nodes)
 
 
+@contextmanager
+def lend_workspace(tape: Tape, floats: int):
+    """Lend ``tape`` the module's workspace, of at least ``floats`` float64s, for the block.
+
+    The workspace is handed back when the block exits, however it exits.
+    While it is out, another borrow (nested, or from another thread) leaves
+    its tape allocating fresh arrays. The next borrower overwrites every
+    view taken, so nothing that outlives the block may be one.
+    """
+    if not _WORKSPACE.lock.acquire(blocking=False):
+        yield tape
+        return
+    try:
+        _WORKSPACE.reserve(floats)
+        tape.workspace = _WORKSPACE
+        yield tape
+    finally:
+        tape.workspace = _FRESH
+        _WORKSPACE.lock.release()
+
+
 def _subscript_extents(subscripts: str, ops) -> dict[str, int]:
     ins = subscripts.split("->")[0].split(",")
     extents: dict[str, int] = {}
@@ -334,34 +462,66 @@ def _node_backward_flops(node: Node) -> int:
     return _node_forward_flops(node)
 
 
-def _input_adjoints(node: Node, g: np.ndarray):
+def _is_transposed(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is the swapped-last-axes view of a C-order array, as a round adjoint is."""
+    return (
+        arr.ndim >= 2
+        and not arr.flags.c_contiguous
+        and np.swapaxes(arr, -1, -2).flags.c_contiguous
+    )
+
+
+@functools.lru_cache(maxsize=512)
+def _adjoint_forms(subscripts: str) -> tuple:
+    """Per operand of the einsum ``subscripts``: (the einsum of its adjoint from g, flippable).
+
+    The adjoint of operand i replaces it by g, indexed like the output, and
+    produces its indices. It is flippable when the last two indices of the
+    output also end operand i and appear in no other operand: a transposed g
+    then runs as its C-order transpose, which is the same plan with those two
+    indices renamed, so the same products, and the result is transposed back.
+    """
+    ins, out = subscripts.split("->")
+    ins = ins.split(",")
+    forms = []
+    for i, own in enumerate(ins):
+        parts = [out if j == i else term for j, term in enumerate(ins)]
+        others = set("".join(ins[:i] + ins[i + 1 :]))
+        flippable = len(out) >= 2 and out[-2:] == own[-2:] and not set(out[-2:]) & others
+        forms.append((",".join(parts) + "->" + own, flippable))
+    return tuple(forms)
+
+
+def _input_adjoints(node: Node, g: np.ndarray, workspace):
     """Yield (input index, adjoint) for graded inputs; each adjoint is a new array.
 
-    ``gather`` and ``slice_rows`` have no rule here: ``backward`` adds their
-    adjoint into the source's rows in place.
+    A ``pair_round`` adjoint is the transposed view of a C-order array taken
+    from ``workspace``. ``gather`` and ``slice_rows`` have no rule here:
+    ``backward`` adds their adjoint into the source's rows in place.
     """
     kind = node.kind
     if kind in _EINSUM_KINDS:
-        ins, out = node.extra.split("->")
-        ins = ins.split(",")
-        for i, need in enumerate(node.needs):
-            if not need:
+        transposed = _is_transposed(g)
+        for i, (form, flippable) in enumerate(_adjoint_forms(node.extra)):
+            if not node.needs[i]:
                 continue
-            parts = [out if j == i else ins[j] for j in range(len(ins))]
-            operands = [g if j == i else node.inputs[j] for j in range(len(ins))]
-            yield i, einsum(",".join(parts) + "->" + ins[i], *operands)
+            flip = transposed and flippable
+            g_in = np.swapaxes(g, -1, -2) if flip else g
+            operands = [g_in if j == i else x for j, x in enumerate(node.inputs)]
+            adj = einsum(form, *operands)
+            yield i, np.swapaxes(adj, -1, -2) if flip else adj
         return
     if kind == "pair_round":
         stack = node.inputs[0]
         pairs = stack.shape[0] // 2
         a = stack[0 : 2 * pairs : 2]
         b = stack[1 : 2 * pairs : 2]
-        gp = g[:pairs]
-        dx = np.empty(stack.shape, dtype=DTYPE)
-        np.matmul(gp, np.swapaxes(b, -1, -2), out=dx[0 : 2 * pairs : 2])
-        np.matmul(np.swapaxes(a, -1, -2), gp, out=dx[1 : 2 * pairs : 2])
-        dx[2 * pairs :] = g[pairs:]
-        yield 0, dx
+        g_t = np.swapaxes(g, -1, -2)
+        dx_t = workspace.empty(stack.shape)
+        np.matmul(b, g_t[:pairs], out=dx_t[0 : 2 * pairs : 2])
+        np.matmul(g_t[:pairs], a, out=dx_t[1 : 2 * pairs : 2])
+        dx_t[2 * pairs :] = g_t[pairs:]
+        yield 0, np.swapaxes(dx_t, -1, -2)
         return
     if kind in _LOSS_KINDS:
         yield 0, float(g) * node.extra[2]
@@ -377,13 +537,16 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
     adjoint directly. An array of ``wrt`` that the output does not reach
     gets zeros; one the tape does not watch raises ``ConsistencyError``. A
     ``gather`` or ``slice_rows`` adjoint is added into the rows of its
-    source's accumulator, which is allocated once per source array.
+    source's accumulator, which is allocated once per source array: from the
+    tape's workspace, unless the source is in ``wrt`` and so is returned,
+    and in the layout of the first adjoint added, plain or transposed.
     """
     if not tape.recording:
         raise ConsistencyError("cannot run backward over a non-recording tape")
     for arr in wrt:
         if id(arr) not in tape._live:
             raise ConsistencyError(f"array of shape {arr.shape} was not watched by this tape")
+    wanted = {id(arr) for arr in wrt}
     acc: dict[int, np.ndarray] = {}
     if tape.nodes:
         final = tape.nodes[-1].output
@@ -396,10 +559,17 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
             source = node.inputs[0]
             rows = acc.get(id(source))
             if rows is None:
-                rows = acc[id(source)] = np.zeros_like(source)
+                owner = _FRESH if id(source) in wanted else tape.workspace
+                if _is_transposed(g):
+                    # Take g's layout, so that the adds run over contiguous memory.
+                    flipped = owner.zeros_like(np.swapaxes(source, -1, -2))
+                    rows = np.swapaxes(flipped, -1, -2)
+                else:
+                    rows = owner.zeros_like(source)
+                acc[id(source)] = rows
             rows[node.extra] += g
             continue
-        for i, adj in _input_adjoints(node, g):
+        for i, adj in _input_adjoints(node, g, tape.workspace):
             key = id(node.inputs[i])
             if key in acc:
                 acc[key] += adj

@@ -30,15 +30,26 @@ stack batch-major and C-contiguous, ``[..., B, chi, chi]``, with no
 transposed view. Each matrix a pairwise round multiplies is then
 contiguous for BLAS. Brute force records nothing on a tape and has no
 gradients.
+
+Workspace: a pairwise call takes its absorbed label block and ``mids``
+stack, its round outputs and, taped, its round adjoints and row
+accumulators from the workspace of ``autodiff``. ``schedule_tape`` lends
+it, sized once from (B, N, chi, L) and whether the tape records. The
+untaped ``forward_batch`` and the taped training step borrow it; a tape
+passed in by the caller is never lent it. Untaped, the rounds of each half
+alternate between the rows the previous round consumed and one spare of
+half the rows, so evaluation needs 1.5x the ``mids`` rows, not 2x. Nothing
+returned, logits or ``EffectiveChain``, is a view of the workspace.
 """
 
 import enum
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape
+from .autodiff import Tape, lend_workspace
 from .encoding import encode_batch
 from .errors import ConfigError, DimensionError, NumericError
 from .model import MpsClassifier
@@ -70,7 +81,7 @@ def num_pairwise_rounds(n_matrices: int) -> int:
     return int(np.ceil(np.log2(n_matrices)))
 
 
-def _check_batch_features(model: MpsClassifier, feats: np.ndarray) -> np.ndarray:
+def check_batch_features(model: MpsClassifier, feats: np.ndarray) -> np.ndarray:
     feats = np.ascontiguousarray(feats, dtype=DTYPE)
     if feats.ndim != 3:
         raise DimensionError(f"expected [B, N, d] features, got shape {feats.shape}")
@@ -95,7 +106,7 @@ def absorb_inputs(model: MpsClassifier, image: np.ndarray) -> EffectiveChain:
     image = np.asarray(image)
     if image.ndim != 2:
         raise DimensionError(f"expected [N, d] encoded image, got shape {image.shape}")
-    feats = _check_batch_features(model, image[None])
+    feats = check_batch_features(model, image[None])
     lv, mids, lab, rv = _absorb_batch(model, feats, Tape(recording=False))
     return EffectiveChain(left=lv[0], matrices=mids[:, 0], label_block=lab[0], right=rv[0])
 
@@ -104,7 +115,11 @@ def _absorb_ends(model, feats, tape):
     """Absorb both boundary sites and the label site: (lv, lab, rv)."""
     lv = tape.contract("dx,bd->bx", model.left_boundary, feats[:, 0, :], kind="absorb")
     lab = tape.contract(
-        "dlxy,bd->blxy", model.label_core, feats[:, model.label_site, :], kind="absorb"
+        "dlxy,bd->blxy",
+        model.label_core,
+        feats[:, model.label_site, :],
+        kind="absorb",
+        out=tape.workspace.empty((feats.shape[0],) + model.label_core.shape[1:]),
     )
     rv = tape.contract(
         "dx,bd->bx", model.right_boundary, feats[:, model.n_sites - 1, :], kind="absorb"
@@ -115,18 +130,80 @@ def _absorb_ends(model, feats, tape):
 def _absorb_batch(model, feats, tape):
     lv, lab, rv = _absorb_ends(model, feats, tape)
     mids = tape.contract(
-        "sdxy,bsd->sbxy", model.cores, feats[:, _mid_site_order(model), :], kind="absorb"
+        "sdxy,bsd->sbxy",
+        model.cores,
+        feats[:, _mid_site_order(model), :],
+        kind="absorb",
+        out=tape.workspace.empty((model.cores.shape[0], len(feats)) + model.cores.shape[2:]),
     )
     return lv, mids, lab, rv
 
 
 def _reduce_half(tape, stack):
-    """Pairwise rounds until one [B, chi, chi] matrix remains; None if empty."""
+    """Pairwise rounds until one [B, chi, chi] matrix remains; None if empty.
+
+    Untaped, a round's input is dead once the round has run, so the rounds
+    write alternately into one spare of half the rows and into the rows the
+    round before consumed.
+    """
     if stack.shape[0] == 0:
         return None
+    free = None
+    if not tape.recording and stack.shape[0] > 1:
+        free = tape.workspace.empty((_halved(stack.shape[0]),) + stack.shape[1:])
     while stack.shape[0] > 1:
-        stack = tape.pair_round(stack)
+        out = None if free is None else free[: _halved(stack.shape[0])]
+        stack, free = tape.pair_round(stack, out=out), (None if free is None else stack)
     return tape.gather(stack, 0)
+
+
+def _halved(rows: int) -> int:
+    """Rows a round leaves of ``rows``: one per pair, plus a carried odd row."""
+    return rows - rows // 2
+
+
+def _round_rows(rows: int) -> list[int]:
+    """Rows of each stack one half's rounds pass through, from ``rows`` down to 1."""
+    counts = [rows]
+    while counts[-1] > 1:
+        counts.append(_halved(counts[-1]))
+    return counts
+
+
+def _pairwise_workspace_floats(model, batch, taped):
+    """Float64s that one pairwise call on ``batch`` images takes from the workspace.
+
+    Counted in [B, chi, chi] matrices: L for the label block, then per half
+    of n rows, whose rounds pass through stacks of s_0 = n, ..., s_K = 1
+    rows. Taped: the ``mids`` rows and their accumulator (2n), the round
+    outputs (s_1 .. s_K), the round adjoints (s_0 .. s_K-1) and the
+    accumulator of the last stack (1), which is n + 2(s_0 + ... + s_K).
+    Untaped: the ``mids`` rows and a spare of ceil(n/2) rows when there is a
+    round.
+    """
+    n_left = model.label_site - 1
+    matrices = model.n_labels
+    for n in (n_left, model.cores.shape[0] - n_left):
+        if taped:
+            matrices += n + 2 * sum(_round_rows(n))
+        else:
+            matrices += n + (_halved(n) if n > 1 else 0)
+    return matrices * batch * model.bond_dim**2
+
+
+@contextmanager
+def schedule_tape(model: MpsClassifier, feats: np.ndarray, strategy: Strategy, recording=True):
+    """A new tape for one ``strategy`` call on checked features ``feats`` ([B, N, d]).
+
+    A pairwise tape is lent the workspace, sized for the call, until the
+    block exits, so nothing the block returns may be a view of it.
+    """
+    tape = Tape(recording)
+    if strategy is not Strategy.PAIRWISE:
+        yield tape
+        return
+    with lend_workspace(tape, _pairwise_workspace_floats(model, feats.shape[0], recording)):
+        yield tape
 
 
 def _combine(tape, lv, left_mat, lab, right_mat, rv):
@@ -166,17 +243,24 @@ def forward_batch(
     strategy: Strategy = Strategy.PAIRWISE,
     tape: Tape | None = None,
 ) -> np.ndarray:
-    """Logits [B, L] for a batch of encoded images [B, N, d]."""
-    feats = _check_batch_features(model, feats)
-    if tape is None:
-        tape = Tape(recording=False)
+    """Logits [B, L] for a batch of encoded images [B, N, d], as a new array.
+
+    Without ``tape``, the pairwise schedule borrows the workspace for the
+    call (see ``schedule_tape``); a ``tape`` given is never lent it.
+    """
+    feats = check_batch_features(model, feats)
     if strategy is Strategy.PAIRWISE:
-        return _forward_pairwise_batch(model, feats, tape)
-    if strategy is Strategy.SEQUENTIAL:
-        return _forward_sequential_batch(model, feats, tape)
-    if strategy is Strategy.BRUTE_FORCE:
+        forward = _forward_pairwise_batch
+    elif strategy is Strategy.SEQUENTIAL:
+        forward = _forward_sequential_batch
+    elif strategy is Strategy.BRUTE_FORCE:
         return np.stack([brute_force_logits(model, feats[b]) for b in range(feats.shape[0])])
-    raise ConfigError(f"unknown strategy {strategy!r}")
+    else:
+        raise ConfigError(f"unknown strategy {strategy!r}")
+    if tape is not None:
+        return forward(model, feats, tape)
+    with schedule_tape(model, feats, strategy, recording=False) as untaped:
+        return forward(model, feats, untaped)
 
 
 def forward_pairwise(model: MpsClassifier, image: np.ndarray) -> np.ndarray:
@@ -203,7 +287,7 @@ def brute_force_logits(model: MpsClassifier, image: np.ndarray) -> np.ndarray:
             f"(2^N-term sum)"
         )
     image = np.ascontiguousarray(image, dtype=DTYPE)
-    _check_batch_features(model, image[None])
+    check_batch_features(model, image[None])
     m = model.label_site
     logits = np.zeros(model.n_labels, dtype=DTYPE)
     for assignment in itertools.product(range(model.local_dim), repeat=n):

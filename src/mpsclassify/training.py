@@ -17,8 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Gradients, Tape, backward
-from .contraction import Strategy, forward_batch, predict_batch
+from .autodiff import Gradients, backward
+from .contraction import (
+    Strategy,
+    check_batch_features,
+    forward_batch,
+    predict_batch,
+    schedule_tape,
+)
 from .encoding import encode_batch
 from .errors import ConfigError, ConsistencyError, NumericError
 from .losses import LossKind, compute_loss, cross_entropy_loss, mean_square_loss
@@ -118,25 +124,28 @@ def _taped_step(model, feats, labels, loss_kind, strategy) -> tuple[float, np.nd
     Raises ``NumericError`` when the loss is not finite, when every logit
     is below ``TINY_LOGIT`` in magnitude, or when a gradient is not finite.
     Brute force records nothing on the tape, so it raises ``ConfigError``.
+    A pairwise tape borrows the workspace (``schedule_tape``); the loss,
+    logits and gradients returned are new arrays, not views of it.
     """
     if strategy is Strategy.BRUTE_FORCE:
         raise ConfigError(
             "brute force is an untaped oracle and has no gradients: "
             "use the pairwise or sequential strategy"
         )
-    tape = Tape()
-    tape.watch_model(model)
-    logits = forward_batch(model, feats, strategy, tape=tape)
-    loss = float(tape.loss(loss_kind, logits, labels))
-    if not np.isfinite(loss):
-        raise NumericError(f"non-finite loss {loss}")
-    if not (np.abs(logits) >= TINY_LOGIT).any():
-        raise NumericError(
-            f"every logit is below {TINY_LOGIT:g} in magnitude "
-            f"(largest {np.abs(logits).max():.3g}): the chain product underflowed float64"
-        )
-    params = [arr for _, arr in model.parameters()]
-    return loss, logits, Gradients(*backward(tape, params)).check_finite()
+    feats = check_batch_features(model, feats)
+    with schedule_tape(model, feats, strategy) as tape:
+        tape.watch_model(model)
+        logits = forward_batch(model, feats, strategy, tape=tape)
+        loss = float(tape.loss(loss_kind, logits, labels))
+        if not np.isfinite(loss):
+            raise NumericError(f"non-finite loss {loss}")
+        if not (np.abs(logits) >= TINY_LOGIT).any():
+            raise NumericError(
+                f"every logit is below {TINY_LOGIT:g} in magnitude "
+                f"(largest {np.abs(logits).max():.3g}): the chain product underflowed float64"
+            )
+        params = [arr for _, arr in model.parameters()]
+        return loss, logits, Gradients(*backward(tape, params)).check_finite()
 
 
 def loss_and_gradients(
@@ -253,8 +262,13 @@ def train(
     test_set,
     config: TrainConfig,
     on_epoch=None,
+    adam: AdamState | None = None,
 ) -> list[EpochMetrics]:
     """Run Adam for ``config.epochs`` epochs, mutating ``model`` in place.
+
+    ``adam`` is continued, its moments and step count updated in place, so a
+    second call given the first call's state resumes where it stopped;
+    without one, Adam starts from a fresh ``init_adam(model)``.
 
     ``train_set``/``test_set`` carry raw normalized pixels ([count, N]) and
     integer labels; features are encoded once up front. Batch order is
@@ -273,7 +287,8 @@ def train(
     if count == 0:
         raise ConfigError("cannot train on an empty train set: it holds no images")
 
-    adam = init_adam(model)
+    if adam is None:
+        adam = init_adam(model)
     history: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()

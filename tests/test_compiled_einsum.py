@@ -43,9 +43,9 @@ def test_every_recorded_contraction_matches_numpy(monkeypatch, strategy, batch):
     real = autodiff.einsum
     calls = []
 
-    def recording(subscripts, *ops):
+    def recording(subscripts, *ops, out=None):
         calls.append((subscripts, ops))
-        return real(subscripts, *ops)
+        return real(subscripts, *ops, out=out)
 
     monkeypatch.setattr(autodiff, "einsum", recording)
     desk_step(strategy, batch)()
@@ -76,6 +76,20 @@ def test_plan_equals_einsum_over_random_extents(form, extents, layouts, seed):
     want = np.einsum(form, *ops, optimize=True)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_plan_writes_into_out(form):
+    """``einsum(..., out=)`` returns the buffer given, holding NumPy's bits."""
+    inputs = form.split("->")[0].split(",")
+    extent = dict(zip(sorted(set("".join(inputs))), (3, 4, 5, 2, 6, 7)))
+    rng = np.random.default_rng(0)
+    ops = [rng.standard_normal([extent[ix] for ix in term]) for term in inputs]
+    want = np.einsum(form, *ops, optimize=True)
+    out = np.full(want.shape, np.nan)
+    got = autodiff.einsum(form, *ops, out=out)
+    assert got is out
+    assert np.array_equal(out, want)
 
 
 @pytest.mark.parametrize("strategy", [Strategy.PAIRWISE, Strategy.SEQUENTIAL])

@@ -15,6 +15,7 @@ from mpsclassify import (
     forward_pairwise,
     forward_sequential,
     init_model,
+    loss_and_gradients,
     num_pairwise_rounds,
     predict,
     predict_batch,
@@ -245,34 +246,38 @@ class TestPairwiseRounds:
 
 
 class TestStackLayout:
-    """Absorbed stacks, round outputs and round adjoints are C-contiguous.
+    """Absorbed stacks and round outputs are C-contiguous; round adjoints are transposed.
 
-    Each is batch-major, [..., B, chi, chi], so every matrix that a round
-    or its adjoint hands to ``np.matmul`` is contiguous.
+    Each stack is batch-major, [..., B, chi, chi], so every matrix that a
+    round hands to ``np.matmul`` is contiguous. A round adjoint is the
+    transposed view of a C-contiguous array, so the adjoint of the round
+    below multiplies non-transposed matrices.
     """
 
     @pytest.mark.parametrize("strategy", [Strategy.PAIRWISE, Strategy.SEQUENTIAL])
     def test_desk_step_stacks_are_c_contiguous(self, monkeypatch, rng, strategy):
         model = init_model(196, 10, 10, seed=0)
         feats = encode_batch(model.feature_map, rng.random((50, 196)))
-        tape = taped_forward(model, feats, strategy)
-        tape.loss(LossKind.CROSS_ENTROPY, tape.nodes[-1].output, rng.integers(0, 10, 50))
+        outputs = {"absorb": [], "pair_round": []}
         round_adjoints = []
         real = autodiff._input_adjoints
 
-        def recording(node, g):
-            for i, adj in real(node, g):
+        def recording(node, g, workspace):
+            if node.kind in outputs:
+                outputs[node.kind].append(node.output.flags.c_contiguous)
+            for i, adj in real(node, g, workspace):
                 if node.kind == "pair_round":
-                    round_adjoints.append(adj)
+                    transposed = np.swapaxes(adj, -1, -2)
+                    round_adjoints.append(
+                        transposed.flags.c_contiguous and not adj.flags.c_contiguous
+                    )
                 yield i, adj
 
         monkeypatch.setattr(autodiff, "_input_adjoints", recording)
-        backward(tape, [arr for _, arr in model.parameters()])
-        absorbed = [n.output for n in tape.nodes if n.kind == "absorb"]
-        rounds = [n.output for n in tape.nodes if n.kind == "pair_round"]
-        assert absorbed and all(a.flags.c_contiguous for a in absorbed)
-        assert all(r.flags.c_contiguous for r in rounds)
-        assert all(dx.flags.c_contiguous for dx in round_adjoints)
+        loss_and_gradients(model, feats, rng.integers(0, 10, 50), strategy=strategy)
+        absorbed, rounds = outputs["absorb"], outputs["pair_round"]
+        assert absorbed and all(absorbed)
+        assert all(rounds) and all(round_adjoints)
         assert len(round_adjoints) == len(rounds)
         assert bool(rounds) == (strategy is Strategy.PAIRWISE)
 

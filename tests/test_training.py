@@ -274,6 +274,33 @@ class TestTrainLoop:
         losses = [m.train_loss for m in history]
         assert losses == sorted(losses, reverse=True)
 
+    def test_train_continues_a_given_adam_state(self):
+        """Two 1-epoch calls sharing a state take the same steps as one loop over both."""
+        train_set = synthetic_blobs(60, seed=0)
+        test_set = synthetic_blobs(20, seed=1)
+        config = TrainConfig(learning_rate=1e-3, batch_size=20, epochs=1, seed=3)
+        model = init_model(16, 2, 3, seed=5)
+        state = init_adam(model)
+        for _ in range(2):
+            train(model, train_set, test_set, config, adam=state)
+        assert state.step_count == 2 * 3
+
+        # The same arithmetic by hand: each call reshuffles from config.seed.
+        manual = init_model(16, 2, 3, seed=5)
+        manual_state = init_adam(manual)
+        feats = encode_batch(manual.feature_map, train_set.images)
+        labels = np.asarray(train_set.labels)
+        for _ in range(2):
+            order = np.random.default_rng(config.seed).permutation(len(labels))
+            for start in range(0, len(labels), config.batch_size):
+                pick = order[start : start + config.batch_size]
+                _, grads = loss_and_gradients(manual, feats[pick], labels[pick])
+                adam_step(manual, grads, manual_state, config.learning_rate)
+        for (name, got), (_, want) in zip(model.parameters(), manual.parameters()):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            np.testing.assert_array_equal(state.m[name], manual_state.m[name])
+            np.testing.assert_array_equal(state.v[name], manual_state.v[name])
+
     def test_seeded_rerun_is_identical(self):
         config = TrainConfig(learning_rate=1e-3, batch_size=10, epochs=3, seed=7)
 
