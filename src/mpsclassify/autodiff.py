@@ -33,13 +33,11 @@ lends it to one tape at a time and takes it back when its block exits. Only
 the package's own callers whose results never alias it borrow it:
 ``training._taped_step`` and the untaped ``contraction.forward_batch``. A
 tape the user builds is never lent it. On a lent tape the absorbed label
-block and ``mids`` stack, every ``pair_round`` output and adjoint, and the
-row accumulator of a source that is not in ``wrt`` are views of the
-workspace. Nothing returned, the gradients included, is one: the next
-borrower overwrites them. A row accumulator takes the layout of the first
-adjoint added to it, so the ``mids`` accumulator is transposed like the
-round adjoints, and the absorb adjoint runs its plan on its C-order
-transpose (``_adjoint_forms``).
+block and chain halves, and every ``pair_round`` output and adjoint, are
+views of the workspace. Nothing returned, the gradients included, is one:
+the next borrower overwrites them. Row accumulators are new arrays. The
+lowest round's transposed adjoint goes straight to the absorb adjoint,
+which runs its plan on its C-order transpose (``_adjoint_forms``).
 """
 
 import functools
@@ -254,11 +252,6 @@ class Workspace:
         self._used = start + size
         return self._flat[start : start + size].reshape(shape)
 
-    def zeros_like(self, arr: np.ndarray) -> np.ndarray:
-        out = self.empty(arr.shape)
-        out.fill(0.0)
-        return out
-
 
 class _Fresh:
     """Stands in for the workspace on a tape that is not lent it: every array is new."""
@@ -266,10 +259,6 @@ class _Fresh:
     @staticmethod
     def empty(shape: tuple) -> np.ndarray:
         return np.empty(shape, dtype=DTYPE)
-
-    @staticmethod
-    def zeros_like(arr: np.ndarray) -> np.ndarray:
-        return np.zeros_like(arr, order="C")
 
 
 _FRESH = _Fresh()
@@ -537,16 +526,14 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
     adjoint directly. An array of ``wrt`` that the output does not reach
     gets zeros; one the tape does not watch raises ``ConsistencyError``. A
     ``gather`` or ``slice_rows`` adjoint is added into the rows of its
-    source's accumulator, which is allocated once per source array: from the
-    tape's workspace, unless the source is in ``wrt`` and so is returned,
-    and in the layout of the first adjoint added, plain or transposed.
+    source's accumulator, which starts as ``np.zeros_like(source)`` when the
+    source has none yet.
     """
     if not tape.recording:
         raise ConsistencyError("cannot run backward over a non-recording tape")
     for arr in wrt:
         if id(arr) not in tape._live:
             raise ConsistencyError(f"array of shape {arr.shape} was not watched by this tape")
-    wanted = {id(arr) for arr in wrt}
     acc: dict[int, np.ndarray] = {}
     if tape.nodes:
         final = tape.nodes[-1].output
@@ -557,17 +544,9 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
             continue
         if node.kind in _ROW_KINDS:
             source = node.inputs[0]
-            rows = acc.get(id(source))
-            if rows is None:
-                owner = _FRESH if id(source) in wanted else tape.workspace
-                if _is_transposed(g):
-                    # Take g's layout, so that the adds run over contiguous memory.
-                    flipped = owner.zeros_like(np.swapaxes(source, -1, -2))
-                    rows = np.swapaxes(flipped, -1, -2)
-                else:
-                    rows = owner.zeros_like(source)
-                acc[id(source)] = rows
-            rows[node.extra] += g
+            if id(source) not in acc:
+                acc[id(source)] = np.zeros_like(source)
+            acc[id(source)][node.extra] += g
             continue
         for i, adj in _input_adjoints(node, g, tape.workspace):
             key = id(node.inputs[i])

@@ -226,7 +226,7 @@ def _add_data_arguments(p, with_train=True):
     p.add_argument("--data-dir", help="directory with the IDX files")
     p.add_argument("--dataset", choices=["mnist", "fashion-mnist"], default="mnist",
                    help="subdirectory under MPSCLASSIFY_DATA_DIR when --data-dir is unset")
-    p.add_argument("--downsample", type=int, default=1, metavar="F",
+    p.add_argument("--downsample", type=_positive_int, default=1, metavar="F",
                    help="block-mean pool by FxF before encoding")
     p.add_argument("--seed", type=int, default=0)
     if with_train:
@@ -287,13 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="A,B,...")
     p.add_argument("--strategies", type=_strategy_list, default=["sequential", "pairwise"],
                    metavar="A,B,...")
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--backward", action="store_true",
                    help="also time forward+backward and count adjoint flops")
     p.add_argument("--csv", help="write the benchmark rows here")
     p.set_defaults(func=_cmd_bench)
     return parser
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _int_list(text: str) -> list[int]:

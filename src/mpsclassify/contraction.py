@@ -5,11 +5,12 @@ Two production schedules plus a brute-force oracle:
 * ``sequential``: absorb each pixel, then sweep a vector from each end of
   the chain toward the label site, combining there so the label count L
   enters only the final step. Matrix-vector work throughout.
-* ``pairwise``: absorb every pixel at once, then repeatedly multiply
-  adjacent effective matrices in rounds. All products of a round are
-  independent, so a round is one stacked matrix product, at the price of
-  matrix-matrix (chi^3) products. An odd matrix at the end of a round is
-  carried to the next round unpaired.
+* ``pairwise``: absorb every pixel of each half at once, from the half's
+  own rows of ``cores``, then repeatedly multiply adjacent effective
+  matrices in rounds. All products of a round are independent, so a round
+  is one stacked matrix product, at the price of matrix-matrix (chi^3)
+  products. An odd matrix at the end of a round is carried to the next
+  round unpaired.
 * ``brute force``: the literal sum over every pixel-index assignment,
   guarded to small chains. Exists to anchor the fast schedules.
 
@@ -31,15 +32,15 @@ transposed view. Each matrix a pairwise round multiplies is then
 contiguous for BLAS. Brute force records nothing on a tape and has no
 gradients.
 
-Workspace: a pairwise call takes its absorbed label block and ``mids``
-stack, its round outputs and, taped, its round adjoints and row
-accumulators from the workspace of ``autodiff``. ``schedule_tape`` lends
-it, sized once from (B, N, chi, L) and whether the tape records. The
-untaped ``forward_batch`` and the taped training step borrow it; a tape
-passed in by the caller is never lent it. Untaped, the rounds of each half
-alternate between the rows the previous round consumed and one spare of
-half the rows, so evaluation needs 1.5x the ``mids`` rows, not 2x. Nothing
-returned, logits or ``EffectiveChain``, is a view of the workspace.
+Workspace: a pairwise call takes its absorbed label block and halves, its
+round outputs and, taped, its round adjoints from the workspace of
+``autodiff``. ``schedule_tape`` lends it, sized once from (B, N, chi, L)
+and whether the tape records. The untaped ``forward_batch`` and the taped
+training step borrow it; a tape passed in by the caller is never lent it.
+Untaped, the rounds of each half alternate between the rows the previous
+round consumed and one spare of half the rows, so evaluation needs 1.5x
+the absorbed rows, not 2x. Nothing returned, logits or
+``EffectiveChain``, is a view of the workspace.
 """
 
 import enum
@@ -96,19 +97,17 @@ def check_batch_features(model: MpsClassifier, feats: np.ndarray) -> np.ndarray:
     return feats
 
 
-def _mid_site_order(model: MpsClassifier) -> list[int]:
-    m = model.label_site
-    return [k for k in range(1, model.n_sites - 1) if k != m]
-
-
 def absorb_inputs(model: MpsClassifier, image: np.ndarray) -> EffectiveChain:
     """Contract every pixel index of one encoded image ([N, d]) into the chain."""
     image = np.asarray(image)
     if image.ndim != 2:
         raise DimensionError(f"expected [N, d] encoded image, got shape {image.shape}")
     feats = check_batch_features(model, image[None])
-    lv, mids, lab, rv = _absorb_batch(model, feats, Tape(recording=False))
-    return EffectiveChain(left=lv[0], matrices=mids[:, 0], label_block=lab[0], right=rv[0])
+    tape = Tape(recording=False)
+    lv, lab, rv = _absorb_ends(model, feats, tape)
+    halves = [_absorb_half(model, feats, tape, right) for right in (False, True)]
+    matrices = np.concatenate(halves)[:, 0]
+    return EffectiveChain(left=lv[0], matrices=matrices, label_block=lab[0], right=rv[0])
 
 
 def _absorb_ends(model, feats, tape):
@@ -127,16 +126,23 @@ def _absorb_ends(model, feats, tape):
     return lv, lab, rv
 
 
-def _absorb_batch(model, feats, tape):
-    lv, lab, rv = _absorb_ends(model, feats, tape)
-    mids = tape.contract(
+def _absorb_half(model, feats, tape, right):
+    """Absorb the bond sites left of the label site, or right of it: [n, B, chi, chi].
+
+    The half's own rows of ``cores`` are sliced on the tape, so their
+    adjoint adds straight into the ``cores`` gradient.
+    """
+    m, n = model.label_site, model.n_sites
+    start, stop = (m - 1, n - 3) if right else (0, m - 1)
+    cores = tape.slice_rows(model.cores, start, stop)
+    sites = slice(m + 1, n - 1) if right else slice(1, m)
+    return tape.contract(
         "sdxy,bsd->sbxy",
-        model.cores,
-        feats[:, _mid_site_order(model), :],
+        cores,
+        feats[:, sites, :],
         kind="absorb",
-        out=tape.workspace.empty((model.cores.shape[0], len(feats)) + model.cores.shape[2:]),
+        out=tape.workspace.empty((stop - start, len(feats)) + cores.shape[2:]),
     )
-    return lv, mids, lab, rv
 
 
 def _reduce_half(tape, stack):
@@ -175,17 +181,16 @@ def _pairwise_workspace_floats(model, batch, taped):
 
     Counted in [B, chi, chi] matrices: L for the label block, then per half
     of n rows, whose rounds pass through stacks of s_0 = n, ..., s_K = 1
-    rows. Taped: the ``mids`` rows and their accumulator (2n), the round
-    outputs (s_1 .. s_K), the round adjoints (s_0 .. s_K-1) and the
-    accumulator of the last stack (1), which is n + 2(s_0 + ... + s_K).
-    Untaped: the ``mids`` rows and a spare of ceil(n/2) rows when there is a
-    round.
+    rows. Taped: the absorbed rows (s_0), the round outputs (s_1 .. s_K)
+    and the round adjoints (s_0 .. s_K-1). Untaped: the absorbed rows and a
+    spare of ceil(n/2) rows when there is a round.
     """
     n_left = model.label_site - 1
     matrices = model.n_labels
     for n in (n_left, model.cores.shape[0] - n_left):
         if taped:
-            matrices += n + 2 * sum(_round_rows(n))
+            rows = _round_rows(n)
+            matrices += sum(rows) + sum(rows[:-1])
         else:
             matrices += n + (_halved(n) if n > 1 else 0)
     return matrices * batch * model.bond_dim**2
@@ -215,10 +220,10 @@ def _combine(tape, lv, left_mat, lab, right_mat, rv):
 
 
 def _forward_pairwise_batch(model, feats, tape):
-    lv, mids, lab, rv = _absorb_batch(model, feats, tape)
-    n_left = model.label_site - 1
-    left_mat = _reduce_half(tape, tape.slice_rows(mids, 0, n_left))
-    right_mat = _reduce_half(tape, tape.slice_rows(mids, n_left, mids.shape[0]))
+    lv, lab, rv = _absorb_ends(model, feats, tape)
+    left_mat, right_mat = (
+        _reduce_half(tape, _absorb_half(model, feats, tape, right)) for right in (False, True)
+    )
     return _combine(tape, lv, left_mat, lab, right_mat, rv)
 
 

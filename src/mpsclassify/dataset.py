@@ -188,7 +188,7 @@ def downsample(s: ImageSet, factor: int) -> ImageSet:
 
 def take(s: ImageSet, count: int, seed: int) -> ImageSet:
     """Seeded subset without replacement, kept in the order drawn."""
-    if count > s.count:
+    if not 0 <= count <= s.count:
         raise ConfigError(f"cannot take {count} images from a set of {s.count}")
     rng = np.random.default_rng(seed)
     picked = rng.choice(s.count, size=count, replace=False)

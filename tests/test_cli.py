@@ -91,6 +91,18 @@ class TestTrain:
         assert code == 0
         assert load_checkpoint(ckpt).n_sites == 49
 
+    @pytest.mark.parametrize("factor", ["0", "-2"])
+    def test_downsample_below_one_rejected_before_training(self, tmp_path, capsys, factor):
+        ckpt = tmp_path / "model.mps"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--synthetic", "60", "--epochs", "1", "--bond-dim", "2",
+                  "--downsample", factor, "--checkpoint", str(ckpt)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--downsample" in err and repr(factor) in err
+        assert not ckpt.exists()
+
     def test_missing_data_dir_is_an_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("MPSCLASSIFY_DATA_DIR", raising=False)
         code = main(["train", "--epochs", "1"])
@@ -252,6 +264,17 @@ class TestBenchCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert "--bond-dims" in err
+        assert not out_csv.exists()
+
+    def test_zero_repeats_rejected_before_timing(self, tmp_path, capsys):
+        out_csv = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-contraction", "--sites", "10", "--bond-dims", "2",
+                  "--repeats", "0", "--csv", str(out_csv)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--repeats" in err and "'0'" in err
         assert not out_csv.exists()
 
 

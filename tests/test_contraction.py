@@ -246,7 +246,7 @@ class TestPairwiseRounds:
 
 
 class TestStackLayout:
-    """Absorbed stacks and round outputs are C-contiguous; round adjoints are transposed.
+    """Absorbed stacks, round outputs and gradients are C-contiguous; round adjoints are transposed.
 
     Each stack is batch-major, [..., B, chi, chi], so every matrix that a
     round hands to ``np.matmul`` is contiguous. A round adjoint is the
@@ -274,7 +274,8 @@ class TestStackLayout:
                 yield i, adj
 
         monkeypatch.setattr(autodiff, "_input_adjoints", recording)
-        loss_and_gradients(model, feats, rng.integers(0, 10, 50), strategy=strategy)
+        _, grads = loss_and_gradients(model, feats, rng.integers(0, 10, 50), strategy=strategy)
+        assert all(arr.flags.c_contiguous for _, arr in grads.arrays())
         absorbed, rounds = outputs["absorb"], outputs["pair_round"]
         assert absorbed and all(absorbed)
         assert all(rounds) and all(round_adjoints)

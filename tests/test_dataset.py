@@ -207,6 +207,10 @@ class TestTake:
         with pytest.raises(ConfigError):
             take(synthetic_blobs(10, seed=0), 11, seed=0)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ConfigError, match="-5"):
+            take(synthetic_blobs(10, seed=0), -5, seed=0)
+
 
 class TestSyntheticSets:
     def test_blobs_shapes_and_range(self):
