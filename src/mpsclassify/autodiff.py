@@ -26,14 +26,16 @@ every product of a round, forward or adjoint, multiplies contiguous,
 non-transposed matrices; only the topmost round's adjoint, seeded by a
 contiguous ``g``, passes a transposed operand.
 
-The pairwise schedule takes its large per-call arrays from one module-level
-``Workspace``, a flat float64 buffer that is kept, at the largest size asked
-for so far, across calls, so a step touches no fresh pages. ``lend_workspace``
-lends it to one tape at a time and takes it back when its block exits. Only
-the package's own callers whose results never alias it borrow it:
-``training._taped_step`` and the untaped ``contraction.forward_batch``. A
-tape the user builds is never lent it. On a lent tape the absorbed label
-block and chain halves, and every ``pair_round`` output and adjoint, are
+The pairwise schedule takes its large per-call arrays from a tape's
+``Workspace``: views of one flat float64 buffer while they fit, new arrays
+beyond it. The module's workspace is kept across calls and grows to the
+largest borrow so far, so a repeated call touches no fresh pages; no caller
+states a size. ``lend_workspace`` lends it to one tape at a time and takes
+it back when its block exits. Only the package's own callers whose results
+never alias it borrow it: ``training._taped_step`` and the untaped
+``contraction.forward_batch``. A tape the user builds keeps its own empty
+workspace, so all its arrays are new. On a lent tape the absorbed label
+block and chain halves, and every ``pair_round`` output and adjoint, may be
 views of the workspace. Nothing returned, the gradients included, is one:
 the next borrower overwrites them. Row accumulators are new arrays. The
 lowest round's transposed adjoint goes straight to the absorb adjoint,
@@ -225,44 +227,34 @@ def _round_shape(stack: np.ndarray) -> tuple:
 class Workspace:
     """One flat float64 buffer, handed out as bump-allocated views in call order.
 
-    ``reserve`` grows it to the largest size asked for so far and restarts
-    the bump at its front, so every view taken before is then free to be
-    overwritten. Taking more than was reserved is a sizing bug and raises
-    ``ConsistencyError``.
+    ``empty`` always advances the bump: it returns a view of the buffer while
+    the request fits, and a new array beyond that. ``restart`` frees every
+    view taken before; when the borrow since the last restart took more than
+    the buffer holds, it first replaces the buffer by one of exactly that
+    size. So the buffer stays at the largest borrow so far, and a call
+    repeated on the same shapes is served from it alone.
     """
 
     def __init__(self):
-        self.lock = threading.Lock()
         self._flat = np.empty(0, dtype=DTYPE)
         self._used = 0
 
-    def reserve(self, floats: int) -> None:
-        if floats > self._flat.size:
+    def restart(self) -> None:
+        if self._used > self._flat.size:
             self._flat = None  # release the old buffer before the larger one is made
-            self._flat = np.empty(floats, dtype=DTYPE)
+            self._flat = np.empty(self._used, dtype=DTYPE)
         self._used = 0
 
     def empty(self, shape: tuple) -> np.ndarray:
-        size = math.prod(shape)
         start = self._used
-        if start + size > self._flat.size:
-            raise ConsistencyError(
-                f"workspace of {self._flat.size} floats cannot take {shape} after {start}"
-            )
-        self._used = start + size
-        return self._flat[start : start + size].reshape(shape)
+        self._used = start + math.prod(shape)
+        if self._used > self._flat.size:
+            return np.empty(shape, dtype=DTYPE)
+        return self._flat[start : self._used].reshape(shape)
 
 
-class _Fresh:
-    """Stands in for the workspace on a tape that is not lent it: every array is new."""
-
-    @staticmethod
-    def empty(shape: tuple) -> np.ndarray:
-        return np.empty(shape, dtype=DTYPE)
-
-
-_FRESH = _Fresh()
 _WORKSPACE = Workspace()
+_LENDING = threading.Lock()
 
 
 class Node:
@@ -293,15 +285,16 @@ class Node:
 class Tape:
     """Records primitive applications; with ``recording=False`` it only computes.
 
-    ``workspace`` allocates the arrays the pairwise schedule asks for: fresh
-    ones unless ``lend_workspace`` has lent the tape the module's workspace.
+    ``workspace`` allocates the arrays the pairwise schedule asks for. It is
+    the tape's own empty ``Workspace``, so every array is new, unless
+    ``lend_workspace`` has lent the tape the module's workspace.
     """
 
     def __init__(self, recording: bool = True):
         self.recording = recording
         self.nodes: list[Node] = []
         self._live: set[int] = set()
-        self.workspace = _FRESH
+        self.workspace = Workspace()
 
     def watch(self, arr: np.ndarray) -> None:
         """Mark ``arr`` as a differentiation leaf."""
@@ -396,24 +389,27 @@ class Tape:
 
 
 @contextmanager
-def lend_workspace(tape: Tape, floats: int):
-    """Lend ``tape`` the module's workspace, of at least ``floats`` float64s, for the block.
+def lend_workspace(tape: Tape):
+    """Lend ``tape`` the module's workspace for the block, restarted at its front.
 
-    The workspace is handed back when the block exits, however it exits.
+    The workspace is handed back when the block exits, however it exits,
+    and keeps the size of the largest borrow (see ``Workspace.restart``).
     While it is out, another borrow (nested, or from another thread) leaves
-    its tape allocating fresh arrays. The next borrower overwrites every
-    view taken, so nothing that outlives the block may be one.
+    its tape on its own workspace, so it gets new arrays. The next borrower
+    overwrites every view taken, so nothing that outlives the block may be
+    one.
     """
-    if not _WORKSPACE.lock.acquire(blocking=False):
+    if not _LENDING.acquire(blocking=False):
         yield tape
         return
+    own = tape.workspace
     try:
-        _WORKSPACE.reserve(floats)
+        _WORKSPACE.restart()
         tape.workspace = _WORKSPACE
         yield tape
     finally:
-        tape.workspace = _FRESH
-        _WORKSPACE.lock.release()
+        tape.workspace = own
+        _LENDING.release()
 
 
 def _subscript_extents(subscripts: str, ops) -> dict[str, int]:

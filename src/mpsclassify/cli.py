@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write metrics/checkpoint")
     _add_data_arguments(p)
-    p.add_argument("--synthetic", type=int, default=0, metavar="N",
+    p.add_argument("--synthetic", type=_non_negative_int, default=0, metavar="N",
                    help="train on N generated ten-class images instead of files")
     p.add_argument("--bond-dim", type=int, default=10)
     p.add_argument("--epochs", type=int, default=10)
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a test split")
     _add_data_arguments(p, with_train=False)
-    p.add_argument("--synthetic", type=int, default=0, metavar="N")
+    p.add_argument("--synthetic", type=_non_negative_int, default=0, metavar="N")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=["train", "test"], default="test")
     p.add_argument("--loss", choices=sorted(_LOSSES), default="cross-entropy")
@@ -272,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sites", type=int, default=8)
     p.add_argument("--labels", type=int, default=3)
     p.add_argument("--bond-dim", type=int, default=4)
-    p.add_argument("--batch", type=int, default=2)
+    p.add_argument("--batch", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--step", type=_positive_float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--loss", choices=sorted(_LOSSES), default="cross-entropy")
     p.set_defaults(func=_cmd_grad_check)
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-contraction", help="time the contraction schedules")
     p.add_argument("--sites", type=int, default=196)
     p.add_argument("--labels", type=int, default=10)
-    p.add_argument("--batch", type=int, default=50)
+    p.add_argument("--batch", type=_positive_int, default=50)
     p.add_argument("--bond-dims", type=_int_list, default=[8, 16, 32, 64],
                    metavar="A,B,...")
     p.add_argument("--strategies", type=_strategy_list, default=["sequential", "pairwise"],
@@ -300,6 +300,20 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
 
 

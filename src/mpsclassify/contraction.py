@@ -33,14 +33,15 @@ contiguous for BLAS. Brute force records nothing on a tape and has no
 gradients.
 
 Workspace: a pairwise call takes its absorbed label block and halves, its
-round outputs and, taped, its round adjoints from the workspace of
-``autodiff``. ``schedule_tape`` lends it, sized once from (B, N, chi, L)
-and whether the tape records. The untaped ``forward_batch`` and the taped
-training step borrow it; a tape passed in by the caller is never lent it.
-Untaped, the rounds of each half alternate between the rows the previous
-round consumed and one spare of half the rows, so evaluation needs 1.5x
-the absorbed rows, not 2x. Nothing returned, logits or
-``EffectiveChain``, is a view of the workspace.
+round outputs and, taped, its round adjoints from its tape's workspace
+(``autodiff.Workspace``), which sizes itself from what it hands out.
+``schedule_tape`` lends the module's workspace to a pairwise tape; the
+untaped ``forward_batch`` and the taped training step borrow it, and a
+tape passed in by the caller is never lent it. Untaped, the rounds of each
+half alternate between the rows the previous round consumed and one spare
+of half the rows, so evaluation needs 1.5x the absorbed rows, not 2x.
+Nothing returned, logits or ``EffectiveChain``, is a view of the
+workspace.
 """
 
 import enum
@@ -168,46 +169,19 @@ def _halved(rows: int) -> int:
     return rows - rows // 2
 
 
-def _round_rows(rows: int) -> list[int]:
-    """Rows of each stack one half's rounds pass through, from ``rows`` down to 1."""
-    counts = [rows]
-    while counts[-1] > 1:
-        counts.append(_halved(counts[-1]))
-    return counts
-
-
-def _pairwise_workspace_floats(model, batch, taped):
-    """Float64s that one pairwise call on ``batch`` images takes from the workspace.
-
-    Counted in [B, chi, chi] matrices: L for the label block, then per half
-    of n rows, whose rounds pass through stacks of s_0 = n, ..., s_K = 1
-    rows. Taped: the absorbed rows (s_0), the round outputs (s_1 .. s_K)
-    and the round adjoints (s_0 .. s_K-1). Untaped: the absorbed rows and a
-    spare of ceil(n/2) rows when there is a round.
-    """
-    n_left = model.label_site - 1
-    matrices = model.n_labels
-    for n in (n_left, model.cores.shape[0] - n_left):
-        if taped:
-            rows = _round_rows(n)
-            matrices += sum(rows) + sum(rows[:-1])
-        else:
-            matrices += n + (_halved(n) if n > 1 else 0)
-    return matrices * batch * model.bond_dim**2
-
-
 @contextmanager
-def schedule_tape(model: MpsClassifier, feats: np.ndarray, strategy: Strategy, recording=True):
-    """A new tape for one ``strategy`` call on checked features ``feats`` ([B, N, d]).
+def schedule_tape(strategy: Strategy, recording=True):
+    """A new tape for one ``strategy`` call.
 
-    A pairwise tape is lent the workspace, sized for the call, until the
-    block exits, so nothing the block returns may be a view of it.
+    A pairwise tape is lent the workspace until the block exits, so nothing
+    the block returns may be a view of it. The sequential sweep takes no
+    arrays from a workspace, so its tape is not lent one.
     """
     tape = Tape(recording)
     if strategy is not Strategy.PAIRWISE:
         yield tape
         return
-    with lend_workspace(tape, _pairwise_workspace_floats(model, feats.shape[0], recording)):
+    with lend_workspace(tape):
         yield tape
 
 
@@ -264,7 +238,7 @@ def forward_batch(
         raise ConfigError(f"unknown strategy {strategy!r}")
     if tape is not None:
         return forward(model, feats, tape)
-    with schedule_tape(model, feats, strategy, recording=False) as untaped:
+    with schedule_tape(strategy, recording=False) as untaped:
         return forward(model, feats, untaped)
 
 

@@ -224,8 +224,14 @@ def _smooth(field: np.ndarray, passes: int = 2) -> np.ndarray:
     return out
 
 
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ConfigError(f"cannot generate {count} images")
+
+
 def synthetic_blobs(count: int, seed: int = 0) -> ImageSet:
     """Two-class 4x4 toy set: bright top-left vs bright bottom-right corner."""
+    _check_count(count)
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, size=count)
     images = rng.uniform(0.0, 0.25, size=(count, 4, 4))
@@ -256,6 +262,7 @@ def synthetic_digits(
     with different ``seed`` values share the same task and can serve as
     train/test splits of each other.
     """
+    _check_count(count)
     template_rng = np.random.default_rng(template_seed)
     rng = np.random.default_rng(seed)
     templates = np.stack(

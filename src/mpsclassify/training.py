@@ -124,8 +124,9 @@ def _taped_step(model, feats, labels, loss_kind, strategy) -> tuple[float, np.nd
     Raises ``NumericError`` when the loss is not finite, when every logit
     is below ``TINY_LOGIT`` in magnitude, or when a gradient is not finite.
     Brute force records nothing on the tape, so it raises ``ConfigError``.
-    A pairwise tape borrows the workspace (``schedule_tape``); the loss,
-    logits and gradients returned are new arrays, not views of it.
+    A pairwise tape borrows the module's workspace (``schedule_tape``),
+    which grows to the largest borrow so far; the loss, logits and
+    gradients returned are new arrays, not views of it.
     """
     if strategy is Strategy.BRUTE_FORCE:
         raise ConfigError(
@@ -133,7 +134,7 @@ def _taped_step(model, feats, labels, loss_kind, strategy) -> tuple[float, np.nd
             "use the pairwise or sequential strategy"
         )
     feats = check_batch_features(model, feats)
-    with schedule_tape(model, feats, strategy) as tape:
+    with schedule_tape(strategy) as tape:
         tape.watch_model(model)
         logits = forward_batch(model, feats, strategy, tape=tape)
         loss = float(tape.loss(loss_kind, logits, labels))

@@ -103,6 +103,16 @@ class TestTrain:
         assert "--downsample" in err and repr(factor) in err
         assert not ckpt.exists()
 
+    def test_negative_synthetic_rejected_before_training(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.mps"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--synthetic", "-5", "--epochs", "1", "--checkpoint", str(ckpt)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--synthetic" in err and "'-5'" in err
+        assert not ckpt.exists()
+
     def test_missing_data_dir_is_an_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("MPSCLASSIFY_DATA_DIR", raising=False)
         code = main(["train", "--epochs", "1"])
@@ -128,6 +138,16 @@ class TestEval:
         assert code == 0
         out = capsys.readouterr().out
         assert "accuracy" in out
+
+    def test_negative_synthetic_rejected_before_loading(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.mps"
+        save_checkpoint(init_model(16, 2, 2, seed=0), ckpt)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint", str(ckpt), "--synthetic", "-5"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--synthetic" in err and "'-5'" in err
 
     def test_eval_confusion_matrix(self, tmp_path, capsys):
         ckpt = tmp_path / "model.mps"
@@ -193,6 +213,24 @@ class TestGradCheckCommand:
         code = main(["grad-check", "--step", "0.1", "--tolerance", "1e-9"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("batch", ["0", "-1"])
+    def test_empty_batch_rejected_before_checking(self, capsys, batch):
+        with pytest.raises(SystemExit) as exc:
+            main(["grad-check", "--batch", batch])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--batch" in err and repr(batch) in err
+
+    @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])
+    def test_step_not_positive_rejected_before_checking(self, capsys, step):
+        with pytest.raises(SystemExit) as exc:
+            main(["grad-check", "--step", step])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--step" in err and repr(step) in err
 
     def test_deterministic_output(self, capsys):
         main(["grad-check", "--seed", "5"])
@@ -275,6 +313,18 @@ class TestBenchCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert "--repeats" in err and "'0'" in err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("batch", ["0", "-1"])
+    def test_empty_batch_rejected_before_timing(self, tmp_path, capsys, batch):
+        out_csv = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-contraction", "--sites", "10", "--bond-dims", "2",
+                  "--batch", batch, "--repeats", "1", "--csv", str(out_csv)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--batch" in err and repr(batch) in err
         assert not out_csv.exists()
 
 

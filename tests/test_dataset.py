@@ -235,6 +235,11 @@ class TestSyntheticSets:
             mean_b = b.images[b.labels == cls].mean(axis=0)
             assert np.corrcoef(mean_a, mean_b)[0, 1] > 0.8
 
+    @pytest.mark.parametrize("generate", [synthetic_blobs, synthetic_digits])
+    def test_negative_count_rejected(self, generate):
+        with pytest.raises(ConfigError, match="-3"):
+            generate(-3, seed=0)
+
     def test_label_histogram(self):
         hist = label_histogram(np.array([0, 2, 2, 1]), n_labels=4)
         assert hist == [1, 1, 2, 0]

@@ -18,7 +18,6 @@ from mpsclassify import (
     loss_and_gradients,
 )
 from mpsclassify import autodiff
-from mpsclassify.contraction import _pairwise_workspace_floats
 from mpsclassify.training import _taped_step, evaluate_predictions
 
 SCHEDULES = (Strategy.PAIRWISE, Strategy.SEQUENTIAL)
@@ -64,30 +63,75 @@ def test_nothing_returned_aliases_the_workspace():
 )
 @pytest.mark.parametrize("taped", [True, False])
 def test_workspace_is_sized_exactly(monkeypatch, n_sites, label_site, taped):
-    """A pairwise call takes exactly the floats it reserved, so it never runs out."""
+    """After one pairwise call, the same call again takes every array from the buffer, and fills it."""
+    workspace = autodiff.Workspace()
+    monkeypatch.setattr(autodiff, "_WORKSPACE", workspace)
     model = init_model(n_sites, 3, 2, seed=0, label_site=label_site)
     feats = encoded(model, np.random.default_rng(1), 5)
-    reserved = []
-    real = autodiff.Workspace.reserve
-
-    def recording(self, floats):
-        reserved.append(floats)
-        real(self, floats)
-
-    monkeypatch.setattr(autodiff.Workspace, "reserve", recording)
     if taped:
-        loss_and_gradients(model, feats, np.arange(5) % 3)
+        call = lambda: loss_and_gradients(model, feats, np.arange(5) % 3)  # noqa: E731
     else:
-        forward_batch(model, feats)
-    assert reserved == [_pairwise_workspace_floats(model, 5, taped)]
-    assert autodiff._WORKSPACE._used == reserved[0]
+        call = lambda: forward_batch(model, feats)  # noqa: E731
+    call()
+    real = autodiff.Workspace.empty
+    overflowed = []
+
+    def checked(self, shape):
+        arr = real(self, shape)
+        if self is workspace and arr.size and not np.shares_memory(arr, self._flat):
+            overflowed.append(shape)
+        return arr
+
+    monkeypatch.setattr(autodiff.Workspace, "empty", checked)
+    call()
+    assert overflowed == []
+    assert 0 < workspace._used == workspace._flat.size
+
+
+@pytest.mark.parametrize("taped", [True, False])
+def test_a_call_that_overflows_matches_one_from_the_buffer(monkeypatch, taped):
+    """On an empty workspace every array overflows into a new one; the numbers do not change.
+
+    The next call grows the buffer to exactly what the first took, and a
+    user tape, which is never lent the workspace, gives the same bytes.
+    """
+    workspace = autodiff.Workspace()
+    monkeypatch.setattr(autodiff, "_WORKSPACE", workspace)
+    model = init_model(21, 4, 3, seed=0, label_site=7)
+    rng = np.random.default_rng(3)
+    feats, labels = encoded(model, rng, 6), rng.integers(0, 4, 6)
+    if taped:
+        def call():
+            loss, grads = loss_and_gradients(model, feats, labels)
+            return [np.asarray(loss)] + [arr for _, arr in grads.arrays()]
+
+        def call_on_user_tape():
+            user = Tape()
+            user.watch_model(model)
+            logits = forward_batch(model, feats, Strategy.PAIRWISE, tape=user)
+            loss = user.loss(LossKind.CROSS_ENTROPY, logits, labels)
+            return [loss] + autodiff.backward(user, [arr for _, arr in model.parameters()])
+    else:
+        def call():
+            return [forward_batch(model, feats)]
+
+        def call_on_user_tape():
+            return [forward_batch(model, feats, Strategy.PAIRWISE, tape=Tape(recording=False))]
+
+    first = call()
+    took = workspace._used
+    assert workspace._flat.size == 0 < took
+    second = call()
+    assert workspace._flat.size == took
+    for got in (second, call_on_user_tape()):
+        assert [arr.tobytes() for arr in got] == [arr.tobytes() for arr in first]
 
 
 def test_a_borrow_while_the_workspace_is_out_gets_fresh_arrays():
     model = init_model(21, 4, 3, seed=0)
     feats = encoded(model, np.random.default_rng(2), 6)
     want = forward_batch(model, feats)
-    with autodiff.lend_workspace(Tape(), 0) as holder:
+    with autodiff.lend_workspace(Tape()) as holder:
         assert holder.workspace is autodiff._WORKSPACE
         got = forward_batch(model, feats)
         assert autodiff._WORKSPACE._used == 0
