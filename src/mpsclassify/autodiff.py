@@ -32,9 +32,12 @@ beyond it. The module's workspace is kept across calls and grows to the
 largest borrow so far, so a repeated call touches no fresh pages; no caller
 states a size. ``lend_workspace`` lends it to one tape at a time and takes
 it back when its block exits. Only the package's own callers whose results
-never alias it borrow it: ``training._taped_step`` and the untaped
-``contraction.forward_batch``. A tape the user builds keeps its own empty
-workspace, so all its arrays are new. On a lent tape the absorbed label
+never alias it borrow it: ``training._taped_step``, once per step, and the
+untaped ``contraction.forward_batch``, once per block of at most
+``contraction.BLOCK_BYTES`` of absorbed bond matrices. So an evaluation
+borrows what one block needs, whatever its batch size, and only a taped
+step grows the buffer with its batch. A tape the user builds keeps its own
+empty workspace, so all its arrays are new. On a lent tape the absorbed label
 block and chain halves, and every ``pair_round`` output and adjoint, may be
 views of the workspace. Nothing returned, the gradients included, is one:
 the next borrower overwrites them. Row accumulators are new arrays. The
@@ -321,13 +324,13 @@ class Tape:
         """Multilinear einsum with no repeated index inside one operand, into ``out`` if given."""
         return self._record(kind, ops, einsum(subscripts, *ops, out=out), subscripts)
 
-    def pair_round(self, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def pair_round(self, stack: np.ndarray) -> np.ndarray:
         """One reduction round: products of adjacent rows of [T, ..., k, k].
 
         Rows (0,1), (2,3), ... are multiplied; when T is odd the final row is
         carried through unchanged, so the output has ceil(T/2) rows and the
-        overall ordered chain product is preserved. The output is written
-        into ``out`` when given, else into an array from ``workspace``.
+        overall ordered chain product is preserved. The output is an array
+        from ``workspace``.
         """
         if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2]:
             raise DimensionError(
@@ -335,8 +338,7 @@ class Tape:
             )
         if stack.shape[0] < 2:
             raise DimensionError("pair_round needs at least two matrices")
-        if out is None:
-            out = self.workspace.empty(_round_shape(stack))
+        out = self.workspace.empty(_round_shape(stack))
         return self._record("pair_round", (stack,), _pair_round_value(stack, out))
 
     def gather(self, x: np.ndarray, index: int) -> np.ndarray:

@@ -37,9 +37,12 @@ round outputs and, taped, its round adjoints from its tape's workspace
 (``autodiff.Workspace``), which sizes itself from what it hands out.
 ``schedule_tape`` lends the module's workspace to a pairwise tape; the
 untaped ``forward_batch`` and the taped training step borrow it, and a
-tape passed in by the caller is never lent it. Untaped, the rounds of each
-half alternate between the rows the previous round consumed and one spare
-of half the rows, so evaluation needs 1.5x the absorbed rows, not 2x.
+tape passed in by the caller is never lent it. The untaped
+``forward_batch`` runs a pairwise batch in even blocks of images whose
+absorbed bond matrices take at most ``BLOCK_BYTES`` (8 MiB), each on its
+own tape, so evaluation borrows about twice one block's absorbed rows
+whatever the batch size, and each block's stack is read back while it is
+still near the caches. A taped step records its whole batch at once.
 Nothing returned, logits or ``EffectiveChain``, is a view of the
 workspace.
 """
@@ -58,6 +61,11 @@ from .model import MpsClassifier
 from .tensor import DTYPE
 
 BRUTE_FORCE_MAX_SITES = 12
+
+# Untaped pairwise calls absorb at most this many bytes of bond matrices at
+# once, so a block's stack and rounds stay near the CPU caches and the
+# workspace is bounded by one block, not by the batch.
+BLOCK_BYTES = 8 * 2**20
 
 
 class Strategy(enum.Enum):
@@ -147,26 +155,12 @@ def _absorb_half(model, feats, tape, right):
 
 
 def _reduce_half(tape, stack):
-    """Pairwise rounds until one [B, chi, chi] matrix remains; None if empty.
-
-    Untaped, a round's input is dead once the round has run, so the rounds
-    write alternately into one spare of half the rows and into the rows the
-    round before consumed.
-    """
+    """Pairwise rounds until one [B, chi, chi] matrix remains; None if empty."""
     if stack.shape[0] == 0:
         return None
-    free = None
-    if not tape.recording and stack.shape[0] > 1:
-        free = tape.workspace.empty((_halved(stack.shape[0]),) + stack.shape[1:])
     while stack.shape[0] > 1:
-        out = None if free is None else free[: _halved(stack.shape[0])]
-        stack, free = tape.pair_round(stack, out=out), (None if free is None else stack)
+        stack = tape.pair_round(stack)
     return tape.gather(stack, 0)
-
-
-def _halved(rows: int) -> int:
-    """Rows a round leaves of ``rows``: one per pair, plus a carried odd row."""
-    return rows - rows // 2
 
 
 @contextmanager
@@ -224,8 +218,16 @@ def forward_batch(
 ) -> np.ndarray:
     """Logits [B, L] for a batch of encoded images [B, N, d], as a new array.
 
-    Without ``tape``, the pairwise schedule borrows the workspace for the
-    call (see ``schedule_tape``); a ``tape`` given is never lent it.
+    Without ``tape``, the pairwise schedule runs the batch in blocks of
+    images whose absorbed bond matrices take at most ``BLOCK_BYTES``, each
+    on its own tape that borrows the workspace (see ``schedule_tape``), and
+    writes each block's logits into one new array. A ``tape`` given records
+    the whole batch at once and is never lent the workspace.
+
+    When the budget holds fewer than three images (at N=196, chi >= 43),
+    a block can hold one image, and a one-image block rounds differently
+    from the whole batch: its logits then match per-image calls bit for bit
+    but may differ from a taped forward of the same batch in the last bits.
     """
     feats = check_batch_features(model, feats)
     if strategy is Strategy.PAIRWISE:
@@ -238,8 +240,23 @@ def forward_batch(
         raise ConfigError(f"unknown strategy {strategy!r}")
     if tape is not None:
         return forward(model, feats, tape)
-    with schedule_tape(strategy, recording=False) as untaped:
-        return forward(model, feats, untaped)
+    if strategy is Strategy.SEQUENTIAL:
+        with schedule_tape(strategy, recording=False) as untaped:
+            return forward(model, feats, untaped)
+    # N=3 has no bond matrices; its block is then sized as if it had one.
+    image_bytes = max(1, model.n_sites - 3) * model.bond_dim**2 * feats.itemsize
+    block = max(1, BLOCK_BYTES // image_bytes)
+    count = feats.shape[0]
+    blocks = -(-count // block)
+    logits = np.empty((count, model.n_labels), dtype=DTYPE)
+    # Blocks are even, so none holds one image unless the budget allows
+    # fewer than three: a one-image batch rounds differently from a larger
+    # one, because its einsum plans drop the batch axis.
+    for k in range(blocks):
+        rows = slice(count * k // blocks, count * (k + 1) // blocks)
+        with schedule_tape(strategy, recording=False) as untaped:
+            logits[rows] = forward(model, feats[rows], untaped)
+    return logits
 
 
 def forward_pairwise(model: MpsClassifier, image: np.ndarray) -> np.ndarray:

@@ -123,7 +123,8 @@ def _taped_step(model, feats, labels, loss_kind, strategy) -> tuple[float, np.nd
 
     Raises ``NumericError`` when the loss is not finite, when every logit
     is below ``TINY_LOGIT`` in magnitude, or when a gradient is not finite.
-    Brute force records nothing on the tape, so it raises ``ConfigError``.
+    Brute force records nothing on the tape, and an empty batch has no
+    loss, so either raises ``ConfigError``.
     A pairwise tape borrows the module's workspace (``schedule_tape``),
     which grows to the largest borrow so far; the loss, logits and
     gradients returned are new arrays, not views of it.
@@ -134,6 +135,8 @@ def _taped_step(model, feats, labels, loss_kind, strategy) -> tuple[float, np.nd
             "use the pairwise or sequential strategy"
         )
     feats = check_batch_features(model, feats)
+    if feats.shape[0] == 0:
+        raise ConfigError("cannot take a step on an empty batch: it holds no images")
     with schedule_tape(strategy) as tape:
         tape.watch_model(model)
         logits = forward_batch(model, feats, strategy, tape=tape)
@@ -245,6 +248,8 @@ def evaluate_predictions(
     count = feats.shape[0]
     if count == 0:
         raise ConfigError("cannot evaluate an empty set: it holds no images")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     loss_sum = 0.0
     preds = np.empty(count, dtype=np.int64)
     for start in range(0, count, batch_size):

@@ -20,7 +20,7 @@ from mpsclassify import (
     predict,
     predict_batch,
 )
-from mpsclassify import autodiff
+from mpsclassify import autodiff, contraction
 from mpsclassify.autodiff import _node_forward_flops
 from mpsclassify.encoding import FeatureMap, encode_batch, encode_image
 from mpsclassify.errors import ConfigError, DimensionError, NumericError
@@ -243,6 +243,45 @@ class TestPairwiseRounds:
         np.testing.assert_allclose(
             forward_pairwise(model, feats), brute_force_logits(model, feats), rtol=1e-10
         )
+
+
+class TestUntapedBlocks:
+    """An untaped pairwise call runs its batch in even blocks of at most ``BLOCK_BYTES``.
+
+    The reference records the whole batch on one tape, which is never
+    blocked. A one-image batch rounds differently from a larger one, so a
+    shape whose block is one image is compared with per-image calls.
+    """
+
+    @pytest.mark.parametrize(
+        "n_sites, bond_dim, count",
+        [
+            (196, 10, 109),  # 54 images a block: three of 36-37, not 54 + 54 + 1
+            (196, 10, 20),  # smaller than one block
+            (3, 4, 7),  # no bond matrices
+            (132, 64, 3),  # one image fills a block
+        ],
+    )
+    def test_blocked_logits_are_byte_identical(self, monkeypatch, rng, n_sites, bond_dim, count):
+        model = init_model(n_sites, 3, bond_dim, seed=2)
+        feats = encode_batch(model.feature_map, rng.random((count, n_sites)))
+        image_bytes = max(1, n_sites - 3) * bond_dim**2 * 8
+        block = max(1, contraction.BLOCK_BYTES // image_bytes)
+        if block == 1:
+            want = np.concatenate([forward_batch(model, feats[b : b + 1]) for b in range(count)])
+        else:
+            want = forward_batch(model, feats, Strategy.PAIRWISE, tape=Tape(recording=False))
+        tapes = []
+        real = contraction.schedule_tape
+
+        def counted(strategy, recording=True):
+            tapes.append(recording)
+            return real(strategy, recording)
+
+        monkeypatch.setattr(contraction, "schedule_tape", counted)
+        got = forward_batch(model, feats)
+        assert tapes == [False] * -(-count // block)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStackLayout:

@@ -1,5 +1,7 @@
 """Losses, Adam behavior, and the full training loop on synthetic data."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import mpmath
 
 from mpsclassify import (
     LossKind,
+    Strategy,
     TrainConfig,
     adam_step,
     batch_loss,
@@ -33,7 +36,7 @@ from mpsclassify.losses import (
     mean_square_loss,
     mean_square_with_grad,
 )
-from mpsclassify.training import ADAM_EPS, METRICS_COLUMNS
+from mpsclassify.training import ADAM_EPS, METRICS_COLUMNS, evaluate_predictions
 
 
 def cross_entropy_mpmath(logits, labels, dps=50):
@@ -416,6 +419,27 @@ class TestTrainLoop:
         feats = encode_batch(model.feature_map, np.zeros((0, 16)))
         with pytest.raises(ConfigError, match="empty set"):
             evaluate(model, feats, np.zeros(0, dtype=np.int64))
+
+    def test_evaluate_rejects_a_batch_size_below_one(self):
+        """Not a range() error, and not an accuracy read from unset predictions."""
+        test_set = synthetic_blobs(10, seed=4)
+        model = init_model(16, 2, 3, seed=0)
+        feats = encode_batch(model.feature_map, test_set.images)
+        for batch_size in (0, -5):
+            with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+                evaluate(model, feats, test_set.labels, batch_size=batch_size)
+            with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+                evaluate_predictions(model, feats, test_set.labels, batch_size=batch_size)
+
+    @pytest.mark.parametrize("strategy", [Strategy.PAIRWISE, Strategy.SEQUENTIAL])
+    def test_step_on_empty_batch_names_it(self, strategy):
+        """A named error before any contraction, not NumPy warnings and a nan loss."""
+        model = init_model(16, 2, 3, seed=0)
+        feats = encode_batch(model.feature_map, np.zeros((0, 16)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="empty batch"):
+                loss_and_gradients(model, feats, np.zeros(0, dtype=np.int64), strategy=strategy)
 
     def test_train_on_empty_train_set_names_it(self):
         class Empty:

@@ -17,7 +17,7 @@ from mpsclassify import (
     init_model,
     loss_and_gradients,
 )
-from mpsclassify import autodiff
+from mpsclassify import autodiff, contraction
 from mpsclassify.training import _taped_step, evaluate_predictions
 
 SCHEDULES = (Strategy.PAIRWISE, Strategy.SEQUENTIAL)
@@ -137,6 +137,21 @@ def test_a_borrow_while_the_workspace_is_out_gets_fresh_arrays():
         assert autodiff._WORKSPACE._used == 0
     assert np.array_equal(got, want)
     assert holder.workspace is not autodiff._WORKSPACE
+
+
+def test_an_untaped_pairwise_call_keeps_one_block(monkeypatch):
+    """A batch of four blocks leaves the buffer at the size a batch of one block leaves."""
+    model = init_model(196, 10, 10, seed=0)
+    block = contraction.BLOCK_BYTES // (193 * 10 * 10 * 8)
+    feats = encoded(model, np.random.default_rng(4), 4 * block)
+    sizes = []
+    for count in (block, 4 * block):
+        workspace = autodiff.Workspace()
+        monkeypatch.setattr(autodiff, "_WORKSPACE", workspace)
+        for _ in range(2):
+            forward_batch(model, feats[:count])
+        sizes.append(workspace._flat.size)
+    assert sizes[0] == sizes[1] > 0
 
 
 def minor_faults() -> int:
