@@ -11,6 +11,7 @@ import os
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,16 @@ def _timed(repeats: int, call) -> tuple[float, int]:
     return best, round(faults / repeats)
 
 
+def _traced_peak_mib(call) -> float:
+    """Peak of the memory NumPy and Python allocate during one ``call``, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def _cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     images = rng.uniform(0.0, 1.0, size=(args.batch, args.sites))
@@ -199,14 +210,17 @@ def _cmd_bench(args) -> int:
             }
             if args.backward:
                 labels = np.zeros(args.batch, dtype=np.int64)
-                best_bwd, bwd_faults = _timed(
-                    args.repeats,
-                    lambda: loss_and_gradients(model, feats, labels, strategy=strategy),
-                )
+
+                def step():
+                    loss_and_gradients(model, feats, labels, strategy=strategy)
+
+                best_bwd, bwd_faults = _timed(args.repeats, step)
                 counted.loss(LossKind.CROSS_ENTROPY, logits, labels)
                 row["forward_backward_seconds"] = best_bwd
                 row["backward_flops"] = counted.backward_flops()
                 row["forward_backward_minor_faults"] = bwd_faults
+                # One more step, untimed, since tracing slows every allocation.
+                row["forward_backward_peak_mib"] = _traced_peak_mib(step)
             rows.append(row)
             print(
                 "  ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
@@ -290,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--backward", action="store_true",
-                   help="also time forward+backward and count adjoint flops")
+                   help="also time forward+backward, count adjoint flops and trace its peak memory")
     p.add_argument("--csv", help="write the benchmark rows here")
     p.set_defaults(func=_cmd_bench)
     return parser

@@ -184,7 +184,9 @@ def _combine(tape, lv, left_mat, lab, right_mat, rv):
         lv = tape.contract("bx,bxy->by", lv, left_mat, kind="combine")
     if right_mat is not None:
         rv = tape.contract("bxy,by->bx", right_mat, rv, kind="combine")
-    return tape.contract("bx,blxy,by->bl", lv, lab, rv, kind="combine")
+    # y, the label block's last index, is contracted first, so the plan
+    # multiplies the block as it lies instead of copying it transposed.
+    return tape.contract("by,blxy,bx->bl", rv, lab, lv, kind="combine")
 
 
 def _forward_pairwise_batch(model, feats, tape):

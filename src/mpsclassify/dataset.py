@@ -271,14 +271,22 @@ def synthetic_digits(
     templates -= templates.min(axis=(1, 2), keepdims=True)
     templates /= templates.max(axis=(1, 2), keepdims=True)
     labels = rng.integers(0, n_classes, size=count)
+    # Per image the stream yields the row shift, the column shift, then the
+    # noise, so the draws stay in that order; the templates are added after.
     images = np.empty((count, side, side), dtype=DTYPE)
-    for i, label in enumerate(labels):
-        shifted = np.roll(
-            templates[label], (rng.integers(-1, 2), rng.integers(-1, 2)), axis=(0, 1)
-        )
-        images[i] = 0.75 * shifted + rng.uniform(0.0, 0.25, size=(side, side))
+    shifts = np.empty((count, 2), dtype=np.int64)
+    for i in range(count):
+        shifts[i] = rng.integers(-1, 2), rng.integers(-1, 2)
+        images[i] = rng.uniform(0.0, 0.25, size=(side, side))
+    # One group per (label, shift), so the temporary is a group's rows, not the set.
+    groups = (labels * 3 + shifts[:, 0] + 1) * 3 + shifts[:, 1] + 1
+    for group in np.unique(groups):
+        rows = np.flatnonzero(groups == group)
+        label, shift = labels[rows[0]], tuple(shifts[rows[0]])
+        images[rows] += 0.75 * np.roll(templates[label], shift, axis=(0, 1))
+    np.clip(images, 0.0, 1.0, out=images)
     return ImageSet(
-        images=np.clip(images, 0.0, 1.0).reshape(count, side * side),
+        images=images.reshape(count, side * side),
         labels=labels.astype(np.int64),
         source=f"synthetic-digits(seed={seed})",
         height=side,

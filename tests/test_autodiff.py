@@ -1,5 +1,7 @@
 """Tape recording, adjoint rules, and the finite-difference harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -324,6 +326,51 @@ class TestRowAdjointsInPlace:
             x.flat[k] = orig
             numeric.flat[k] = (up - down) / (2 * h)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-7, atol=1e-9)
+
+
+class TestAdjointLifetimes:
+    """``backward`` drops each adjoint once its producer has passed it on."""
+
+    def test_backward_peak_on_a_desk_sequential_tape(self):
+        """Desk recipe, batch 50: no adjoint outlives the node that produced its array.
+
+        Keeping all 584 nodes' adjoints to the end traced about 9.3 MiB here;
+        dropping each after its producer runs traces about 0.8 MiB.
+        """
+        model = init_model(196, 10, 10, seed=0)
+        rng = np.random.default_rng(0)
+        feats = encode_batch(model.feature_map, rng.random((50, 196)))
+        tape = Tape()
+        tape.watch_model(model)
+        logits = forward_batch(model, feats, Strategy.SEQUENTIAL, tape=tape)
+        tape.loss(LossKind.CROSS_ENTROPY, logits, rng.integers(0, 10, 50))
+        params = [arr for _, arr in model.parameters()]
+        tracemalloc.start()
+        try:
+            grads = backward(tape, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tape.nodes) == 584
+        assert all(np.abs(g).max() > 0 for g in grads)
+        assert peak < 2 * 2**20, f"backward traced {peak / 2**20:.2f} MiB"
+
+    def test_intermediate_arrays_in_wrt_keep_their_adjoints(self, rng):
+        """loss = sum(W * (A B)[1]): d(row) = W, d(AB) = W in row 1, dA = d(AB) B^T."""
+        a = rng.standard_normal((3, 4))
+        b = rng.standard_normal((4, 5))
+        w = rng.standard_normal(5)
+        tape = Tape()
+        tape.watch(a)
+        c = tape.contract("ij,jk->ik", a, b)
+        row = tape.gather(c, 1)
+        weighted_sum(tape, row, w)
+        da, dc, drow = backward(tape, [a, c, row])
+        np.testing.assert_array_equal(drow, w)
+        want_dc = np.zeros_like(c)
+        want_dc[1] = w
+        np.testing.assert_array_equal(dc, want_dc)
+        np.testing.assert_allclose(da, want_dc @ b.T, rtol=1e-14)
 
 
 class TestModelGradients:

@@ -278,6 +278,7 @@ class TestBenchCommand:
         assert int(rows[1][rows[0].index("backward_flops")]) > 0
         for column in ("forward_minor_faults", "forward_backward_minor_faults"):
             assert int(rows[1][rows[0].index(column)]) >= 0
+        assert float(rows[1][rows[0].index("forward_backward_peak_mib")]) > 0
 
     def test_brute_force_backward_is_a_named_error(self, capsys):
         code = main(["bench-contraction", "--sites", "8", "--batch", "2", "--bond-dims", "2",

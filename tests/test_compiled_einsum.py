@@ -14,7 +14,7 @@ from mpsclassify.errors import DimensionError
 SRC = Path(__file__).resolve().parent.parent / "src" / "mpsclassify"
 
 # The label combine of both schedules and the adjoint of each of its operands.
-COMBINE_FORMS = {"bx,blxy,by->bl", "bl,blxy,by->bx", "bx,bl,by->blxy", "bx,blxy,bl->by"}
+COMBINE_FORMS = {"by,blxy,bx->bl", "bl,blxy,bx->by", "by,bl,bx->blxy", "by,blxy,bl->bx"}
 
 # Every subscript form a taped step records, forward and adjoint, plus two
 # single-image absorb forms.

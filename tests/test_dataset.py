@@ -8,6 +8,7 @@ import pytest
 
 from mpsclassify.dataset import (
     ImageSet,
+    _smooth,
     downsample,
     downsample_images,
     label_histogram,
@@ -225,6 +226,29 @@ class TestSyntheticSets:
         assert s.images.shape == (40, 196)
         assert s.images.min() >= 0.0 and s.images.max() <= 1.0
         assert s.labels.max() < 10
+
+    @pytest.mark.parametrize(
+        "count, seed, side", [(2000, 1, 14), (37, 5, 14), (1, 4, 14), (0, 0, 14), (60, 9, 28)]
+    )
+    def test_digits_match_the_per_image_draw(self, count, seed, side):
+        """Bit for bit what rolling and adding each image in draw order gives."""
+        template_rng = np.random.default_rng(12345)
+        rng = np.random.default_rng(seed)
+        templates = np.stack(
+            [_smooth(template_rng.uniform(0.0, 1.0, size=(side, side))) for _ in range(10)]
+        )
+        templates -= templates.min(axis=(1, 2), keepdims=True)
+        templates /= templates.max(axis=(1, 2), keepdims=True)
+        labels = rng.integers(0, 10, size=count)
+        want = np.empty((count, side, side))
+        for i, label in enumerate(labels):
+            shifted = np.roll(
+                templates[label], (rng.integers(-1, 2), rng.integers(-1, 2)), axis=(0, 1)
+            )
+            want[i] = 0.75 * shifted + rng.uniform(0.0, 0.25, size=(side, side))
+        s = synthetic_digits(count, seed=seed, side=side)
+        assert s.images.tobytes() == np.clip(want, 0.0, 1.0).reshape(count, side * side).tobytes()
+        np.testing.assert_array_equal(s.labels, labels)
 
     def test_different_seeds_share_class_templates(self):
         """Same template seed: class means correlate strongly across draws."""
