@@ -18,7 +18,6 @@ from mpsclassify import (
     encode_batch,
     forward_batch,
     init_model,
-    num_pairwise_rounds,
 )
 
 rng = np.random.default_rng(7)
@@ -35,8 +34,20 @@ for strategy in (Strategy.SEQUENTIAL, Strategy.PAIRWISE):
     print(f"{strategy.value:13s}", logits, f" relative deviation {dev:.2e}")
 
 print()
-print("pairwise halves shrink in rounds:",
-      ", ".join(f"{t} matrices -> {num_pairwise_rounds(t)} rounds" for t in (4, 8, 97)))
+print("pairwise halves shrink in rounds, counted from the nodes a recording tape keeps:")
+for n_sites in (10, 20, 196):
+    chain = init_model(n_sites, n_labels, chi, seed=1)
+    tape = Tape()
+    tape.watch_model(chain)
+    f = encode_batch(chain.feature_map, rng.random((1, n_sites)))
+    forward_batch(chain, f, Strategy.PAIRWISE, tape=tape)
+    halves = []  # [matrices, rounds] per half, left then right
+    for node in tape.nodes:
+        if node.extra == "sdxy,bsd->sbxy":  # a half's absorb, one matrix per site
+            halves.append([node.output.shape[0], 0])
+        elif node.kind == "pair_round":
+            halves[-1][1] += 1
+    print(f"  N={n_sites:<4}", ", ".join(f"{t} matrices -> {r} rounds" for t, r in halves))
 
 print()
 print("arithmetic cost at N=196, batch 50, by bond dimension")

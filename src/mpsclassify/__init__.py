@@ -9,19 +9,7 @@ itself, so every core updates at once under Adam.
 __version__ = "0.1.0"
 
 from .autodiff import Gradients, Tape, backward, grad_check
-from .contraction import (
-    EffectiveChain,
-    Strategy,
-    absorb_inputs,
-    brute_force_logits,
-    encode_and_forward,
-    forward_batch,
-    forward_pairwise,
-    forward_sequential,
-    num_pairwise_rounds,
-    predict,
-    predict_batch,
-)
+from .contraction import Strategy, brute_force_logits, forward_batch, predict_batch
 from .dataset import (
     ImageSet,
     downsample,
@@ -35,13 +23,7 @@ from .dataset import (
     synthetic_digits,
     take,
 )
-from .encoding import (
-    DEFAULT_FEATURE_MAP,
-    FeatureMap,
-    encode_batch,
-    encode_image,
-    encode_pixel,
-)
+from .encoding import DEFAULT_FEATURE_MAP, FeatureMap, encode_batch
 from .errors import (
     CheckpointError,
     ConfigError,

@@ -161,7 +161,11 @@ def _cmd_grad_check(args) -> int:
 
 
 def _timed(repeats: int, call) -> tuple[float, int]:
-    """Best wall time of ``repeats`` calls, and their mean count of minor page faults."""
+    """Best wall time of ``repeats`` warm calls, and their mean count of minor page faults.
+
+    One untimed call runs first, so neither figure counts a first call's work.
+    """
+    call()
     best = float("inf")
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(repeats):

@@ -22,8 +22,7 @@ FLOPs are counted from the nodes a recording tape keeps
 Each schedule has one path, in plain float64 with no rescaling: a badly
 scaled long chain overflows to non-finite logits or underflows to logits
 too small to carry a scale, and the taped training step names either
-failure (``train`` adds the epoch and batch). ``absorb_inputs`` runs the
-batched absorb on a one-image batch, so it is the code that trains.
+failure (``train`` adds the epoch and batch).
 
 Layout: every absorb names the weights as its first operand (for example
 ``"sdxy,bsd->sbxy"``), so the compiled plan's final ``matmul`` writes the
@@ -43,19 +42,16 @@ absorbed bond matrices take at most ``BLOCK_BYTES`` (8 MiB), each on its
 own tape, so evaluation borrows about twice one block's absorbed rows
 whatever the batch size, and each block's stack is read back while it is
 still near the caches. A taped step records its whole batch at once.
-Nothing returned, logits or ``EffectiveChain``, is a view of the
-workspace.
+No logits returned are a view of the workspace.
 """
 
 import enum
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tape, lend_workspace
-from .encoding import encode_batch
 from .errors import ConfigError, DimensionError, NumericError
 from .model import MpsClassifier
 from .tensor import DTYPE
@@ -74,23 +70,6 @@ class Strategy(enum.Enum):
     BRUTE_FORCE = "brute-force"
 
 
-@dataclass
-class EffectiveChain:
-    """Result of absorbing one image: the chain with pixel indices removed."""
-
-    left: np.ndarray          # [chi]
-    matrices: np.ndarray      # [N-3, chi, chi], ascending site order
-    label_block: np.ndarray   # [L, chi, chi]
-    right: np.ndarray         # [chi]
-
-
-def num_pairwise_rounds(n_matrices: int) -> int:
-    """Rounds needed to reduce a chain of matrices to a single one."""
-    if n_matrices <= 1:
-        return 0
-    return int(np.ceil(np.log2(n_matrices)))
-
-
 def check_batch_features(model: MpsClassifier, feats: np.ndarray) -> np.ndarray:
     feats = np.ascontiguousarray(feats, dtype=DTYPE)
     if feats.ndim != 3:
@@ -104,19 +83,6 @@ def check_batch_features(model: MpsClassifier, feats: np.ndarray) -> np.ndarray:
             f"feature dimension {feats.shape[2]} does not match model d={model.local_dim}"
         )
     return feats
-
-
-def absorb_inputs(model: MpsClassifier, image: np.ndarray) -> EffectiveChain:
-    """Contract every pixel index of one encoded image ([N, d]) into the chain."""
-    image = np.asarray(image)
-    if image.ndim != 2:
-        raise DimensionError(f"expected [N, d] encoded image, got shape {image.shape}")
-    feats = check_batch_features(model, image[None])
-    tape = Tape(recording=False)
-    lv, lab, rv = _absorb_ends(model, feats, tape)
-    halves = [_absorb_half(model, feats, tape, right) for right in (False, True)]
-    matrices = np.concatenate(halves)[:, 0]
-    return EffectiveChain(left=lv[0], matrices=matrices, label_block=lab[0], right=rv[0])
 
 
 def _absorb_ends(model, feats, tape):
@@ -261,16 +227,6 @@ def forward_batch(
     return logits
 
 
-def forward_pairwise(model: MpsClassifier, image: np.ndarray) -> np.ndarray:
-    """Logits for one encoded image via the parallel pairwise schedule."""
-    return forward_batch(model, np.asarray(image)[None], Strategy.PAIRWISE)[0]
-
-
-def forward_sequential(model: MpsClassifier, image: np.ndarray) -> np.ndarray:
-    """Logits for one encoded image via the two-ended sequential sweep."""
-    return forward_batch(model, np.asarray(image)[None], Strategy.SEQUENTIAL)[0]
-
-
 def brute_force_logits(model: MpsClassifier, image: np.ndarray) -> np.ndarray:
     """Literal sum over all 2^N pixel-index assignments; oracle for small N.
 
@@ -303,14 +259,6 @@ def brute_force_logits(model: MpsClassifier, image: np.ndarray) -> np.ndarray:
     return logits
 
 
-def predict(logits: np.ndarray) -> int:
-    """Index of the largest logit; ties break to the lowest index."""
-    logits = np.asarray(logits, dtype=DTYPE)
-    if logits.ndim != 1:
-        raise DimensionError(f"predict expects one row of logits, got shape {logits.shape}")
-    return int(predict_batch(logits[None])[0])
-
-
 def predict_batch(logits: np.ndarray) -> np.ndarray:
     """Row-wise argmax with lowest-index tie-breaking."""
     logits = np.asarray(logits, dtype=DTYPE)
@@ -319,13 +267,3 @@ def predict_batch(logits: np.ndarray) -> np.ndarray:
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logits in predict_batch")
     return np.argmax(logits, axis=1)
-
-
-def encode_and_forward(
-    model: MpsClassifier,
-    images: np.ndarray,
-    strategy: Strategy = Strategy.PAIRWISE,
-) -> np.ndarray:
-    """Convenience: encode raw [B, N] pixels with the model's feature map, then contract."""
-    feats = encode_batch(model.feature_map, images)
-    return forward_batch(model, feats, strategy)

@@ -48,27 +48,6 @@ def _features(fmap: FeatureMap, p: np.ndarray) -> np.ndarray:
     return np.stack([np.sin(half_pi * (1.0 - p)), np.sin(half_pi * p)], axis=-1)
 
 
-def encode_pixel(fmap: FeatureMap, p: float) -> np.ndarray:
-    """Feature vector of length d for one normalized pixel value."""
-    arr = np.asarray(p, dtype=DTYPE)
-    if arr.ndim != 0:
-        raise DomainError(f"encode_pixel expects a scalar, got shape {arr.shape}")
-    _check_range(arr)
-    return _features(fmap, arr)
-
-
-def encode_image(fmap: FeatureMap, pixels) -> np.ndarray:
-    """Encode N pixels into an [N, d] array of feature vectors.
-
-    Pixel order is preserved (row-major flattening of the source image).
-    """
-    p = np.asarray(pixels, dtype=DTYPE)
-    if p.ndim != 1:
-        raise DomainError(f"encode_image expects a flat pixel list, got shape {p.shape}")
-    _check_range(p)
-    return _features(fmap, p)
-
-
 def encode_batch(fmap: FeatureMap, images) -> np.ndarray:
     """Encode a [B, N] batch of flattened images into [B, N, d] features."""
     p = np.asarray(images, dtype=DTYPE)

@@ -30,7 +30,7 @@ class CheckpointError(MpsError):
 
 
 class CheckpointFormatError(CheckpointError):
-    """Checkpoint file does not start with the expected magic bytes."""
+    """Checkpoint file has bad magic bytes or a header no model allows."""
 
 
 class CheckpointVersionError(CheckpointError):

@@ -77,6 +77,21 @@ class MpsClassifier:
         )
 
 
+def _check_layout(n_sites: int, n_labels: int, bond_dim: int, label_site: int) -> None:
+    """Raise ConfigError naming the first field that no chain layout allows."""
+    if n_sites < 3:
+        raise ConfigError(
+            f"n_sites must be >= 3 so the label core sits strictly between "
+            f"the boundary sites, got {n_sites}"
+        )
+    if n_labels < 2:
+        raise ConfigError(f"n_labels must be >= 2, got {n_labels}")
+    if bond_dim < 1:
+        raise ConfigError(f"bond_dim must be >= 1, got {bond_dim}")
+    if not 1 <= label_site <= n_sites - 2:
+        raise ConfigError(f"label_site must lie in [1, {n_sites - 2}], got {label_site}")
+
+
 def init_model(
     n_sites: int,
     n_labels: int,
@@ -97,22 +112,10 @@ def init_model(
     largest |logit| per synthetic digit is 1e25 to 3e27. Deterministic
     given ``seed``.
     """
-    if n_sites < 3:
-        raise ConfigError(
-            f"n_sites must be >= 3 so the label core sits strictly between "
-            f"the boundary sites, got {n_sites}"
-        )
-    if n_labels < 2:
-        raise ConfigError(f"n_labels must be >= 2, got {n_labels}")
-    if bond_dim < 1:
-        raise ConfigError(f"bond_dim must be >= 1, got {bond_dim}")
+    m = n_sites // 2 if label_site is None else label_site
+    _check_layout(n_sites, n_labels, bond_dim, m)
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
-    m = n_sites // 2 if label_site is None else label_site
-    if not 1 <= m <= n_sites - 2:
-        raise ConfigError(
-            f"label_site must lie in [1, {n_sites - 2}], got {m}"
-        )
 
     d, chi, big_l = LOCAL_DIM, bond_dim, n_labels
     rng = np.random.default_rng(seed)
@@ -167,9 +170,10 @@ def save_checkpoint(model: MpsClassifier, path) -> None:
 def load_checkpoint(path) -> MpsClassifier:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Raises CheckpointFormatError on bad magic, CheckpointVersionError on an
-    unsupported version, CheckpointTruncatedError when the payload length
-    disagrees with the header.
+    Raises CheckpointFormatError on bad magic or a header field that no
+    model allows, CheckpointVersionError on an unsupported version,
+    CheckpointTruncatedError when the payload length disagrees with the
+    header.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -187,6 +191,12 @@ def load_checkpoint(path) -> MpsClassifier:
         )
     if fmap_code not in _FEATURE_MAP_FROM_CODE:
         raise CheckpointFormatError(f"unknown feature map code {fmap_code}")
+    if d != LOCAL_DIM:
+        raise CheckpointFormatError(f"checkpoint local_dim must be {LOCAL_DIM}, got {d}")
+    try:
+        _check_layout(n_sites, n_labels, chi, label_site)
+    except ConfigError as exc:
+        raise CheckpointFormatError(f"impossible checkpoint header in {path}: {exc}") from None
     off += _HEADER.size
 
     shapes = [

@@ -1,6 +1,7 @@
 """Subcommand behavior through main(argv), no subprocesses."""
 
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -202,6 +203,18 @@ class TestEval:
         assert code == 1
         assert "N=196" in capsys.readouterr().err
 
+    def test_impossible_label_site_is_a_named_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.mps"
+        save_checkpoint(init_model(49, 10, 2, seed=0), ckpt)
+        blob = bytearray(ckpt.read_bytes())
+        blob[28:32] = (60).to_bytes(4, "little")  # label_site, past the chain's end
+        ckpt.write_bytes(bytes(blob))
+        code = main(
+            ["eval", "--checkpoint", str(ckpt), "--synthetic", "20", "--downsample", "2"]
+        )
+        assert code == 1
+        assert "label_site" in capsys.readouterr().err
+
 
 class TestGradCheckCommand:
     def test_default_toy_passes(self, capsys):
@@ -279,6 +292,23 @@ class TestBenchCommand:
         for column in ("forward_minor_faults", "forward_backward_minor_faults"):
             assert int(rows[1][rows[0].index(column)]) >= 0
         assert float(rows[1][rows[0].index("forward_backward_peak_mib")]) > 0
+
+    def test_faults_count_warm_calls_only(self, monkeypatch):
+        """A call that faults only on its first run reads as a fault-free warm call."""
+        import mpsclassify.cli as cli
+
+        faults, runs = [0], []
+
+        def call():
+            if not runs:
+                faults[0] += 3000
+            runs.append(None)
+
+        monkeypatch.setattr(
+            cli.resource, "getrusage", lambda who: SimpleNamespace(ru_minflt=faults[0])
+        )
+        assert cli._timed(3, call)[1] == 0
+        assert len(runs) == 4
 
     def test_brute_force_backward_is_a_named_error(self, capsys):
         code = main(["bench-contraction", "--sites", "8", "--batch", "2", "--bond-dims", "2",

@@ -4,25 +4,17 @@ import numpy as np
 import pytest
 
 from mpsclassify import (
-    LossKind,
     Strategy,
     Tape,
-    absorb_inputs,
-    backward,
     brute_force_logits,
-    encode_and_forward,
     forward_batch,
-    forward_pairwise,
-    forward_sequential,
     init_model,
     loss_and_gradients,
-    num_pairwise_rounds,
-    predict,
     predict_batch,
 )
 from mpsclassify import autodiff, contraction
 from mpsclassify.autodiff import _node_forward_flops
-from mpsclassify.encoding import FeatureMap, encode_batch, encode_image
+from mpsclassify.encoding import FeatureMap, encode_batch
 from mpsclassify.errors import ConfigError, DimensionError, NumericError
 
 
@@ -32,6 +24,16 @@ def taped_forward(model, feats, strategy):
     tape.watch_model(model)
     forward_batch(model, feats, strategy, tape=tape)
     return tape
+
+
+def absorbed(model, feats):
+    """The ``absorb`` outputs of a taped pairwise forward: left, matrices, label block, right.
+
+    ``matrices`` is [N-3, B, chi, chi] in ascending site order.
+    """
+    tape = taped_forward(model, feats, Strategy.PAIRWISE)
+    left, label_block, right, *halves = (n.output for n in tape.nodes if n.kind == "absorb")
+    return left, np.concatenate(halves), label_block, right
 
 
 def flops_of(tape, match):
@@ -47,22 +49,23 @@ def random_instance(rng, n_sites, n_labels, bond_dim, fmap=FeatureMap.LINEAR):
         sigma=0.3,
         feature_map=fmap,
     )
-    image = rng.uniform(0.0, 1.0, size=n_sites)
-    return model, encode_image(fmap, image)
+    image = rng.uniform(0.0, 1.0, size=(1, n_sites))
+    return model, encode_batch(fmap, image)
 
 
 class TestAbsorb:
     def test_against_nested_loop_oracle(self, rng):
         """Every effective tensor equals an explicit index summation, N=6 chi=3."""
         model, feats = random_instance(rng, 6, 2, 3)
-        chain = absorb_inputs(model, feats)
+        chain_left, matrices, label_block, _ = absorbed(model, feats)
+        feats = feats[0]
         d, chi = model.local_dim, model.bond_dim
 
         left = np.zeros(chi)
         for x in range(chi):
             for i in range(d):
                 left[x] += feats[0, i] * model.left_boundary[i, x]
-        np.testing.assert_allclose(chain.left, left, rtol=1e-14)
+        np.testing.assert_allclose(chain_left[0], left, rtol=1e-14)
 
         sites = [k for k in range(1, 5) if k != model.label_site]
         for pos, site in enumerate(sites):
@@ -72,7 +75,7 @@ class TestAbsorb:
                 for y in range(chi):
                     for i in range(d):
                         want[x, y] += feats[site, i] * core[i, x, y]
-            np.testing.assert_allclose(chain.matrices[pos], want, rtol=1e-14)
+            np.testing.assert_allclose(matrices[pos, 0], want, rtol=1e-14)
 
         lab = np.zeros((model.n_labels, chi, chi))
         for l in range(model.n_labels):
@@ -80,31 +83,32 @@ class TestAbsorb:
                 for y in range(chi):
                     for i in range(d):
                         lab[l, x, y] += feats[model.label_site, i] * model.label_core[i, l, x, y]
-        np.testing.assert_allclose(chain.label_block, lab, rtol=1e-14)
+        np.testing.assert_allclose(label_block[0], lab, rtol=1e-14)
 
     def test_shapes(self, rng):
-        model, feats = random_instance(rng, 9, 4, 2)
-        chain = absorb_inputs(model, feats)
-        assert chain.left.shape == (2,)
-        assert chain.matrices.shape == (6, 2, 2)
-        assert chain.label_block.shape == (4, 2, 2)
-        assert chain.right.shape == (2,)
+        model = init_model(9, 4, 2, seed=0)
+        feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(3, 9)))
+        left, matrices, label_block, right = absorbed(model, feats)
+        assert left.shape == (3, 2)
+        assert matrices.shape == (6, 3, 2, 2)
+        assert label_block.shape == (3, 4, 2, 2)
+        assert right.shape == (3, 2)
 
     def test_black_pixel_selects_first_core_slice(self, rng):
         """p=0 under the linear map pulls out the i=0 slice exactly."""
         model, _ = random_instance(rng, 6, 2, 3)
-        feats = encode_image(FeatureMap.LINEAR, np.zeros(6))
-        chain = absorb_inputs(model, feats)
+        feats = encode_batch(FeatureMap.LINEAR, np.zeros((1, 6)))
+        _, matrices, label_block, _ = absorbed(model, feats)
         site = 1 if model.label_site != 1 else 2
         np.testing.assert_array_equal(
-            chain.matrices[0], model.cores[model.core_stack_index(site)][0]
+            matrices[0, 0], model.cores[model.core_stack_index(site)][0]
         )
-        np.testing.assert_array_equal(chain.label_block, model.label_core[0])
+        np.testing.assert_array_equal(label_block[0], model.label_core[0])
 
     def test_size_mismatch(self, rng):
         model, _ = random_instance(rng, 6, 2, 3)
         with pytest.raises(DimensionError):
-            absorb_inputs(model, encode_image(FeatureMap.LINEAR, np.zeros(7)))
+            forward_batch(model, encode_batch(FeatureMap.LINEAR, np.zeros((1, 7))))
 
 
 class TestStrategyAgreement:
@@ -115,9 +119,9 @@ class TestStrategyAgreement:
             l = int(rng.integers(2, 4))
             fmap = FeatureMap.LINEAR if rng.integers(2) else FeatureMap.TRIG
             model, feats = random_instance(rng, n, l, chi, fmap)
-            seq = forward_sequential(model, feats)
-            pair = forward_pairwise(model, feats)
-            brute = brute_force_logits(model, feats)
+            seq = forward_batch(model, feats, Strategy.SEQUENTIAL)[0]
+            pair = forward_batch(model, feats, Strategy.PAIRWISE)[0]
+            brute = brute_force_logits(model, feats[0])
             scale = np.abs(brute).max()
             assert np.abs(seq - brute).max() <= 1e-9 * scale
             assert np.abs(pair - brute).max() <= 1e-9 * scale
@@ -125,21 +129,22 @@ class TestStrategyAgreement:
     def test_chi_one_is_product_of_scalars(self, rng):
         """chi=1 collapses every effective matrix to a scalar factor."""
         model, feats = random_instance(rng, 7, 3, 1)
-        chain = absorb_inputs(model, feats)
-        direct = chain.left[0] * chain.matrices[:, 0, 0].prod() * chain.right[0]
-        want = direct * chain.label_block[:, 0, 0]
-        np.testing.assert_allclose(forward_sequential(model, feats), want, rtol=1e-12)
-        np.testing.assert_allclose(forward_pairwise(model, feats), want, rtol=1e-12)
+        left, matrices, label_block, right = absorbed(model, feats)
+        direct = left[0, 0] * matrices[:, 0, 0, 0].prod() * right[0, 0]
+        want = direct * label_block[0, :, 0, 0]
+        for strategy in (Strategy.SEQUENTIAL, Strategy.PAIRWISE):
+            np.testing.assert_allclose(forward_batch(model, feats, strategy)[0], want, rtol=1e-12)
 
     def test_minimal_chain_n3(self, rng):
         model, feats = random_instance(rng, 3, 2, 2)
-        brute = brute_force_logits(model, feats)
-        np.testing.assert_allclose(forward_sequential(model, feats), brute, rtol=1e-12)
-        np.testing.assert_allclose(forward_pairwise(model, feats), brute, rtol=1e-12)
+        brute = brute_force_logits(model, feats[0])
+        for strategy in (Strategy.SEQUENTIAL, Strategy.PAIRWISE):
+            np.testing.assert_allclose(forward_batch(model, feats, strategy)[0], brute, rtol=1e-12)
 
     def test_n2_hand_checkable_sum(self, rng):
         """Tiny N=4 instance against a fully written-out assignment sum."""
         model, feats = random_instance(rng, 4, 2, 2)
+        feats = feats[0]
         want = np.zeros(2)
         for i0 in range(2):
             for i1 in range(2):
@@ -152,7 +157,7 @@ class TestStrategyAgreement:
                             v = v @ model.label_core[im, l]
                             want[l] += w * (v @ model.right_boundary[i3])
         np.testing.assert_allclose(brute_force_logits(model, feats), want, rtol=1e-12)
-        np.testing.assert_allclose(forward_pairwise(model, feats), want, rtol=1e-11)
+        np.testing.assert_allclose(forward_batch(model, feats[None])[0], want, rtol=1e-11)
 
     def test_batch_rows_match_single_calls(self, rng):
         model = init_model(10, 3, 4, seed=8)
@@ -161,11 +166,12 @@ class TestStrategyAgreement:
         batch_seq = forward_batch(model, feats, Strategy.SEQUENTIAL)
         batch_pair = forward_batch(model, feats, Strategy.PAIRWISE)
         for b in range(6):
+            one = feats[b : b + 1]
             np.testing.assert_allclose(
-                batch_seq[b], forward_sequential(model, feats[b]), rtol=1e-12
+                batch_seq[b], forward_batch(model, one, Strategy.SEQUENTIAL)[0], rtol=1e-12
             )
             np.testing.assert_allclose(
-                batch_pair[b], forward_pairwise(model, feats[b]), rtol=1e-12
+                batch_pair[b], forward_batch(model, one, Strategy.PAIRWISE)[0], rtol=1e-12
             )
 
     def test_brute_force_strategy_through_forward_batch(self, rng):
@@ -174,24 +180,16 @@ class TestStrategyAgreement:
         out = forward_batch(model, feats, Strategy.BRUTE_FORCE)
         np.testing.assert_allclose(out, forward_batch(model, feats), rtol=1e-10)
 
-    def test_encode_and_forward_convenience(self, rng):
-        model = init_model(8, 2, 3, seed=1)
-        images = rng.uniform(0, 1, size=(2, 8))
-        np.testing.assert_array_equal(
-            encode_and_forward(model, images),
-            forward_batch(model, encode_batch(model.feature_map, images)),
-        )
-
 
 class TestMultilinearity:
-    """Logits are linear in each core with all others held fixed."""
+    """Logits are linear in each core with all others held fixed (pairwise schedule)."""
 
     def test_scaling_one_core_scales_logits(self, rng):
         model, feats = random_instance(rng, 9, 3, 3)
-        base = forward_pairwise(model, feats)
+        base = forward_batch(model, feats)
         scaled = model.copy()
         scaled.cores[2] *= 2.0
-        np.testing.assert_allclose(forward_pairwise(scaled, feats), 2.0 * base, rtol=1e-12)
+        np.testing.assert_allclose(forward_batch(scaled, feats), 2.0 * base, rtol=1e-12)
 
     def test_two_point_probe_on_label_core(self, rng):
         model, feats = random_instance(rng, 8, 3, 3)
@@ -200,8 +198,8 @@ class TestMultilinearity:
         direction = rng.standard_normal(model.label_core.shape)
         a.label_core = model.label_core + direction
         b.label_core = model.label_core - direction
-        mid = 0.5 * (forward_pairwise(a, feats) + forward_pairwise(b, feats))
-        np.testing.assert_allclose(mid, forward_pairwise(model, feats), rtol=1e-11)
+        mid = 0.5 * (forward_batch(a, feats) + forward_batch(b, feats))
+        np.testing.assert_allclose(mid, forward_batch(model, feats), rtol=1e-11)
 
     def test_boundary_additivity(self, rng):
         model, feats = random_instance(rng, 7, 2, 2)
@@ -211,19 +209,20 @@ class TestMultilinearity:
         a.left_boundary = u
         b.left_boundary = model.left_boundary + u
         np.testing.assert_allclose(
-            forward_pairwise(b, feats),
-            forward_pairwise(model, feats) + forward_pairwise(a, feats),
+            forward_batch(b, feats),
+            forward_batch(model, feats) + forward_batch(a, feats),
             rtol=1e-11,
         )
 
 
 class TestPairwiseRounds:
-    def test_round_count_examples(self):
-        assert num_pairwise_rounds(8) == 3
-        assert num_pairwise_rounds(5) == 3
-        assert num_pairwise_rounds(2) == 1
-        assert num_pairwise_rounds(1) == 0
-        assert num_pairwise_rounds(0) == 0
+    def test_round_count_examples(self, rng):
+        """A half of n matrices, the other half empty, takes ceil(log2 n) rounds."""
+        for n_left, rounds in ((8, 3), (5, 3), (2, 1), (1, 0), (0, 0)):
+            model = init_model(n_left + 3, 2, 2, seed=0, label_site=n_left + 1)
+            feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(1, n_left + 3)))
+            tape = taped_forward(model, feats, Strategy.PAIRWISE)
+            assert sum(n.kind == "pair_round" for n in tape.nodes) == rounds
 
     def test_plan_round_labels_match_formula(self, rng):
         """A chain with an 8-matrix left half reduces it in exactly 3 rounds."""
@@ -232,16 +231,14 @@ class TestPairwiseRounds:
         feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(1, 18)))
         tape = taped_forward(model, feats, Strategy.PAIRWISE)
         rows = [n.inputs[0].shape[0] for n in tape.nodes if n.kind == "pair_round"]
-        n_right = 18 - 2 - model.label_site
-        assert rows[:3] == [8, 4, 2]
-        assert len(rows) == 3 + num_pairwise_rounds(n_right)
-        assert rows[3] == n_right
+        assert 18 - 2 - model.label_site == 7
+        assert rows == [8, 4, 2, 7, 4, 2]
 
     def test_odd_carry(self, rng):
         """Five matrices per half still reduce correctly (odd rounds)."""
         model, feats = random_instance(rng, 12, 2, 3)
         np.testing.assert_allclose(
-            forward_pairwise(model, feats), brute_force_logits(model, feats), rtol=1e-10
+            forward_batch(model, feats)[0], brute_force_logits(model, feats[0]), rtol=1e-10
         )
 
 
@@ -370,33 +367,36 @@ class TestPlanFlops:
 class TestBruteForceGuard:
     def test_refuses_large_n(self, rng):
         model = init_model(13, 2, 2, seed=0)
-        feats = encode_image(model.feature_map, rng.uniform(0, 1, size=13))
+        feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(1, 13)))[0]
         with pytest.raises(ConfigError, match="N=13"):
             brute_force_logits(model, feats)
 
 
 class TestPredict:
+    """``predict_batch`` on one-row batches, row by row."""
+
     def test_argmax(self):
-        assert predict(np.array([0.1, 0.9, 0.3])) == 1
+        assert predict_batch(np.array([[0.1, 0.9, 0.3]]))[0] == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        assert predict(np.array([0.5, 0.5, 0.5])) == 0
-        assert predict(np.array([0.1, 0.7, 0.7])) == 1
+        np.testing.assert_array_equal(
+            predict_batch(np.array([[0.5, 0.5, 0.5], [0.1, 0.7, 0.7]])), [0, 1]
+        )
 
     def test_shift_invariance(self, rng):
-        logits = rng.standard_normal(6)
-        assert predict(logits) == predict(logits + 123.0)
+        logits = rng.standard_normal((1, 6))
+        assert predict_batch(logits)[0] == predict_batch(logits + 123.0)[0]
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
-            predict(np.array([0.1, np.nan]))
+            predict_batch(np.array([[0.1, np.nan]]))
 
     def test_single_logit_rejected(self):
         with pytest.raises(DimensionError):
-            predict(np.array([1.0]))
+            predict_batch(np.array([[1.0]]))
 
     def test_batch_variant(self, rng):
         logits = rng.standard_normal((5, 4))
         np.testing.assert_array_equal(
-            predict_batch(logits), [predict(row) for row in logits]
+            predict_batch(logits), [predict_batch(row[None])[0] for row in logits]
         )

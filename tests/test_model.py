@@ -7,13 +7,13 @@ from mpsclassify import (
     CheckpointError,
     ConfigError,
     FeatureMap,
+    encode_batch,
     expected_parameter_count,
-    forward_pairwise,
+    forward_batch,
     init_model,
     load_checkpoint,
     save_checkpoint,
 )
-from mpsclassify.encoding import encode_image
 from mpsclassify.errors import (
     CheckpointFormatError,
     CheckpointTruncatedError,
@@ -56,14 +56,14 @@ class TestInit:
         """Identity chain: the score collapses to the same scalar per label."""
         model = init_model(n_sites=9, n_labels=4, bond_dim=3, seed=0, sigma=0.0)
         for _ in range(5):
-            feats = encode_image(model.feature_map, rng.uniform(0, 1, size=9))
-            logits = forward_pairwise(model, feats)
+            feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(1, 9)))
+            logits = forward_batch(model, feats)[0]
             np.testing.assert_allclose(logits, logits[0], rtol=1e-12)
 
     def test_near_identity_keeps_long_chains_at_order_one(self, rng):
         model = init_model(n_sites=196, n_labels=10, bond_dim=10, seed=3)
-        feats = encode_image(model.feature_map, rng.uniform(0, 1, size=196))
-        logits = forward_pairwise(model, feats)
+        feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(1, 196)))
+        logits = forward_batch(model, feats)
         assert np.all(np.abs(logits) < 1e3)
         assert np.all(np.abs(logits) > 1e-3)
 
@@ -155,6 +155,28 @@ class TestCheckpoint:
         with pytest.raises(CheckpointTruncatedError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "field, offset, value",
+        [
+            ("n_sites", 12, 2),
+            ("n_labels", 16, 1),
+            ("local_dim", 20, 3),
+            ("bond_dim", 24, 0),
+            ("label_site", 28, 0),
+            ("label_site", 28, 7),
+            ("label_site", 28, 9),
+        ],
+    )
+    def test_impossible_header_field_is_named(self, tmp_path, field, offset, value):
+        """A header no model allows is refused at load, even when the payload size fits."""
+        path = tmp_path / "header.mps"
+        save_checkpoint(init_model(8, 2, 2, seed=0), path)
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + 4] = value.to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointFormatError, match=field):
+            load_checkpoint(path)
+
     def test_checkpoint_errors_share_base(self):
         assert issubclass(CheckpointFormatError, CheckpointError)
         assert issubclass(CheckpointVersionError, CheckpointError)
@@ -165,7 +187,5 @@ class TestCheckpoint:
         path = tmp_path / "fwd.mps"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        feats = encode_image(model.feature_map, rng.uniform(0, 1, size=10))
-        np.testing.assert_array_equal(
-            forward_pairwise(model, feats), forward_pairwise(loaded, feats)
-        )
+        feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(1, 10)))
+        np.testing.assert_array_equal(forward_batch(model, feats), forward_batch(loaded, feats))

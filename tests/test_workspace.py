@@ -10,7 +10,6 @@ from mpsclassify import (
     LossKind,
     Strategy,
     Tape,
-    absorb_inputs,
     encode_batch,
     evaluate,
     forward_batch,
@@ -43,8 +42,6 @@ def test_nothing_returned_aliases_the_workspace():
             keep(np.asarray(loss), logits, *(arr for _, arr in grads.arrays()))
         keep(forward_batch(model, feats, strategy))
         keep(evaluate_predictions(model, feats, labels, batch_size=4, strategy=strategy)[2])
-    chain = absorb_inputs(model, feats[0])
-    keep(chain.left, chain.matrices, chain.label_block, chain.right)
     user = Tape()
     user.watch_model(model)
     forward_batch(model, feats, Strategy.PAIRWISE, tape=user)
