@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=_positive_float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--tolerance", type=_positive_float, default=1e-6)
     p.add_argument("--loss", choices=sorted(_LOSSES), default="cross-entropy")
     p.set_defaults(func=_cmd_grad_check)
 
@@ -337,8 +337,8 @@ def _positive_float(text: str) -> float:
 
 def _int_list(text: str) -> list[int]:
     values = [int(part) for part in text.split(",") if part.strip()]
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
     return values
 
 

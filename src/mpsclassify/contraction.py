@@ -10,7 +10,11 @@ Two production schedules plus a brute-force oracle:
   matrices in rounds. All products of a round are independent, so a round
   is one stacked matrix product, at the price of matrix-matrix (chi^3)
   products. An odd matrix at the end of a round is carried to the next
-  round unpaired.
+  round unpaired. Untaped, a half absorbs its sites two at a time: the
+  batch-independent two-site products ``A_k^s A_{k+1}^t`` are formed once
+  and mixed per image by its feature outer products, so the rounds start
+  from half as many matrices. A recording tape absorbs one site per
+  matrix.
 * ``brute force``: the literal sum over every pixel-index assignment,
   guarded to small chains. Exists to anchor the fast schedules.
 
@@ -31,15 +35,17 @@ transposed view. Each matrix a pairwise round multiplies is then
 contiguous for BLAS. Brute force records nothing on a tape and has no
 gradients.
 
-Workspace: a pairwise call takes its absorbed label block and halves, its
-round outputs and, taped, its round adjoints from its tape's workspace
+Workspace: a pairwise call takes its absorbed label block and halves (one
+matrix per site taped, per site pair untaped), its round outputs and,
+taped, its round adjoints from its tape's workspace
 (``autodiff.Workspace``), which sizes itself from what it hands out.
 ``schedule_tape`` lends the module's workspace to a pairwise tape; the
 untaped ``forward_batch`` and the taped training step borrow it, and a
 tape passed in by the caller is never lent it. The untaped
 ``forward_batch`` runs a pairwise batch in even blocks of images whose
 absorbed bond matrices take at most ``BLOCK_BYTES`` (8 MiB), each on its
-own tape, so evaluation borrows about twice one block's absorbed rows
+own tape. Its paired stack and rounds take about one block's budget
+(8.2 MiB at the desk recipe, where one matrix per site would take 15.9),
 whatever the batch size, and each block's stack is read back while it is
 still near the caches. A taped step records its whole batch at once.
 No logits returned are a view of the workspace.
@@ -105,19 +111,50 @@ def _absorb_half(model, feats, tape, right):
     """Absorb the bond sites left of the label site, or right of it: [n, B, chi, chi].
 
     The half's own rows of ``cores`` are sliced on the tape, so their
-    adjoint adds straight into the ``cores`` gradient.
+    adjoint adds straight into the ``cores`` gradient. A tape that does not
+    record absorbs the sites in pairs instead, [ceil(n/2), B, chi, chi]
+    (``_absorb_pairs``).
     """
     m, n = model.label_site, model.n_sites
     start, stop = (m - 1, n - 3) if right else (0, m - 1)
     cores = tape.slice_rows(model.cores, start, stop)
-    sites = slice(m + 1, n - 1) if right else slice(1, m)
+    feats = feats[:, m + 1 : n - 1] if right else feats[:, 1:m]
+    if not tape.recording:
+        return _absorb_pairs(tape, cores, feats)
     return tape.contract(
         "sdxy,bsd->sbxy",
         cores,
-        feats[:, sites, :],
+        feats,
         kind="absorb",
         out=tape.workspace.empty((stop - start, len(feats)) + cores.shape[2:]),
     )
+
+
+def _absorb_pairs(tape, cores, feats):
+    """Untaped absorb of a half's n sites two at a time: [ceil(n/2), B, chi, chi].
+
+    Row k is the product of the matrices of sites 2k and 2k+1. The two-site
+    products of the cores, ``[pairs, d, d, chi, chi]``, do not depend on the
+    batch, so they are formed once and mixed per image by the outer product
+    of its two feature vectors, one ``[pairs, B, d*d] @ [pairs, d*d, chi^2]``
+    product that writes the stack batch-major. An odd last site fills the
+    last row alone.
+    """
+    n, pairs = cores.shape[0], cores.shape[0] // 2
+    stack = tape.workspace.empty((n - pairs, len(feats)) + cores.shape[2:])
+    if pairs:
+        bond = tape.contract(
+            "ksxy,ktyz->kstxz", cores[0 : 2 * pairs : 2], cores[1 : 2 * pairs : 2], kind="absorb"
+        )
+        weights = tape.contract(
+            "bks,bkt->kbst", feats[:, 0 : 2 * pairs : 2], feats[:, 1 : 2 * pairs : 2], kind="absorb"
+        )
+        # The bond products are named first: the plan pops operands in
+        # reverse, so its one matmul produces the stack's order directly.
+        tape.contract("kstxz,kbst->kbxz", bond, weights, kind="absorb", out=stack[:pairs])
+    if n % 2:
+        tape.contract("dxy,bd->bxy", cores[-1], feats[:, -1], kind="absorb", out=stack[-1])
+    return stack
 
 
 def _reduce_half(tape, stack):
@@ -189,8 +226,13 @@ def forward_batch(
     Without ``tape``, the pairwise schedule runs the batch in blocks of
     images whose absorbed bond matrices take at most ``BLOCK_BYTES``, each
     on its own tape that borrows the workspace (see ``schedule_tape``), and
-    writes each block's logits into one new array. A ``tape`` given records
+    writes each block's logits into one new array. A ``tape`` given runs
     the whole batch at once and is never lent the workspace.
+
+    A pairwise call on a tape that does not record, blocks included,
+    absorbs each half two sites per matrix (``_absorb_pairs``); a recording
+    tape absorbs one site per matrix, so its logits may differ from the
+    untaped ones in the last bits.
 
     When the budget holds fewer than three images (at N=196, chi >= 43),
     a block can hold one image, and a one-image block rounds differently

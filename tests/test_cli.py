@@ -245,6 +245,15 @@ class TestGradCheckCommand:
         assert out == ""
         assert "--step" in err and repr(step) in err
 
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "nan"])
+    def test_tolerance_not_positive_rejected_before_checking(self, capsys, tolerance):
+        with pytest.raises(SystemExit) as exc:
+            main(["grad-check", "--tolerance", tolerance])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--tolerance" in err and repr(tolerance) in err
+
     def test_deterministic_output(self, capsys):
         main(["grad-check", "--seed", "5"])
         first = capsys.readouterr().out
@@ -333,6 +342,17 @@ class TestBenchCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert "--bond-dims" in err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("bond_dims", ["8,0", "-3"])
+    def test_bond_dim_below_one_rejected_before_timing(self, tmp_path, capsys, bond_dims):
+        out_csv = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-contraction", "--bond-dims", bond_dims, "--csv", str(out_csv)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--bond-dims" in err and repr(bond_dims) in err
         assert not out_csv.exists()
 
     def test_zero_repeats_rejected_before_timing(self, tmp_path, capsys):

@@ -224,6 +224,26 @@ class TestPairwiseRounds:
             tape = taped_forward(model, feats, Strategy.PAIRWISE)
             assert sum(n.kind == "pair_round" for n in tape.nodes) == rounds
 
+    @pytest.mark.parametrize(
+        "n_left, round_rows", [(1, []), (2, []), (3, [2]), (5, [3, 2]), (8, [4, 2])]
+    )
+    def test_untaped_rounds_multiply_one_matrix_per_site_pair(
+        self, monkeypatch, rng, n_left, round_rows
+    ):
+        """Untaped, a half of n sites enters the rounds as ceil(n/2) absorbed pairs."""
+        model = init_model(n_left + 3, 2, 2, seed=0, label_site=n_left + 1)
+        feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(4, n_left + 3)))
+        rows = []
+        real = Tape.pair_round
+
+        def counted(tape, stack):
+            rows.append(stack.shape[0])
+            return real(tape, stack)
+
+        monkeypatch.setattr(Tape, "pair_round", counted)
+        forward_batch(model, feats)
+        assert rows == round_rows
+
     def test_plan_round_labels_match_formula(self, rng):
         """A chain with an 8-matrix left half reduces it in exactly 3 rounds."""
         model = init_model(18, 2, 2, seed=0)
