@@ -34,20 +34,22 @@ contiguous ``g``, passes a transposed operand.
 The pairwise schedule takes its large per-call arrays from a tape's
 ``Workspace``: views of one flat float64 buffer while they fit, new arrays
 beyond it. The module's workspace is kept across calls and grows to the
-largest borrow so far, so a repeated call touches no fresh pages; no caller
-states a size. ``lend_workspace`` lends it to one tape at a time and takes
-it back when its block exits. Only the package's own callers whose results
-never alias it borrow it: ``training._taped_step``, once per step, and the
-untaped ``contraction.forward_batch``, once per block of at most
-``contraction.BLOCK_BYTES`` of absorbed bond matrices. So an evaluation
-borrows what one block needs, whatever its batch size, and only a taped
-step grows the buffer with its batch. A tape the user builds keeps its own
-empty workspace, so all its arrays are new. On a lent tape the absorbed label
-block and chain halves, and every ``pair_round`` output and adjoint, may be
-views of the workspace. Nothing returned, the gradients included, is one:
-the next borrower overwrites them. Row accumulators are new arrays. The
-lowest round's transposed adjoint goes straight to the absorb adjoint,
-which runs its plan on its C-order transpose (``_adjoint_forms``).
+largest borrow by a recording tape so far, so a repeated step touches no
+fresh pages; no caller states a size. ``lend_workspace`` lends it to one
+tape at a time and takes it back when its block exits. Its borrowers are
+the package's own callers whose results never alias it:
+``training._taped_step``, once per step, and the untaped
+``contraction.forward_batch``, once per block of at most
+``contraction.BLOCK_BYTES`` of absorbed bond matrices. Only the taped step
+grows the buffer, with its batch; an evaluation uses what the buffer
+holds, so a process that never trained keeps none. A tape the user builds
+keeps its own empty workspace, so all its arrays are new. On a lent tape
+the absorbed label block and chain halves, and every ``pair_round`` output
+and adjoint, may be views of the workspace. Nothing returned, the
+gradients included, is one: the next borrower overwrites them. Row
+accumulators are new arrays. The lowest round's transposed adjoint goes
+straight to the absorb adjoint, which runs its plan on its C-order
+transpose (``_adjoint_forms``).
 """
 
 import functools
@@ -400,7 +402,9 @@ def lend_workspace(tape: Tape):
     """Lend ``tape`` the module's workspace for the block, restarted at its front.
 
     The workspace is handed back when the block exits, however it exits,
-    and keeps the size of the largest borrow (see ``Workspace.restart``).
+    and keeps the size of the largest borrow by a recording tape (see
+    ``Workspace.restart``). A tape that does not record takes its arrays
+    from the buffer as it is and new ones beyond it, and never grows it.
     While it is out, another borrow (nested, or from another thread) leaves
     its tape on its own workspace, so it gets new arrays. The next borrower
     overwrites every view taken, so nothing that outlives the block may be
@@ -416,6 +420,8 @@ def lend_workspace(tape: Tape):
         yield tape
     finally:
         tape.workspace = own
+        if not tape.recording:
+            _WORKSPACE._used = 0  # forget the overflow, so the next restart keeps the size
         _LENDING.release()
 
 

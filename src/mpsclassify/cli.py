@@ -246,7 +246,7 @@ def _add_data_arguments(p, with_train=True):
                    help="subdirectory under MPSCLASSIFY_DATA_DIR when --data-dir is unset")
     p.add_argument("--downsample", type=_positive_int, default=1, metavar="F",
                    help="block-mean pool by FxF before encoding")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     if with_train:
         p.add_argument("--train-count", type=int, default=0,
                        help="seeded train subset size (0 = all)")
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bond-dim", type=int, default=10)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch-size", type=int, default=50)
-    p.add_argument("--learning-rate", type=float, default=1e-4)
+    p.add_argument("--learning-rate", type=_positive_float, default=1e-4)
     p.add_argument("--loss", choices=sorted(_LOSSES), default="cross-entropy")
     p.add_argument("--strategy", choices=["sequential", "pairwise"], default="pairwise")
     p.add_argument("--feature-map", choices=sorted(_FEATURE_MAPS), default="linear")
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", type=int, default=3)
     p.add_argument("--bond-dim", type=int, default=4)
     p.add_argument("--batch", type=_positive_int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--step", type=_positive_float, default=1e-5)
     p.add_argument("--tolerance", type=_positive_float, default=1e-6)
     p.add_argument("--loss", choices=sorted(_LOSSES), default="cross-entropy")
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", type=_strategy_list, default=["sequential", "pairwise"],
                    metavar="A,B,...")
     p.add_argument("--repeats", type=_positive_int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--backward", action="store_true",
                    help="also time forward+backward, count adjoint flops and trace its peak memory")
     p.add_argument("--csv", help="write the benchmark rows here")

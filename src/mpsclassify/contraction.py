@@ -38,22 +38,24 @@ gradients.
 Workspace: a pairwise call takes its absorbed label block and halves (one
 matrix per site taped, per site pair untaped), its round outputs and,
 taped, its round adjoints from its tape's workspace
-(``autodiff.Workspace``), which sizes itself from what it hands out.
-``schedule_tape`` lends the module's workspace to a pairwise tape; the
-untaped ``forward_batch`` and the taped training step borrow it, and a
-tape passed in by the caller is never lent it. The untaped
+(``autodiff.Workspace``). The taped training step
+(``training._taped_step``) and each block of the untaped
+``forward_batch`` are lent the module's workspace, but only a recording
+tape grows it (``autodiff.lend_workspace``). So an evaluation takes its
+arrays from the buffer that training steps left, and new arrays beyond
+it, and a process that never trained keeps no buffer at all. A tape
+passed in by the caller is never lent the workspace. The untaped
 ``forward_batch`` runs a pairwise batch in even blocks of images whose
-absorbed bond matrices take at most ``BLOCK_BYTES`` (8 MiB), each on its
-own tape. Its paired stack and rounds take about one block's budget
-(8.2 MiB at the desk recipe, where one matrix per site would take 15.9),
-whatever the batch size, and each block's stack is read back while it is
-still near the caches. A taped step records its whole batch at once.
-No logits returned are a view of the workspace.
+absorbed bond matrices, one per site, would take at most ``BLOCK_BYTES``
+(8 MiB), each on its own tape. Its paired stack and rounds take about one
+block's budget (8.2 MiB at the desk recipe), whatever the batch size, and
+each block's stack is read back while it is still near the caches. A
+taped step records its whole batch at once. No logits returned are a view
+of the workspace.
 """
 
 import enum
 import itertools
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -65,8 +67,8 @@ from .tensor import DTYPE
 BRUTE_FORCE_MAX_SITES = 12
 
 # Untaped pairwise calls absorb at most this many bytes of bond matrices at
-# once, so a block's stack and rounds stay near the CPU caches and the
-# workspace is bounded by one block, not by the batch.
+# once, so a block's stack and rounds stay near the CPU caches and what an
+# evaluation allocates is bounded by one block, not by the batch.
 BLOCK_BYTES = 8 * 2**20
 
 
@@ -166,22 +168,6 @@ def _reduce_half(tape, stack):
     return tape.gather(stack, 0)
 
 
-@contextmanager
-def schedule_tape(strategy: Strategy, recording=True):
-    """A new tape for one ``strategy`` call.
-
-    A pairwise tape is lent the workspace until the block exits, so nothing
-    the block returns may be a view of it. The sequential sweep takes no
-    arrays from a workspace, so its tape is not lent one.
-    """
-    tape = Tape(recording)
-    if strategy is not Strategy.PAIRWISE:
-        yield tape
-        return
-    with lend_workspace(tape):
-        yield tape
-
-
 def _combine(tape, lv, left_mat, lab, right_mat, rv):
     if left_mat is not None:
         lv = tape.contract("bx,bxy->by", lv, left_mat, kind="combine")
@@ -225,9 +211,10 @@ def forward_batch(
 
     Without ``tape``, the pairwise schedule runs the batch in blocks of
     images whose absorbed bond matrices take at most ``BLOCK_BYTES``, each
-    on its own tape that borrows the workspace (see ``schedule_tape``), and
-    writes each block's logits into one new array. A ``tape`` given runs
-    the whole batch at once and is never lent the workspace.
+    on its own tape that does not record and is lent the workspace without
+    growing it, and writes each block's logits into one new array. A
+    ``tape`` given runs the whole batch at once and is never lent the
+    workspace.
 
     A pairwise call on a tape that does not record, blocks included,
     absorbs each half two sites per matrix (``_absorb_pairs``); a recording
@@ -251,8 +238,7 @@ def forward_batch(
     if tape is not None:
         return forward(model, feats, tape)
     if strategy is Strategy.SEQUENTIAL:
-        with schedule_tape(strategy, recording=False) as untaped:
-            return forward(model, feats, untaped)
+        return forward(model, feats, Tape(recording=False))
     # N=3 has no bond matrices; its block is then sized as if it had one.
     image_bytes = max(1, model.n_sites - 3) * model.bond_dim**2 * feats.itemsize
     block = max(1, BLOCK_BYTES // image_bytes)
@@ -264,7 +250,7 @@ def forward_batch(
     # one, because its einsum plans drop the batch axis.
     for k in range(blocks):
         rows = slice(count * k // blocks, count * (k + 1) // blocks)
-        with schedule_tape(strategy, recording=False) as untaped:
+        with lend_workspace(Tape(recording=False)) as untaped:
             logits[rows] = forward(model, feats[rows], untaped)
     return logits
 

@@ -17,14 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Gradients, backward
-from .contraction import (
-    Strategy,
-    check_batch_features,
-    forward_batch,
-    predict_batch,
-    schedule_tape,
-)
+from .autodiff import Gradients, Tape, backward, lend_workspace
+from .contraction import Strategy, check_batch_features, forward_batch, predict_batch
 from .encoding import encode_batch
 from .errors import ConfigError, ConsistencyError, NumericError
 from .losses import LossKind, compute_loss, cross_entropy_loss, mean_square_loss
@@ -73,8 +67,10 @@ class TrainConfig:
     eval_batch_size: int = 256
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < float("inf"):
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -125,9 +121,9 @@ def _taped_step(model, feats, labels, loss_kind, strategy) -> tuple[float, np.nd
     is below ``TINY_LOGIT`` in magnitude, or when a gradient is not finite.
     Brute force records nothing on the tape, and an empty batch has no
     loss, so either raises ``ConfigError``.
-    A pairwise tape borrows the module's workspace (``schedule_tape``),
-    which grows to the largest borrow so far; the loss, logits and
-    gradients returned are new arrays, not views of it.
+    The tape borrows the module's workspace (``autodiff.lend_workspace``),
+    which grows to the largest step so far; the loss, logits and gradients
+    returned are new arrays, not views of it.
     """
     if strategy is Strategy.BRUTE_FORCE:
         raise ConfigError(
@@ -137,7 +133,7 @@ def _taped_step(model, feats, labels, loss_kind, strategy) -> tuple[float, np.nd
     feats = check_batch_features(model, feats)
     if feats.shape[0] == 0:
         raise ConfigError("cannot take a step on an empty batch: it holds no images")
-    with schedule_tape(strategy) as tape:
+    with lend_workspace(Tape()) as tape:
         tape.watch_model(model)
         logits = forward_batch(model, feats, strategy, tape=tape)
         loss = float(tape.loss(loss_kind, logits, labels))

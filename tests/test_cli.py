@@ -114,6 +114,20 @@ class TestTrain:
         assert "--synthetic" in err and "'-5'" in err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0"])
+    def test_learning_rate_not_positive_and_finite_rejected_before_training(
+        self, tmp_path, capsys, rate
+    ):
+        ckpt = tmp_path / "model.mps"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--synthetic", "20", "--epochs", "1", "--learning-rate", rate,
+                  "--checkpoint", str(ckpt)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--learning-rate" in err and repr(rate) in err
+        assert not ckpt.exists()
+
     def test_missing_data_dir_is_an_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("MPSCLASSIFY_DATA_DIR", raising=False)
         code = main(["train", "--epochs", "1"])
@@ -380,6 +394,24 @@ class TestBenchCommand:
 
 
 class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--synthetic", "20", "--epochs", "1"],
+            ["eval", "--synthetic", "20", "--checkpoint", "model.mps"],
+            ["grad-check"],
+            ["bench-contraction", "--sites", "10", "--bond-dims", "2", "--repeats", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_rejected_before_running(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--seed" in err and "'-1'" in err
+
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -289,13 +289,13 @@ class TestUntapedBlocks:
         else:
             want = forward_batch(model, feats, Strategy.PAIRWISE, tape=Tape(recording=False))
         tapes = []
-        real = contraction.schedule_tape
+        real = contraction._forward_pairwise_batch
 
-        def counted(strategy, recording=True):
-            tapes.append(recording)
-            return real(strategy, recording)
+        def counted(model, feats, tape):
+            tapes.append(tape.recording)
+            return real(model, feats, tape)
 
-        monkeypatch.setattr(contraction, "schedule_tape", counted)
+        monkeypatch.setattr(contraction, "_forward_pairwise_batch", counted)
         got = forward_batch(model, feats)
         assert tapes == [False] * -(-count // block)
         assert got.tobytes() == want.tobytes()

@@ -451,6 +451,11 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="empty train set"):
             train(model, Empty, synthetic_blobs(10, seed=1), config)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ConfigError, match="learning_rate must be positive and finite"):
+            TrainConfig(learning_rate=rate)
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)

@@ -16,7 +16,7 @@ from mpsclassify import (
     init_model,
     loss_and_gradients,
 )
-from mpsclassify import autodiff, contraction
+from mpsclassify import autodiff
 from mpsclassify.training import _taped_step, evaluate_predictions
 
 SCHEDULES = (Strategy.PAIRWISE, Strategy.SEQUENTIAL)
@@ -58,17 +58,14 @@ def test_nothing_returned_aliases_the_workspace():
 @pytest.mark.parametrize(
     "n_sites, label_site", [(5, None), (6, 1), (6, 4), (21, None), (21, 2), (40, 7)]
 )
-@pytest.mark.parametrize("taped", [True, False])
+@pytest.mark.parametrize("taped", [True])  # only a taped step grows the workspace
 def test_workspace_is_sized_exactly(monkeypatch, n_sites, label_site, taped):
-    """After one pairwise call, the same call again takes every array from the buffer, and fills it."""
+    """After one taped pairwise step, the same step again takes every array from the buffer, and fills it."""
     workspace = autodiff.Workspace()
     monkeypatch.setattr(autodiff, "_WORKSPACE", workspace)
     model = init_model(n_sites, 3, 2, seed=0, label_site=label_site)
     feats = encoded(model, np.random.default_rng(1), 5)
-    if taped:
-        call = lambda: loss_and_gradients(model, feats, np.arange(5) % 3)  # noqa: E731
-    else:
-        call = lambda: forward_batch(model, feats)  # noqa: E731
+    call = lambda: loss_and_gradients(model, feats, np.arange(5) % 3)  # noqa: E731
     call()
     real = autodiff.Workspace.empty
     overflowed = []
@@ -85,11 +82,11 @@ def test_workspace_is_sized_exactly(monkeypatch, n_sites, label_site, taped):
     assert 0 < workspace._used == workspace._flat.size
 
 
-@pytest.mark.parametrize("taped", [True, False])
+@pytest.mark.parametrize("taped", [True])  # only a taped step grows the workspace
 def test_a_call_that_overflows_matches_one_from_the_buffer(monkeypatch, taped):
     """On an empty workspace every array overflows into a new one; the numbers do not change.
 
-    The next call grows the buffer to exactly what the first took, and a
+    The next step grows the buffer to exactly what the first took, and a
     user tape, which is never lent the workspace, gives the same bytes.
     """
     workspace = autodiff.Workspace()
@@ -97,23 +94,17 @@ def test_a_call_that_overflows_matches_one_from_the_buffer(monkeypatch, taped):
     model = init_model(21, 4, 3, seed=0, label_site=7)
     rng = np.random.default_rng(3)
     feats, labels = encoded(model, rng, 6), rng.integers(0, 4, 6)
-    if taped:
-        def call():
-            loss, grads = loss_and_gradients(model, feats, labels)
-            return [np.asarray(loss)] + [arr for _, arr in grads.arrays()]
 
-        def call_on_user_tape():
-            user = Tape()
-            user.watch_model(model)
-            logits = forward_batch(model, feats, Strategy.PAIRWISE, tape=user)
-            loss = user.loss(LossKind.CROSS_ENTROPY, logits, labels)
-            return [loss] + autodiff.backward(user, [arr for _, arr in model.parameters()])
-    else:
-        def call():
-            return [forward_batch(model, feats)]
+    def call():
+        loss, grads = loss_and_gradients(model, feats, labels)
+        return [np.asarray(loss)] + [arr for _, arr in grads.arrays()]
 
-        def call_on_user_tape():
-            return [forward_batch(model, feats, Strategy.PAIRWISE, tape=Tape(recording=False))]
+    def call_on_user_tape():
+        user = Tape()
+        user.watch_model(model)
+        logits = forward_batch(model, feats, Strategy.PAIRWISE, tape=user)
+        loss = user.loss(LossKind.CROSS_ENTROPY, logits, labels)
+        return [loss] + autodiff.backward(user, [arr for _, arr in model.parameters()])
 
     first = call()
     took = workspace._used
@@ -125,30 +116,61 @@ def test_a_call_that_overflows_matches_one_from_the_buffer(monkeypatch, taped):
 
 
 def test_a_borrow_while_the_workspace_is_out_gets_fresh_arrays():
+    """A taped step inside another borrow runs on its own workspace and gives the same bytes."""
     model = init_model(21, 4, 3, seed=0)
-    feats = encoded(model, np.random.default_rng(2), 6)
-    want = forward_batch(model, feats)
+    rng = np.random.default_rng(2)
+    feats, labels = encoded(model, rng, 6), rng.integers(0, 4, 6)
+
+    def step():
+        loss, grads = loss_and_gradients(model, feats, labels)
+        return [np.asarray(loss).tobytes()] + [arr.tobytes() for _, arr in grads.arrays()]
+
+    want = step()
     with autodiff.lend_workspace(Tape()) as holder:
         assert holder.workspace is autodiff._WORKSPACE
-        got = forward_batch(model, feats)
+        got = step()
         assert autodiff._WORKSPACE._used == 0
-    assert np.array_equal(got, want)
+    assert got == want
     assert holder.workspace is not autodiff._WORKSPACE
 
 
-def test_an_untaped_pairwise_call_keeps_one_block(monkeypatch):
-    """A batch of four blocks leaves the buffer at the size a batch of one block leaves."""
-    model = init_model(196, 10, 10, seed=0)
-    block = contraction.BLOCK_BYTES // (193 * 10 * 10 * 8)
-    feats = encoded(model, np.random.default_rng(4), 4 * block)
-    sizes = []
-    for count in (block, 4 * block):
-        workspace = autodiff.Workspace()
-        monkeypatch.setattr(autodiff, "_WORKSPACE", workspace)
-        for _ in range(2):
-            forward_batch(model, feats[:count])
-        sizes.append(workspace._flat.size)
-    assert sizes[0] == sizes[1] > 0
+def test_untaped_calls_never_grow_the_workspace(monkeypatch):
+    """Untaped forwards and evaluation leave an empty workspace empty, and take
+    what fits from the buffer a taped step left, without growing it."""
+    workspace = autodiff.Workspace()
+    monkeypatch.setattr(autodiff, "_WORKSPACE", workspace)
+    model = init_model(21, 4, 3, seed=0)
+    rng = np.random.default_rng(5)
+    feats, labels = encoded(model, rng, 6), rng.integers(0, 4, 6)
+
+    def untaped_calls():
+        for strategy in SCHEDULES * 2:
+            forward_batch(model, feats, strategy)
+            evaluate(model, feats, labels, batch_size=4, strategy=strategy)
+
+    untaped_calls()
+    assert workspace._flat.size == 0
+    assert workspace._used == 0
+    # The buffer grows to a step's need at the next borrow, so each size takes two steps.
+    for _ in range(2):
+        loss_and_gradients(model, feats[:2], labels[:2])
+    small = workspace._flat.size
+    untaped_calls()
+    assert workspace._flat.size == small > 0
+    for _ in range(2):
+        loss_and_gradients(model, feats, labels)
+    real = autodiff.Workspace.empty
+    overflowed = []
+
+    def checked(self, shape):
+        arr = real(self, shape)
+        if self is workspace and not np.shares_memory(arr, self._flat):
+            overflowed.append(shape)
+        return arr
+
+    monkeypatch.setattr(autodiff.Workspace, "empty", checked)
+    forward_batch(model, feats)
+    assert overflowed == []
 
 
 def minor_faults() -> int:
