@@ -1,10 +1,12 @@
 """Contract the same chain three ways and compare answers and arithmetic cost.
 
-The sequential sweep never builds a matrix-matrix product, so its cost is
-quadratic in the bond dimension. The pairwise schedule multiplies adjacent
-matrices in rounds, paying a cubic term for the right to run wide. Brute
-force sums all 2^N index assignments and is the ground truth for tiny N.
-FLOPs are counted from the nodes a recording tape keeps.
+The taped sequential sweep never builds a matrix-matrix product, so its
+cost is quadratic in the bond dimension; untaped, it steps through two-site
+bonds whose products are cubic but formed once for the whole batch. The
+pairwise schedule multiplies adjacent matrices in rounds, paying a cubic
+term for the right to run wide. Brute force sums all 2^N index assignments
+and is the ground truth for tiny N. FLOPs are counted from the nodes a
+recording tape keeps, so they follow the taped schedules.
 
 Run: python3 demos/compare_strategies.py
 """

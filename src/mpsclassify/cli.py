@@ -248,9 +248,9 @@ def _add_data_arguments(p, with_train=True):
                    help="block-mean pool by FxF before encoding")
     p.add_argument("--seed", type=_non_negative_int, default=0)
     if with_train:
-        p.add_argument("--train-count", type=int, default=0,
+        p.add_argument("--train-count", type=_non_negative_int, default=0,
                        help="seeded train subset size (0 = all)")
-    p.add_argument("--test-count", type=int, default=0,
+    p.add_argument("--test-count", type=_non_negative_int, default=0,
                    help="seeded test subset size (0 = all)")
 
 
@@ -355,6 +355,8 @@ def _strategy_list(text: str) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "backward", False) and "brute-force" in args.strategies:
+        parser.error("--backward cannot time --strategies brute-force: brute force has no gradients")
     try:
         return args.func(args)
     except (MpsError, FileNotFoundError) as exc:

@@ -2,9 +2,11 @@
 
 Two production schedules plus a brute-force oracle:
 
-* ``sequential``: absorb each pixel, then sweep a vector from each end of
-  the chain toward the label site, combining there so the label count L
-  enters only the final step. Matrix-vector work throughout.
+* ``sequential``: sweep a vector from each end of the chain toward the
+  label site, combining there so the label count L enters only the final
+  step. A recording tape absorbs each pixel and multiplies the vector by
+  its matrix; untaped, the vector takes one batch-wide step per two-site
+  bond (``_sweep_pairs``). Only the batch-independent bonds cost chi^3.
 * ``pairwise``: absorb every pixel of each half at once, from the half's
   own rows of ``cores``, then repeatedly multiply adjacent effective
   matrices in rounds. All products of a round are independent, so a round
@@ -109,18 +111,22 @@ def _absorb_ends(model, feats, tape):
     return lv, lab, rv
 
 
-def _absorb_half(model, feats, tape, right):
-    """Absorb the bond sites left of the label site, or right of it: [n, B, chi, chi].
-
-    The half's own rows of ``cores`` are sliced on the tape, so their
-    adjoint adds straight into the ``cores`` gradient. A tape that does not
-    record absorbs the sites in pairs instead, [ceil(n/2), B, chi, chi]
-    (``_absorb_pairs``).
-    """
+def _half(model, feats, tape, right):
+    """A half's n bond sites: its own rows of ``cores`` sliced on the tape, so
+    their adjoint adds straight into the ``cores`` gradient, and its [B, n, d] features."""
     m, n = model.label_site, model.n_sites
     start, stop = (m - 1, n - 3) if right else (0, m - 1)
-    cores = tape.slice_rows(model.cores, start, stop)
-    feats = feats[:, m + 1 : n - 1] if right else feats[:, 1:m]
+    sites = slice(m + 1, n - 1) if right else slice(1, m)
+    return tape.slice_rows(model.cores, start, stop), feats[:, sites]
+
+
+def _absorb_half(model, feats, tape, right):
+    """Absorb the bond sites of one half (``_half``): [n, B, chi, chi].
+
+    A tape that does not record absorbs the sites in pairs instead,
+    [ceil(n/2), B, chi, chi] (``_absorb_pairs``).
+    """
+    cores, feats = _half(model, feats, tape, right)
     if not tape.recording:
         return _absorb_pairs(tape, cores, feats)
     return tape.contract(
@@ -128,35 +134,58 @@ def _absorb_half(model, feats, tape, right):
         cores,
         feats,
         kind="absorb",
-        out=tape.workspace.empty((stop - start, len(feats)) + cores.shape[2:]),
+        out=tape.workspace.empty((len(cores), len(feats)) + cores.shape[2:]),
     )
+
+
+def _bonds(tape, cores, feats):
+    """Factors of a half's site pairs (2k, 2k+1), an odd last site left out.
+
+    The two-site core products ``A_2k^s A_2k+1^t``, [pairs, d, d, chi, chi],
+    do not depend on the batch, so they are formed once; the weights are the
+    outer products of each image's two feature vectors, [pairs, B, d, d].
+    """
+    even, odd = slice(0, len(cores) // 2 * 2, 2), slice(1, len(cores) // 2 * 2, 2)
+    bond = tape.contract("ksxy,ktyz->kstxz", cores[even], cores[odd], kind="absorb")
+    return bond, tape.contract("bks,bkt->kbst", feats[:, even], feats[:, odd], kind="absorb")
 
 
 def _absorb_pairs(tape, cores, feats):
     """Untaped absorb of a half's n sites two at a time: [ceil(n/2), B, chi, chi].
 
-    Row k is the product of the matrices of sites 2k and 2k+1. The two-site
-    products of the cores, ``[pairs, d, d, chi, chi]``, do not depend on the
-    batch, so they are formed once and mixed per image by the outer product
-    of its two feature vectors, one ``[pairs, B, d*d] @ [pairs, d*d, chi^2]``
-    product that writes the stack batch-major. An odd last site fills the
-    last row alone.
+    Row k is the product of the matrices of sites 2k and 2k+1: the bonds
+    mixed per image by its weights (``_bonds``), one ``[pairs, B, d*d] @
+    [pairs, d*d, chi^2]`` product that writes the stack batch-major. An odd
+    last site fills the last row alone.
     """
     n, pairs = cores.shape[0], cores.shape[0] // 2
     stack = tape.workspace.empty((n - pairs, len(feats)) + cores.shape[2:])
     if pairs:
-        bond = tape.contract(
-            "ksxy,ktyz->kstxz", cores[0 : 2 * pairs : 2], cores[1 : 2 * pairs : 2], kind="absorb"
-        )
-        weights = tape.contract(
-            "bks,bkt->kbst", feats[:, 0 : 2 * pairs : 2], feats[:, 1 : 2 * pairs : 2], kind="absorb"
-        )
+        bond, weights = _bonds(tape, cores, feats)
         # The bond products are named first: the plan pops operands in
         # reverse, so its one matmul produces the stack's order directly.
         tape.contract("kstxz,kbst->kbxz", bond, weights, kind="absorb", out=stack[:pairs])
     if n % 2:
         tape.contract("dxy,bd->bxy", cores[-1], feats[:, -1], kind="absorb", out=stack[-1])
     return stack
+
+
+def _sweep_pairs(tape, cores, feats, vec, right):
+    """Untaped sweep of a boundary vector [B, chi] through a half's n sites.
+
+    Each of its ceil(n/2) steps is one batch-wide product with a bond, then
+    a weighting per image (``_bonds``). An odd last site is stepped alone,
+    vector first; on the right it is the outermost, so it goes first.
+    """
+    steps = [("st", bond, w) for bond, w in zip(*_bonds(tape, cores, feats))]
+    if len(cores) % 2:
+        steps.append(("s", cores[-1], feats[:, -1]))
+    for s, mat, w in reversed(steps) if right else steps:
+        if right:
+            vec = tape.contract(f"b{s}x,b{s}->bx", tape.contract(f"{s}xz,bz->b{s}x", mat, vec), w)
+        else:
+            vec = tape.contract(f"b{s}z,b{s}->bz", tape.contract(f"bx,{s}xz->b{s}z", vec, mat), w)
+    return vec
 
 
 def _reduce_half(tape, stack):
@@ -189,6 +218,10 @@ def _forward_pairwise_batch(model, feats, tape):
 def _forward_sequential_batch(model, feats, tape):
     m = model.label_site
     lv, lab, rv = _absorb_ends(model, feats, tape)
+    if not tape.recording:
+        lv, rv = (_sweep_pairs(tape, *_half(model, feats, tape, right), v, right)
+                  for right, v in ((False, lv), (True, rv)))
+        return _combine(tape, lv, None, lab, None, rv)
 
     def site_matrix(site):
         core = tape.gather(model.cores, model.core_stack_index(site))
@@ -216,10 +249,10 @@ def forward_batch(
     ``tape`` given runs the whole batch at once and is never lent the
     workspace.
 
-    A pairwise call on a tape that does not record, blocks included,
-    absorbs each half two sites per matrix (``_absorb_pairs``); a recording
-    tape absorbs one site per matrix, so its logits may differ from the
-    untaped ones in the last bits.
+    On a tape that does not record, blocks included, pairwise absorbs
+    each half two sites per matrix (``_absorb_pairs``) and sequential
+    sweeps two-site bonds (``_sweep_pairs``). A recording tape absorbs one
+    site per matrix, so taped and untaped logits agree to rounding only.
 
     When the budget holds fewer than three images (at N=196, chi >= 43),
     a block can hold one image, and a one-image block rounds differently

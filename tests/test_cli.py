@@ -333,11 +333,18 @@ class TestBenchCommand:
         assert cli._timed(3, call)[1] == 0
         assert len(runs) == 4
 
-    def test_brute_force_backward_is_a_named_error(self, capsys):
-        code = main(["bench-contraction", "--sites", "8", "--batch", "2", "--bond-dims", "2",
-                     "--strategies", "brute-force", "--repeats", "1", "--backward"])
-        assert code == 1
-        assert "brute force is an untaped oracle" in capsys.readouterr().err
+    def test_brute_force_backward_is_a_named_error(self, tmp_path, capsys):
+        """Rejected at parse time, before any row is timed or the CSV is written."""
+        out_csv = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-contraction", "--sites", "8", "--batch", "2", "--bond-dims", "2",
+                  "--strategies", "sequential,brute-force", "--repeats", "1", "--backward",
+                  "--csv", str(out_csv)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--backward" in err and "--strategies brute-force" in err
+        assert not out_csv.exists()
 
     def test_unknown_strategy_rejected_before_timing(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -411,6 +418,23 @@ class TestParser:
         out, err = capsys.readouterr()
         assert out == ""
         assert "--seed" in err and "'-1'" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["train", "--synthetic", "20", "--epochs", "1"], "--train-count"),
+            (["train", "--synthetic", "20", "--epochs", "1"], "--test-count"),
+            (["eval", "--synthetic", "20", "--checkpoint", "model.mps"], "--test-count"),
+        ],
+        ids=["train-train-count", "train-test-count", "eval-test-count"],
+    )
+    def test_negative_subset_count_rejected_before_running(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "-3"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert flag in err and "'-3'" in err
 
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:

@@ -262,6 +262,49 @@ class TestPairwiseRounds:
         )
 
 
+class TestSequentialSweep:
+    """Untaped, the sequential sweep steps each vector through two-site bonds."""
+
+    @pytest.mark.parametrize("n_sites", range(3, 12))
+    def test_every_label_site_matches_brute_force(self, rng, n_sites):
+        """Halves of 0 to 9 sites, odd and even, on both sides of the label."""
+        for label_site in range(1, n_sites - 1):
+            model = init_model(n_sites, 2, 3, seed=n_sites, sigma=0.3, label_site=label_site)
+            feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(2, n_sites)))
+            got = forward_batch(model, feats, Strategy.SEQUENTIAL)
+            want = np.stack([brute_force_logits(model, image) for image in feats])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), label_site
+
+    @pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_half_takes_one_vector_step_per_site_pair(self, monkeypatch, rng, n, right):
+        """A half of n sites, the other half empty, takes ceil(n/2) vector steps."""
+        model = init_model(n + 3, 2, 2, seed=0, label_site=1 if right else n + 1)
+        feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(4, n + 3)))
+        steps = []
+        real = Tape.contract
+
+        def counted(tape, subscripts, *ops, kind="contract", out=None):
+            result = real(tape, subscripts, *ops, kind=kind, out=out)
+            if kind == "contract" and result.ndim == 2:
+                steps.append(subscripts)
+            return result
+
+        monkeypatch.setattr(Tape, "contract", counted)
+        forward_batch(model, feats, Strategy.SEQUENTIAL)
+        assert len(steps) == -(-n // 2)
+
+    def test_desk_logits_match_a_recording_tape(self, rng):
+        model = init_model(196, 10, 10, seed=0)
+        feats = encode_batch(model.feature_map, rng.random((50, 196)))
+        got = forward_batch(model, feats, Strategy.SEQUENTIAL)
+        tape = Tape()
+        tape.watch_model(model)
+        want = forward_batch(model, feats, Strategy.SEQUENTIAL, tape=tape)
+        assert len(tape.nodes) > 0
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestUntapedBlocks:
     """An untaped pairwise call runs its batch in even blocks of at most ``BLOCK_BYTES``.
 
