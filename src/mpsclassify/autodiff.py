@@ -39,17 +39,17 @@ fresh pages; no caller states a size. ``lend_workspace`` lends it to one
 tape at a time and takes it back when its block exits. Its borrowers are
 the package's own callers whose results never alias it:
 ``training._taped_step``, once per step, and the untaped
-``contraction.forward_batch``, once per block of at most
-``contraction.BLOCK_BYTES`` of absorbed bond matrices. Only the taped step
-grows the buffer, with its batch; an evaluation uses what the buffer
-holds, so a process that never trained keeps none. A tape the user builds
-keeps its own empty workspace, so all its arrays are new. On a lent tape
-the absorbed label block and chain halves, and every ``pair_round`` output
-and adjoint, may be views of the workspace. Nothing returned, the
-gradients included, is one: the next borrower overwrites them. Row
-accumulators are new arrays. The lowest round's transposed adjoint goes
-straight to the absorb adjoint, which runs its plan on its C-order
-transpose (``_adjoint_forms``).
+``contraction.forward_batch``, once per block of images whose stacks (four
+sites per matrix) and rounds take at most ``contraction.BLOCK_BYTES``.
+Only the taped step grows the buffer, with its batch; an evaluation uses
+what the buffer holds, so a process that never trained keeps none. A tape
+the user builds keeps its own empty workspace, so all its arrays are new.
+On a lent tape the absorbed label block and chain halves, and every
+``pair_round`` output and adjoint, may be views of the workspace. Nothing
+returned, the gradients included, is one: the next borrower overwrites
+them. Row accumulators are new arrays. The lowest round's transposed
+adjoint goes straight to the absorb adjoint, which runs its plan on its
+C-order transpose (``_adjoint_forms``).
 """
 
 import functools

@@ -287,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("grad-check", help="compare gradients to finite differences")
-    p.add_argument("--sites", type=int, default=8)
-    p.add_argument("--labels", type=int, default=3)
+    p.add_argument("--sites", type=_at_least(3), default=8)
+    p.add_argument("--labels", type=_at_least(2), default=3)
     p.add_argument("--bond-dim", type=int, default=4)
     p.add_argument("--batch", type=_positive_int, default=2)
     p.add_argument("--seed", type=_non_negative_int, default=0)
@@ -298,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_grad_check)
 
     p = sub.add_parser("bench-contraction", help="time the contraction schedules")
-    p.add_argument("--sites", type=int, default=196)
-    p.add_argument("--labels", type=int, default=10)
+    p.add_argument("--sites", type=_at_least(3), default=196)
+    p.add_argument("--labels", type=_at_least(2), default=10)
     p.add_argument("--batch", type=_positive_int, default=50)
     p.add_argument("--bond-dims", type=_int_list, default=[8, 16, 32, 64],
                    metavar="A,B,...")
@@ -314,18 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+_positive_int, _non_negative_int = _at_least(1), _at_least(0)
 
 
 def _positive_float(text: str) -> float:

@@ -12,11 +12,11 @@ Two production schedules plus a brute-force oracle:
   matrices in rounds. All products of a round are independent, so a round
   is one stacked matrix product, at the price of matrix-matrix (chi^3)
   products. An odd matrix at the end of a round is carried to the next
-  round unpaired. Untaped, a half absorbs its sites two at a time: the
-  batch-independent two-site products ``A_k^s A_{k+1}^t`` are formed once
-  and mixed per image by its feature outer products, so the rounds start
-  from half as many matrices. A recording tape absorbs one site per
-  matrix.
+  round unpaired. Untaped, a half absorbs its sites four at a time: the
+  batch-independent products ``A_k^s A_{k+1}^t A_{k+2}^u A_{k+3}^v`` are
+  formed once per call and mixed per image by its feature outer products,
+  so the rounds start from a quarter as many matrices. A recording tape
+  absorbs one site per matrix.
 * ``brute force``: the literal sum over every pixel-index assignment,
   guarded to small chains. Exists to anchor the fast schedules.
 
@@ -38,7 +38,7 @@ contiguous for BLAS. Brute force records nothing on a tape and has no
 gradients.
 
 Workspace: a pairwise call takes its absorbed label block and halves (one
-matrix per site taped, per site pair untaped), its round outputs and,
+matrix per site taped, per four sites untaped), its round outputs and,
 taped, its round adjoints from its tape's workspace
 (``autodiff.Workspace``). The taped training step
 (``training._taped_step``) and each block of the untaped
@@ -48,10 +48,9 @@ arrays from the buffer that training steps left, and new arrays beyond
 it, and a process that never trained keeps no buffer at all. A tape
 passed in by the caller is never lent the workspace. The untaped
 ``forward_batch`` runs a pairwise batch in even blocks of images whose
-absorbed bond matrices, one per site, would take at most ``BLOCK_BYTES``
-(8 MiB), each on its own tape. Its paired stack and rounds take about one
-block's budget (8.2 MiB at the desk recipe), whatever the batch size, and
-each block's stack is read back while it is still near the caches. A
+stacks and round outputs take at most ``BLOCK_BYTES`` (8 MiB), each on its
+own tape, so what a block holds does not grow with the batch, and each
+block's stack is read back while it is still near the caches. A
 taped step records its whole batch at once. No logits returned are a view
 of the workspace.
 """
@@ -68,9 +67,9 @@ from .tensor import DTYPE
 
 BRUTE_FORCE_MAX_SITES = 12
 
-# Untaped pairwise calls absorb at most this many bytes of bond matrices at
-# once, so a block's stack and rounds stay near the CPU caches and what an
-# evaluation allocates is bounded by one block, not by the batch.
+# An untaped pairwise block's stacks and round outputs take at most this many
+# bytes, so they stay near the CPU caches and what an evaluation allocates is
+# bounded by one block, not by the batch.
 BLOCK_BYTES = 8 * 2**20
 
 
@@ -120,51 +119,55 @@ def _half(model, feats, tape, right):
     return tape.slice_rows(model.cores, start, stop), feats[:, sites]
 
 
-def _absorb_half(model, feats, tape, right):
+def _absorb_half(model, feats, tape, right, quad):
     """Absorb the bond sites of one half (``_half``): [n, B, chi, chi].
 
-    A tape that does not record absorbs the sites in pairs instead,
-    [ceil(n/2), B, chi, chi] (``_absorb_pairs``).
+    A tape that does not record absorbs the sites four at a time instead,
+    [n//4 + (n%4+1)//2, B, chi, chi] (``_absorb_quads``, given ``quad``).
     """
     cores, feats = _half(model, feats, tape, right)
     if not tape.recording:
-        return _absorb_pairs(tape, cores, feats)
-    return tape.contract(
-        "sdxy,bsd->sbxy",
-        cores,
-        feats,
-        kind="absorb",
-        out=tape.workspace.empty((len(cores), len(feats)) + cores.shape[2:]),
-    )
+        return _absorb_quads(tape, cores, feats, quad)
+    out = tape.workspace.empty((len(cores), len(feats)) + cores.shape[2:])
+    return tape.contract("sdxy,bsd->sbxy", cores, feats, kind="absorb", out=out)
 
 
-def _bonds(tape, cores, feats):
-    """Factors of a half's site pairs (2k, 2k+1), an odd last site left out.
-
-    The two-site core products ``A_2k^s A_2k+1^t``, [pairs, d, d, chi, chi],
-    do not depend on the batch, so they are formed once; the weights are the
-    outer products of each image's two feature vectors, [pairs, B, d, d].
-    """
-    even, odd = slice(0, len(cores) // 2 * 2, 2), slice(1, len(cores) // 2 * 2, 2)
-    bond = tape.contract("ksxy,ktyz->kstxz", cores[even], cores[odd], kind="absorb")
-    return bond, tape.contract("bks,bkt->kbst", feats[:, even], feats[:, odd], kind="absorb")
+def _pair(tape, subscripts, x):
+    """``subscripts`` over rows (2k, 2k+1) of ``x``, an odd last row left out: the bonds
+    ``A_2k^s A_2k+1^t`` of cores, or the feature outer products that mix them per image."""
+    even, odd = slice(0, len(x) // 2 * 2, 2), slice(1, len(x) // 2 * 2, 2)
+    return tape.contract(subscripts, x[even], x[odd], kind="absorb")
 
 
-def _absorb_pairs(tape, cores, feats):
-    """Untaped absorb of a half's n sites two at a time: [ceil(n/2), B, chi, chi].
+def _quad_bond(tape, cores):
+    """Bonds of bonds, [n//4, d^2, d^2, chi, chi], C-contiguous for the mix to read in place."""
+    bond = _pair(tape, "ksxy,ktyz->kstxz", cores[: len(cores) // 4 * 4])
+    bond = bond.reshape((len(bond), cores.shape[1] ** 2) + cores.shape[2:])
+    return np.ascontiguousarray(_pair(tape, "ksxy,ktyz->kstxz", bond))
 
-    Row k is the product of the matrices of sites 2k and 2k+1: the bonds
-    mixed per image by its weights (``_bonds``), one ``[pairs, B, d*d] @
-    [pairs, d*d, chi^2]`` product that writes the stack batch-major. An odd
-    last site fills the last row alone.
-    """
-    n, pairs = cores.shape[0], cores.shape[0] // 2
-    stack = tape.workspace.empty((n - pairs, len(feats)) + cores.shape[2:])
+
+def _absorb_quads(tape, cores, feats, quad):
+    """Untaped absorb of a half's n sites four at a time: [n//4 + (n%4+1)//2, B, chi, chi].
+
+    Row k, sites 4k to 4k+3, is its bond of bonds (``quad``, or ``_quad_bond``)
+    mixed by each image's weights of weights in one ``[n//4, B, d^4] @ [n//4,
+    d^4, chi^2]`` product. The last 1-3 sites follow as a two-site matrix
+    and/or a single site."""
+    n, pairs, quads = len(cores), len(cores) // 2, len(cores) // 4
+    stack = tape.workspace.empty((n - pairs - quads, len(feats)) + cores.shape[2:])
     if pairs:
-        bond, weights = _bonds(tape, cores, feats)
-        # The bond products are named first: the plan pops operands in
-        # reverse, so its one matmul produces the stack's order directly.
-        tape.contract("kstxz,kbst->kbxz", bond, weights, kind="absorb", out=stack[:pairs])
+        # Image-last weights: each outer product runs along the batch.
+        weights = _pair(tape, "ksb,ktb->kstb", np.ascontiguousarray(feats.transpose(1, 2, 0)))
+        # The bonds are named first: the plan pops operands in reverse, so
+        # each mix's one matmul produces the stack's order directly.
+        if quads:
+            quad = _quad_bond(tape, cores) if quad is None else quad
+            mix = _pair(tape, "ksb,ktb->kstb", weights.reshape(pairs, -1, len(feats)))
+            tape.contract("kstxz,kstb->kbxz", quad, mix, kind="absorb", out=stack[:quads])
+        if pairs % 2:
+            bond = _pair(tape, "ksxy,ktyz->kstxz", cores[2 * pairs - 2 : 2 * pairs])
+            tape.contract("kstxz,kstb->kbxz", bond, weights[-1:], kind="absorb",
+                          out=stack[quads : quads + 1])
     if n % 2:
         tape.contract("dxy,bd->bxy", cores[-1], feats[:, -1], kind="absorb", out=stack[-1])
     return stack
@@ -174,10 +177,11 @@ def _sweep_pairs(tape, cores, feats, vec, right):
     """Untaped sweep of a boundary vector [B, chi] through a half's n sites.
 
     Each of its ceil(n/2) steps is one batch-wide product with a bond, then
-    a weighting per image (``_bonds``). An odd last site is stepped alone,
+    a weighting per image (``_pair``). An odd last site is stepped alone,
     vector first; on the right it is the outermost, so it goes first.
     """
-    steps = [("st", bond, w) for bond, w in zip(*_bonds(tape, cores, feats))]
+    weights = _pair(tape, "kbs,kbt->kbst", feats.swapaxes(0, 1))
+    steps = [("st", bond, w) for bond, w in zip(_pair(tape, "ksxy,ktyz->kstxz", cores), weights)]
     if len(cores) % 2:
         steps.append(("s", cores[-1], feats[:, -1]))
     for s, mat, w in reversed(steps) if right else steps:
@@ -207,10 +211,11 @@ def _combine(tape, lv, left_mat, lab, right_mat, rv):
     return tape.contract("by,blxy,bx->bl", rv, lab, lv, kind="combine")
 
 
-def _forward_pairwise_batch(model, feats, tape):
+def _forward_pairwise_batch(model, feats, tape, quads=(None, None)):
     lv, lab, rv = _absorb_ends(model, feats, tape)
     left_mat, right_mat = (
-        _reduce_half(tape, _absorb_half(model, feats, tape, right)) for right in (False, True)
+        _reduce_half(tape, _absorb_half(model, feats, tape, right, quad))
+        for right, quad in zip((False, True), quads)
     )
     return _combine(tape, lv, left_mat, lab, right_mat, rv)
 
@@ -234,6 +239,20 @@ def _forward_sequential_batch(model, feats, tape):
     return _combine(tape, lv, None, lab, None, rv)
 
 
+def _block_images(model):
+    """Images per block of an untaped pairwise ``forward_batch``: as many as
+    fit ``BLOCK_BYTES`` with both halves' stacks (``_absorb_quads``) and
+    every round's output, about twice the stacks."""
+    matrices = 0
+    for rows in (model.label_site - 1, model.n_sites - 2 - model.label_site):
+        rows -= rows // 2 + rows // 4
+        while rows > 1:
+            matrices, rows = matrices + rows, rows - rows // 2
+        matrices += rows
+    # N=3 has no bond matrices; its block is then sized as if it had one.
+    return max(1, BLOCK_BYTES // (max(1, matrices) * model.bond_dim**2 * DTYPE().itemsize))
+
+
 def forward_batch(
     model: MpsClassifier,
     feats: np.ndarray,
@@ -242,19 +261,19 @@ def forward_batch(
 ) -> np.ndarray:
     """Logits [B, L] for a batch of encoded images [B, N, d], as a new array.
 
-    Without ``tape``, the pairwise schedule runs the batch in blocks of
-    images whose absorbed bond matrices take at most ``BLOCK_BYTES``, each
-    on its own tape that does not record and is lent the workspace without
-    growing it, and writes each block's logits into one new array. A
-    ``tape`` given runs the whole batch at once and is never lent the
+    Without ``tape``, the pairwise schedule forms each half's four-site
+    bonds once, then runs the batch in blocks of ``_block_images`` images,
+    each on its own tape that does not record and is lent the workspace
+    without growing it, and writes each block's logits into one new array.
+    A ``tape`` given runs the whole batch at once and is never lent the
     workspace.
 
     On a tape that does not record, blocks included, pairwise absorbs
-    each half two sites per matrix (``_absorb_pairs``) and sequential
+    each half four sites per matrix (``_absorb_quads``) and sequential
     sweeps two-site bonds (``_sweep_pairs``). A recording tape absorbs one
     site per matrix, so taped and untaped logits agree to rounding only.
 
-    When the budget holds fewer than three images (at N=196, chi >= 43),
+    When the budget holds fewer than three images (at N=196, chi >= 60),
     a block can hold one image, and a one-image block rounds differently
     from the whole batch: its logits then match per-image calls bit for bit
     but may differ from a taped forward of the same batch in the last bits.
@@ -272,9 +291,11 @@ def forward_batch(
         return forward(model, feats, tape)
     if strategy is Strategy.SEQUENTIAL:
         return forward(model, feats, Tape(recording=False))
-    # N=3 has no bond matrices; its block is then sized as if it had one.
-    image_bytes = max(1, model.n_sites - 3) * model.bond_dim**2 * feats.itemsize
-    block = max(1, BLOCK_BYTES // image_bytes)
+    # The four-site bonds do not depend on the batch, so every block shares them.
+    untaped = Tape(recording=False)
+    quads = [_quad_bond(untaped, _half(model, feats, untaped, right)[0])
+             for right in (False, True)]
+    block = _block_images(model)
     count = feats.shape[0]
     blocks = -(-count // block)
     logits = np.empty((count, model.n_labels), dtype=DTYPE)
@@ -284,7 +305,7 @@ def forward_batch(
     for k in range(blocks):
         rows = slice(count * k // blocks, count * (k + 1) // blocks)
         with lend_workspace(Tape(recording=False)) as untaped:
-            logits[rows] = forward(model, feats[rows], untaped)
+            logits[rows] = forward(model, feats[rows], untaped, quads)
     return logits
 
 

@@ -28,6 +28,8 @@ def _check_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np
         raise DimensionError(
             f"labels shape {labels.shape} does not match batch of {logits.shape[0]}"
         )
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise DimensionError(f"labels must be integers, got dtype {labels.dtype}")
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logits passed to loss")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[1]:

@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import Gradients, Tape, backward, lend_workspace
 from .contraction import Strategy, check_batch_features, forward_batch, predict_batch
 from .encoding import encode_batch
-from .errors import ConfigError, ConsistencyError, NumericError
+from .errors import ConfigError, ConsistencyError, DimensionError, NumericError
 from .losses import LossKind, compute_loss, cross_entropy_loss, mean_square_loss
 from .model import MpsClassifier
 from .tensor import DTYPE
@@ -246,6 +246,8 @@ def evaluate_predictions(
         raise ConfigError("cannot evaluate an empty set: it holds no images")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    if np.shape(labels) != (count,):
+        raise DimensionError(f"{np.size(labels)} labels for {count} images")
     loss_sum = 0.0
     preds = np.empty(count, dtype=np.int64)
     for start in range(0, count, batch_size):

@@ -436,6 +436,17 @@ class TestParser:
         assert out == ""
         assert flag in err and "'-3'" in err
 
+    @pytest.mark.parametrize("command", ["bench-contraction", "grad-check"])
+    @pytest.mark.parametrize("flag, value", [("--sites", "-5"), ("--sites", "2"), ("--labels", "1")])
+    def test_too_few_sites_or_labels_rejected_before_running(self, capsys, command, flag, value):
+        """Not a NumPy traceback from the first contraction: argparse names the flag."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert flag in err and repr(value) in err
+
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

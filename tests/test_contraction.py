@@ -225,12 +225,14 @@ class TestPairwiseRounds:
             assert sum(n.kind == "pair_round" for n in tape.nodes) == rounds
 
     @pytest.mark.parametrize(
-        "n_left, round_rows", [(1, []), (2, []), (3, [2]), (5, [3, 2]), (8, [4, 2])]
+        "n_left, round_rows",
+        [(1, []), (2, []), (3, [2]), (4, []), (5, [2]), (6, [2]), (7, [3, 2]), (8, [2]), (9, [3, 2])],
+        ids=[str(n) for n in range(1, 10)],
     )
-    def test_untaped_rounds_multiply_one_matrix_per_site_pair(
+    def test_untaped_rounds_multiply_a_matrix_per_four_sites(
         self, monkeypatch, rng, n_left, round_rows
     ):
-        """Untaped, a half of n sites enters the rounds as ceil(n/2) absorbed pairs."""
+        """Untaped, a half of n sites enters the rounds as n//4 + (n%4+1)//2 absorbed matrices."""
         model = init_model(n_left + 3, 2, 2, seed=0, label_site=n_left + 1)
         feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(4, n_left + 3)))
         rows = []
@@ -243,6 +245,16 @@ class TestPairwiseRounds:
         monkeypatch.setattr(Tape, "pair_round", counted)
         forward_batch(model, feats)
         assert rows == round_rows
+
+    @pytest.mark.parametrize("n_sites", [11, 12])
+    def test_every_label_site_matches_brute_force(self, rng, n_sites):
+        """Untaped halves of 0 to 9 sites, every remainder mod 4, on both sides of the label."""
+        for label_site in range(1, n_sites - 1):
+            model = init_model(n_sites, 2, 3, seed=n_sites, sigma=0.3, label_site=label_site)
+            feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(2, n_sites)))
+            got = forward_batch(model, feats, Strategy.PAIRWISE)
+            want = np.stack([brute_force_logits(model, image) for image in feats])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), label_site
 
     def test_plan_round_labels_match_formula(self, rng):
         """A chain with an 8-matrix left half reduces it in exactly 3 rounds."""
@@ -314,19 +326,23 @@ class TestUntapedBlocks:
     """
 
     @pytest.mark.parametrize(
-        "n_sites, bond_dim, count",
+        "n_sites, bond_dim, count, budget",
         [
-            (196, 10, 109),  # 54 images a block: three of 36-37, not 54 + 54 + 1
-            (196, 10, 20),  # smaller than one block
-            (3, 4, 7),  # no bond matrices
-            (132, 64, 3),  # one image fills a block
+            (196, 10, 109, None),  # 104 images a block: two of 54-55, not 104 + 5
+            (196, 10, 20, None),  # smaller than one block
+            (3, 4, 7, None),  # no bond matrices
+            (132, 64, 3, 2**21),  # one image, about 2.1 MiB, fills a 2 MiB block
         ],
+        ids=["196-10-109", "196-10-20", "3-4-7", "132-64-3"],
     )
-    def test_blocked_logits_are_byte_identical(self, monkeypatch, rng, n_sites, bond_dim, count):
+    def test_blocked_logits_are_byte_identical(
+        self, monkeypatch, rng, n_sites, bond_dim, count, budget
+    ):
+        if budget is not None:
+            monkeypatch.setattr(contraction, "BLOCK_BYTES", budget)
         model = init_model(n_sites, 3, bond_dim, seed=2)
         feats = encode_batch(model.feature_map, rng.random((count, n_sites)))
-        image_bytes = max(1, n_sites - 3) * bond_dim**2 * 8
-        block = max(1, contraction.BLOCK_BYTES // image_bytes)
+        block = contraction._block_images(model)
         if block == 1:
             want = np.concatenate([forward_batch(model, feats[b : b + 1]) for b in range(count)])
         else:
@@ -334,14 +350,41 @@ class TestUntapedBlocks:
         tapes = []
         real = contraction._forward_pairwise_batch
 
-        def counted(model, feats, tape):
+        def counted(model, feats, tape, *args):
             tapes.append(tape.recording)
-            return real(model, feats, tape)
+            return real(model, feats, tape, *args)
 
         monkeypatch.setattr(contraction, "_forward_pairwise_batch", counted)
         got = forward_batch(model, feats)
         assert tapes == [False] * -(-count // block)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_sites, bond_dim", [(196, 10), (784, 10), (196, 32)])
+    def test_block_stacks_and_rounds_fit_the_budget(self, monkeypatch, rng, n_sites, bond_dim):
+        """Two full blocks: each one's stacks and round outputs take at most
+        ``BLOCK_BYTES``, and one more image would not fit."""
+        model = init_model(n_sites, 3, bond_dim, seed=2)
+        block = contraction._block_images(model)
+        feats = encode_batch(model.feature_map, rng.random((2 * block, n_sites)))
+        held = {}
+        real_absorb, real_round = contraction._absorb_quads, Tape.pair_round
+
+        def absorb(tape, *args):
+            stack = real_absorb(tape, *args)
+            held[tape] = held.get(tape, 0) + stack.nbytes
+            return stack
+
+        def round_(tape, stack):
+            out = real_round(tape, stack)
+            held[tape] += out.nbytes
+            return out
+
+        monkeypatch.setattr(contraction, "_absorb_quads", absorb)
+        monkeypatch.setattr(Tape, "pair_round", round_)
+        forward_batch(model, feats)
+        assert len(held) == 2
+        for nbytes in held.values():
+            assert nbytes <= contraction.BLOCK_BYTES < nbytes // block * (block + 1)
 
 
 class TestStackLayout:

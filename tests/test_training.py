@@ -22,6 +22,7 @@ from mpsclassify import (
     train,
     write_metrics_csv,
 )
+from mpsclassify import training
 from mpsclassify.autodiff import Gradients
 from mpsclassify.encoding import encode_batch
 from mpsclassify.errors import (
@@ -31,6 +32,7 @@ from mpsclassify.errors import (
     NumericError,
 )
 from mpsclassify.losses import (
+    compute_loss,
     cross_entropy_loss,
     cross_entropy_with_grad,
     mean_square_loss,
@@ -430,6 +432,38 @@ class TestTrainLoop:
                 evaluate(model, feats, test_set.labels, batch_size=batch_size)
             with pytest.raises(ConfigError, match="batch_size must be >= 1"):
                 evaluate_predictions(model, feats, test_set.labels, batch_size=batch_size)
+
+    def test_evaluate_checks_the_label_count_before_any_contraction(self, monkeypatch):
+        """12 labels for 10 images fail before the first batch, naming both counts."""
+        test_set = synthetic_blobs(10, seed=4)
+        model = init_model(16, 2, 3, seed=0)
+        feats = encode_batch(model.feature_map, test_set.images)
+        batches = []
+        real = training.forward_batch
+
+        def counted(model, feats, *args):
+            batches.append(len(feats))
+            return real(model, feats, *args)
+
+        monkeypatch.setattr(training, "forward_batch", counted)
+        with pytest.raises(DimensionError, match="12 labels for 10 images"):
+            evaluate(model, feats, np.arange(12) % 2, batch_size=4)
+        assert batches == []
+
+    @pytest.mark.parametrize("entry", ["evaluate", "loss_and_gradients", "compute_loss"])
+    def test_float_labels_are_named(self, entry):
+        """Not NumPy's IndexError from indexing with floats: a named error with the dtype."""
+        test_set = synthetic_blobs(10, seed=4)
+        model = init_model(16, 3, 3, seed=0)
+        feats = encode_batch(model.feature_map, test_set.images)
+        labels = np.arange(10.0) % 3
+        calls = {
+            "evaluate": lambda: evaluate(model, feats, labels),
+            "loss_and_gradients": lambda: loss_and_gradients(model, feats, labels),
+            "compute_loss": lambda: compute_loss(LossKind.MEAN_SQUARE, np.zeros((10, 3)), labels),
+        }
+        with pytest.raises(DimensionError, match="labels must be integers, got dtype float64"):
+            calls[entry]()
 
     @pytest.mark.parametrize("strategy", [Strategy.PAIRWISE, Strategy.SEQUENTIAL])
     def test_step_on_empty_batch_names_it(self, strategy):
