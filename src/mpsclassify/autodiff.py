@@ -23,13 +23,15 @@ buffer per source array, instead of scattering into a fresh zero copy of
 the source for every node.
 
 A ``pair_round`` writes into one C-order output through
-``np.matmul(..., out=)``, with the carried odd row copied in place. Its
-adjoint stores the transpose of its result, ``dx^T[0::2] = b @ g^T`` and
-``dx^T[1::2] = g^T @ a``, in one C-order array and yields the transposed
-view. The ``g^T`` that the round below receives is then C-contiguous, so
-every product of a round, forward or adjoint, multiplies contiguous,
-non-transposed matrices; only the topmost round's adjoint, seeded by a
-contiguous ``g``, passes a transposed operand.
+``np.matmul(..., out=)``, with the carried odd row copied in place. Where an
+einsum's adjoint is a bare outer product over an operand's last two
+indices, as where a chain half's matrix meets its boundary vector, it is
+kept as factors ``(u, v)`` of ``[..., chi]`` arrays that stand for ``u ⊗ v``
+(the environment form of arXiv:1605.05775). A ``gather`` of a one-row
+source passes them on, and a round turns them into the factors of its
+input with two batched matrix-vector products per pair, so a round's
+adjoint costs chi^2, not chi^3, per product. The absorb below uses them up
+in two einsums; any other use expands them first (see ``backward``).
 
 The pairwise schedule takes its large per-call arrays from a tape's
 ``Workspace``: views of one flat float64 buffer while they fit, new arrays
@@ -44,12 +46,11 @@ sites per matrix) and rounds take at most ``contraction.BLOCK_BYTES``.
 Only the taped step grows the buffer, with its batch; an evaluation uses
 what the buffer holds, so a process that never trained keeps none. A tape
 the user builds keeps its own empty workspace, so all its arrays are new.
-On a lent tape the absorbed label block and chain halves, and every
-``pair_round`` output and adjoint, may be views of the workspace. Nothing
-returned, the gradients included, is one: the next borrower overwrites
-them. Row accumulators are new arrays. The lowest round's transposed
-adjoint goes straight to the absorb adjoint, which runs its plan on its
-C-order transpose (``_adjoint_forms``).
+On a lent tape the absorbed label block and chain halves and every
+``pair_round`` output may be views of the workspace: 15.3 MiB at the desk
+recipe. Nothing returned, the gradients included, is one: the next
+borrower overwrites them. Adjoints are new arrays: a round's factors are
+[T, B, chi], small enough to be freed round by round.
 """
 
 import functools
@@ -394,6 +395,8 @@ class Tape:
         return sum(_node_forward_flops(n) for n in self.nodes)
 
     def backward_flops(self) -> int:
+        """FLOPs of the dense adjoint rules: an upper bound, since a round fed
+        factors does about 1/chi of its count."""
         return sum(_node_backward_flops(n) for n in self.nodes)
 
 
@@ -455,71 +458,99 @@ def _node_backward_flops(node: Node) -> int:
         per = 2 * int(np.prod(list(ext.values())))
         return per * sum(node.needs)
     if node.kind == "pair_round":
-        # dA and dB per pair: two products for each forward product.
+        # The dense rule, dA and dB per pair: two products for each forward product.
         return 2 * _node_forward_flops(node)
     return _node_forward_flops(node)
 
 
-def _is_transposed(arr: np.ndarray) -> bool:
-    """Whether ``arr`` is the swapped-last-axes view of a C-order array, as a round adjoint is."""
-    return (
-        arr.ndim >= 2
-        and not arr.flags.c_contiguous
-        and np.swapaxes(arr, -1, -2).flags.c_contiguous
-    )
+def _outer(factors: tuple) -> np.ndarray:
+    """The dense array that factors ``(u, v)`` stand for: ``u ⊗ v`` over the last two axes."""
+    u, v = factors
+    return u[..., :, None] * v[..., None, :]
+
+
+def _dense(adj) -> np.ndarray:
+    return _outer(adj) if isinstance(adj, tuple) else adj
 
 
 @functools.lru_cache(maxsize=512)
 def _adjoint_forms(subscripts: str) -> tuple:
-    """Per operand of the einsum ``subscripts``: (the einsum of its adjoint from g, flippable).
+    """Per operand of the einsum ``subscripts``: (dense form, outer, factored forms).
 
-    The adjoint of operand i replaces it by g, indexed like the output, and
-    produces its indices. It is flippable when the last two indices of the
-    output also end operand i and appear in no other operand: a transposed g
-    then runs as its C-order transpose, which is the same plan with those two
-    indices renamed, so the same products, and the result is transposed back.
+    The dense form replaces the operand by g, indexed like the output. When
+    it is a bare outer product over the operand's last two indices, ``outer``
+    holds the positions of its factors (u, v) among its operands. The two
+    factored forms take u with the other operands, batch and shared indices
+    first, then the result with v, for g given as factors (u, v).
     """
     ins, out = subscripts.split("->")
     ins = ins.split(",")
     forms = []
     for i, own in enumerate(ins):
         parts = [out if j == i else term for j, term in enumerate(ins)]
-        others = set("".join(ins[:i] + ins[i + 1 :]))
-        flippable = len(out) >= 2 and out[-2:] == own[-2:] and not set(out[-2:]) & others
-        forms.append((",".join(parts) + "->" + own, flippable))
+        outer = None
+        if len(ins) == 2 and len(own) >= 2:
+            pair = (own[:-1], own[:-2] + own[-1])
+            if (out, ins[1 - i]) in (pair, pair[::-1]):
+                outer = (i, 1 - i) if out == pair[0] else (1 - i, i)
+        factored = None
+        if len(out) >= 2:
+            u, v, x = out[:-1], out[:-2] + out[-1], out[-2]
+            others = [term for j, term in enumerate(ins) if j != i]
+            mid = out[:-2] + "".join(dict.fromkeys(
+                ix for ix in "".join(others) if ix not in u and (ix in own or ix in v)
+            )) + (x if x in own else "")
+            factored = (",".join([u] + others) + "->" + mid, f"{mid},{v}->{own}")
+        forms.append((",".join(parts) + "->" + own, outer, factored))
     return tuple(forms)
 
 
-def _input_adjoints(node: Node, g: np.ndarray, workspace):
-    """Yield (input index, adjoint) for graded inputs; each adjoint is a new array.
+def _input_adjoints(node: Node, g):
+    """Yield (input index, adjoint) for graded inputs; each adjoint is new or factored.
 
-    A ``pair_round`` adjoint is the transposed view of a C-order array taken
-    from ``workspace``. ``gather`` and ``slice_rows`` have no rule here:
-    ``backward`` adds their adjoint into the source's rows in place.
+    ``g`` and an adjoint are dense arrays or factors ``(u, v)`` (``_outer``).
+    An einsum yields factors where its adjoint is a bare outer product
+    (``_adjoint_forms``), and runs a factored g as two pairwise einsums. A
+    ``pair_round`` turns factors into factors with two batched
+    matrix-vector products per pair; a dense g gets the plain dense rule.
+    ``gather`` and ``slice_rows`` have no rule here: ``backward`` adds
+    their adjoint into the source's rows in place.
     """
     kind = node.kind
     if kind in _EINSUM_KINDS:
-        transposed = _is_transposed(g)
-        for i, (form, flippable) in enumerate(_adjoint_forms(node.extra)):
+        for i, (form, outer, factored) in enumerate(_adjoint_forms(node.extra)):
             if not node.needs[i]:
                 continue
-            flip = transposed and flippable
-            g_in = np.swapaxes(g, -1, -2) if flip else g
-            operands = [g_in if j == i else x for j, x in enumerate(node.inputs)]
-            adj = einsum(form, *operands)
-            yield i, np.swapaxes(adj, -1, -2) if flip else adj
+            if isinstance(g, tuple):
+                others = [x for j, x in enumerate(node.inputs) if j != i]
+                yield i, einsum(factored[1], einsum(factored[0], g[0], *others), g[1])
+                continue
+            operands = [g if j == i else x for j, x in enumerate(node.inputs)]
+            if outer is None:
+                yield i, einsum(form, *operands)
+            else:
+                yield i, (operands[outer[0]], operands[outer[1]])
         return
     if kind == "pair_round":
         stack = node.inputs[0]
         pairs = stack.shape[0] // 2
-        a = stack[0 : 2 * pairs : 2]
-        b = stack[1 : 2 * pairs : 2]
-        g_t = np.swapaxes(g, -1, -2)
-        dx_t = workspace.empty(stack.shape)
-        np.matmul(b, g_t[:pairs], out=dx_t[0 : 2 * pairs : 2])
-        np.matmul(g_t[:pairs], a, out=dx_t[1 : 2 * pairs : 2])
-        dx_t[2 * pairs :] = g_t[pairs:]
-        yield 0, np.swapaxes(dx_t, -1, -2)
+        a, b = stack[0 : 2 * pairs : 2], stack[1 : 2 * pairs : 2]
+        evens, odds = slice(0, 2 * pairs, 2), slice(1, 2 * pairs, 2)
+        if not isinstance(g, tuple):
+            dx = np.empty_like(stack)
+            np.matmul(g[:pairs], np.swapaxes(b, -1, -2), out=dx[evens])
+            np.matmul(np.swapaxes(a, -1, -2), g[:pairs], out=dx[odds])
+            dx[2 * pairs :] = g[pairs:]
+            yield 0, dx
+            return
+        # d(ab) = u ⊗ v gives da = u ⊗ (b v) and db = (a^T u) ⊗ v.
+        u, v = g
+        du, dv = (np.empty(stack.shape[:-1], dtype=DTYPE) for _ in range(2))
+        du[evens], dv[odds] = u[:pairs], v[:pairs]
+        np.matmul(b, v[:pairs, ..., None], out=dv[evens, ..., None])
+        np.matmul(u[:pairs, ..., None, :], a, out=du[odds, ..., None, :])
+        du[2 * pairs :], dv[2 * pairs :] = u[pairs:], v[pairs:]
+        yield 0, (du, dv)
         return
     if kind in _LOSS_KINDS:
         yield 0, float(g) * node.extra[2]
@@ -545,6 +576,11 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
     nodes done and the nodes to come, not one per recorded output. The
     adjoints of ``wrt`` are kept to the end, and so is the row accumulator
     of each watched leaf, such as ``cores``, since no node produces it.
+
+    An adjoint may be factors ``(u, v)`` (``_input_adjoints``), which a
+    ``gather`` of a one-row source passes on. They are expanded when a second
+    contribution meets them, when a row node adds them into a larger source,
+    and before they are returned.
     """
     if not tape.recording:
         raise ConsistencyError("cannot run backward over a non-recording tape")
@@ -552,7 +588,7 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
         if id(arr) not in tape._live:
             raise ConsistencyError(f"array of shape {arr.shape} was not watched by this tape")
     kept = {id(arr) for arr in wrt}
-    acc: dict[int, np.ndarray] = {}
+    acc: dict[int, np.ndarray | tuple] = {}
     if tape.nodes:
         final = tape.nodes[-1].output
         acc[id(final)] = np.full(final.shape, loss_adjoint, dtype=DTYPE)
@@ -563,17 +599,22 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
             continue
         if node.kind in _ROW_KINDS:
             source = node.inputs[0]
-            if id(source) not in acc:
-                acc[id(source)] = np.zeros_like(source)
-            acc[id(source)][node.extra] += g
+            key = id(source)
+            if isinstance(g, tuple) and node.kind == "gather" and len(source) == 1:
+                if key not in acc:  # the one row is the whole source
+                    acc[key] = (g[0][None], g[1][None])
+                    continue
+            acc[key] = _dense(acc[key]) if key in acc else np.zeros_like(source)
+            acc[key][node.extra] += _dense(g)
             continue
-        for i, adj in _input_adjoints(node, g, tape.workspace):
+        for i, adj in _input_adjoints(node, g):
             key = id(node.inputs[i])
             if key in acc:
-                acc[key] += adj
+                acc[key] = _dense(acc[key])
+                acc[key] += _dense(adj)
             else:
                 acc[key] = adj
-    return [acc[id(arr)] if id(arr) in acc else np.zeros_like(arr) for arr in wrt]
+    return [_dense(acc[id(arr)]) if id(arr) in acc else np.zeros_like(arr) for arr in wrt]
 
 
 @dataclass

@@ -22,6 +22,7 @@ from .dataset import downsample, load_split, synthetic_digits, take
 from .encoding import FeatureMap, encode_batch
 from .errors import MpsError
 from .model import init_model, load_checkpoint, save_checkpoint
+from . import autodiff
 from .autodiff import Tape, grad_check
 from .training import (LossKind, TrainConfig, evaluate_predictions, loss_and_gradients, train,
                        write_metrics_csv)
@@ -223,6 +224,8 @@ def _cmd_bench(args) -> int:
                 row["forward_backward_seconds"] = best_bwd
                 row["backward_flops"] = counted.backward_flops()
                 row["forward_backward_minor_faults"] = bwd_faults
+                # Allocated before any traced step, so the traced peak cannot show it.
+                row["workspace_mib"] = autodiff._WORKSPACE._flat.nbytes / 2**20
                 # One more step, untimed, since tracing slows every allocation.
                 row["forward_backward_peak_mib"] = _traced_peak_mib(step)
             rows.append(row)
@@ -308,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--backward", action="store_true",
-                   help="also time forward+backward, count adjoint flops and trace its peak memory")
+                   help="also time forward+backward, count adjoint flops, trace its peak memory "
+                        "and report the workspace size")
     p.add_argument("--csv", help="write the benchmark rows here")
     p.set_defaults(func=_cmd_bench)
     return parser

@@ -38,12 +38,12 @@ contiguous for BLAS. Brute force records nothing on a tape and has no
 gradients.
 
 Workspace: a pairwise call takes its absorbed label block and halves (one
-matrix per site taped, per four sites untaped), its round outputs and,
-taped, its round adjoints from its tape's workspace
-(``autodiff.Workspace``). The taped training step
-(``training._taped_step``) and each block of the untaped
-``forward_batch`` are lent the module's workspace, but only a recording
-tape grows it (``autodiff.lend_workspace``). So an evaluation takes its
+matrix per site taped, per four sites untaped) and its round outputs from
+its tape's workspace (``autodiff.Workspace``); a taped step's round
+adjoints are [T, B, chi] factor pairs, new arrays freed round by round.
+The taped training step (``training._taped_step``) and each block of the
+untaped ``forward_batch`` are lent the module's workspace, but only a
+recording tape grows it (``autodiff.lend_workspace``). So an evaluation takes its
 arrays from the buffer that training steps left, and new arrays beyond
 it, and a process that never trained keeps no buffer at all. A tape
 passed in by the caller is never lent the workspace. The untaped

@@ -290,6 +290,8 @@ def train(
     count = train_feats.shape[0]
     if count == 0:
         raise ConfigError("cannot train on an empty train set: it holds no images")
+    if test_feats.shape[0] == 0:
+        raise ConfigError("cannot evaluate an empty test set: it holds no images")
 
     if adam is None:
         adam = init_adam(model)

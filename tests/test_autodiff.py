@@ -14,6 +14,7 @@ from mpsclassify import (
     init_model,
     loss_and_gradients,
 )
+from mpsclassify import autodiff
 from mpsclassify.autodiff import Gradients
 from mpsclassify.contraction import forward_batch
 from mpsclassify.encoding import encode_batch
@@ -271,8 +272,10 @@ class TestRowAdjointsInPlace:
         """A training step's ``backward`` makes one row accumulator per sliced or gathered array.
 
         Both halves slice ``cores``, so they share one ``cores``-shaped
-        accumulator; each half's ``gather`` has its own [1, B, chi, chi] one.
-        No accumulator has the shape of an absorbed half.
+        accumulator. Each half's ``gather`` reads the one row of its last
+        round, so its accumulator is the gathered adjoint's factors, not a
+        [1, B, chi, chi] array. No accumulator has the shape of an absorbed
+        half.
         """
         model = init_model(20, 3, 3, seed=0)
         feats = encode_batch(model.feature_map, np.random.default_rng(0).random((4, model.n_sites)))
@@ -285,8 +288,7 @@ class TestRowAdjointsInPlace:
 
         monkeypatch.setattr(np, "zeros_like", counting)
         loss_and_gradients(model, feats, np.array([0, 1, 2, 0]))
-        last_stack = (1, 4, 3, 3)
-        assert sorted(shapes) == sorted([model.cores.shape, last_stack, last_stack])
+        assert shapes == [model.cores.shape]
 
     @pytest.mark.parametrize("rows_first", [True, False])
     def test_gathered_and_dense_array_matches_finite_differences(self, rng, rows_first):
@@ -371,6 +373,78 @@ class TestAdjointLifetimes:
         want_dc[1] = w
         np.testing.assert_array_equal(dc, want_dc)
         np.testing.assert_allclose(da, want_dc @ b.T, rtol=1e-14)
+
+
+class TestFactoredAdjoints:
+    """Rank-one adjoints ``(u, v)`` carried through the pairwise rounds stand for ``u ⊗ v``."""
+
+    @pytest.mark.parametrize("rows", range(2, 8))
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_round_rule_matches_the_dense_rule(self, rng, rows, batch):
+        """Odd row counts carry their last row through both rules."""
+        stack = rng.standard_normal((rows, batch, 4, 4))
+        out = rows - rows // 2
+        factors = rng.standard_normal((out, batch, 4)), rng.standard_normal((out, batch, 4))
+        node = autodiff.Node("pair_round", (stack,), (True,), None)
+        ((_, factored),) = autodiff._input_adjoints(node, factors)
+        ((_, dense),) = autodiff._input_adjoints(node, autodiff._outer(factors))
+        assert isinstance(factored, tuple) and not isinstance(dense, tuple)
+        got = autodiff._outer(factored)
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
+
+    def test_every_desk_round_gets_factors(self, monkeypatch):
+        model = init_model(196, 10, 10, seed=0)
+        rng = np.random.default_rng(0)
+        feats = encode_batch(model.feature_map, rng.random((50, 196)))
+        seeds = []
+        real = autodiff._input_adjoints
+
+        def recording(node, g):
+            if node.kind == "pair_round":
+                seeds.append(isinstance(g, tuple))
+            return real(node, g)
+
+        monkeypatch.setattr(autodiff, "_input_adjoints", recording)
+        loss_and_gradients(model, feats, rng.integers(0, 10, 50))
+        assert len(seeds) == 14 and all(seeds)  # seven rounds per half
+
+    @staticmethod
+    def gradients(monkeypatch, model, strategy, expand):
+        if expand:
+            real = autodiff._input_adjoints
+
+            def expanding(node, g):
+                for i, adj in real(node, g):
+                    yield i, autodiff._dense(adj)
+
+            monkeypatch.setattr(autodiff, "_input_adjoints", expanding)
+        rng = np.random.default_rng(1)
+        feats = encode_batch(model.feature_map, rng.random((6, model.n_sites)))
+        _, grads = loss_and_gradients(
+            model, feats, rng.integers(0, model.n_labels, 6), strategy=strategy
+        )
+        monkeypatch.undo()
+        return [arr for _, arr in grads.arrays()]
+
+    def assert_factors_change_nothing(self, monkeypatch, model, strategy):
+        factored = self.gradients(monkeypatch, model, strategy, expand=False)
+        dense = self.gradients(monkeypatch, model, strategy, expand=True)
+        for got, want in zip(factored, dense):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("strategy", [Strategy.PAIRWISE, Strategy.SEQUENTIAL])
+    @pytest.mark.parametrize("sites, chi", [(196, 10), (784, 10), (196, 32)])
+    def test_desk_gradients_match_dense_adjoints(self, monkeypatch, strategy, sites, chi):
+        model = init_model(sites, 10, chi, seed=0)
+        self.assert_factors_change_nothing(monkeypatch, model, strategy)
+
+    @pytest.mark.parametrize("strategy", [Strategy.PAIRWISE, Strategy.SEQUENTIAL])
+    @pytest.mark.parametrize("sites", [11, 12])
+    def test_every_label_site_matches_dense_adjoints(self, monkeypatch, strategy, sites):
+        """Halves of 0-9 sites, one-matrix halves with no rounds among them."""
+        for label_site in range(1, sites - 1):
+            model = init_model(sites, 3, 3, seed=label_site, label_site=label_site)
+            self.assert_factors_change_nothing(monkeypatch, model, strategy)
 
 
 class TestModelGradients:

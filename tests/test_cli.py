@@ -315,6 +315,7 @@ class TestBenchCommand:
         for column in ("forward_minor_faults", "forward_backward_minor_faults"):
             assert int(rows[1][rows[0].index(column)]) >= 0
         assert float(rows[1][rows[0].index("forward_backward_peak_mib")]) > 0
+        assert float(rows[1][rows[0].index("workspace_mib")]) > 0
 
     def test_faults_count_warm_calls_only(self, monkeypatch):
         """A call that faults only on its first run reads as a fault-free warm call."""

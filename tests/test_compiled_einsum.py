@@ -17,12 +17,15 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "mpsclassify"
 COMBINE_FORMS = {"by,blxy,bx->bl", "bl,blxy,bx->by", "by,bl,bx->blxy", "by,blxy,bl->bx"}
 
 # Every subscript form a taped step records, forward and adjoint, plus two
-# single-image absorb forms.
+# single-image absorb forms, the dense adjoints that factored ones replace
+# and the two einsums of each absorb adjoint run from factors.
 FORMS = sorted(COMBINE_FORMS | {
     "dx,bd->bx", "bx,bd->dx",
     "sdxy,bsd->sbxy", "sbxy,bsd->sdxy",
+    "sbx,bsd->sbdx", "sbdx,sby->sdxy",
     "dlxy,bd->blxy", "blxy,bd->dlxy",
     "dxy,bd->bxy", "bxy,bd->dxy",
+    "bx,bd->bdx", "bdx,by->dxy",
     "bx,bxy->by", "bx,by->bxy", "by,bxy->bx",
     "bxy,by->bx", "bxy,bx->by",
     "sd,sdxy->sxy", "d,dlxy->lxy",

@@ -485,6 +485,23 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="empty train set"):
             train(model, Empty, synthetic_blobs(10, seed=1), config)
 
+    def test_train_with_empty_test_set_fails_before_any_step(self):
+        """Named before the first step, so the model and Adam's moments keep their bytes."""
+        class Empty:
+            images = np.zeros((0, 16))
+            labels = np.zeros(0, dtype=np.int64)
+
+        model = init_model(16, 2, 3, seed=0)
+        adam = init_adam(model)
+        before = [arr.tobytes() for _, arr in model.parameters()]
+        moments = [arr.tobytes() for arr in (*adam.m.values(), *adam.v.values())]
+        config = TrainConfig(learning_rate=1e-3, batch_size=10, epochs=1, seed=0)
+        with pytest.raises(ConfigError, match="empty test set"):
+            train(model, synthetic_blobs(10, seed=1), Empty, config, adam=adam)
+        assert [arr.tobytes() for _, arr in model.parameters()] == before
+        assert [arr.tobytes() for arr in (*adam.m.values(), *adam.v.values())] == moments
+        assert adam.step_count == 0
+
     @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
     def test_non_finite_learning_rate_rejected(self, rate):
         with pytest.raises(ConfigError, match="learning_rate must be positive and finite"):

@@ -115,6 +115,21 @@ def test_a_call_that_overflows_matches_one_from_the_buffer(monkeypatch, taped):
         assert [arr.tobytes() for arr in got] == [arr.tobytes() for arr in first]
 
 
+def test_desk_step_workspace_holds_at_most_20_mib(monkeypatch):
+    """The label block, the absorbed halves and the round outputs: 15.3 MiB.
+
+    Dense [T, B, chi, chi] round adjoints in the buffer took it to 30.1 MiB.
+    """
+    workspace = autodiff.Workspace()
+    monkeypatch.setattr(autodiff, "_WORKSPACE", workspace)
+    model = init_model(196, 10, 10, seed=0)
+    rng = np.random.default_rng(0)
+    feats, labels = encoded(model, rng, 50), rng.integers(0, 10, 50)
+    for _ in range(2):  # the buffer grows to the first step's need at the next borrow
+        loss_and_gradients(model, feats, labels)
+    assert 0 < workspace._flat.nbytes <= 20 * 2**20
+
+
 def test_a_borrow_while_the_workspace_is_out_gets_fresh_arrays():
     """A taped step inside another borrow runs on its own workspace and gives the same bytes."""
     model = init_model(21, 4, 3, seed=0)
