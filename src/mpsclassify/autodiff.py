@@ -12,28 +12,32 @@ them is alive. The per-node FLOP counters (``forward_flops``,
 An adjoint lives from its first contribution until the node that produced
 its array runs; only the adjoints of ``wrt`` and the row accumulators of
 watched leaves last to the end (see ``backward``). At the desk recipe
-(N=196, chi=10, batch 50) a sequential ``backward`` traces about 0.8 MiB.
+(N=196, chi=10, batch 50) a sequential ``backward`` traces about 1.6 MiB,
+most of it the row factors of all 193 bond sites, held until the absorb.
 
 Every contraction, forward or adjoint, runs through ``einsum``. It compiles
 each (subscripts, operand shapes) pair once into a plan of transposes,
 reshapes and one ``np.matmul`` (or a broadcast multiply) per pairwise step,
-so repeated calls do no path search and no subscript parsing. The adjoints
-of ``gather`` and ``slice_rows`` add into the rows they came from, in one
-buffer per source array, instead of scattering into a fresh zero copy of
-the source for every node.
+so repeated calls do no path search and no subscript parsing. Dense
+adjoints of ``gather`` and ``slice_rows`` add into the rows they came
+from, in one buffer per source array, instead of scattering into a fresh
+zero copy of the source for every node.
 
 A ``pair_round`` writes into one C-order output through
 ``np.matmul(..., out=)``, with the carried odd row copied in place. Where an
 einsum's adjoint is a bare outer product over an operand's last two
 indices, as where a chain half's matrix meets its boundary vector, it is
 kept as factors ``(u, v)`` of ``[..., chi]`` arrays that stand for ``u ⊗ v``
-(the environment form of arXiv:1605.05775). A ``gather`` of a one-row
-source passes them on, and a round turns them into the factors of its
-input with two batched matrix-vector products per pair, so a round's
-adjoint costs chi^2, not chi^3, per product. The absorb below uses them up
-in two einsums; any other use expands them first (see ``backward``).
+(the environment form of arXiv:1605.05775). A ``gather`` fed them files
+them as its row's factors of the source (``_Rows``). A round stacks those
+and turns them into the factors of its input with two batched
+matrix-vector products per pair, so a round's adjoint costs chi^2, not
+chi^3, per product. The stacked absorb ``"sdxy,bsd->sbxy"`` turns factors
+or row factors into the weights' gradient, one batched matmul per feature
+component and block of rows (``_absorb_adjoint``); any other use, or a row
+gathered twice, expands them first (see ``_input_adjoints`` and ``backward``).
 
-The pairwise schedule takes its large per-call arrays from a tape's
+Both schedules take their large per-call arrays from a tape's
 ``Workspace``: views of one flat float64 buffer while they fit, new arrays
 beyond it. The module's workspace is kept across calls and grows to the
 largest borrow by a recording tape so far, so a repeated step touches no
@@ -48,7 +52,8 @@ what the buffer holds, so a process that never trained keeps none. A tape
 the user builds keeps its own empty workspace, so all its arrays are new.
 On a lent tape the absorbed label block and chain halves and every
 ``pair_round`` output may be views of the workspace: 15.3 MiB at the desk
-recipe. Nothing returned, the gradients included, is one: the next
+recipe (7.7 MiB for a sequential step: its label block and the stack of
+every bond site). Nothing returned, the gradients included, is one: the next
 borrower overwrites them. Adjoints are new arrays: a round's factors are
 [T, B, chi], small enough to be freed round by round.
 """
@@ -463,6 +468,33 @@ def _node_backward_flops(node: Node) -> int:
     return _node_forward_flops(node)
 
 
+# The absorb of stacked sites, weights first: ``contraction`` absorbs a pairwise half
+# and all of the sequential sweep's bond sites with it.
+_STACKED_ABSORB = "sdxy,bsd->sbxy"
+
+# Rows of ``_Rows`` stacked per block of the absorb adjoint: each factor block
+# takes at most this many bytes (8 rows at the desk recipe), so the block's
+# copies add little to the row factors already held. One row per block made
+# the desk sequential step slower: perfbench/run.py desk-sequential, one BLAS
+# thread on a 2-core Xeon, step_ms_p50 median 13.5 ms with 8-row blocks and
+# 14.8 ms with 1-row blocks over 8 alternated pairs (7 won by 8-row blocks).
+ROW_BLOCK_BYTES = 32 * 2**10
+
+
+class _Rows(dict):
+    """Factors ``(u, v)`` by row of an array of ``count`` rows, filed by the
+    ``gather``s that read it; a row no ``gather`` filed is zero."""
+
+    def __init__(self, count: int):
+        super().__init__()
+        self.count = count
+
+    def stacked(self, rows: range) -> tuple:
+        """Factors ``(U, V)`` of ``rows``, one [len(rows), ..., chi] array each."""
+        zero = tuple(np.zeros(f.shape, dtype=DTYPE) for f in next(iter(self.values())))
+        return tuple(np.stack(f) for f in zip(*(self.get(k, zero) for k in rows)))
+
+
 def _outer(factors: tuple) -> np.ndarray:
     """The dense array that factors ``(u, v)`` stand for: ``u ⊗ v`` over the last two axes."""
     u, v = factors
@@ -470,18 +502,41 @@ def _outer(factors: tuple) -> np.ndarray:
 
 
 def _dense(adj) -> np.ndarray:
+    if isinstance(adj, _Rows):
+        adj = adj.stacked(range(adj.count))
     return _outer(adj) if isinstance(adj, tuple) else adj
+
+
+def _absorb_adjoint(shape: tuple, feats: np.ndarray, g) -> np.ndarray:
+    """The weights' adjoint [S, d, chi, chi] of ``_STACKED_ABSORB`` fed factors.
+
+    Row s, component d, is ``sum_b f[b, s, d] u[s, b] ⊗ v[s, b]``: u
+    weighted by each feature component in turn, then one batched matmul
+    with v per component. ``g`` is factors ``(u, v)`` of every row, or
+    ``_Rows``, stacked in blocks of rows of at most ``ROW_BLOCK_BYTES``.
+    """
+    grad = np.zeros(shape, dtype=DTYPE)
+    if isinstance(g, tuple):
+        blocks = [(range(shape[0]), g)]
+    else:
+        step = max(1, ROW_BLOCK_BYTES // next(iter(g.values()))[0].nbytes)
+        spans = (range(lo, min(lo + step, shape[0])) for lo in range(0, shape[0], step))
+        blocks = ((rows, g.stacked(rows)) for rows in spans if any(k in g for k in rows))
+    for rows, (u, v) in blocks:
+        rows = slice(rows.start, rows.stop)
+        weights = feats[:, rows].transpose(1, 2, 0)  # [rows, d, B]
+        for d in range(shape[1]):
+            np.matmul((u * weights[:, d, :, None]).swapaxes(-1, -2), v, out=grad[rows, d])
+    return grad
 
 
 @functools.lru_cache(maxsize=512)
 def _adjoint_forms(subscripts: str) -> tuple:
-    """Per operand of the einsum ``subscripts``: (dense form, outer, factored forms).
+    """Per operand of the einsum ``subscripts``: (dense form, outer).
 
     The dense form replaces the operand by g, indexed like the output. When
     it is a bare outer product over the operand's last two indices, ``outer``
-    holds the positions of its factors (u, v) among its operands. The two
-    factored forms take u with the other operands, batch and shared indices
-    first, then the result with v, for g given as factors (u, v).
+    holds the positions of its factors (u, v) among its operands.
     """
     ins, out = subscripts.split("->")
     ins = ins.split(",")
@@ -493,38 +548,33 @@ def _adjoint_forms(subscripts: str) -> tuple:
             pair = (own[:-1], own[:-2] + own[-1])
             if (out, ins[1 - i]) in (pair, pair[::-1]):
                 outer = (i, 1 - i) if out == pair[0] else (1 - i, i)
-        factored = None
-        if len(out) >= 2:
-            u, v, x = out[:-1], out[:-2] + out[-1], out[-2]
-            others = [term for j, term in enumerate(ins) if j != i]
-            mid = out[:-2] + "".join(dict.fromkeys(
-                ix for ix in "".join(others) if ix not in u and (ix in own or ix in v)
-            )) + (x if x in own else "")
-            factored = (",".join([u] + others) + "->" + mid, f"{mid},{v}->{own}")
-        forms.append((",".join(parts) + "->" + own, outer, factored))
+        forms.append((",".join(parts) + "->" + own, outer))
     return tuple(forms)
 
 
 def _input_adjoints(node: Node, g):
     """Yield (input index, adjoint) for graded inputs; each adjoint is new or factored.
 
-    ``g`` and an adjoint are dense arrays or factors ``(u, v)`` (``_outer``).
-    An einsum yields factors where its adjoint is a bare outer product
-    (``_adjoint_forms``), and runs a factored g as two pairwise einsums. A
-    ``pair_round`` turns factors into factors with two batched
-    matrix-vector products per pair; a dense g gets the plain dense rule.
-    ``gather`` and ``slice_rows`` have no rule here: ``backward`` adds
-    their adjoint into the source's rows in place.
+    ``g`` is a dense array, factors ``(u, v)`` (``_outer``) or row factors
+    (``_Rows``); an adjoint is a dense array or factors. An einsum yields
+    factors where its adjoint is a bare outer product (``_adjoint_forms``).
+    The stacked absorb (``_STACKED_ABSORB``) makes its weights' adjoint
+    from factors or row factors as they are (``_absorb_adjoint``). A
+    ``pair_round`` stacks row factors and turns factors into factors with
+    two batched matrix-vector products per pair. Every other use expands
+    g first and gets the plain dense rule. ``gather`` and ``slice_rows``
+    have no rule here: ``backward`` adds their adjoint into the source's
+    rows in place.
     """
     kind = node.kind
     if kind in _EINSUM_KINDS:
-        for i, (form, outer, factored) in enumerate(_adjoint_forms(node.extra)):
+        for i, (form, outer) in enumerate(_adjoint_forms(node.extra)):
             if not node.needs[i]:
                 continue
-            if isinstance(g, tuple):
-                others = [x for j, x in enumerate(node.inputs) if j != i]
-                yield i, einsum(factored[1], einsum(factored[0], g[0], *others), g[1])
+            if i == 0 and node.extra == _STACKED_ABSORB and not isinstance(g, np.ndarray):
+                yield i, _absorb_adjoint(node.inputs[0].shape, node.inputs[1], g)
                 continue
+            g = _dense(g)
             operands = [g if j == i else x for j, x in enumerate(node.inputs)]
             if outer is None:
                 yield i, einsum(form, *operands)
@@ -532,6 +582,8 @@ def _input_adjoints(node: Node, g):
                 yield i, (operands[outer[0]], operands[outer[1]])
         return
     if kind == "pair_round":
+        if isinstance(g, _Rows):
+            g = g.stacked(range(g.count))
         stack = node.inputs[0]
         pairs = stack.shape[0] // 2
         a, b = stack[0 : 2 * pairs : 2], stack[1 : 2 * pairs : 2]
@@ -577,10 +629,14 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
     adjoints of ``wrt`` are kept to the end, and so is the row accumulator
     of each watched leaf, such as ``cores``, since no node produces it.
 
-    An adjoint may be factors ``(u, v)`` (``_input_adjoints``), which a
-    ``gather`` of a one-row source passes on. They are expanded when a second
-    contribution meets them, when a row node adds them into a larger source,
-    and before they are returned.
+    An adjoint may be factors ``(u, v)`` (``_input_adjoints``). A ``gather``
+    fed them files them as row ``k``'s factors of its source (``_Rows``),
+    the rows no ``gather`` reached being zero, so the sequential sweep's
+    N-3 gathers never build a dense [N-3, B, chi, chi] adjoint; the
+    source's producer decides how to take them (``_input_adjoints``).
+    Factors are expanded when a second contribution meets them (a row
+    gathered twice included), when a ``slice_rows`` adds them into its
+    source, and before they are returned.
     """
     if not tape.recording:
         raise ConsistencyError("cannot run backward over a non-recording tape")
@@ -600,9 +656,10 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
         if node.kind in _ROW_KINDS:
             source = node.inputs[0]
             key = id(source)
-            if isinstance(g, tuple) and node.kind == "gather" and len(source) == 1:
-                if key not in acc:  # the one row is the whole source
-                    acc[key] = (g[0][None], g[1][None])
+            if isinstance(g, tuple) and node.kind == "gather":
+                rows = acc.setdefault(key, _Rows(len(source)))
+                if isinstance(rows, _Rows) and node.extra not in rows:
+                    rows[node.extra] = g
                     continue
             acc[key] = _dense(acc[key]) if key in acc else np.zeros_like(source)
             acc[key][node.extra] += _dense(g)

@@ -4,9 +4,13 @@ Two production schedules plus a brute-force oracle:
 
 * ``sequential``: sweep a vector from each end of the chain toward the
   label site, combining there so the label count L enters only the final
-  step. A recording tape absorbs each pixel and multiplies the vector by
-  its matrix; untaped, the vector takes one batch-wide step per two-site
-  bond (``_sweep_pairs``). Only the batch-independent bonds cost chi^3.
+  step. A recording tape absorbs every bond site in one node, straight
+  from ``cores`` (``"sdxy,bsd->sbxy"``), then multiplies the vector by
+  each site's matrix, gathered from that stack; its backward turns the
+  gathered rows' rank-one adjoints into the ``cores`` gradient with no
+  dense [N-3, B, chi, chi] adjoint (``autodiff.backward``). Untaped, the
+  vector takes one batch-wide step per two-site bond (``_sweep_pairs``).
+  Only the batch-independent bonds cost chi^3.
 * ``pairwise``: absorb every pixel of each half at once, from the half's
   own rows of ``cores``, then repeatedly multiply adjacent effective
   matrices in rounds. All products of a round are independent, so a round
@@ -39,7 +43,8 @@ gradients.
 
 Workspace: a pairwise call takes its absorbed label block and halves (one
 matrix per site taped, per four sites untaped) and its round outputs from
-its tape's workspace (``autodiff.Workspace``); a taped step's round
+its tape's workspace (``autodiff.Workspace``), and a taped sequential call
+its label block and its stack of every bond site; a taped step's round
 adjoints are [T, B, chi] factor pairs, new arrays freed round by round.
 The taped training step (``training._taped_step``) and each block of the
 untaped ``forward_batch`` are lent the module's workspace, but only a
@@ -221,21 +226,20 @@ def _forward_pairwise_batch(model, feats, tape, quads=(None, None)):
 
 
 def _forward_sequential_batch(model, feats, tape):
-    m = model.label_site
+    m, n = model.label_site, model.n_sites
     lv, lab, rv = _absorb_ends(model, feats, tape)
     if not tape.recording:
         lv, rv = (_sweep_pairs(tape, *_half(model, feats, tape, right), v, right)
                   for right, v in ((False, lv), (True, rv)))
         return _combine(tape, lv, None, lab, None, rv)
-
-    def site_matrix(site):
-        core = tape.gather(model.cores, model.core_stack_index(site))
-        return tape.contract("dxy,bd->bxy", core, feats[:, site, :], kind="absorb")
-
-    for site in range(1, m):
-        lv = tape.contract("bx,bxy->by", lv, site_matrix(site), kind="contract")
-    for site in range(model.n_sites - 2, m, -1):
-        rv = tape.contract("bxy,by->bx", site_matrix(site), rv, kind="contract")
+    # Every bond site at once, in the order of ``cores``' rows; the sweep gathers its matrices.
+    bond_feats = np.concatenate((feats[:, 1:m], feats[:, m + 1 : n - 1]), axis=1)
+    out = tape.workspace.empty((n - 3, len(feats)) + model.cores.shape[2:])
+    stack = tape.contract("sdxy,bsd->sbxy", model.cores, bond_feats, kind="absorb", out=out)
+    for row in range(m - 1):
+        lv = tape.contract("bx,bxy->by", lv, tape.gather(stack, row), kind="contract")
+    for row in range(n - 4, m - 2, -1):
+        rv = tape.contract("bxy,by->bx", tape.gather(stack, row), rv, kind="contract")
     return _combine(tape, lv, None, lab, None, rv)
 
 
@@ -271,7 +275,8 @@ def forward_batch(
     On a tape that does not record, blocks included, pairwise absorbs
     each half four sites per matrix (``_absorb_quads``) and sequential
     sweeps two-site bonds (``_sweep_pairs``). A recording tape absorbs one
-    site per matrix, so taped and untaped logits agree to rounding only.
+    site per matrix, each half (pairwise) or every bond site (sequential)
+    in one node, so taped and untaped logits agree to rounding only.
 
     When the budget holds fewer than three images (at N=196, chi >= 60),
     a block can hold one image, and a one-image block rounds differently

@@ -28,17 +28,6 @@ class FeatureMap(enum.Enum):
 DEFAULT_FEATURE_MAP = FeatureMap.LINEAR
 
 
-def _check_range(p: np.ndarray) -> None:
-    bad = (p < 0.0) | (p > 1.0) | ~np.isfinite(p)
-    if bad.any():
-        idx = int(np.argmax(bad.reshape(-1)))
-        val = p.reshape(-1)[idx]
-        raise DomainError(
-            f"pixel value {val!r} at flat index {idx} outside [0, 1]; "
-            "normalize before encoding"
-        )
-
-
 def _features(fmap: FeatureMap, p: np.ndarray) -> np.ndarray:
     if fmap is FeatureMap.LINEAR:
         return np.stack([1.0 - p, p], axis=-1)
@@ -48,10 +37,22 @@ def _features(fmap: FeatureMap, p: np.ndarray) -> np.ndarray:
     return np.stack([np.sin(half_pi * (1.0 - p)), np.sin(half_pi * p)], axis=-1)
 
 
-def encode_batch(fmap: FeatureMap, images) -> np.ndarray:
-    """Encode a [B, N] batch of flattened images into [B, N, d] features."""
+def check_pixels(images) -> np.ndarray:
+    """A [B, N] batch of flattened images in [0, 1] as float64; raises ``DomainError`` otherwise."""
     p = np.asarray(images, dtype=DTYPE)
     if p.ndim != 2:
-        raise DomainError(f"encode_batch expects a [B, N] array, got shape {p.shape}")
-    _check_range(p)
-    return _features(fmap, p)
+        raise DomainError(f"expected a [B, N] array of pixels, got shape {p.shape}")
+    bad = (p < 0.0) | (p > 1.0) | ~np.isfinite(p)
+    if bad.any():
+        idx = int(np.argmax(bad.reshape(-1)))
+        val = p.reshape(-1)[idx]
+        raise DomainError(
+            f"pixel value {val!r} at flat index {idx} outside [0, 1]; "
+            "normalize before encoding"
+        )
+    return p
+
+
+def encode_batch(fmap: FeatureMap, images) -> np.ndarray:
+    """Encode a [B, N] batch of flattened images into [B, N, d] features."""
+    return _features(fmap, check_pixels(images))

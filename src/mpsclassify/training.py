@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Gradients, Tape, backward, lend_workspace
 from .contraction import Strategy, check_batch_features, forward_batch, predict_batch
-from .encoding import encode_batch
+from .encoding import check_pixels, encode_batch
 from .errors import ConfigError, ConsistencyError, DimensionError, NumericError
 from .losses import LossKind, compute_loss, cross_entropy_loss, mean_square_loss
 from .model import MpsClassifier
@@ -275,7 +275,10 @@ def train(
     without one, Adam starts from a fresh ``init_adam(model)``.
 
     ``train_set``/``test_set`` carry raw normalized pixels ([count, N]) and
-    integer labels; features are encoded once up front. Batch order is
+    integer labels. The test features are encoded once up front; each
+    training batch is encoded as it is drawn, so no encoded copy of the
+    training set (twice its pixels) is held. Every pixel is range-checked
+    before the first step. Batch order is
     reshuffled each epoch from a generator seeded by ``config.seed``, so a
     rerun with the same seed retraces the identical arithmetic. Per-batch
     training logits double as the running train-accuracy count, so the
@@ -283,11 +286,11 @@ def train(
     evaluate the post-epoch model.
     """
     rng = np.random.default_rng(config.seed)
-    train_feats = encode_batch(model.feature_map, train_set.images)
+    train_images = check_pixels(train_set.images)
     train_labels = np.asarray(train_set.labels)
     test_feats = encode_batch(model.feature_map, test_set.images)
     test_labels = np.asarray(test_set.labels)
-    count = train_feats.shape[0]
+    count = train_images.shape[0]
     if count == 0:
         raise ConfigError("cannot train on an empty train set: it holds no images")
     if test_feats.shape[0] == 0:
@@ -303,7 +306,7 @@ def train(
         correct = 0
         for batch_index, start in enumerate(range(0, count, config.batch_size)):
             pick = order[start : start + config.batch_size]
-            fb = train_feats[pick]
+            fb = encode_batch(model.feature_map, train_images[pick])
             lb = train_labels[pick]
             try:
                 loss, logits, grads = _taped_step(model, fb, lb, config.loss_kind, config.strategy)

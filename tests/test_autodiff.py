@@ -246,27 +246,37 @@ class TestRowAdjointsInPlace:
     """``gather``/``slice_rows`` adjoints add into one buffer per source array."""
 
     @staticmethod
-    def zeros_like_shapes_in_backward(monkeypatch, model, strategy):
+    def zeros_shapes_in_backward(monkeypatch, model, strategy):
+        """Shapes of the ``np.zeros`` and ``np.zeros_like`` arrays one ``backward`` makes."""
         feats = encode_batch(model.feature_map, np.random.default_rng(0).random((4, model.n_sites)))
         tape = Tape()
         tape.watch_model(model)
         logits = forward_batch(model, feats, strategy, tape=tape)
         tape.loss(LossKind.CROSS_ENTROPY, logits, np.array([0, 1, 2, 0]))
         shapes = []
-        real = np.zeros_like
+        real_like, real = np.zeros_like, np.zeros
 
-        def counting(a, *args, **kwargs):
+        def counting_like(a, *args, **kwargs):
             shapes.append(np.shape(a))
-            return real(a, *args, **kwargs)
+            return real_like(a, *args, **kwargs)
 
-        monkeypatch.setattr(np, "zeros_like", counting)
+        def counting(shape, *args, **kwargs):
+            shapes.append(tuple(shape))
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros_like", counting_like)
+        monkeypatch.setattr(np, "zeros", counting)
         backward(tape, [arr for _, arr in model.parameters()])
+        monkeypatch.undo()
         return shapes
 
     def test_sequential_allocates_one_cores_buffer(self, monkeypatch):
+        """The gathered rows' factors make the ``cores`` gradient directly: no dense
+        [N-3, B, chi, chi] accumulator, and one ``cores``-shaped one at most."""
         model = init_model(20, 3, 3, seed=0)
-        shapes = self.zeros_like_shapes_in_backward(monkeypatch, model, Strategy.SEQUENTIAL)
-        assert shapes.count(model.cores.shape) == 1  # not one per site (N-3 = 17)
+        shapes = self.zeros_shapes_in_backward(monkeypatch, model, Strategy.SEQUENTIAL)
+        assert (model.n_sites - 3, 4) + model.cores.shape[2:] not in shapes
+        assert shapes.count(model.cores.shape) <= 1  # not one per site (N-3 = 17)
 
     def test_pairwise_allocates_one_accumulator_per_source(self, monkeypatch):
         """A training step's ``backward`` makes one row accumulator per sliced or gathered array.
@@ -336,8 +346,11 @@ class TestAdjointLifetimes:
     def test_backward_peak_on_a_desk_sequential_tape(self):
         """Desk recipe, batch 50: no adjoint outlives the node that produced its array.
 
-        Keeping all 584 nodes' adjoints to the end traced about 9.3 MiB here;
-        dropping each after its producer runs traces about 0.8 MiB.
+        Keeping all 584 nodes' adjoints of the per-site sweep to the end
+        traced about 9.3 MiB here. Now about 1.6 MiB: the row factors of
+        all 193 sites are held until the absorb, which stacks them in blocks
+        of ``ROW_BLOCK_BYTES`` (8 rows here; blocks of 32 rows traced 1.99 MiB,
+        one block of all 193 rows 3.75 MiB).
         """
         model = init_model(196, 10, 10, seed=0)
         rng = np.random.default_rng(0)
@@ -353,7 +366,7 @@ class TestAdjointLifetimes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(tape.nodes) == 584
+        assert len(tape.nodes) == 392
         assert all(np.abs(g).max() > 0 for g in grads)
         assert peak < 2 * 2**20, f"backward traced {peak / 2**20:.2f} MiB"
 
@@ -393,6 +406,7 @@ class TestFactoredAdjoints:
         np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
 
     def test_every_desk_round_gets_factors(self, monkeypatch):
+        """Seven rounds per half; the last one's output is gathered, so it gets row factors."""
         model = init_model(196, 10, 10, seed=0)
         rng = np.random.default_rng(0)
         feats = encode_batch(model.feature_map, rng.random((50, 196)))
@@ -401,12 +415,12 @@ class TestFactoredAdjoints:
 
         def recording(node, g):
             if node.kind == "pair_round":
-                seeds.append(isinstance(g, tuple))
+                seeds.append(type(g))
             return real(node, g)
 
         monkeypatch.setattr(autodiff, "_input_adjoints", recording)
         loss_and_gradients(model, feats, rng.integers(0, 10, 50))
-        assert len(seeds) == 14 and all(seeds)  # seven rounds per half
+        assert seeds == ([autodiff._Rows] + [tuple] * 6) * 2
 
     @staticmethod
     def gradients(monkeypatch, model, strategy, expand):
@@ -445,6 +459,120 @@ class TestFactoredAdjoints:
         for label_site in range(1, sites - 1):
             model = init_model(sites, 3, 3, seed=label_site, label_site=label_site)
             self.assert_factors_change_nothing(monkeypatch, model, strategy)
+
+
+class TestRowFactors:
+    """A ``gather`` fed factors files them as its row's factors of the source (``_Rows``)."""
+
+    @staticmethod
+    def sweep(tape, cores, feats, rows, w):
+        """sum(w * (1 M_r1 M_r2 ...)) over the absorbed stack's ``rows``, as the sequential sweep reads them."""
+        stack = tape.contract("sdxy,bsd->sbxy", cores, feats, kind="absorb")
+        vec = np.ones(feats.shape[:1] + cores.shape[2:3])
+        for row in rows:
+            vec = tape.contract("bx,bxy->by", vec, tape.gather(stack, row))
+        return stack, tape.contract("by,by->", vec, w)
+
+    def gradients(self, monkeypatch, cores, feats, rows, w, expand, wrt=("cores",)):
+        if expand:
+            real = autodiff._input_adjoints
+
+            def expanding(node, g):
+                for i, adj in real(node, g):
+                    yield i, autodiff._dense(adj)
+
+            monkeypatch.setattr(autodiff, "_input_adjoints", expanding)
+        tape = Tape()
+        tape.watch(cores)
+        tape.watch(feats)
+        stack, _ = self.sweep(tape, cores, feats, rows, w)
+        arrays = {"cores": cores, "feats": feats, "stack": stack}
+        grads = backward(tape, [arrays[name] for name in wrt])
+        monkeypatch.undo()
+        return grads
+
+    def numeric(self, cores, feats, rows, w, h=1e-6):
+        out = np.zeros_like(cores)
+        for k in range(cores.size):
+            orig = cores.flat[k]
+            cores.flat[k] = orig + h
+            up = float(self.sweep(Tape(recording=False), cores, feats, rows, w)[1])
+            cores.flat[k] = orig - h
+            down = float(self.sweep(Tape(recording=False), cores, feats, rows, w)[1])
+            cores.flat[k] = orig
+            out.flat[k] = (up - down) / (2 * h)
+        return out
+
+    @pytest.mark.parametrize(
+        "rows",
+        [(0, 1, 2, 3, 4), (3, 1, 3), (4,), (2, 0)],
+        ids=["every-row", "a-row-twice", "one-row", "rows-never-gathered"],
+    )
+    def test_matches_dense_adjoints_and_finite_differences(self, monkeypatch, rng, rows):
+        cores = rng.standard_normal((5, 2, 3, 3)) * 0.5
+        feats = rng.random((4, 5, 2))
+        w = rng.standard_normal((4, 3))
+        (got,) = self.gradients(monkeypatch, cores, feats, rows, w, expand=False)
+        (dense,) = self.gradients(monkeypatch, cores, feats, rows, w, expand=True)
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
+        np.testing.assert_allclose(got, self.numeric(cores, feats, rows, w), rtol=1e-7, atol=1e-9)
+        never = sorted(set(range(5)) - set(rows))
+        assert not got[never].any()
+
+    def test_a_source_in_wrt_gets_its_dense_adjoint(self, monkeypatch, rng):
+        """The stack's row factors make the ``cores`` and feature gradients, and are returned expanded."""
+        cores = rng.standard_normal((5, 2, 3, 3)) * 0.5
+        feats = rng.random((4, 5, 2))
+        w = rng.standard_normal((4, 3))
+        rows, wrt = (1, 3), ("cores", "stack", "feats")
+        got = self.gradients(monkeypatch, cores, feats, rows, w, expand=False, wrt=wrt)
+        dense = self.gradients(monkeypatch, cores, feats, rows, w, expand=True, wrt=wrt)
+        assert not any(isinstance(g, (tuple, dict)) for g in got)
+        assert got[1].shape == (5, 4, 3, 3) and not got[1][[0, 2, 4]].any()
+        for g, want in zip(got, dense):
+            np.testing.assert_allclose(g, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    def test_a_watched_leaf_read_by_rows_gets_its_dense_adjoint(self, rng):
+        stack = rng.standard_normal((4, 2, 3, 3))
+        v = rng.standard_normal((2, 3))
+        tape = Tape()
+        tape.watch(stack)
+        tape.contract("by,by->", tape.contract("bx,bxy->by", v, tape.gather(stack, 2)), v)
+        (got,) = backward(tape, [stack])
+        want = np.zeros_like(stack)
+        want[2] = v[:, :, None] * v[:, None, :]
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("block_bytes", [1, 2 * 4 * 3 * 8, 2**20])
+    def test_absorb_rule_matches_the_dense_rule(self, monkeypatch, rng, block_bytes):
+        """Blocks of one row, two rows (the last one short) and all rows, some rows never filed."""
+        monkeypatch.setattr(autodiff, "ROW_BLOCK_BYTES", block_bytes)
+        cores, feats = rng.standard_normal((5, 2, 3, 3)), rng.random((4, 5, 2))
+        node = autodiff.Node("absorb", (cores, feats), (True, False), None, "sdxy,bsd->sbxy")
+        u, v = rng.standard_normal((5, 4, 3)), rng.standard_normal((5, 4, 3))
+        rows = autodiff._Rows(5)
+        rows.update({k: (u[k], v[k]) for k in (0, 1, 4)})
+        for g in ((u, v), rows):
+            ((_, got),) = autodiff._input_adjoints(node, g)
+            ((_, want),) = autodiff._input_adjoints(node, autodiff._dense(g))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("sites, chi", [(196, 10), (784, 10), (196, 32)])
+    def test_every_sequential_row_reaches_the_absorb_as_factors(self, monkeypatch, sites, chi):
+        model = init_model(sites, 10, chi, seed=0)
+        rng = np.random.default_rng(0)
+        feats = encode_batch(model.feature_map, rng.random((6, sites)))
+        seeds = []
+        real = autodiff._input_adjoints
+
+        def recording(node, g):
+            if node.kind == "absorb":
+                seeds.append(sorted(g) if isinstance(g, autodiff._Rows) else None)
+            return real(node, g)
+
+        monkeypatch.setattr(autodiff, "_input_adjoints", recording)
+        loss_and_gradients(model, feats, rng.integers(0, 10, 6), strategy=Strategy.SEQUENTIAL)
+        assert list(range(sites - 3)) in seeds
 
 
 class TestModelGradients:

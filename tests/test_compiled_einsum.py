@@ -17,8 +17,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "mpsclassify"
 COMBINE_FORMS = {"by,blxy,bx->bl", "bl,blxy,bx->by", "by,bl,bx->blxy", "by,blxy,bl->bx"}
 
 # Every subscript form a taped step records, forward and adjoint, plus two
-# single-image absorb forms, the dense adjoints that factored ones replace
-# and the two einsums of each absorb adjoint run from factors.
+# single-image absorb forms, the dense adjoints that factored ones replace,
+# and two pairs that no step runs but that cover a broadcast product feeding
+# a batched matmul.
 FORMS = sorted(COMBINE_FORMS | {
     "dx,bd->bx", "bx,bd->dx",
     "sdxy,bsd->sbxy", "sbxy,bsd->sdxy",

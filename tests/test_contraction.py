@@ -457,11 +457,11 @@ class TestPlanFlops:
         assert totals[8] == 8 * totals[4]
 
     def test_sequential_sweep_flops_scale_quadratically(self, rng):
-        """The sweep's vector-matrix steps plus the per-site absorbs."""
+        """The sweep's vector-matrix steps plus the absorb of every bond site."""
         feats = encode_batch(FeatureMap.LINEAR, rng.uniform(0, 1, size=(1, 16)))
 
         def sweep_or_site(node):
-            return node.kind == "contract" or node.extra == "dxy,bd->bxy"
+            return node.kind == "contract" or node.extra == "sdxy,bsd->sbxy"
 
         totals = {}
         for chi in (2, 4, 8):

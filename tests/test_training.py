@@ -29,6 +29,7 @@ from mpsclassify.errors import (
     ConfigError,
     ConsistencyError,
     DimensionError,
+    DomainError,
     NumericError,
 )
 from mpsclassify.losses import (
@@ -501,6 +502,40 @@ class TestTrainLoop:
         assert [arr.tobytes() for _, arr in model.parameters()] == before
         assert [arr.tobytes() for arr in (*adam.m.values(), *adam.v.values())] == moments
         assert adam.step_count == 0
+
+    def test_train_encodes_each_batch_as_it_draws_it(self, monkeypatch):
+        """No encoded copy of the training set: only the test set is encoded whole."""
+        train_set, test_set = synthetic_blobs(30, seed=1), synthetic_blobs(12, seed=2)
+        model = init_model(16, 2, 3, seed=0)
+        config = TrainConfig(learning_rate=1e-3, batch_size=8, epochs=2, seed=0)
+        want = train(model.copy(), train_set, test_set, config)
+        encoded = []
+        real = training.encode_batch
+
+        def counting(fmap, images):
+            encoded.append(len(images))
+            return real(fmap, images)
+
+        monkeypatch.setattr(training, "encode_batch", counting)
+        got = train(model, train_set, test_set, config)
+        assert sorted(encoded) == sorted([12] + [8, 8, 8, 6] * 2)
+        assert [m.train_loss for m in got] == [m.train_loss for m in want]
+        assert [m.test_acc for m in got] == [m.test_acc for m in want]
+
+    def test_a_bad_training_pixel_is_named_before_any_step(self):
+        train_set = synthetic_blobs(30, seed=1)
+        bad_images = train_set.images.copy()
+        bad_images[-1, 3] = 1.5
+
+        class Bad:
+            images, labels = bad_images, train_set.labels
+
+        model = init_model(16, 2, 3, seed=0)
+        before = [arr.tobytes() for _, arr in model.parameters()]
+        config = TrainConfig(learning_rate=1e-3, batch_size=8, epochs=1, seed=0)
+        with pytest.raises(DomainError, match="outside"):
+            train(model, Bad, synthetic_blobs(12, seed=2), config)
+        assert [arr.tobytes() for _, arr in model.parameters()] == before
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
     def test_non_finite_learning_rate_rejected(self, rate):

@@ -1,5 +1,5 @@
-"""The pairwise schedule's reusable workspace: nothing returned aliases it, and
-a warm step or evaluation batch touches no fresh pages."""
+"""The reusable workspace: nothing returned aliases it, and a warm step or
+evaluation batch touches no fresh pages."""
 
 import resource
 
@@ -55,17 +55,17 @@ def test_nothing_returned_aliases_the_workspace():
     user.replay()
 
 
-@pytest.mark.parametrize(
+SIZES = pytest.mark.parametrize(
     "n_sites, label_site", [(5, None), (6, 1), (6, 4), (21, None), (21, 2), (40, 7)]
 )
-@pytest.mark.parametrize("taped", [True])  # only a taped step grows the workspace
-def test_workspace_is_sized_exactly(monkeypatch, n_sites, label_site, taped):
-    """After one taped pairwise step, the same step again takes every array from the buffer, and fills it."""
+
+
+def assert_a_repeated_step_fills_the_buffer(monkeypatch, n_sites, label_site, strategy):
     workspace = autodiff.Workspace()
     monkeypatch.setattr(autodiff, "_WORKSPACE", workspace)
     model = init_model(n_sites, 3, 2, seed=0, label_site=label_site)
     feats = encoded(model, np.random.default_rng(1), 5)
-    call = lambda: loss_and_gradients(model, feats, np.arange(5) % 3)  # noqa: E731
+    call = lambda: loss_and_gradients(model, feats, np.arange(5) % 3, strategy=strategy)  # noqa: E731
     call()
     real = autodiff.Workspace.empty
     overflowed = []
@@ -80,6 +80,19 @@ def test_workspace_is_sized_exactly(monkeypatch, n_sites, label_site, taped):
     call()
     assert overflowed == []
     assert 0 < workspace._used == workspace._flat.size
+
+
+@SIZES
+@pytest.mark.parametrize("taped", [True])  # only a taped step grows the workspace
+def test_workspace_is_sized_exactly(monkeypatch, n_sites, label_site, taped):
+    """After one taped pairwise step, the same step again takes every array from the buffer, and fills it."""
+    assert_a_repeated_step_fills_the_buffer(monkeypatch, n_sites, label_site, Strategy.PAIRWISE)
+
+
+@SIZES
+def test_sequential_workspace_is_sized_exactly(monkeypatch, n_sites, label_site):
+    """The same for a taped sequential step: its label block and the stack of every bond site."""
+    assert_a_repeated_step_fills_the_buffer(monkeypatch, n_sites, label_site, Strategy.SEQUENTIAL)
 
 
 @pytest.mark.parametrize("taped", [True])  # only a taped step grows the workspace
@@ -194,7 +207,8 @@ def minor_faults() -> int:
 
 @pytest.mark.parametrize(
     "what, strategy",
-    [("desk step", Strategy.PAIRWISE)] + [("eval batch", strategy) for strategy in SCHEDULES],
+    [("desk step", strategy) for strategy in SCHEDULES]
+    + [("eval batch", strategy) for strategy in SCHEDULES],
     ids=lambda arg: getattr(arg, "value", arg),
 )
 def test_warm_calls_touch_no_fresh_pages(what, strategy):
@@ -202,9 +216,9 @@ def test_warm_calls_touch_no_fresh_pages(what, strategy):
 
     Without a reused workspace the pairwise desk step faults in about 28 MB
     of fresh pages, some 6,600-7,100 faults, whenever the allocator has
-    trimmed the heap between steps. The taped sequential step takes only
-    its label block from the workspace and faults in about 2,200 pages a
-    step, so it is not pinned here.
+    trimmed the heap between steps. The sequential step, which absorbed its
+    sites one [B, chi, chi] matrix at a time from the heap, took 150-2,200;
+    it now absorbs them all into one workspace stack.
     """
     model = init_model(196, 10, 10, seed=0)
     rng = np.random.default_rng(0)
