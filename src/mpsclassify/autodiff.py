@@ -15,7 +15,11 @@ watched leaves last to the end (see ``backward``). At the desk recipe
 (N=196, chi=10, batch 50) a sequential ``backward`` traces about 1.6 MiB,
 most of it the row factors of all 193 bond sites, held until the absorb.
 
-Every contraction, forward or adjoint, runs through ``einsum``. It compiles
+Every contraction, forward or adjoint, runs through ``einsum``, save one:
+the weighting of the untaped sequential sweep (``contraction._sweep_pairs``)
+is a broadcast multiply and a sum over the d^2 bond matrices, run directly
+along the batch. As an einsum it would compile to one matrix-vector product
+per image, the per-image BLAS calls that sweep exists to avoid. ``einsum`` compiles
 each (subscripts, operand shapes) pair once into a plan of transposes,
 reshapes and one ``np.matmul`` (or a broadcast multiply) per pairwise step,
 so repeated calls do no path search and no subscript parsing. Dense

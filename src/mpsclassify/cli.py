@@ -269,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_arguments(p)
     p.add_argument("--synthetic", type=_non_negative_int, default=0, metavar="N",
                    help="train on N generated ten-class images instead of files")
-    p.add_argument("--bond-dim", type=int, default=10)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=50)
+    p.add_argument("--bond-dim", type=_positive_int, default=10)
+    p.add_argument("--epochs", type=_positive_int, default=10)
+    p.add_argument("--batch-size", type=_positive_int, default=50)
     p.add_argument("--learning-rate", type=_positive_float, default=1e-4)
     p.add_argument("--loss", choices=sorted(_LOSSES), default="cross-entropy")
     p.add_argument("--strategy", choices=["sequential", "pairwise"], default="pairwise")
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad-check", help="compare gradients to finite differences")
     p.add_argument("--sites", type=_at_least(3), default=8)
     p.add_argument("--labels", type=_at_least(2), default=3)
-    p.add_argument("--bond-dim", type=int, default=4)
+    p.add_argument("--bond-dim", type=_positive_int, default=4)
     p.add_argument("--batch", type=_positive_int, default=2)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--step", type=_positive_float, default=1e-5)

@@ -9,8 +9,10 @@ Two production schedules plus a brute-force oracle:
   each site's matrix, gathered from that stack; its backward turns the
   gathered rows' rank-one adjoints into the ``cores`` gradient with no
   dense [N-3, B, chi, chi] adjoint (``autodiff.backward``). Untaped, the
-  vector takes one batch-wide step per two-site bond (``_sweep_pairs``).
-  Only the batch-independent bonds cost chi^3.
+  vector is held image-last, [chi, B], and takes one step per two-site
+  bond (``_sweep_pairs``): one matrix product with all d^2 of the bond's
+  matrices for the whole batch, then a weighting along the batch. Only
+  the batch-independent bonds cost chi^3.
 * ``pairwise``: absorb every pixel of each half at once, from the half's
   own rows of ``cores``, then repeatedly multiply adjacent effective
   matrices in rounds. All products of a round are independent, so a round
@@ -161,8 +163,7 @@ def _absorb_quads(tape, cores, feats, quad):
     n, pairs, quads = len(cores), len(cores) // 2, len(cores) // 4
     stack = tape.workspace.empty((n - pairs - quads, len(feats)) + cores.shape[2:])
     if pairs:
-        # Image-last weights: each outer product runs along the batch.
-        weights = _pair(tape, "ksb,ktb->kstb", np.ascontiguousarray(feats.transpose(1, 2, 0)))
+        weights = _pair_weights(tape, feats)[1]
         # The bonds are named first: the plan pops operands in reverse, so
         # each mix's one matmul produces the stack's order directly.
         if quads:
@@ -178,23 +179,44 @@ def _absorb_quads(tape, cores, feats, quad):
     return stack
 
 
-def _sweep_pairs(tape, cores, feats, vec, right):
-    """Untaped sweep of a boundary vector [B, chi] through a half's n sites.
+def _pair_weights(tape, feats):
+    """Image-last features [n, d, B] of [B, n, d] ``feats``, and the outer products of
+    sites (2k, 2k+1), [n//2, d, d, B]: each product runs along the batch."""
+    feats = np.ascontiguousarray(feats.transpose(1, 2, 0))
+    return feats, _pair(tape, "ksb,ktb->kstb", feats)
 
-    Each of its ceil(n/2) steps is one batch-wide product with a bond, then
-    a weighting per image (``_pair``). An odd last site is stepped alone,
-    vector first; on the right it is the outermost, so it goes first.
+
+def _sweep_pairs(tape, cores, feats, vec, right):
+    """Untaped sweep of a boundary vector [B, chi] through a half's n sites: [B, chi].
+
+    The vector is held image-last, [chi, B]. Each of its ceil(n/2) steps is
+    one ``[d^2 chi, chi] @ [chi, B]`` product with all d^2 matrices of a
+    two-site bond, then one broadcast multiply by the pair's image-last
+    weights [d^2, 1, B] and a sum over the d^2 matrices, both along the
+    batch. The weighting is not an einsum: compiled, it would be one
+    matrix-vector product per image. An odd last site is stepped alone the
+    same way, on d matrices; on the right it is the outermost, so it goes
+    first.
     """
-    weights = _pair(tape, "kbs,kbt->kbst", feats.swapaxes(0, 1))
-    steps = [("st", bond, w) for bond, w in zip(_pair(tape, "ksxy,ktyz->kstxz", cores), weights)]
+    feats, weights = _pair_weights(tape, feats)
+    # Each half's bonds are laid out with the index its step sums over last,
+    # [d^2, x, z] on the right and [d^2, z, x] on the left, so no pair step copies its bond.
+    layout = "xz" if right else "zx"
+    bonds = _pair(tape, f"ksxy,ktyz->kst{layout}", cores)
+    d2 = cores.shape[1] ** 2
+    steps = list(zip(bonds.reshape((len(bonds), d2) + cores.shape[2:]),
+                     weights.reshape(len(weights), d2, 1, feats.shape[2])))
     if len(cores) % 2:
-        steps.append(("s", cores[-1], feats[:, -1]))
-    for s, mat, w in reversed(steps) if right else steps:
-        if right:
-            vec = tape.contract(f"b{s}x,b{s}->bx", tape.contract(f"{s}xz,bz->b{s}x", mat, vec), w)
-        else:
-            vec = tape.contract(f"b{s}z,b{s}->bz", tape.contract(f"bx,{s}xz->b{s}z", vec, mat), w)
-    return vec
+        last = cores[-1] if right else cores[-1].swapaxes(1, 2)
+        steps.append((last, feats[-1, :, None]))
+    # The vector is named first: the plan pops operands in reverse, so its
+    # one matmul produces [d^2, chi, B] directly, not a transposed view.
+    form = f"zb,j{layout}->jxb" if right else f"xb,j{layout}->jzb"
+    vec = vec.T
+    for bond, w in reversed(steps) if right else steps:
+        step = tape.contract(form, vec, bond)  # a new array, weighted in place
+        vec = np.add.reduce(np.multiply(step, w, out=step))
+    return vec.T
 
 
 def _reduce_half(tape, stack):
@@ -274,7 +296,9 @@ def forward_batch(
 
     On a tape that does not record, blocks included, pairwise absorbs
     each half four sites per matrix (``_absorb_quads``) and sequential
-    sweeps two-site bonds (``_sweep_pairs``). A recording tape absorbs one
+    sweeps two-site bonds with the images on the vector's last axis, one
+    ``[d^2 chi, chi] @ [chi, B]`` product per site pair (``_sweep_pairs``),
+    taking the whole batch at once. A recording tape absorbs one
     site per matrix, each half (pairwise) or every bond site (sequential)
     in one node, so taped and untaped logits agree to rounding only.
 

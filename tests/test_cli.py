@@ -448,6 +448,29 @@ class TestParser:
         assert out == ""
         assert flag in err and repr(value) in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["train", "--synthetic", "20", "--epochs", "1"], "--bond-dim"),
+            (["train", "--synthetic", "20", "--epochs", "1"], "--epochs"),
+            (["train", "--synthetic", "20", "--epochs", "1"], "--batch-size"),
+            (["grad-check"], "--bond-dim"),
+        ],
+        ids=["train-bond-dim", "train-epochs", "train-batch-size", "grad-check-bond-dim"],
+    )
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_size_below_one_rejected_before_running(self, tmp_path, capsys, argv, flag, value):
+        """Exit 2 from argparse, before any data is generated, not 1 from the model's check."""
+        ckpt = tmp_path / "model.mps"
+        checkpoint = ["--checkpoint", str(ckpt)] if argv[0] == "train" else []
+        with pytest.raises(SystemExit) as exc:
+            main(argv + checkpoint + [flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert flag in err and repr(value) in err
+        assert not ckpt.exists()
+
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

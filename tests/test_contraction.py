@@ -290,21 +290,78 @@ class TestSequentialSweep:
     @pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_half_takes_one_vector_step_per_site_pair(self, monkeypatch, rng, n, right):
-        """A half of n sites, the other half empty, takes ceil(n/2) vector steps."""
+        """A half of n sites, the other half empty, takes ceil(n/2) vector steps.
+
+        The steps are the untaped call's only ``contract``-kind calls: the
+        ends, bonds and weights are ``absorb``, the label contraction ``combine``."""
         model = init_model(n + 3, 2, 2, seed=0, label_site=1 if right else n + 1)
         feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(4, n + 3)))
         steps = []
         real = Tape.contract
 
         def counted(tape, subscripts, *ops, kind="contract", out=None):
-            result = real(tape, subscripts, *ops, kind=kind, out=out)
-            if kind == "contract" and result.ndim == 2:
+            if kind == "contract":
                 steps.append(subscripts)
-            return result
+            return real(tape, subscripts, *ops, kind=kind, out=out)
 
         monkeypatch.setattr(Tape, "contract", counted)
         forward_batch(model, feats, Strategy.SEQUENTIAL)
         assert len(steps) == -(-n // 2)
+
+    @pytest.mark.parametrize("n_sites", [5, 6, 7, 8])
+    def test_every_step_keeps_the_images_on_its_last_axis(self, monkeypatch, rng, n_sites):
+        """Each step reads the vector as [chi, B] and returns [d^2 or d, chi, B]."""
+        chi, batch = 3, 7
+        for label_site in range(1, n_sites - 1):
+            model = init_model(n_sites, 2, chi, seed=n_sites, label_site=label_site)
+            feats = encode_batch(model.feature_map, rng.random((batch, n_sites)))
+            shapes = []
+            real = Tape.contract
+
+            def watched(tape, subscripts, *ops, kind="contract", out=None):
+                result = real(tape, subscripts, *ops, kind=kind, out=out)
+                if kind == "contract":
+                    shapes.append((ops[0].shape, result.shape))
+                return result
+
+            monkeypatch.setattr(Tape, "contract", watched)
+            forward_batch(model, feats, Strategy.SEQUENTIAL)
+            monkeypatch.undo()
+            halves = (label_site - 1, n_sites - 2 - label_site)
+            assert len(shapes) == sum(-(-n // 2) for n in halves)
+            for vec, step in shapes:
+                assert vec == (chi, batch)
+                assert step in ((4, chi, batch), (2, chi, batch)), label_site
+
+    @pytest.mark.parametrize("batch", [1, 2, 7, 256])
+    @pytest.mark.parametrize("n_sites, bond_dim", [(196, 10), (784, 10), (196, 32)],
+                             ids=["196-10", "784-10", "196-32"])
+    def test_logits_match_a_recording_tape(self, rng, n_sites, bond_dim, batch):
+        """The tape runs at most 16 images at a time, so its stack of every bond site stays small."""
+        model = init_model(n_sites, 10, bond_dim, seed=0)
+        feats = encode_batch(model.feature_map, rng.random((batch, n_sites)))
+        got = forward_batch(model, feats, Strategy.SEQUENTIAL)
+        want = []
+        for k in range(0, batch, 16):
+            tape = Tape()
+            tape.watch_model(model)
+            want.append(forward_batch(model, feats[k : k + 16], Strategy.SEQUENTIAL, tape=tape))
+            assert len(tape.nodes) > 0
+        want = np.concatenate(want)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_sites", range(5, 13))
+    def test_every_label_site_matches_a_recording_tape(self, rng, n_sites):
+        """Odd halves, even halves and an empty half, each on both sides of the label."""
+        for label_site in range(1, n_sites - 1):
+            model = init_model(n_sites, 3, 4, seed=n_sites, label_site=label_site)
+            feats = encode_batch(model.feature_map, rng.random((5, n_sites)))
+            got = forward_batch(model, feats, Strategy.SEQUENTIAL)
+            tape = Tape()
+            tape.watch_model(model)
+            want = forward_batch(model, feats, Strategy.SEQUENTIAL, tape=tape)
+            assert len(tape.nodes) > 0
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), label_site
 
     def test_desk_logits_match_a_recording_tape(self, rng):
         model = init_model(196, 10, 10, seed=0)
