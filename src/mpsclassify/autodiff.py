@@ -15,14 +15,19 @@ watched leaves last to the end (see ``backward``). At the desk recipe
 (N=196, chi=10, batch 50) a sequential ``backward`` traces about 1.6 MiB,
 most of it the row factors of all 193 bond sites, held until the absorb.
 
-Every contraction, forward or adjoint, runs through ``einsum``, save one:
-the weighting of the untaped sequential sweep (``contraction._sweep_pairs``)
-is a broadcast multiply and a sum over the d^2 bond matrices, run directly
-along the batch. As an einsum it would compile to one matrix-vector product
+Every contraction, forward or adjoint, runs a plan of ``einsum``'s, save
+the weightings of the untaped sequential sweep (``contraction._sweep_pairs``
+and its label combine): a broadcast multiply and a sum, run directly
+along the batch. As an einsum each would compile to one matrix-vector product
 per image, the per-image BLAS calls that sweep exists to avoid. ``einsum`` compiles
 each (subscripts, operand shapes) pair once into a plan of transposes,
 reshapes and one ``np.matmul`` (or a broadcast multiply) per pairwise step,
-so repeated calls do no path search and no subscript parsing. Dense
+so repeated calls do no path search and no subscript parsing.
+``Tape.sweep`` steps a vector through rows of a stack with one such plan,
+looked up once per call, and records per row the ``gather`` and
+``contract`` nodes that those two primitives would. ``backward`` takes
+each einsum node's adjoints from a plan cached per (subscripts, operand
+shapes, graded operands): factors, or a compiled product (``_adjoint_plan``). Dense
 adjoints of ``gather`` and ``slice_rows`` add into the rows they came
 from, in one buffer per source array, instead of scattering into a fresh
 zero copy of the source for every node.
@@ -96,22 +101,16 @@ def einsum(subscripts: str, *ops: np.ndarray, out: np.ndarray | None = None) -> 
     order writes into a C-contiguous ``out`` directly; any other final step
     is copied in.
     """
-    operands = list(ops)
-    steps = _compile(subscripts, tuple([op.shape for op in ops]))
-    for positions, run in steps if out is None else steps[:-1]:
-        operands.append(run(*[operands.pop(p) for p in positions]))
-    if out is None:
-        return operands[0]
-    positions, run = steps[-1]
-    result = run(*[operands.pop(p) for p in positions], out=out)
-    if result is not out:
-        out[...] = result
-    return out
+    return _compile(subscripts, tuple([op.shape for op in ops]))(*ops, out=out)
 
 
 @functools.lru_cache(maxsize=512)
-def _compile(subscripts: str, shapes: tuple) -> tuple:
-    """Steps ``(positions, run)`` of ``einsum``: pop ``positions``, push ``run(*popped)``.
+def _compile(subscripts: str, shapes: tuple):
+    """``einsum``'s plan for ``subscripts`` over operands of ``shapes``, as one
+    function ``plan(*ops, out=None)``.
+
+    Each pairwise step ``(positions, run)`` pops ``positions`` and pushes
+    ``run(*popped)``; a plan of one step runs it on the operands directly.
 
     The pairwise order is the one ``np.einsum_path(optimize=True)`` picks.
     Operands are popped, and intermediates are indexed, in the order
@@ -153,7 +152,33 @@ def _compile(subscripts: str, shapes: tuple) -> tuple:
             steps.append((positions, _product_step(picked, result, sizes)))
         else:
             raise DimensionError(f"{subscripts!r} has no pairwise contraction order")
-    return tuple(steps)
+    return _plan(steps)
+
+
+def _plan(steps: list):
+    """Run ``steps`` (``_compile``), the last one into ``out`` when given."""
+    *inner, (positions, last) = steps
+
+    def plan(*ops, out=None):
+        operands = list(ops)
+        for at, run in inner:
+            operands.append(run(*[operands.pop(p) for p in at]))
+        return _into(last(*[operands.pop(p) for p in positions], out=out), out)
+
+    if inner or positions != (1, 0):
+        return plan
+
+    def pair(a, b, out=None):
+        return last(b, a) if out is None else _into(last(b, a, out=out), out)
+
+    return pair
+
+
+def _into(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    if out is None or result is out:
+        return result
+    out[...] = result
+    return out
 
 
 def _arrange(term: str, order: str, sizes: dict, shape=None):
@@ -365,6 +390,46 @@ class Tape:
             raise DimensionError(f"gather index {index} out of range for {x.shape}")
         return self._record("gather", (x,), x[index], index)
 
+    def sweep(self, subscripts: str, vec: np.ndarray, stack: np.ndarray, rows) -> np.ndarray:
+        """Step ``vec`` through rows ``rows`` of ``stack`` in turn: the final vector.
+
+        ``subscripts`` multiplies the vector by one row, the two operands
+        named in either order, and must return a vector of ``vec``'s shape;
+        the vector's operand is the one with ``vec.ndim`` indices (the first,
+        if both have). Each row records what ``gather(stack, row)`` and then
+        ``contract(subscripts, ...)`` record, node for node, with the same
+        outputs; the rows are range-checked and the product's plan compiled
+        once, before the first row.
+        """
+        rows = [int(row) for row in rows]
+        if not rows:
+            return vec
+        if not (0 <= min(rows) and max(rows) < len(stack)):
+            raise DimensionError(
+                f"sweep rows {min(rows)}..{max(rows)} out of range for {stack.shape}"
+            )
+        first = len(subscripts.split(",")[0]) == vec.ndim
+        shapes = (vec.shape, stack.shape[1:])
+        product = _compile(subscripts, shapes if first else shapes[::-1])
+        recording, live, record = self.recording, self._live, self.nodes.append
+        gathered = recording and id(stack) in live
+        for row in rows:
+            mat = stack[row]
+            if gathered:
+                record(Node("gather", (stack,), (True,), mat, row))
+                live.add(id(mat))
+            ops = (vec, mat) if first else (mat, vec)
+            out = product(*ops)
+            if out.shape != vec.shape:
+                raise DimensionError(f"{subscripts!r} turns a vector {vec.shape} into {out.shape}")
+            if recording:
+                needs = (id(ops[0]) in live, id(ops[1]) in live)
+                if needs[0] or needs[1]:
+                    record(Node("contract", ops, needs, out, subscripts))
+                    live.add(id(out))
+            vec = out
+        return vec
+
     def slice_rows(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
         """Rows ``start:stop`` along the leading axis, differentiably."""
         if not 0 <= start <= stop <= x.shape[0]:
@@ -493,10 +558,16 @@ class _Rows(dict):
         super().__init__()
         self.count = count
 
-    def stacked(self, rows: range) -> tuple:
-        """Factors ``(U, V)`` of ``rows``, one [len(rows), ..., chi] array each."""
-        zero = tuple(np.zeros(f.shape, dtype=DTYPE) for f in next(iter(self.values())))
-        return tuple(np.stack(f) for f in zip(*(self.get(k, zero) for k in rows)))
+    def stacked(self, rows: range, out: tuple | None = None) -> tuple:
+        """Factors ``(U, V)`` of ``rows``, one [len(rows), ..., chi] array each:
+        the leading rows of the buffers ``out`` when given, new arrays otherwise."""
+        if out is None:
+            out = tuple(np.empty((len(rows),) + f.shape, dtype=DTYPE)
+                        for f in next(iter(self.values())))
+        for j, k in enumerate(rows):
+            for buf, f in zip(out, self.get(k, (0.0, 0.0))):
+                buf[j] = f
+        return tuple(buf[: len(rows)] for buf in out)
 
 
 def _outer(factors: tuple) -> np.ndarray:
@@ -517,15 +588,18 @@ def _absorb_adjoint(shape: tuple, feats: np.ndarray, g) -> np.ndarray:
     Row s, component d, is ``sum_b f[b, s, d] u[s, b] ⊗ v[s, b]``: u
     weighted by each feature component in turn, then one batched matmul
     with v per component. ``g`` is factors ``(u, v)`` of every row, or
-    ``_Rows``, stacked in blocks of rows of at most ``ROW_BLOCK_BYTES``.
+    ``_Rows``, stacked in blocks of rows of at most ``ROW_BLOCK_BYTES`` into
+    the same two buffers, block after block.
     """
     grad = np.zeros(shape, dtype=DTYPE)
     if isinstance(g, tuple):
         blocks = [(range(shape[0]), g)]
     else:
-        step = max(1, ROW_BLOCK_BYTES // next(iter(g.values()))[0].nbytes)
+        first = next(iter(g.values()))[0]
+        step = min(shape[0], max(1, ROW_BLOCK_BYTES // first.nbytes))
+        buffers = tuple(np.empty((step,) + first.shape, dtype=DTYPE) for _ in range(2))
         spans = (range(lo, min(lo + step, shape[0])) for lo in range(0, shape[0], step))
-        blocks = ((rows, g.stacked(rows)) for rows in spans if any(k in g for k in rows))
+        blocks = ((rows, g.stacked(rows, buffers)) for rows in spans if any(k in g for k in rows))
     for rows, (u, v) in blocks:
         rows = slice(rows.start, rows.stop)
         weights = feats[:, rows].transpose(1, 2, 0)  # [rows, d, B]
@@ -535,35 +609,49 @@ def _absorb_adjoint(shape: tuple, feats: np.ndarray, g) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=512)
-def _adjoint_forms(subscripts: str) -> tuple:
-    """Per operand of the einsum ``subscripts``: (dense form, outer).
+def _adjoint_plan(subscripts: str, shapes: tuple, needs: tuple) -> tuple:
+    """``(i, outer, product, rows)`` per graded operand ``i`` of the einsum
+    ``subscripts`` over operands of ``shapes``.
 
-    The dense form replaces the operand by g, indexed like the output. When
-    it is a bare outer product over the operand's last two indices, ``outer``
-    holds the positions of its factors (u, v) among its operands.
+    The dense adjoint replaces operand i by g, indexed like the output. When
+    it is a bare outer product over the operand's last two indices,
+    ``outer`` holds the positions of its factors (u, v) among the operands;
+    otherwise ``product`` runs it: the compiled plan of a two-operand form
+    (``_compile``), ``einsum`` for more operands, such as a combine's.
+    ``rows`` marks the weights of the stacked absorb, whose adjoint from
+    factors is ``_absorb_adjoint``'s.
     """
     ins, out = subscripts.split("->")
     ins = ins.split(",")
-    forms = []
+    sizes = {ix: n for term, shape in zip(ins, shapes) for ix, n in zip(term, shape)}
+    g_shape = tuple(sizes[ix] for ix in out)
+    plan = []
     for i, own in enumerate(ins):
-        parts = [out if j == i else term for j, term in enumerate(ins)]
-        outer = None
+        if not needs[i]:
+            continue
         if len(ins) == 2 and len(own) >= 2:
             pair = (own[:-1], own[:-2] + own[-1])
             if (out, ins[1 - i]) in (pair, pair[::-1]):
-                outer = (i, 1 - i) if out == pair[0] else (1 - i, i)
-        forms.append((",".join(parts) + "->" + own, outer))
-    return tuple(forms)
+                plan.append((i, (i, 1 - i) if out == pair[0] else (1 - i, i), None, False))
+                continue
+        form = ",".join(out if j == i else term for j, term in enumerate(ins)) + "->" + own
+        if len(ins) == 2:
+            product = _compile(form, tuple(g_shape if j == i else x for j, x in enumerate(shapes)))
+        else:
+            product = lambda *ops, form=form: einsum(form, *ops)  # noqa: E731
+        plan.append((i, None, product, i == 0 and subscripts == _STACKED_ABSORB))
+    return tuple(plan)
 
 
 def _input_adjoints(node: Node, g):
     """Yield (input index, adjoint) for graded inputs; each adjoint is new or factored.
 
     ``g`` is a dense array, factors ``(u, v)`` (``_outer``) or row factors
-    (``_Rows``); an adjoint is a dense array or factors. An einsum yields
-    factors where its adjoint is a bare outer product (``_adjoint_forms``).
-    The stacked absorb (``_STACKED_ABSORB``) makes its weights' adjoint
-    from factors or row factors as they are (``_absorb_adjoint``). A
+    (``_Rows``); an adjoint is a dense array or factors. An einsum takes
+    each adjoint from its cached plan (``_adjoint_plan``): factors where it
+    is a bare outer product, the weights' adjoint of the stacked absorb
+    (``_STACKED_ABSORB``) made from factors or row factors as they are
+    (``_absorb_adjoint``), and the compiled dense rule otherwise. A
     ``pair_round`` stacks row factors and turns factors into factors with
     two batched matrix-vector products per pair. Every other use expands
     g first and gets the plain dense rule. ``gather`` and ``slice_rows``
@@ -572,16 +660,18 @@ def _input_adjoints(node: Node, g):
     """
     kind = node.kind
     if kind in _EINSUM_KINDS:
-        for i, (form, outer) in enumerate(_adjoint_forms(node.extra)):
-            if not node.needs[i]:
+        inputs = node.inputs
+        for i, outer, product, rows in _adjoint_plan(
+            node.extra, tuple([x.shape for x in inputs]), node.needs
+        ):
+            if rows and not isinstance(g, np.ndarray):
+                yield i, _absorb_adjoint(inputs[0].shape, inputs[1], g)
                 continue
-            if i == 0 and node.extra == _STACKED_ABSORB and not isinstance(g, np.ndarray):
-                yield i, _absorb_adjoint(node.inputs[0].shape, node.inputs[1], g)
-                continue
-            g = _dense(g)
-            operands = [g if j == i else x for j, x in enumerate(node.inputs)]
+            if not isinstance(g, np.ndarray):
+                g = _dense(g)
+            operands = inputs[:i] + (g,) + inputs[i + 1 :]
             if outer is None:
-                yield i, einsum(form, *operands)
+                yield i, product(*operands)
             else:
                 yield i, (operands[outer[0]], operands[outer[1]])
         return
@@ -661,7 +751,9 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
             source = node.inputs[0]
             key = id(source)
             if isinstance(g, tuple) and node.kind == "gather":
-                rows = acc.setdefault(key, _Rows(len(source)))
+                rows = acc.get(key)
+                if rows is None:
+                    rows = acc[key] = _Rows(len(source))
                 if isinstance(rows, _Rows) and node.extra not in rows:
                     rows[node.extra] = g
                     continue

@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="write the trained model here")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a test split")
+    p = sub.add_parser("eval", help="evaluate a checkpoint on a test split (sequential sweep)")
     _add_data_arguments(p, with_train=False)
     p.add_argument("--synthetic", type=_non_negative_int, default=0, metavar="N")
     p.add_argument("--checkpoint", required=True)

@@ -6,13 +6,16 @@ Two production schedules plus a brute-force oracle:
   label site, combining there so the label count L enters only the final
   step. A recording tape absorbs every bond site in one node, straight
   from ``cores`` (``"sdxy,bsd->sbxy"``), then multiplies the vector by
-  each site's matrix, gathered from that stack; its backward turns the
+  each site's matrix, gathered from that stack, in one ``Tape.sweep`` per
+  half (a ``gather`` and a ``contract`` node per site); its backward turns the
   gathered rows' rank-one adjoints into the ``cores`` gradient with no
   dense [N-3, B, chi, chi] adjoint (``autodiff.backward``). Untaped, the
   vector is held image-last, [chi, B], and takes one step per two-site
   bond (``_sweep_pairs``): one matrix product with all d^2 of the bond's
   matrices for the whole batch, then a weighting along the batch. Only
-  the batch-independent bonds cost chi^3.
+  the batch-independent bonds cost chi^3. The label core then takes the
+  right vector first (``_sweep_untaped``), so no [B, L, chi, chi] label
+  block is built.
 * ``pairwise``: absorb every pixel of each half at once, from the half's
   own rows of ``cores``, then repeatedly multiply adjacent effective
   matrices in rounds. All products of a round are independent, so a round
@@ -187,7 +190,7 @@ def _pair_weights(tape, feats):
 
 
 def _sweep_pairs(tape, cores, feats, vec, right):
-    """Untaped sweep of a boundary vector [B, chi] through a half's n sites: [B, chi].
+    """Untaped sweep of a boundary vector [B, chi] through a half's n sites: [chi, B].
 
     The vector is held image-last, [chi, B]. Each of its ceil(n/2) steps is
     one ``[d^2 chi, chi] @ [chi, B]`` product with all d^2 matrices of a
@@ -216,7 +219,7 @@ def _sweep_pairs(tape, cores, feats, vec, right):
     for bond, w in reversed(steps) if right else steps:
         step = tape.contract(form, vec, bond)  # a new array, weighted in place
         vec = np.add.reduce(np.multiply(step, w, out=step))
-    return vec.T
+    return vec
 
 
 def _reduce_half(tape, stack):
@@ -249,20 +252,37 @@ def _forward_pairwise_batch(model, feats, tape, quads=(None, None)):
 
 def _forward_sequential_batch(model, feats, tape):
     m, n = model.label_site, model.n_sites
-    lv, lab, rv = _absorb_ends(model, feats, tape)
     if not tape.recording:
-        lv, rv = (_sweep_pairs(tape, *_half(model, feats, tape, right), v, right)
-                  for right, v in ((False, lv), (True, rv)))
-        return _combine(tape, lv, None, lab, None, rv)
-    # Every bond site at once, in the order of ``cores``' rows; the sweep gathers its matrices.
+        return _sweep_untaped(model, feats, tape)
+    lv, lab, rv = _absorb_ends(model, feats, tape)
+    # Every bond site at once, in the order of ``cores``' rows; each half's
+    # sweep gathers its matrices from the stack, outward in.
     bond_feats = np.concatenate((feats[:, 1:m], feats[:, m + 1 : n - 1]), axis=1)
     out = tape.workspace.empty((n - 3, len(feats)) + model.cores.shape[2:])
     stack = tape.contract("sdxy,bsd->sbxy", model.cores, bond_feats, kind="absorb", out=out)
-    for row in range(m - 1):
-        lv = tape.contract("bx,bxy->by", lv, tape.gather(stack, row), kind="contract")
-    for row in range(n - 4, m - 2, -1):
-        rv = tape.contract("bxy,by->bx", tape.gather(stack, row), rv, kind="contract")
+    lv = tape.sweep("bx,bxy->by", lv, stack, range(m - 1))
+    rv = tape.sweep("bxy,by->bx", rv, stack, range(n - 4, m - 2, -1))
     return _combine(tape, lv, None, lab, None, rv)
+
+
+def _sweep_untaped(model, feats, tape):
+    """Untaped sequential logits [B, L]: both halves swept image-last (``_sweep_pairs``),
+    then the label core met with the right vector first.
+
+    The label core [d, L, chi, chi] takes the right vector in one
+    ``[d L chi, chi] @ [chi, B]`` product, then is weighted by the label
+    site's features and the left vector along the batch, so no
+    [B, L, chi, chi] block is built."""
+    m, n = model.label_site, model.n_sites
+    lv = tape.contract("dx,bd->bx", model.left_boundary, feats[:, 0], kind="absorb")
+    rv = tape.contract("dx,bd->bx", model.right_boundary, feats[:, n - 1], kind="absorb")
+    lv, rv = (_sweep_pairs(tape, *_half(model, feats, tape, right), v, right)
+              for right, v in ((False, lv), (True, rv)))
+    block = tape.contract("dlxy,yb->dlxb", model.label_core, rv, kind="combine")
+    block *= feats[:, m].T[:, None, None]
+    block = np.add.reduce(block)
+    block *= lv
+    return np.ascontiguousarray(np.add.reduce(block, axis=1).T)
 
 
 def _block_images(model):

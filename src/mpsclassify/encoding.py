@@ -29,12 +29,22 @@ DEFAULT_FEATURE_MAP = FeatureMap.LINEAR
 
 
 def _features(fmap: FeatureMap, p: np.ndarray) -> np.ndarray:
+    """[..., 2] features of pixels ``p``, written into one new array."""
+    out = np.empty(p.shape + (2,), dtype=DTYPE)
     if fmap is FeatureMap.LINEAR:
-        return np.stack([1.0 - p, p], axis=-1)
+        np.subtract(1.0, p, out=out[..., 0])
+        out[..., 1] = p
+        return out
     # cos(pi*p/2) written as sin(pi*(1-p)/2) so p = 0, 1 hit the basis
-    # vectors exactly.
+    # vectors exactly. Each sine runs on one contiguous angle array, since a
+    # strided output may take another (SIMD) loop.
     half_pi = 0.5 * np.pi
-    return np.stack([np.sin(half_pi * (1.0 - p)), np.sin(half_pi * p)], axis=-1)
+    angle = np.subtract(1.0, p)
+    angle *= half_pi
+    out[..., 0] = np.sin(angle, out=angle)
+    np.multiply(half_pi, p, out=angle)
+    out[..., 1] = np.sin(angle, out=angle)
+    return out
 
 
 def check_pixels(images) -> np.ndarray:
@@ -42,8 +52,9 @@ def check_pixels(images) -> np.ndarray:
     p = np.asarray(images, dtype=DTYPE)
     if p.ndim != 2:
         raise DomainError(f"expected a [B, N] array of pixels, got shape {p.shape}")
-    bad = (p < 0.0) | (p > 1.0) | ~np.isfinite(p)
-    if bad.any():
+    # NaN fails both comparisons; the mask is built only to name a bad pixel.
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
+        bad = (p < 0.0) | (p > 1.0) | ~np.isfinite(p)
         idx = int(np.argmax(bad.reshape(-1)))
         val = p.reshape(-1)[idx]
         raise DomainError(

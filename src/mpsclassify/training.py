@@ -226,9 +226,13 @@ def evaluate(
     labels: np.ndarray,
     loss_kind: LossKind = LossKind.CROSS_ENTROPY,
     batch_size: int = 256,
-    strategy: Strategy = Strategy.PAIRWISE,
+    strategy: Strategy = Strategy.SEQUENTIAL,
 ) -> tuple[float, float]:
-    """(mean loss, accuracy) over an encoded set, evaluated in batches."""
+    """(mean loss, accuracy) over an encoded set, evaluated in batches.
+
+    The default, the sequential sweep, is the faster untaped schedule for
+    batches of 256 images or more at every measured shape
+    (``contraction.forward_batch``)."""
     return evaluate_predictions(model, feats, labels, loss_kind, batch_size, strategy)[:2]
 
 
@@ -238,7 +242,7 @@ def evaluate_predictions(
     labels: np.ndarray,
     loss_kind: LossKind = LossKind.CROSS_ENTROPY,
     batch_size: int = 256,
-    strategy: Strategy = Strategy.PAIRWISE,
+    strategy: Strategy = Strategy.SEQUENTIAL,
 ) -> tuple[float, float, np.ndarray]:
     """``evaluate`` plus the predicted label of every image, from the same pass."""
     count = feats.shape[0]
@@ -283,7 +287,8 @@ def train(
     rerun with the same seed retraces the identical arithmetic. Per-batch
     training logits double as the running train-accuracy count, so the
     train columns reflect the model as it moved, while test columns
-    evaluate the post-epoch model.
+    evaluate the post-epoch model with the sequential sweep, whatever
+    ``config.strategy`` takes the steps.
     """
     rng = np.random.default_rng(config.seed)
     train_images = check_pixels(train_set.images)
@@ -321,7 +326,6 @@ def train(
             test_labels,
             loss_kind=config.loss_kind,
             batch_size=config.eval_batch_size,
-            strategy=config.strategy,
         )
         metrics = EpochMetrics(
             epoch=epoch,

@@ -14,11 +14,11 @@ from mpsclassify import (
     init_model,
     loss_and_gradients,
 )
-from mpsclassify import autodiff
+from mpsclassify import autodiff, contraction
 from mpsclassify.autodiff import Gradients
 from mpsclassify.contraction import forward_batch
 from mpsclassify.encoding import encode_batch
-from mpsclassify.errors import ConfigError, ConsistencyError
+from mpsclassify.errors import ConfigError, ConsistencyError, DimensionError
 from mpsclassify.losses import cross_entropy_loss, cross_entropy_with_grad, mean_square_with_grad
 from mpsclassify.training import batch_loss
 
@@ -573,6 +573,107 @@ class TestRowFactors:
         monkeypatch.setattr(autodiff, "_input_adjoints", recording)
         loss_and_gradients(model, feats, rng.integers(0, 10, 6), strategy=Strategy.SEQUENTIAL)
         assert list(range(sites - 3)) in seeds
+
+
+class TestSweep:
+    """``Tape.sweep`` records node for node what a loop of ``gather`` and ``contract`` records."""
+
+    @staticmethod
+    def per_site(model, feats, tape):
+        """The taped sequential forward with one ``gather`` and one ``contract`` call per site."""
+        m, n = model.label_site, model.n_sites
+        lv, lab, rv = contraction._absorb_ends(model, feats, tape)
+        bond_feats = np.concatenate((feats[:, 1:m], feats[:, m + 1 : n - 1]), axis=1)
+        stack = tape.contract("sdxy,bsd->sbxy", model.cores, bond_feats, kind="absorb")
+        for row in range(m - 1):
+            lv = tape.contract("bx,bxy->by", lv, tape.gather(stack, row))
+        for row in range(n - 4, m - 2, -1):
+            rv = tape.contract("bxy,by->bx", tape.gather(stack, row), rv)
+        return contraction._combine(tape, lv, None, lab, None, rv)
+
+    @staticmethod
+    def assert_same_nodes(got, want, leaves):
+        """Same kinds, ``extra``, ``needs`` and output bytes, and each input the
+        same leaf or the output of the same earlier node."""
+
+        def sources(tape):
+            produced = {id(node.output): k for k, node in enumerate(tape.nodes)}
+            named = {id(leaf): name for name, leaf in leaves.items()}
+            return [[produced.get(id(x), named.get(id(x), "other")) for x in node.inputs]
+                    for node in tape.nodes]
+
+        assert len(got.nodes) == len(want.nodes)
+        for k, (a, b) in enumerate(zip(got.nodes, want.nodes)):
+            assert (a.kind, a.needs, len(a.inputs)) == (b.kind, b.needs, len(b.inputs)), k
+            if a.kind != "cross_entropy":  # its extra holds the loss gradient, an array
+                assert a.extra == b.extra, k
+            assert a.output.shape == b.output.shape and np.array_equal(a.output, b.output), k
+            assert a.output.tobytes() == b.output.tobytes(), k
+        assert sources(got) == sources(want)
+
+    @pytest.mark.parametrize("n_sites", [5, 6, 7, 8])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_matches_the_per_site_loop(self, rng, n_sites, batch):
+        """Halves of 0 to 5 sites, odd and even; label site 1 and N-2 leave a half empty."""
+        for label_site in range(1, n_sites - 1):
+            model = init_model(n_sites, 3, 3, seed=label_site, label_site=label_site)
+            feats = encode_batch(model.feature_map, rng.random((batch, n_sites)))
+            labels = rng.integers(0, 3, batch)
+            tapes, grads = [], []
+            for forward in (lambda t: forward_batch(model, feats, Strategy.SEQUENTIAL, tape=t),
+                            lambda t: self.per_site(model, feats, t)):
+                tape = Tape()
+                tape.watch_model(model)
+                tape.loss(LossKind.CROSS_ENTROPY, forward(tape), labels)
+                tape.replay()
+                tapes.append(tape)
+                grads.append(backward(tape, [arr for _, arr in model.parameters()]))
+            self.assert_same_nodes(*tapes, dict(model.parameters()))
+            for got, want in zip(*grads):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("watched", ["both", "vec", "stack", "none"])
+    def test_unwatched_operands_record_what_the_loop_records(self, rng, watched):
+        stack, vec = rng.standard_normal((5, 2, 3, 3)), rng.standard_normal((2, 3))
+        tapes = [Tape(), Tape()]
+        for tape in tapes:
+            if watched in ("both", "vec"):
+                tape.watch(vec)
+            if watched in ("both", "stack"):
+                tape.watch(stack)
+        rows = (4, 0, 2, 2)
+        got = tapes[0].sweep("bxy,by->bx", vec, stack, rows)
+        want = vec
+        for row in rows:
+            want = tapes[1].contract("bxy,by->bx", tapes[1].gather(stack, row), want)
+        assert got.tobytes() == want.tobytes()
+        self.assert_same_nodes(*tapes, {"stack": stack, "vec": vec})
+        assert bool(tapes[0].nodes) == (watched != "none")
+
+    def test_a_tape_that_does_not_record_only_computes(self, rng):
+        stack, vec = rng.standard_normal((4, 2, 3, 3)), rng.standard_normal((2, 3))
+        tape = Tape(recording=False)
+        got = tape.sweep("bx,bxy->by", vec, stack, range(4))
+        want = vec
+        for row in range(4):
+            want = np.einsum("bx,bxy->by", want, stack[row])
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+        assert tape.nodes == []
+        assert tape.sweep("bx,bxy->by", vec, stack, range(0)) is vec
+
+    @pytest.mark.parametrize("rows", [(0, 4), (-1,), (2, 1, 7)])
+    def test_a_row_out_of_range_is_named_before_any_record(self, rng, rows):
+        stack, vec = rng.standard_normal((4, 2, 3, 3)), rng.standard_normal((2, 3))
+        tape = Tape()
+        tape.watch(stack)
+        with pytest.raises(DimensionError, match="out of range"):
+            tape.sweep("bx,bxy->by", vec, stack, rows)
+        assert tape.nodes == []
+
+    def test_a_product_that_changes_the_vector_is_refused(self, rng):
+        stack, vec = rng.standard_normal((2, 2, 3, 4)), rng.standard_normal((2, 3))
+        with pytest.raises(DimensionError, match="turns a vector"):
+            Tape().sweep("bx,bxy->by", vec, stack, range(2))
 
 
 class TestModelGradients:

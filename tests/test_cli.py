@@ -195,6 +195,24 @@ class TestEval:
         assert "confusion" in capsys.readouterr().out
         assert calls == [256, 44]
 
+    def test_eval_runs_the_sequential_sweep(self, tmp_path, capsys, monkeypatch):
+        import mpsclassify.training
+        from mpsclassify import Strategy
+
+        strategies = []
+        original = mpsclassify.training.forward_batch
+
+        def watched(model, feats, strategy=Strategy.PAIRWISE, tape=None):
+            strategies.append(strategy)
+            return original(model, feats, strategy, tape)
+
+        monkeypatch.setattr(mpsclassify.training, "forward_batch", watched)
+        ckpt = tmp_path / "model.mps"
+        save_checkpoint(init_model(196, 10, 2, seed=0), ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt), "--synthetic", "300"]) == 0
+        assert "accuracy" in capsys.readouterr().out
+        assert strategies == [Strategy.SEQUENTIAL] * 2
+
     def test_degenerate_model_predicts_class_zero_share(self, tmp_path, capsys):
         """sigma=0 checkpoint: equal logits, tie-break to 0, accuracy = share of 0s."""
         from mpsclassify.dataset import synthetic_digits

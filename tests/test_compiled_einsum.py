@@ -61,6 +61,46 @@ def test_every_recorded_contraction_matches_numpy(monkeypatch, strategy, batch):
         assert got.shape == want.shape and np.array_equal(got, want), subscripts
 
 
+@pytest.fixture
+def cold_plans():
+    """Empty the plan caches before and after, so no plan outlives a patched compiler."""
+    caches = (autodiff._compile, autodiff._adjoint_plan)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("strategy", [Strategy.PAIRWISE, Strategy.SEQUENTIAL])
+@pytest.mark.parametrize("batch", [1, 50])
+def test_every_planned_contraction_matches_numpy(monkeypatch, cold_plans, strategy, batch):
+    """Plans run without ``einsum`` too: ``Tape.sweep``'s product and the cached
+    adjoint products. Every plan call of a taped step is NumPy's result bit for bit."""
+    real = autodiff._compile
+    calls = []
+
+    def compiling(subscripts, shapes):
+        plan = real(subscripts, shapes)
+
+        def recording(*ops, out=None):
+            calls.append((subscripts, ops))
+            return plan(*ops, out=out)
+
+        return recording
+
+    monkeypatch.setattr(autodiff, "_compile", compiling)
+    desk_step(strategy, batch)()
+    forms = {subscripts for subscripts, _ in calls}
+    assert forms <= set(FORMS)
+    if strategy is Strategy.SEQUENTIAL:  # the sweep's products and their dense adjoints
+        assert {"bx,bxy->by", "by,bxy->bx", "bxy,by->bx", "bxy,bx->by"} <= forms
+    for subscripts, ops in calls:
+        got = real(subscripts, tuple(op.shape for op in ops))(*ops)
+        want = np.einsum(subscripts, *ops, optimize=True)
+        assert got.shape == want.shape and np.array_equal(got, want), subscripts
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     form=st.sampled_from(FORMS),

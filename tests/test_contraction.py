@@ -363,6 +363,25 @@ class TestSequentialSweep:
             assert len(tape.nodes) > 0
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), label_site
 
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_no_label_block_is_built(self, monkeypatch, rng, batch):
+        """The label core takes the right vector first: no contraction returns
+        a [B, L, chi, chi] block, and the logits are a C-order [B, L] array."""
+        model = init_model(9, 3, 4, seed=0)
+        feats = encode_batch(model.feature_map, rng.random((batch, 9)))
+        shapes = []
+        real = Tape.contract
+
+        def watched(tape, subscripts, *ops, kind="contract", out=None):
+            result = real(tape, subscripts, *ops, kind=kind, out=out)
+            shapes.append(result.shape)
+            return result
+
+        monkeypatch.setattr(Tape, "contract", watched)
+        got = forward_batch(model, feats, Strategy.SEQUENTIAL)
+        assert (batch, 3, 4, 4) not in shapes and (2, 3, 4, batch) in shapes
+        assert got.shape == (batch, 3) and got.flags.c_contiguous
+
     def test_desk_logits_match_a_recording_tape(self, rng):
         model = init_model(196, 10, 10, seed=0)
         feats = encode_batch(model.feature_map, rng.random((50, 196)))

@@ -114,3 +114,16 @@ class TestImageEncoding:
             encode_batch(FeatureMap.LINEAR, np.zeros((1, 2, 2)))
         with pytest.raises(DomainError):
             encode_batch(FeatureMap.LINEAR, np.zeros(4))
+
+
+@pytest.mark.parametrize("fmap", list(FeatureMap))
+def test_features_equal_the_stacked_formula_bit_for_bit(rng, fmap):
+    """One [B, N, d] array written in place holds what stacking the two components gives."""
+    p = rng.random((7, 33))
+    p[0, :4] = (0.0, 1.0, 0.5, 1e-300)
+    if fmap is FeatureMap.LINEAR:
+        want = np.stack([1.0 - p, p], axis=-1)
+    else:
+        want = np.stack([np.sin(0.5 * np.pi * (1.0 - p)), np.sin(0.5 * np.pi * p)], axis=-1)
+    got = encode_batch(fmap, p)
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()

@@ -339,6 +339,25 @@ class TestTrainLoop:
         history = train(model, train_set, test_set, config)
         assert len(history) == 2
 
+    def test_test_pass_sweeps_whatever_strategy_trains(self, monkeypatch):
+        import mpsclassify.training
+        from mpsclassify import Strategy
+
+        untaped = []
+        original = mpsclassify.training.forward_batch
+
+        def watched(model, feats, strategy=Strategy.PAIRWISE, tape=None):
+            if tape is None:
+                untaped.append(strategy)
+            return original(model, feats, strategy, tape)
+
+        monkeypatch.setattr(mpsclassify.training, "forward_batch", watched)
+        config = TrainConfig(learning_rate=1e-3, batch_size=10, epochs=2, seed=0,
+                             strategy=Strategy.PAIRWISE)
+        train(init_model(16, 2, 3, seed=5), synthetic_blobs(40, seed=0),
+              synthetic_blobs(20, seed=1), config)
+        assert untaped == [Strategy.SEQUENTIAL] * 2
+
     def test_non_finite_loss_names_epoch_and_batch(self):
         train_set = synthetic_blobs(40, seed=0)
         test_set = synthetic_blobs(20, seed=1)
