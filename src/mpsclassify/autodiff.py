@@ -12,8 +12,11 @@ them is alive. The per-node FLOP counters (``forward_flops``,
 An adjoint lives from its first contribution until the node that produced
 its array runs; only the adjoints of ``wrt`` and the row accumulators of
 watched leaves last to the end (see ``backward``). At the desk recipe
-(N=196, chi=10, batch 50) a sequential ``backward`` traces about 1.6 MiB,
-most of it the row factors of all 193 bond sites, held until the absorb.
+(N=196, chi=10, batch 50) a whole sequential step on a lent tape traces
+about 1.5 MiB, since its sweeps' prefix and environment buffers, the
+factors of all 193 bond sites, are views of the workspace. On a tape with
+its own workspace the environment buffers are new arrays, held until the
+absorb, and ``backward`` alone traces about 1.9 MiB.
 
 Every contraction, forward or adjoint, runs a plan of ``einsum``'s, save
 the weightings of the untaped sequential sweep (``contraction._sweep_pairs``
@@ -25,9 +28,13 @@ reshapes and one ``np.matmul`` (or a broadcast multiply) per pairwise step,
 so repeated calls do no path search and no subscript parsing.
 ``Tape.sweep`` steps a vector through rows of a stack with one such plan,
 looked up once per call, and records per row the ``gather`` and
-``contract`` nodes that those two primitives would. ``backward`` takes
-each einsum node's adjoints from a plan cached per (subscripts, operand
-shapes, graded operands): factors, or a compiled product (``_adjoint_plan``). Dense
+``contract`` nodes that those two primitives would. It writes the vectors
+into one prefix buffer and keeps the run (``_Sweep``), and ``backward``
+reverses each run in one loop: per row one call of the compiled
+vector-adjoint product, written into one environment buffer, with no
+per-node dispatch. Every other einsum node takes its adjoints from a
+plan cached per (subscripts, operand shapes, graded operands): factors,
+or a compiled product (``_adjoint_plan``). Dense
 adjoints of ``gather`` and ``slice_rows`` add into the rows they came
 from, in one buffer per source array, instead of scattering into a fresh
 zero copy of the source for every node.
@@ -38,13 +45,16 @@ einsum's adjoint is a bare outer product over an operand's last two
 indices, as where a chain half's matrix meets its boundary vector, it is
 kept as factors ``(u, v)`` of ``[..., chi]`` arrays that stand for ``u ⊗ v``
 (the environment form of arXiv:1605.05775). A ``gather`` fed them files
-them as its row's factors of the source (``_Rows``). A round stacks those
+them as its row's factors of the source, and a sweep run files all of its
+rows at once, its prefix and environment buffers being their factors
+(``_Rows``, one run of consecutive rows per filing). A round stacks those
 and turns them into the factors of its input with two batched
 matrix-vector products per pair, so a round's adjoint costs chi^2, not
 chi^3, per product. The stacked absorb ``"sdxy,bsd->sbxy"`` turns factors
 or row factors into the weights' gradient, one batched matmul per feature
-component and block of rows (``_absorb_adjoint``); any other use, or a row
-gathered twice, expands them first (see ``_input_adjoints`` and ``backward``).
+component and run (``_absorb_adjoint``), with no copy of the factors; any
+other use, or a row filed twice, expands them first (see
+``_input_adjoints`` and ``backward``).
 
 Both schedules take their large per-call arrays from a tape's
 ``Workspace``: views of one flat float64 buffer while they fit, new arrays
@@ -61,10 +71,11 @@ what the buffer holds, so a process that never trained keeps none. A tape
 the user builds keeps its own empty workspace, so all its arrays are new.
 On a lent tape the absorbed label block and chain halves and every
 ``pair_round`` output may be views of the workspace: 15.3 MiB at the desk
-recipe (7.7 MiB for a sequential step: its label block and the stack of
-every bond site). Nothing returned, the gradients included, is one: the next
-borrower overwrites them. Adjoints are new arrays: a round's factors are
-[T, B, chi], small enough to be freed round by round.
+recipe (9.2 MiB for a sequential step: its label block, the stack of every
+bond site, and each sweep's prefix and environment buffers). Nothing
+returned, the gradients included, is one: the next borrower overwrites
+them. Adjoints other than a sweep's environment buffer are new arrays: a
+round's factors are [T, B, chi], small enough to be freed round by round.
 """
 
 import functools
@@ -339,6 +350,7 @@ class Tape:
         self.recording = recording
         self.nodes: list[Node] = []
         self._live: set[int] = set()
+        self._sweeps: dict[int, _Sweep] = {}  # by id of the run's final vector
         self.workspace = Workspace()
 
     def watch(self, arr: np.ndarray) -> None:
@@ -400,6 +412,11 @@ class Tape:
         ``contract(subscripts, ...)`` record, node for node, with the same
         outputs; the rows are range-checked and the product's plan compiled
         once, before the first row.
+
+        The vectors are written into one ``[len(rows) + 1, *vec.shape]``
+        prefix buffer from ``workspace``, the input vector first. A recorded
+        run of consecutive rows, ascending or descending, is kept as a
+        ``_Sweep``, so ``backward`` reverses it in one loop.
         """
         rows = [int(row) for row in rows]
         if not rows:
@@ -408,26 +425,35 @@ class Tape:
             raise DimensionError(
                 f"sweep rows {min(rows)}..{max(rows)} out of range for {stack.shape}"
             )
-        first = len(subscripts.split(",")[0]) == vec.ndim
-        shapes = (vec.shape, stack.shape[1:])
-        product = _compile(subscripts, shapes if first else shapes[::-1])
+        ins, result = subscripts.split("->")
+        first = len(ins.split(",")[0]) == vec.ndim
+        shapes = (vec.shape, stack.shape[1:]) if first else (stack.shape[1:], vec.shape)
+        product = _compile(subscripts, shapes)
+        sizes = dict(zip(ins.replace(",", ""), shapes[0] + shapes[1]))
+        out_shape = tuple(sizes[ix] for ix in result)
+        if out_shape != vec.shape:
+            raise DimensionError(f"{subscripts!r} turns a vector {vec.shape} into {out_shape}")
+        prefix = self.workspace.empty((len(rows) + 1,) + vec.shape)
         recording, live, record = self.recording, self._live, self.nodes.append
         gathered = recording and id(stack) in live
-        for row in rows:
+        start = len(self.nodes)
+        for j, row in enumerate(rows):
             mat = stack[row]
             if gathered:
                 record(Node("gather", (stack,), (True,), mat, row))
                 live.add(id(mat))
             ops = (vec, mat) if first else (mat, vec)
-            out = product(*ops)
-            if out.shape != vec.shape:
-                raise DimensionError(f"{subscripts!r} turns a vector {vec.shape} into {out.shape}")
+            out = prefix[j + 1]
+            product(*ops, out=out)
             if recording:
                 needs = (id(ops[0]) in live, id(ops[1]) in live)
                 if needs[0] or needs[1]:
                     record(Node("contract", ops, needs, out, subscripts))
                     live.add(id(out))
             vec = out
+        run = _Sweep.of(self, start, subscripts, shapes, 0 if first else 1, prefix, stack, rows)
+        if run is not None:
+            self._sweeps[id(vec)] = run
         return vec
 
     def slice_rows(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -541,33 +567,32 @@ def _node_backward_flops(node: Node) -> int:
 # and all of the sequential sweep's bond sites with it.
 _STACKED_ABSORB = "sdxy,bsd->sbxy"
 
-# Rows of ``_Rows`` stacked per block of the absorb adjoint: each factor block
-# takes at most this many bytes (8 rows at the desk recipe), so the block's
-# copies add little to the row factors already held. One row per block made
-# the desk sequential step slower: perfbench/run.py desk-sequential, one BLAS
-# thread on a 2-core Xeon, step_ms_p50 median 13.5 ms with 8-row blocks and
-# 14.8 ms with 1-row blocks over 8 alternated pairs (7 won by 8-row blocks).
-ROW_BLOCK_BYTES = 32 * 2**10
 
-
-class _Rows(dict):
-    """Factors ``(u, v)`` by row of an array of ``count`` rows, filed by the
-    ``gather``s that read it; a row no ``gather`` filed is zero."""
+class _Rows:
+    """Factors of rows of an array of ``count`` rows, filed in runs of
+    consecutive rows: ``(rows, U, V)`` stands for ``U[j] ⊗ V[j]`` in row
+    ``rows.start + j``, ``rows`` an ascending slice. A row no run covers is zero."""
 
     def __init__(self, count: int):
-        super().__init__()
         self.count = count
+        self.runs: list[tuple] = []
+        self.filed: set[int] = set()
 
-    def stacked(self, rows: range, out: tuple | None = None) -> tuple:
-        """Factors ``(U, V)`` of ``rows``, one [len(rows), ..., chi] array each:
-        the leading rows of the buffers ``out`` when given, new arrays otherwise."""
-        if out is None:
-            out = tuple(np.empty((len(rows),) + f.shape, dtype=DTYPE)
-                        for f in next(iter(self.values())))
-        for j, k in enumerate(rows):
-            for buf, f in zip(out, self.get(k, (0.0, 0.0))):
-                buf[j] = f
-        return tuple(buf[: len(rows)] for buf in out)
+    def file(self, rows: range, u: np.ndarray, v: np.ndarray) -> bool:
+        """File the factors of ascending ``rows``, unless one of them is filed already."""
+        if not self.filed.isdisjoint(rows):
+            return False
+        self.filed.update(rows)
+        self.runs.append((slice(rows.start, rows.stop), u, v))
+        return True
+
+    def stacked(self) -> tuple:
+        """Factors ``(U, V)`` of every row, one new [count, ..., chi] array each."""
+        out = tuple(np.zeros((self.count,) + f.shape[1:], dtype=DTYPE) for f in self.runs[0][1:])
+        for rows, *factors in self.runs:
+            for buf, f in zip(out, factors):
+                buf[rows] = f
+        return out
 
 
 def _outer(factors: tuple) -> np.ndarray:
@@ -578,8 +603,32 @@ def _outer(factors: tuple) -> np.ndarray:
 
 def _dense(adj) -> np.ndarray:
     if isinstance(adj, _Rows):
-        adj = adj.stacked(range(adj.count))
+        adj = adj.stacked()
     return _outer(adj) if isinstance(adj, tuple) else adj
+
+
+def _accumulate(acc: dict, key: int, adj) -> None:
+    """Add ``adj`` into ``acc[key]``: kept as it is when first, dense once two meet."""
+    if key in acc:
+        acc[key] = _dense(acc[key])
+        acc[key] += _dense(adj)
+    else:
+        acc[key] = adj
+
+
+def _file(acc: dict, source: np.ndarray, rows: range, u: np.ndarray, v: np.ndarray) -> None:
+    """Add factors ``(u, v)`` of ``rows`` (consecutive, either way) of ``source`` into
+    its accumulator: filed as ``_Rows`` while no row is filed twice, added dense after."""
+    if rows.step < 0:
+        rows, u, v = rows[::-1], u[::-1], v[::-1]
+    key = id(source)
+    filed = acc.get(key)
+    if filed is None:
+        filed = acc[key] = _Rows(len(source))
+    if isinstance(filed, _Rows) and filed.file(rows, u, v):
+        return
+    dense = acc[key] = _dense(filed)
+    dense[rows.start : rows.stop] += _outer((u, v))
 
 
 def _absorb_adjoint(shape: tuple, feats: np.ndarray, g) -> np.ndarray:
@@ -588,20 +637,11 @@ def _absorb_adjoint(shape: tuple, feats: np.ndarray, g) -> np.ndarray:
     Row s, component d, is ``sum_b f[b, s, d] u[s, b] ⊗ v[s, b]``: u
     weighted by each feature component in turn, then one batched matmul
     with v per component. ``g`` is factors ``(u, v)`` of every row, or
-    ``_Rows``, stacked in blocks of rows of at most ``ROW_BLOCK_BYTES`` into
-    the same two buffers, block after block.
+    ``_Rows``, taken run by run as the arrays it was filed with.
     """
     grad = np.zeros(shape, dtype=DTYPE)
-    if isinstance(g, tuple):
-        blocks = [(range(shape[0]), g)]
-    else:
-        first = next(iter(g.values()))[0]
-        step = min(shape[0], max(1, ROW_BLOCK_BYTES // first.nbytes))
-        buffers = tuple(np.empty((step,) + first.shape, dtype=DTYPE) for _ in range(2))
-        spans = (range(lo, min(lo + step, shape[0])) for lo in range(0, shape[0], step))
-        blocks = ((rows, g.stacked(rows, buffers)) for rows in spans if any(k in g for k in rows))
-    for rows, (u, v) in blocks:
-        rows = slice(rows.start, rows.stop)
+    runs = g.runs if isinstance(g, _Rows) else [(slice(0, shape[0]),) + g]
+    for rows, u, v in runs:
         weights = feats[:, rows].transpose(1, 2, 0)  # [rows, d, B]
         for d in range(shape[1]):
             np.matmul((u * weights[:, d, :, None]).swapaxes(-1, -2), v, out=grad[rows, d])
@@ -677,7 +717,7 @@ def _input_adjoints(node: Node, g):
         return
     if kind == "pair_round":
         if isinstance(g, _Rows):
-            g = g.stacked(range(g.count))
+            g = g.stacked()
         stack = node.inputs[0]
         pairs = stack.shape[0] // 2
         a, b = stack[0 : 2 * pairs : 2], stack[1 : 2 * pairs : 2]
@@ -704,6 +744,83 @@ def _input_adjoints(node: Node, g):
     raise MpsError(f"unknown node kind {kind!r}")
 
 
+class _Sweep:
+    """One recorded ``Tape.sweep`` of consecutive rows, reversed by ``backward`` in one loop.
+
+    ``contracts`` holds the run's ``contract`` node of each row, and
+    ``start`` the index of its first node on the tape. ``prefix`` holds the
+    input vector, then each row's output. ``adjoint`` is the compiled
+    product that the per-row rule runs for the vector's adjoint, and
+    ``outer`` the positions of the matrix adjoint's factors among the
+    operands (``_adjoint_plan``); ``at`` is the vector's position.
+    """
+
+    __slots__ = ("start", "contracts", "gathered", "at", "adjoint", "outer",
+                 "prefix", "stack", "rows")
+
+    @classmethod
+    def of(cls, tape, start, subscripts, shapes, at, prefix, stack, rows):
+        """The run that ``Tape.sweep`` recorded from node ``start`` on, or None
+        when it recorded nothing, its rows are not consecutive, or its
+        adjoints are not a vector product and matrix factors."""
+        step = rows[1] - rows[0] if len(rows) > 1 else 1
+        if start == len(tape.nodes) or abs(step) != 1:
+            return None
+        span = range(rows[0], rows[-1] + step, step)
+        if rows != list(span):
+            return None
+        plan = {i: (outer, product) for i, outer, product, _ in
+                _adjoint_plan(subscripts, shapes, (True, True))}
+        (vec_outer, adjoint), (outer, _) = plan[at], plan[1 - at]
+        if vec_outer is not None or outer is None:
+            return None
+        run = cls()
+        nodes = tape.nodes[start:]
+        run.start, run.gathered = start, nodes[0].kind == "gather"
+        run.contracts = nodes[1::2] if run.gathered else nodes
+        run.at, run.adjoint, run.outer = at, adjoint, outer
+        run.prefix, run.stack, run.rows = prefix, stack, span
+        prefix[0] = run.contracts[0].inputs[at]
+        return run
+
+    def reverse(self, g, acc: dict, kept: set, workspace: Workspace) -> bool:
+        """Give the run's inputs their adjoints from ``g``, its final vector's.
+
+        Row j's vector adjoint is written into row j - 1 of one environment
+        buffer from ``workspace``, plus any adjoint another consumer left on
+        that vector; a vector in ``kept`` keeps a copy. The input vector's
+        adjoint is a new array. ``stack`` gets the rows' matrix factors as
+        whole prefix and environment arrays (``_file``). Returns False, and
+        does nothing, when ``kept`` names one of the gathered matrices: the
+        per-row rule then runs.
+        """
+        at, contracts = self.at, self.contracts
+        if self.gathered and not kept.isdisjoint([id(node.inputs[1 - at]) for node in contracts]):
+            return False
+        env = workspace.empty((len(contracts),) + self.prefix.shape[1:])
+        env[-1] = _dense(g)
+        adjoint = self.adjoint
+        for j in range(len(contracts) - 1, 0, -1):
+            node = contracts[j]
+            mat = node.inputs[1 - at]
+            adjoint(*((env[j], mat) if at == 0 else (mat, env[j])), out=env[j - 1])
+            key = id(node.inputs[at])
+            pending = acc.pop(key, None)
+            if pending is not None:
+                env[j - 1] += _dense(pending)
+            if key in kept:
+                acc[key] = env[j - 1].copy()
+        node = contracts[0]
+        if node.needs[at]:
+            mat = node.inputs[1 - at]
+            _accumulate(acc, id(node.inputs[at]),
+                        adjoint(*((env[0], mat) if at == 0 else (mat, env[0]))))
+        if self.gathered:
+            ops = (self.prefix[:-1], env) if at == 0 else (env, self.prefix[:-1])
+            _file(acc, self.stack, self.rows, ops[self.outer[0]], ops[self.outer[1]])
+        return True
+
+
 def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
     """The adjoints of the watched arrays ``wrt``, in order, from one reverse sweep.
 
@@ -723,14 +840,16 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
     adjoints of ``wrt`` are kept to the end, and so is the row accumulator
     of each watched leaf, such as ``cores``, since no node produces it.
 
-    An adjoint may be factors ``(u, v)`` (``_input_adjoints``). A ``gather``
-    fed them files them as row ``k``'s factors of its source (``_Rows``),
-    the rows no ``gather`` reached being zero, so the sequential sweep's
-    N-3 gathers never build a dense [N-3, B, chi, chi] adjoint; the
+    A ``Tape.sweep`` run (``_Sweep``) is reversed in one loop when its
+    final vector's adjoint is reached, and its per-row nodes are passed
+    over. An adjoint may be factors ``(u, v)`` (``_input_adjoints``). A
+    run, or a ``gather`` fed factors, files them as its rows' factors of the
+    source (``_Rows``), the rows none reached being zero, so the
+    sequential sweep never builds a dense [N-3, B, chi, chi] adjoint; the
     source's producer decides how to take them (``_input_adjoints``).
     Factors are expanded when a second contribution meets them (a row
-    gathered twice included), when a ``slice_rows`` adds them into its
-    source, and before they are returned.
+    filed twice included), when a ``slice_rows`` adds them into its source,
+    and before they are returned.
     """
     if not tape.recording:
         raise ConsistencyError("cannot run backward over a non-recording tape")
@@ -739,34 +858,34 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
             raise ConsistencyError(f"array of shape {arr.shape} was not watched by this tape")
     kept = {id(arr) for arr in wrt}
     acc: dict[int, np.ndarray | tuple] = {}
-    if tape.nodes:
-        final = tape.nodes[-1].output
+    nodes, sweeps = tape.nodes, tape._sweeps
+    if nodes:
+        final = nodes[-1].output
         acc[id(final)] = np.full(final.shape, loss_adjoint, dtype=DTYPE)
-    for node in reversed(tape.nodes):
+    i = len(nodes)
+    while i:
+        i -= 1
+        node = nodes[i]
         out_id = id(node.output)
         g = acc.get(out_id) if out_id in kept else acc.pop(out_id, None)
         if g is None:
             continue
+        run = sweeps.get(out_id)
+        if run is not None and run.reverse(g, acc, kept, tape.workspace):
+            i = run.start
+            continue
         if node.kind in _ROW_KINDS:
             source = node.inputs[0]
-            key = id(source)
             if isinstance(g, tuple) and node.kind == "gather":
-                rows = acc.get(key)
-                if rows is None:
-                    rows = acc[key] = _Rows(len(source))
-                if isinstance(rows, _Rows) and node.extra not in rows:
-                    rows[node.extra] = g
-                    continue
+                row = range(node.extra, node.extra + 1)
+                _file(acc, source, row, g[0][None], g[1][None])
+                continue
+            key = id(source)
             acc[key] = _dense(acc[key]) if key in acc else np.zeros_like(source)
             acc[key][node.extra] += _dense(g)
             continue
-        for i, adj in _input_adjoints(node, g):
-            key = id(node.inputs[i])
-            if key in acc:
-                acc[key] = _dense(acc[key])
-                acc[key] += _dense(adj)
-            else:
-                acc[key] = adj
+        for k, adj in _input_adjoints(node, g):
+            _accumulate(acc, id(node.inputs[k]), adj)
     return [_dense(acc[id(arr)]) if id(arr) in acc else np.zeros_like(arr) for arr in wrt]
 
 

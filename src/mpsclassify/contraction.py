@@ -7,10 +7,13 @@ Two production schedules plus a brute-force oracle:
   step. A recording tape absorbs every bond site in one node, straight
   from ``cores`` (``"sdxy,bsd->sbxy"``), then multiplies the vector by
   each site's matrix, gathered from that stack, in one ``Tape.sweep`` per
-  half (a ``gather`` and a ``contract`` node per site); its backward turns the
-  gathered rows' rank-one adjoints into the ``cores`` gradient with no
-  dense [N-3, B, chi, chi] adjoint (``autodiff.backward``). Untaped, the
-  vector is held image-last, [chi, B], and takes one step per two-site
+  half (a ``gather`` and a ``contract`` node per site, the vectors written
+  into one prefix buffer). Its backward reverses each half's sweep in one
+  loop into one environment buffer, then builds the ``cores`` gradient from
+  the whole prefix and environment arrays, one batched matmul per feature
+  component and half, with no dense [N-3, B, chi, chi] adjoint
+  (``autodiff.backward``). Untaped, the vector is held image-last,
+  [chi, B], and takes one step per two-site
   bond (``_sweep_pairs``): one matrix product with all d^2 of the bond's
   matrices for the whole batch, then a weighting along the batch. Only
   the batch-independent bonds cost chi^3. The label core then takes the
@@ -49,8 +52,9 @@ gradients.
 Workspace: a pairwise call takes its absorbed label block and halves (one
 matrix per site taped, per four sites untaped) and its round outputs from
 its tape's workspace (``autodiff.Workspace``), and a taped sequential call
-its label block and its stack of every bond site; a taped step's round
-adjoints are [T, B, chi] factor pairs, new arrays freed round by round.
+its label block, its stack of every bond site and each half's prefix and
+environment buffers; a taped step's round adjoints are [T, B, chi] factor
+pairs, new arrays freed round by round.
 The taped training step (``training._taped_step``) and each block of the
 untaped ``forward_batch`` are lent the module's workspace, but only a
 recording tape grows it (``autodiff.lend_workspace``). So an evaluation takes its

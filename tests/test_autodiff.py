@@ -29,6 +29,16 @@ def weighted_sum(tape, y, w):
     return tape.contract(f"{letters},{letters}->", y, w)
 
 
+def per_site_sweep(tape, subscripts, vec, stack, rows):
+    """``Tape.sweep`` as a loop of ``gather`` and ``contract`` calls, so that
+    ``backward`` sends each row through the per-node rules."""
+    first = len(subscripts.split(",")[0]) == vec.ndim
+    for row in rows:
+        mat = tape.gather(stack, row)
+        vec = tape.contract(subscripts, *((vec, mat) if first else (mat, vec)))
+    return vec
+
+
 class TestMatmulAdjoint:
     def test_closed_form_for_sum_of_product(self, rng):
         """loss = sum(W * (A B)): dA = W @ B^T, dB = A^T @ W."""
@@ -271,8 +281,9 @@ class TestRowAdjointsInPlace:
         return shapes
 
     def test_sequential_allocates_one_cores_buffer(self, monkeypatch):
-        """The gathered rows' factors make the ``cores`` gradient directly: no dense
-        [N-3, B, chi, chi] accumulator, and one ``cores``-shaped one at most."""
+        """The sweeps' prefix and environment arrays, the rows' factors, make the
+        ``cores`` gradient directly: no dense [N-3, B, chi, chi] accumulator, and
+        one ``cores``-shaped one at most."""
         model = init_model(20, 3, 3, seed=0)
         shapes = self.zeros_shapes_in_backward(monkeypatch, model, Strategy.SEQUENTIAL)
         assert (model.n_sites - 3, 4) + model.cores.shape[2:] not in shapes
@@ -347,10 +358,11 @@ class TestAdjointLifetimes:
         """Desk recipe, batch 50: no adjoint outlives the node that produced its array.
 
         Keeping all 584 nodes' adjoints of the per-site sweep to the end
-        traced about 9.3 MiB here. Now about 1.6 MiB: the row factors of
-        all 193 sites are held until the absorb, which stacks them in blocks
-        of ``ROW_BLOCK_BYTES`` (8 rows here; blocks of 32 rows traced 1.99 MiB,
-        one block of all 193 rows 3.75 MiB).
+        traced about 9.3 MiB here. Now about 1.9 MiB: this tape has its own
+        workspace, so each half's environment buffer is a new array, held
+        with the prefix buffer as the rows' factors until the absorb reads
+        them in place (the row factors filed one per ``gather`` and copied
+        into blocks of 8 rows traced 1.6 MiB).
         """
         model = init_model(196, 10, 10, seed=0)
         rng = np.random.default_rng(0)
@@ -424,6 +436,8 @@ class TestFactoredAdjoints:
 
     @staticmethod
     def gradients(monkeypatch, model, strategy, expand):
+        """Expanded, every adjoint is dense: each row of a sweep then goes
+        through ``_input_adjoints``, not the run rule, which files factors."""
         if expand:
             real = autodiff._input_adjoints
 
@@ -432,6 +446,7 @@ class TestFactoredAdjoints:
                     yield i, autodiff._dense(adj)
 
             monkeypatch.setattr(autodiff, "_input_adjoints", expanding)
+            monkeypatch.setattr(Tape, "sweep", per_site_sweep)
         rng = np.random.default_rng(1)
         feats = encode_batch(model.feature_map, rng.random((6, model.n_sites)))
         _, grads = loss_and_gradients(
@@ -543,22 +558,31 @@ class TestRowFactors:
         want[2] = v[:, :, None] * v[:, None, :]
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("block_bytes", [1, 2 * 4 * 3 * 8, 2**20])
-    def test_absorb_rule_matches_the_dense_rule(self, monkeypatch, rng, block_bytes):
-        """Blocks of one row, two rows (the last one short) and all rows, some rows never filed."""
-        monkeypatch.setattr(autodiff, "ROW_BLOCK_BYTES", block_bytes)
+    @pytest.mark.parametrize("run_rows", [1, 2, 5])
+    def test_absorb_rule_matches_the_dense_rule(self, rng, run_rows):
+        """Runs of one row, two rows (the last one short) and all rows, the second run
+        left unfiled where there is one, and the same runs filed descending, as a
+        right half's sweep files them."""
         cores, feats = rng.standard_normal((5, 2, 3, 3)), rng.random((4, 5, 2))
         node = autodiff.Node("absorb", (cores, feats), (True, False), None, "sdxy,bsd->sbxy")
         u, v = rng.standard_normal((5, 4, 3)), rng.standard_normal((5, 4, 3))
-        rows = autodiff._Rows(5)
-        rows.update({k: (u[k], v[k]) for k in (0, 1, 4)})
-        for g in ((u, v), rows):
+        spans = [range(lo, min(lo + run_rows, 5)) for lo in range(0, 5, run_rows)]
+        spans = spans[:1] + spans[2:]
+        ascending, descending = {}, {}
+        for rows in spans:
+            run = u[rows.start : rows.stop], v[rows.start : rows.stop]
+            autodiff._file(ascending, cores, rows, *run)
+            autodiff._file(descending, cores, rows[::-1], run[0][::-1], run[1][::-1])
+        filed = [acc[id(cores)] for acc in (ascending, descending)]
+        assert all(isinstance(g, autodiff._Rows) and len(g.runs) == len(spans) for g in filed)
+        for g in [(u, v)] + filed:
             ((_, got),) = autodiff._input_adjoints(node, g)
             ((_, want),) = autodiff._input_adjoints(node, autodiff._dense(g))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("sites, chi", [(196, 10), (784, 10), (196, 32)])
     def test_every_sequential_row_reaches_the_absorb_as_factors(self, monkeypatch, sites, chi):
+        """Each half's sweep files its rows as one run of prefix and environment arrays."""
         model = init_model(sites, 10, chi, seed=0)
         rng = np.random.default_rng(0)
         feats = encode_batch(model.feature_map, rng.random((6, sites)))
@@ -567,12 +591,14 @@ class TestRowFactors:
 
         def recording(node, g):
             if node.kind == "absorb":
-                seeds.append(sorted(g) if isinstance(g, autodiff._Rows) else None)
+                seeds.append(sorted((r.start, r.stop) for r, _, _ in g.runs)
+                             if isinstance(g, autodiff._Rows) else None)
             return real(node, g)
 
         monkeypatch.setattr(autodiff, "_input_adjoints", recording)
         loss_and_gradients(model, feats, rng.integers(0, 10, 6), strategy=Strategy.SEQUENTIAL)
-        assert list(range(sites - 3)) in seeds
+        m = model.label_site
+        assert [(0, m - 1), (m - 1, sites - 3)] in seeds
 
 
 class TestSweep:
@@ -585,10 +611,8 @@ class TestSweep:
         lv, lab, rv = contraction._absorb_ends(model, feats, tape)
         bond_feats = np.concatenate((feats[:, 1:m], feats[:, m + 1 : n - 1]), axis=1)
         stack = tape.contract("sdxy,bsd->sbxy", model.cores, bond_feats, kind="absorb")
-        for row in range(m - 1):
-            lv = tape.contract("bx,bxy->by", lv, tape.gather(stack, row))
-        for row in range(n - 4, m - 2, -1):
-            rv = tape.contract("bxy,by->bx", tape.gather(stack, row), rv)
+        lv = per_site_sweep(tape, "bx,bxy->by", lv, stack, range(m - 1))
+        rv = per_site_sweep(tape, "bxy,by->bx", rv, stack, range(n - 4, m - 2, -1))
         return contraction._combine(tape, lv, None, lab, None, rv)
 
     @staticmethod
@@ -611,6 +635,33 @@ class TestSweep:
             assert a.output.tobytes() == b.output.tobytes(), k
         assert sources(got) == sources(want)
 
+    def assert_matches_the_loop(self, model, feats, labels, read_again=()):
+        """The sequential forward and ``per_site`` record the same nodes, and
+        ``backward`` gives the same gradient bytes on both tapes.
+
+        ``read_again`` picks ``contract`` nodes by their order among them: a
+        further contraction scales the logits by each one's output vector,
+        which ``backward`` is also asked for.
+        """
+        tapes, grads = [], []
+        for forward in (lambda t: forward_batch(model, feats, Strategy.SEQUENTIAL, tape=t),
+                        lambda t: self.per_site(model, feats, t)):
+            tape = Tape()
+            tape.watch_model(model)
+            logits = forward(tape)
+            contracts = [node for node in tape.nodes if node.kind == "contract"]
+            vectors = [contracts[k].output for k in read_again]
+            for vec in vectors:
+                w = np.linspace(0.5, 1.5, vec.shape[1])
+                logits = tape.contract("bl,bx,x->bl", logits, vec, w)
+            tape.loss(LossKind.CROSS_ENTROPY, logits, labels)
+            tape.replay()
+            tapes.append(tape)
+            grads.append(backward(tape, [arr for _, arr in model.parameters()] + vectors))
+        self.assert_same_nodes(*tapes, dict(model.parameters()))
+        for got, want in zip(*grads):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n_sites", [5, 6, 7, 8])
     @pytest.mark.parametrize("batch", [1, 3])
     def test_matches_the_per_site_loop(self, rng, n_sites, batch):
@@ -618,19 +669,59 @@ class TestSweep:
         for label_site in range(1, n_sites - 1):
             model = init_model(n_sites, 3, 3, seed=label_site, label_site=label_site)
             feats = encode_batch(model.feature_map, rng.random((batch, n_sites)))
-            labels = rng.integers(0, 3, batch)
-            tapes, grads = [], []
-            for forward in (lambda t: forward_batch(model, feats, Strategy.SEQUENTIAL, tape=t),
-                            lambda t: self.per_site(model, feats, t)):
-                tape = Tape()
-                tape.watch_model(model)
-                tape.loss(LossKind.CROSS_ENTROPY, forward(tape), labels)
-                tape.replay()
-                tapes.append(tape)
-                grads.append(backward(tape, [arr for _, arr in model.parameters()]))
-            self.assert_same_nodes(*tapes, dict(model.parameters()))
-            for got, want in zip(*grads):
-                assert got.tobytes() == want.tobytes()
+            self.assert_matches_the_loop(model, feats, rng.integers(0, 3, batch))
+
+    def test_matches_the_per_site_loop_at_the_desk_shape(self, rng):
+        model = init_model(196, 10, 10, seed=0)
+        feats = encode_batch(model.feature_map, rng.random((50, 196)))
+        self.assert_matches_the_loop(model, feats, rng.integers(0, 10, 50))
+
+    def test_vectors_read_again_and_in_wrt_match_the_per_site_loop(self, rng):
+        """Halves of 4 and 3 sites: the left half's second and last vectors and the
+        right half's second are read by a further contraction and asked for."""
+        model = init_model(10, 3, 3, seed=0, label_site=5)
+        feats = encode_batch(model.feature_map, rng.random((3, 10)))
+        self.assert_matches_the_loop(model, feats, rng.integers(0, 3, 3), read_again=(1, 3, 5))
+
+    def test_a_desk_backward_sends_no_sweep_row_through_the_node_rules(self, monkeypatch, rng):
+        """Each half's run is reversed in one loop: of the 392 nodes, only the
+        6 outside the two sweeps reach ``_input_adjoints``."""
+        model = init_model(196, 10, 10, seed=0)
+        feats = encode_batch(model.feature_map, rng.random((50, 196)))
+        tape = Tape()
+        tape.watch_model(model)
+        logits = forward_batch(model, feats, Strategy.SEQUENTIAL, tape=tape)
+        tape.loss(LossKind.CROSS_ENTROPY, logits, rng.integers(0, 10, 50))
+        outside = [node for node in tape.nodes if node.kind not in ("gather", "contract")]
+        dispatched = []
+        real = autodiff._input_adjoints
+
+        def recording(node, g):
+            dispatched.append(node)
+            return real(node, g)
+
+        monkeypatch.setattr(autodiff, "_input_adjoints", recording)
+        backward(tape, [arr for _, arr in model.parameters()])
+        assert not any(node.kind == "contract" for node in dispatched)
+        assert len(dispatched) <= len(outside) == 6
+
+    @pytest.mark.parametrize("rows", [(1, 2, 3), (3, 2, 1), (2, 2, 3), (4, 0, 2, 2), (2,)])
+    @pytest.mark.parametrize("subscripts", ["bx,bxy->by", "bxy,by->bx"])
+    @pytest.mark.parametrize("watched", ["both", "vec", "stack"])
+    def test_gradients_match_the_loop_for_any_rows(self, rng, rows, subscripts, watched):
+        """Consecutive rows take the run rule; repeated or skipping rows the per-row rules."""
+        stack = rng.standard_normal((5, 2, 3, 3))
+        vec, w = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+        wrt = [x for name, x in (("stack", stack), ("vec", vec)) if watched in ("both", name)]
+        grads = []
+        for sweep in (Tape.sweep, per_site_sweep):
+            tape = Tape()
+            for x in wrt:
+                tape.watch(x)
+            weighted_sum(tape, sweep(tape, subscripts, vec, stack, rows), w)
+            grads.append(backward(tape, wrt))
+        for got, want in zip(*grads):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("watched", ["both", "vec", "stack", "none"])
     def test_unwatched_operands_record_what_the_loop_records(self, rng, watched):

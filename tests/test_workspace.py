@@ -91,7 +91,8 @@ def test_workspace_is_sized_exactly(monkeypatch, n_sites, label_site, taped):
 
 @SIZES
 def test_sequential_workspace_is_sized_exactly(monkeypatch, n_sites, label_site):
-    """The same for a taped sequential step: its label block and the stack of every bond site."""
+    """The same for a taped sequential step: its label block, the stack of every bond
+    site, and each half's prefix buffer and, in ``backward``, environment buffer."""
     assert_a_repeated_step_fills_the_buffer(monkeypatch, n_sites, label_site, Strategy.SEQUENTIAL)
 
 
