@@ -13,7 +13,7 @@ An adjoint lives from its first contribution until the node that produced
 its array runs; only the adjoints of ``wrt`` and the row accumulators of
 watched leaves last to the end (see ``backward``). At the desk recipe
 (N=196, chi=10, batch 50) a whole sequential step on a lent tape traces
-about 1.5 MiB, since its sweeps' prefix and environment buffers, the
+about 1.4 MiB, since its sweeps' prefix and environment buffers, the
 factors of all 193 bond sites, are views of the workspace. On a tape with
 its own workspace the environment buffers are new arrays, held until the
 absorb, and ``backward`` alone traces about 1.9 MiB.
@@ -26,18 +26,18 @@ per image, the per-image BLAS calls that sweep exists to avoid. ``einsum`` compi
 each (subscripts, operand shapes) pair once into a plan of transposes,
 reshapes and one ``np.matmul`` (or a broadcast multiply) per pairwise step,
 so repeated calls do no path search and no subscript parsing.
-``Tape.sweep`` steps a vector through rows of a stack with one such plan,
-looked up once per call, and records per row the ``gather`` and
-``contract`` nodes that those two primitives would. It writes the vectors
-into one prefix buffer and keeps the run (``_Sweep``), and ``backward``
-reverses each run in one loop: per row one call of the compiled
-vector-adjoint product, written into one environment buffer, with no
-per-node dispatch. Every other einsum node takes its adjoints from a
-plan cached per (subscripts, operand shapes, graded operands): factors,
-or a compiled product (``_adjoint_plan``). Dense
-adjoints of ``gather`` and ``slice_rows`` add into the rows they came
-from, in one buffer per source array, instead of scattering into a fresh
-zero copy of the source for every node.
+``Tape.sweep`` steps a vector through a range of rows of a stack with one
+such plan, looked up once per call, writes the vectors into one prefix
+buffer and records the call as one ``contract`` node (``_SweepNode``): the
+row product with a run index prepended, so the FLOP counters read it as one
+``contract`` per row. Its rule reverses the run in one loop: per row one
+call of the compiled vector-adjoint product, written into one environment
+buffer. Every other einsum node takes its adjoints from a plan cached per
+(subscripts, operand shapes, graded operands): factors, or a compiled
+product (``_adjoint_plan``). Dense adjoints of ``gather`` and
+``slice_rows`` add into the rows they came from, in one buffer per source
+array, instead of scattering into a fresh zero copy of the source for
+every node.
 
 A ``pair_round`` writes into one C-order output through
 ``np.matmul(..., out=)``, with the carried odd row copied in place. Where an
@@ -45,8 +45,8 @@ einsum's adjoint is a bare outer product over an operand's last two
 indices, as where a chain half's matrix meets its boundary vector, it is
 kept as factors ``(u, v)`` of ``[..., chi]`` arrays that stand for ``u ⊗ v``
 (the environment form of arXiv:1605.05775). A ``gather`` fed them files
-them as its row's factors of the source, and a sweep run files all of its
-rows at once, its prefix and environment buffers being their factors
+them as its row's factors of the source, and a sweep node files all of
+its rows at once, its prefix and environment buffers being their factors
 (``_Rows``, one run of consecutive rows per filing). A round stacks those
 and turns them into the factors of its input with two batched
 matrix-vector products per pair, so a round's adjoint costs chi^2, not
@@ -80,6 +80,7 @@ round's factors are [T, B, chi], small enough to be freed round by round.
 
 import functools
 import math
+import string
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -325,6 +326,11 @@ class Node:
         self.output = output
         self.extra = extra
 
+    @property
+    def result(self) -> np.ndarray:
+        """The array the primitive returned, which later nodes read."""
+        return self.output
+
     def recompute(self) -> np.ndarray:
         if self.kind in _EINSUM_KINDS:
             return einsum(self.extra, *self.inputs)
@@ -350,7 +356,6 @@ class Tape:
         self.recording = recording
         self.nodes: list[Node] = []
         self._live: set[int] = set()
-        self._sweeps: dict[int, _Sweep] = {}  # by id of the run's final vector
         self.workspace = Workspace()
 
     def watch(self, arr: np.ndarray) -> None:
@@ -402,59 +407,52 @@ class Tape:
             raise DimensionError(f"gather index {index} out of range for {x.shape}")
         return self._record("gather", (x,), x[index], index)
 
-    def sweep(self, subscripts: str, vec: np.ndarray, stack: np.ndarray, rows) -> np.ndarray:
+    def sweep(self, subscripts: str, vec: np.ndarray, stack: np.ndarray, rows: range) -> np.ndarray:
         """Step ``vec`` through rows ``rows`` of ``stack`` in turn: the final vector.
 
         ``subscripts`` multiplies the vector by one row, the two operands
-        named in either order, and must return a vector of ``vec``'s shape;
-        the vector's operand is the one with ``vec.ndim`` indices (the first,
-        if both have). Each row records what ``gather(stack, row)`` and then
-        ``contract(subscripts, ...)`` record, node for node, with the same
-        outputs; the rows are range-checked and the product's plan compiled
-        once, before the first row.
+        named in either order, and must return a vector of ``vec``'s shape
+        and have the row's adjoint an outer product of the vector and the
+        result's adjoint, as a batched vector-matrix product does; the
+        vector's operand is the one with ``vec.ndim`` indices (the first, if
+        both have). ``rows`` is a range of step 1 or -1 within ``stack``.
+        All of this is checked, and the product's plan compiled, before the
+        first row.
 
         The vectors are written into one ``[len(rows) + 1, *vec.shape]``
-        prefix buffer from ``workspace``, the input vector first. A recorded
-        run of consecutive rows, ascending or descending, is kept as a
-        ``_Sweep``, so ``backward`` reverses it in one loop.
+        prefix buffer from ``workspace``, the input vector first, and the
+        call records one node (``_SweepNode``), whose rule reverses the run
+        in one loop.
         """
-        rows = [int(row) for row in rows]
+        if not isinstance(rows, range) or abs(rows.step) != 1:
+            raise DimensionError(f"sweep rows must be a range of step 1 or -1, got {rows!r}")
         if not rows:
             return vec
         if not (0 <= min(rows) and max(rows) < len(stack)):
             raise DimensionError(
-                f"sweep rows {min(rows)}..{max(rows)} out of range for {stack.shape}"
+                f"sweep rows {rows[0]}..{rows[-1]} out of range for {stack.shape}"
             )
         ins, result = subscripts.split("->")
-        first = len(ins.split(",")[0]) == vec.ndim
-        shapes = (vec.shape, stack.shape[1:]) if first else (stack.shape[1:], vec.shape)
+        at = 0 if len(ins.split(",")[0]) == vec.ndim else 1
+        shapes = (vec.shape, stack.shape[1:])[:: 1 - 2 * at]
         product = _compile(subscripts, shapes)
         sizes = dict(zip(ins.replace(",", ""), shapes[0] + shapes[1]))
         out_shape = tuple(sizes[ix] for ix in result)
         if out_shape != vec.shape:
             raise DimensionError(f"{subscripts!r} turns a vector {vec.shape} into {out_shape}")
+        if _adjoint_plan(subscripts, shapes, (True, True))[1 - at][1] is None:
+            raise DimensionError(f"{subscripts!r} has no outer-product adjoint for its rows")
         prefix = self.workspace.empty((len(rows) + 1,) + vec.shape)
-        recording, live, record = self.recording, self._live, self.nodes.append
-        gathered = recording and id(stack) in live
-        start = len(self.nodes)
-        for j, row in enumerate(rows):
-            mat = stack[row]
-            if gathered:
-                record(Node("gather", (stack,), (True,), mat, row))
-                live.add(id(mat))
-            ops = (vec, mat) if first else (mat, vec)
-            out = prefix[j + 1]
-            product(*ops, out=out)
-            if recording:
-                needs = (id(ops[0]) in live, id(ops[1]) in live)
-                if needs[0] or needs[1]:
-                    record(Node("contract", ops, needs, out, subscripts))
-                    live.add(id(out))
-            vec = out
-        run = _Sweep.of(self, start, subscripts, shapes, 0 if first else 1, prefix, stack, rows)
-        if run is not None:
-            self._sweeps[id(vec)] = run
-        return vec
+        prefix[0] = vec
+        mats = stack[min(rows) : max(rows) + 1][:: rows.step]
+        _SweepNode.run(product, at, prefix[0], mats, prefix[1:])
+        needs = (id(vec) in self._live, id(stack) in self._live)
+        if not (self.recording and any(needs)):
+            return prefix[-1]
+        node = _SweepNode(subscripts, at, prefix, mats, needs, vec, stack, rows)
+        self.nodes.append(node)
+        self._live.add(id(node.result))
+        return node.result
 
     def slice_rows(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
         """Rows ``start:stop`` along the leading axis, differentiably."""
@@ -744,88 +742,75 @@ def _input_adjoints(node: Node, g):
     raise MpsError(f"unknown node kind {kind!r}")
 
 
-class _Sweep:
-    """One recorded ``Tape.sweep`` of consecutive rows, reversed by ``backward`` in one loop.
+class _SweepNode(Node):
+    """One ``Tape.sweep`` call, recorded as a ``contract`` of its row product over the run.
 
-    ``contracts`` holds the run's ``contract`` node of each row, and
-    ``start`` the index of its first node on the tape. ``prefix`` holds the
-    input vector, then each row's output. ``adjoint`` is the compiled
-    product that the per-row rule runs for the vector's adjoint, and
-    ``outer`` the positions of the matrix adjoint's factors among the
-    operands (``_adjoint_plan``); ``at`` is the vector's position.
+    Its subscripts are the row product's with a run index prepended, such
+    as ``"sbx,sbxy->sby"``; its inputs are the vectors the rows read,
+    ``prefix[:-1]``, and the rows in run order, and its output is the
+    vectors they give, ``prefix[1:]``. So the FLOP counters read it as they
+    would read one ``contract`` per row. ``result`` is the final vector that
+    later nodes read, ``vec`` the input vector the call was given, and
+    ``rows`` the range of ``stack`` it read; ``at`` is the vectors' position
+    among the operands.
     """
 
-    __slots__ = ("start", "contracts", "gathered", "at", "adjoint", "outer",
-                 "prefix", "stack", "rows")
+    __slots__ = ("result", "vec", "stack", "rows", "at")
 
-    @classmethod
-    def of(cls, tape, start, subscripts, shapes, at, prefix, stack, rows):
-        """The run that ``Tape.sweep`` recorded from node ``start`` on, or None
-        when it recorded nothing, its rows are not consecutive, or its
-        adjoints are not a vector product and matrix factors."""
-        step = rows[1] - rows[0] if len(rows) > 1 else 1
-        if start == len(tape.nodes) or abs(step) != 1:
-            return None
-        span = range(rows[0], rows[-1] + step, step)
-        if rows != list(span):
-            return None
-        plan = {i: (outer, product) for i, outer, product, _ in
-                _adjoint_plan(subscripts, shapes, (True, True))}
-        (vec_outer, adjoint), (outer, _) = plan[at], plan[1 - at]
-        if vec_outer is not None or outer is None:
-            return None
-        run = cls()
-        nodes = tape.nodes[start:]
-        run.start, run.gathered = start, nodes[0].kind == "gather"
-        run.contracts = nodes[1::2] if run.gathered else nodes
-        run.at, run.adjoint, run.outer = at, adjoint, outer
-        run.prefix, run.stack, run.rows = prefix, stack, span
-        prefix[0] = run.contracts[0].inputs[at]
-        return run
+    def __init__(self, subscripts, at, prefix, mats, needs, vec, stack, rows):
+        """``needs`` says whether ``vec`` and ``stack``, in that order, are watched."""
+        run = next(ix for ix in "s" + string.ascii_letters if ix not in subscripts)
+        ins, out = subscripts.split("->")
+        extra = ",".join(run + term for term in ins.split(",")) + f"->{run}{out}"
+        order = slice(None, None, 1 - 2 * at)
+        super().__init__("contract", (prefix[:-1], mats)[order], needs[order], prefix[1:], extra)
+        self.result, self.vec, self.stack, self.rows, self.at = prefix[-1], vec, stack, rows, at
 
-    def reverse(self, g, acc: dict, kept: set, workspace: Workspace) -> bool:
-        """Give the run's inputs their adjoints from ``g``, its final vector's.
+    def _row(self) -> tuple:
+        """The row product's subscripts and one row's operand shapes."""
+        return self.extra.replace(self.extra[0], ""), tuple(x.shape[1:] for x in self.inputs)
+
+    @staticmethod
+    def run(product, at: int, vec: np.ndarray, mats: np.ndarray, out: np.ndarray) -> None:
+        """Step ``vec`` through ``mats`` in turn by ``product``, row j's vector into ``out[j]``."""
+        for mat, into in zip(mats, out):
+            vec = product(*((vec, mat) if at == 0 else (mat, vec)), out=into)
+
+    def recompute(self) -> np.ndarray:
+        """The run again, from its input vector, into a new array."""
+        out = np.empty_like(self.output)
+        self.run(_compile(*self._row()), self.at, self.inputs[self.at][0],
+                 self.inputs[1 - self.at], out)
+        return out
+
+    def reverse(self, g, acc: dict, workspace: Workspace) -> None:
+        """Give the call's inputs their adjoints from ``g``, its final vector's.
 
         Row j's vector adjoint is written into row j - 1 of one environment
-        buffer from ``workspace``, plus any adjoint another consumer left on
-        that vector; a vector in ``kept`` keeps a copy. The input vector's
-        adjoint is a new array. ``stack`` gets the rows' matrix factors as
-        whole prefix and environment arrays (``_file``). Returns False, and
-        does nothing, when ``kept`` names one of the gathered matrices: the
-        per-row rule then runs.
+        buffer from ``workspace``, in one loop; the input vector's adjoint
+        is a new array. ``stack`` gets the rows' matrix factors as the whole
+        prefix and environment arrays (``_file``).
         """
-        at, contracts = self.at, self.contracts
-        if self.gathered and not kept.isdisjoint([id(node.inputs[1 - at]) for node in contracts]):
-            return False
-        env = workspace.empty((len(contracts),) + self.prefix.shape[1:])
+        at, vecs, mats = self.at, self.inputs[self.at], self.inputs[1 - self.at]
+        plan = _adjoint_plan(*self._row(), (True, True))
+        adjoint, outer = plan[at][2], plan[1 - at][1]
+        env = workspace.empty(vecs.shape)
         env[-1] = _dense(g)
-        adjoint = self.adjoint
-        for j in range(len(contracts) - 1, 0, -1):
-            node = contracts[j]
-            mat = node.inputs[1 - at]
-            adjoint(*((env[j], mat) if at == 0 else (mat, env[j])), out=env[j - 1])
-            key = id(node.inputs[at])
-            pending = acc.pop(key, None)
-            if pending is not None:
-                env[j - 1] += _dense(pending)
-            if key in kept:
-                acc[key] = env[j - 1].copy()
-        node = contracts[0]
-        if node.needs[at]:
-            mat = node.inputs[1 - at]
-            _accumulate(acc, id(node.inputs[at]),
-                        adjoint(*((env[0], mat) if at == 0 else (mat, env[0]))))
-        if self.gathered:
-            ops = (self.prefix[:-1], env) if at == 0 else (env, self.prefix[:-1])
-            _file(acc, self.stack, self.rows, ops[self.outer[0]], ops[self.outer[1]])
-        return True
+        for j in range(len(env) - 1, 0, -1):
+            adjoint(*((env[j], mats[j]) if at == 0 else (mats[j], env[j])), out=env[j - 1])
+        if self.needs[at]:
+            _accumulate(acc, id(self.vec),
+                        adjoint(*((env[0], mats[0]) if at == 0 else (mats[0], env[0]))))
+        if self.needs[1 - at]:
+            ops = (vecs, env) if at == 0 else (env, vecs)
+            _file(acc, self.stack, self.rows, ops[outer[0]], ops[outer[1]])
 
 
 def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
     """The adjoints of the watched arrays ``wrt``, in order, from one reverse sweep.
 
-    The seed fills the last recorded output (broadcast for non-scalar
-    outputs), so a tape ending in a loss node receives the scalar loss
+    The seed fills the last recorded result (broadcast for non-scalar
+    results), so a tape ending in a loss node receives the scalar loss
     adjoint directly. An array of ``wrt`` that the output does not reach
     gets zeros; one the tape does not watch raises ``ConsistencyError``. A
     ``gather`` or ``slice_rows`` adjoint is added into the rows of its
@@ -840,16 +825,16 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
     adjoints of ``wrt`` are kept to the end, and so is the row accumulator
     of each watched leaf, such as ``cores``, since no node produces it.
 
-    A ``Tape.sweep`` run (``_Sweep``) is reversed in one loop when its
-    final vector's adjoint is reached, and its per-row nodes are passed
-    over. An adjoint may be factors ``(u, v)`` (``_input_adjoints``). A
-    run, or a ``gather`` fed factors, files them as its rows' factors of the
-    source (``_Rows``), the rows none reached being zero, so the
-    sequential sweep never builds a dense [N-3, B, chi, chi] adjoint; the
-    source's producer decides how to take them (``_input_adjoints``).
-    Factors are expanded when a second contribution meets them (a row
-    filed twice included), when a ``slice_rows`` adds them into its source,
-    and before they are returned.
+    A ``Tape.sweep`` node (``_SweepNode``) takes its adjoint from its final
+    vector, the only one of its vectors that later nodes read, and reverses
+    its run in one loop. An adjoint may be factors ``(u, v)``
+    (``_input_adjoints``). A sweep node, or a ``gather`` fed factors, files
+    them as its rows' factors of the source (``_Rows``), the rows none
+    reached being zero, so the sequential sweep never builds a dense
+    [N-3, B, chi, chi] adjoint; the source's producer decides how to take
+    them (``_input_adjoints``). Factors are expanded when a second
+    contribution meets them (a row filed twice included), when a
+    ``slice_rows`` adds them into its source, and before they are returned.
     """
     if not tape.recording:
         raise ConsistencyError("cannot run backward over a non-recording tape")
@@ -858,23 +843,17 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
             raise ConsistencyError(f"array of shape {arr.shape} was not watched by this tape")
     kept = {id(arr) for arr in wrt}
     acc: dict[int, np.ndarray | tuple] = {}
-    nodes, sweeps = tape.nodes, tape._sweeps
-    if nodes:
-        final = nodes[-1].output
+    if tape.nodes:
+        final = tape.nodes[-1].result
         acc[id(final)] = np.full(final.shape, loss_adjoint, dtype=DTYPE)
-    i = len(nodes)
-    while i:
-        i -= 1
-        node = nodes[i]
-        out_id = id(node.output)
+    for node in reversed(tape.nodes):
+        out_id = id(node.result)
         g = acc.get(out_id) if out_id in kept else acc.pop(out_id, None)
         if g is None:
             continue
-        run = sweeps.get(out_id)
-        if run is not None and run.reverse(g, acc, kept, tape.workspace):
-            i = run.start
-            continue
-        if node.kind in _ROW_KINDS:
+        if isinstance(node, _SweepNode):
+            node.reverse(g, acc, tape.workspace)
+        elif node.kind in _ROW_KINDS:
             source = node.inputs[0]
             if isinstance(g, tuple) and node.kind == "gather":
                 row = range(node.extra, node.extra + 1)
@@ -883,9 +862,9 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
             key = id(source)
             acc[key] = _dense(acc[key]) if key in acc else np.zeros_like(source)
             acc[key][node.extra] += _dense(g)
-            continue
-        for k, adj in _input_adjoints(node, g):
-            _accumulate(acc, id(node.inputs[k]), adj)
+        else:
+            for k, adj in _input_adjoints(node, g):
+                _accumulate(acc, id(node.inputs[k]), adj)
     return [_dense(acc[id(arr)]) if id(arr) in acc else np.zeros_like(arr) for arr in wrt]
 
 

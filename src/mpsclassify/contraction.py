@@ -6,15 +6,14 @@ Two production schedules plus a brute-force oracle:
   label site, combining there so the label count L enters only the final
   step. A recording tape absorbs every bond site in one node, straight
   from ``cores`` (``"sdxy,bsd->sbxy"``), then multiplies the vector by
-  each site's matrix, gathered from that stack, in one ``Tape.sweep`` per
-  half (a ``gather`` and a ``contract`` node per site, the vectors written
-  into one prefix buffer). Its backward reverses each half's sweep in one
-  loop into one environment buffer, then builds the ``cores`` gradient from
-  the whole prefix and environment arrays, one batched matmul per feature
-  component and half, with no dense [N-3, B, chi, chi] adjoint
-  (``autodiff.backward``). Untaped, the vector is held image-last,
-  [chi, B], and takes one step per two-site
-  bond (``_sweep_pairs``): one matrix product with all d^2 of the bond's
+  each site's matrix of that stack in one ``Tape.sweep`` per half, one
+  node each, the vectors written into one prefix buffer. Its backward
+  reverses each half's sweep in one loop into one environment buffer,
+  then builds the ``cores`` gradient from the whole prefix and
+  environment arrays, one batched matmul per feature component and half,
+  with no dense [N-3, B, chi, chi] adjoint (``autodiff.backward``).
+  Untaped, the vector is held image-last, [chi, B], and takes one step
+  per two-site bond (``_sweep_pairs``): one matrix product with all d^2 of the bond's
   matrices for the whole batch, then a weighting along the batch. Only
   the batch-independent bonds cost chi^3. The label core then takes the
   right vector first (``_sweep_untaped``), so no [B, L, chi, chi] label

@@ -362,7 +362,9 @@ class TestAdjointLifetimes:
         workspace, so each half's environment buffer is a new array, held
         with the prefix buffer as the rows' factors until the absorb reads
         them in place (the row factors filed one per ``gather`` and copied
-        into blocks of 8 rows traced 1.6 MiB).
+        into blocks of 8 rows traced 1.6 MiB). The tape holds 8 nodes: the
+        three end absorbs, the stack's absorb, one node per sweep half, the
+        label combine and the loss.
         """
         model = init_model(196, 10, 10, seed=0)
         rng = np.random.default_rng(0)
@@ -378,7 +380,7 @@ class TestAdjointLifetimes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(tape.nodes) == 392
+        assert len(tape.nodes) == 8
         assert all(np.abs(g).max() > 0 for g in grads)
         assert peak < 2 * 2**20, f"backward traced {peak / 2**20:.2f} MiB"
 
@@ -437,7 +439,8 @@ class TestFactoredAdjoints:
     @staticmethod
     def gradients(monkeypatch, model, strategy, expand):
         """Expanded, every adjoint is dense: each row of a sweep then goes
-        through ``_input_adjoints``, not the run rule, which files factors."""
+        through ``_input_adjoints`` as its own ``contract`` node, not the sweep
+        node's rule, which files factors."""
         if expand:
             real = autodiff._input_adjoints
 
@@ -602,7 +605,8 @@ class TestRowFactors:
 
 
 class TestSweep:
-    """``Tape.sweep`` records node for node what a loop of ``gather`` and ``contract`` records."""
+    """``Tape.sweep`` records one node per call, whose logits, FLOP counts and
+    gradients are those of a loop of ``gather`` and ``contract``."""
 
     @staticmethod
     def per_site(model, feats, tape):
@@ -615,50 +619,32 @@ class TestSweep:
         rv = per_site_sweep(tape, "bxy,by->bx", rv, stack, range(n - 4, m - 2, -1))
         return contraction._combine(tape, lv, None, lab, None, rv)
 
-    @staticmethod
-    def assert_same_nodes(got, want, leaves):
-        """Same kinds, ``extra``, ``needs`` and output bytes, and each input the
-        same leaf or the output of the same earlier node."""
+    def assert_matches_the_loop(self, model, feats, labels, read_again=False):
+        """The sequential forward and ``per_site`` give the same logits, FLOP
+        counts and gradient bytes, and both replay.
 
-        def sources(tape):
-            produced = {id(node.output): k for k, node in enumerate(tape.nodes)}
-            named = {id(leaf): name for name, leaf in leaves.items()}
-            return [[produced.get(id(x), named.get(id(x), "other")) for x in node.inputs]
-                    for node in tape.nodes]
-
-        assert len(got.nodes) == len(want.nodes)
-        for k, (a, b) in enumerate(zip(got.nodes, want.nodes)):
-            assert (a.kind, a.needs, len(a.inputs)) == (b.kind, b.needs, len(b.inputs)), k
-            if a.kind != "cross_entropy":  # its extra holds the loss gradient, an array
-                assert a.extra == b.extra, k
-            assert a.output.shape == b.output.shape and np.array_equal(a.output, b.output), k
-            assert a.output.tobytes() == b.output.tobytes(), k
-        assert sources(got) == sources(want)
-
-    def assert_matches_the_loop(self, model, feats, labels, read_again=()):
-        """The sequential forward and ``per_site`` record the same nodes, and
-        ``backward`` gives the same gradient bytes on both tapes.
-
-        ``read_again`` picks ``contract`` nodes by their order among them: a
-        further contraction scales the logits by each one's output vector,
-        which ``backward`` is also asked for.
+        With ``read_again``, a further contraction scales the logits by the
+        two halves' final vectors, the label combine's outer operands, which
+        ``backward`` is also asked for.
         """
-        tapes, grads = [], []
+        tapes, logits, grads = [], [], []
         for forward in (lambda t: forward_batch(model, feats, Strategy.SEQUENTIAL, tape=t),
                         lambda t: self.per_site(model, feats, t)):
             tape = Tape()
             tape.watch_model(model)
-            logits = forward(tape)
-            contracts = [node for node in tape.nodes if node.kind == "contract"]
-            vectors = [contracts[k].output for k in read_again]
+            logits.append(forward(tape))
+            out, combine = logits[-1], tape.nodes[-1]
+            vectors = [combine.inputs[0], combine.inputs[2]] if read_again else []
             for vec in vectors:
                 w = np.linspace(0.5, 1.5, vec.shape[1])
-                logits = tape.contract("bl,bx,x->bl", logits, vec, w)
-            tape.loss(LossKind.CROSS_ENTROPY, logits, labels)
+                out = tape.contract("bl,bx,x->bl", out, vec, w)
+            tape.loss(LossKind.CROSS_ENTROPY, out, labels)
             tape.replay()
             tapes.append(tape)
             grads.append(backward(tape, [arr for _, arr in model.parameters()] + vectors))
-        self.assert_same_nodes(*tapes, dict(model.parameters()))
+        assert logits[0].tobytes() == logits[1].tobytes()
+        assert tapes[0].forward_flops() == tapes[1].forward_flops()
+        assert tapes[0].backward_flops() == tapes[1].backward_flops()
         for got, want in zip(*grads):
             assert got.tobytes() == want.tobytes()
 
@@ -677,22 +663,22 @@ class TestSweep:
         self.assert_matches_the_loop(model, feats, rng.integers(0, 10, 50))
 
     def test_vectors_read_again_and_in_wrt_match_the_per_site_loop(self, rng):
-        """Halves of 4 and 3 sites: the left half's second and last vectors and the
-        right half's second are read by a further contraction and asked for."""
+        """Halves of 4 and 3 sites: both final vectors are read by a further
+        contraction and asked for."""
         model = init_model(10, 3, 3, seed=0, label_site=5)
         feats = encode_batch(model.feature_map, rng.random((3, 10)))
-        self.assert_matches_the_loop(model, feats, rng.integers(0, 3, 3), read_again=(1, 3, 5))
+        self.assert_matches_the_loop(model, feats, rng.integers(0, 3, 3), read_again=True)
 
     def test_a_desk_backward_sends_no_sweep_row_through_the_node_rules(self, monkeypatch, rng):
-        """Each half's run is reversed in one loop: of the 392 nodes, only the
-        6 outside the two sweeps reach ``_input_adjoints``."""
+        """A desk step records 8 nodes, one per sweep half; each sweep node
+        reverses its run itself, so only the 6 others reach ``_input_adjoints``."""
         model = init_model(196, 10, 10, seed=0)
         feats = encode_batch(model.feature_map, rng.random((50, 196)))
         tape = Tape()
         tape.watch_model(model)
         logits = forward_batch(model, feats, Strategy.SEQUENTIAL, tape=tape)
         tape.loss(LossKind.CROSS_ENTROPY, logits, rng.integers(0, 10, 50))
-        outside = [node for node in tape.nodes if node.kind not in ("gather", "contract")]
+        sweeps = [node for node in tape.nodes if isinstance(node, autodiff._SweepNode)]
         dispatched = []
         real = autodiff._input_adjoints
 
@@ -702,14 +688,17 @@ class TestSweep:
 
         monkeypatch.setattr(autodiff, "_input_adjoints", recording)
         backward(tape, [arr for _, arr in model.parameters()])
-        assert not any(node.kind == "contract" for node in dispatched)
-        assert len(dispatched) <= len(outside) == 6
+        assert len(sweeps) == 2 and len(tape.nodes) == 8
+        assert not any(isinstance(node, autodiff._SweepNode) for node in dispatched)
+        assert len(dispatched) <= 6
 
-    @pytest.mark.parametrize("rows", [(1, 2, 3), (3, 2, 1), (2, 2, 3), (4, 0, 2, 2), (2,)])
+    @pytest.mark.parametrize(
+        "rows", [range(1, 4), range(3, 0, -1), range(5), range(4, -1, -1), range(2, 3)]
+    )
     @pytest.mark.parametrize("subscripts", ["bx,bxy->by", "bxy,by->bx"])
     @pytest.mark.parametrize("watched", ["both", "vec", "stack"])
     def test_gradients_match_the_loop_for_any_rows(self, rng, rows, subscripts, watched):
-        """Consecutive rows take the run rule; repeated or skipping rows the per-row rules."""
+        """Some rows or all, either way, and one row."""
         stack = rng.standard_normal((5, 2, 3, 3))
         vec, w = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
         wrt = [x for name, x in (("stack", stack), ("vec", vec)) if watched in ("both", name)]
@@ -725,6 +714,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("watched", ["both", "vec", "stack", "none"])
     def test_unwatched_operands_record_what_the_loop_records(self, rng, watched):
+        """Same outputs and forward FLOPs; the backward count differs only where
+        the stack alone is watched: the loop also counts the vector adjoints of
+        its later rows, the sweep node only the matrices'."""
         stack, vec = rng.standard_normal((5, 2, 3, 3)), rng.standard_normal((2, 3))
         tapes = [Tape(), Tape()]
         for tape in tapes:
@@ -732,14 +724,16 @@ class TestSweep:
                 tape.watch(vec)
             if watched in ("both", "stack"):
                 tape.watch(stack)
-        rows = (4, 0, 2, 2)
+        rows = range(4, 0, -1)
         got = tapes[0].sweep("bxy,by->bx", vec, stack, rows)
-        want = vec
-        for row in rows:
-            want = tapes[1].contract("bxy,by->bx", tapes[1].gather(stack, row), want)
+        want = per_site_sweep(tapes[1], "bxy,by->bx", vec, stack, rows)
         assert got.tobytes() == want.tobytes()
-        self.assert_same_nodes(*tapes, {"stack": stack, "vec": vec})
-        assert bool(tapes[0].nodes) == (watched != "none")
+        assert len(tapes[0].nodes) == (watched != "none")
+        for tape in tapes:
+            tape.replay()
+        assert tapes[0].forward_flops() == tapes[1].forward_flops()
+        vector_adjoints = (len(rows) - 1) * 2 * 2 * 3 * 3 if watched == "stack" else 0
+        assert tapes[0].backward_flops() + vector_adjoints == tapes[1].backward_flops()
 
     def test_a_tape_that_does_not_record_only_computes(self, rng):
         stack, vec = rng.standard_normal((4, 2, 3, 3)), rng.standard_normal((2, 3))
@@ -752,7 +746,7 @@ class TestSweep:
         assert tape.nodes == []
         assert tape.sweep("bx,bxy->by", vec, stack, range(0)) is vec
 
-    @pytest.mark.parametrize("rows", [(0, 4), (-1,), (2, 1, 7)])
+    @pytest.mark.parametrize("rows", [range(0, 5), range(-1, 1), range(7, 1, -1)])
     def test_a_row_out_of_range_is_named_before_any_record(self, rng, rows):
         stack, vec = rng.standard_normal((4, 2, 3, 3)), rng.standard_normal((2, 3))
         tape = Tape()
@@ -761,10 +755,51 @@ class TestSweep:
             tape.sweep("bx,bxy->by", vec, stack, rows)
         assert tape.nodes == []
 
+    @pytest.mark.parametrize(
+        "rows", [(0, 1, 2), range(0, 4, 2), (2, 2, 3)], ids=["tuple", "step-2", "a-row-twice"]
+    )
+    def test_rows_that_are_no_unit_step_range_are_refused_before_any_record(self, rng, rows):
+        stack, vec = rng.standard_normal((4, 2, 3, 3)), rng.standard_normal((2, 3))
+        tape = Tape()
+        tape.watch(stack)
+        with pytest.raises(DimensionError, match="range of step 1 or -1"):
+            tape.sweep("bx,bxy->by", vec, stack, rows)
+        assert tape.nodes == []
+
     def test_a_product_that_changes_the_vector_is_refused(self, rng):
         stack, vec = rng.standard_normal((2, 2, 3, 4)), rng.standard_normal((2, 3))
         with pytest.raises(DimensionError, match="turns a vector"):
             Tape().sweep("bx,bxy->by", vec, stack, range(2))
+
+    def test_a_product_whose_row_adjoint_is_no_outer_product_is_refused(self, rng):
+        """One matrix for the whole batch: its adjoint sums over the batch."""
+        stack, vec = rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3))
+        with pytest.raises(DimensionError, match="outer-product adjoint"):
+            Tape().sweep("bx,xy->by", vec, stack, range(2))
+
+    def test_replay_names_a_sweep_whose_output_row_was_overwritten(self, rng):
+        stack, vec = rng.standard_normal((4, 2, 3, 3)), rng.standard_normal((2, 3))
+        tape = Tape()
+        tape.watch(stack)
+        weighted_sum(tape, tape.sweep("bx,bxy->by", vec, stack, range(4)), np.ones((2, 3)))
+        tape.replay()
+        tape.nodes[0].output[1] += 1.0
+        with pytest.raises(ConsistencyError, match=r"node 0 \(contract\)"):
+            tape.replay()
+
+    def test_backward_seeds_the_final_vector_of_a_tape_ending_in_a_sweep(self, rng):
+        stack, vec = rng.standard_normal((5, 2, 3, 3)), rng.standard_normal((2, 3))
+        tapes, grads = [], []
+        for sweep in (Tape.sweep, per_site_sweep):
+            tapes.append(Tape())
+            tapes[-1].watch(stack)
+            tapes[-1].watch(vec)
+            final = sweep(tapes[-1], "bxy,by->bx", vec, stack, range(4, 0, -1))
+            grads.append(backward(tapes[-1], [stack, vec, final], loss_adjoint=0.5))
+        assert [type(node) for node in tapes[0].nodes] == [autodiff._SweepNode]
+        np.testing.assert_array_equal(grads[0][2], np.full((2, 3), 0.5))
+        for got, want in zip(*grads):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestModelGradients:
