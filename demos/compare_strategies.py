@@ -6,7 +6,7 @@ bonds whose products are cubic but formed once for the whole batch. The
 pairwise schedule multiplies adjacent matrices in rounds, paying a cubic
 term for the right to run wide. Brute force sums all 2^N index assignments
 and is the ground truth for tiny N. FLOPs are counted from the nodes a
-recording tape keeps, so they follow the taped schedules.
+model-watching tape keeps, so they follow the taped schedules.
 
 Run: python3 demos/compare_strategies.py
 """
@@ -21,6 +21,7 @@ from mpsclassify import (
     forward_batch,
     init_model,
 )
+from mpsclassify.autodiff import STACKED_ABSORB
 
 rng = np.random.default_rng(7)
 n, n_labels, chi = 10, 3, 4
@@ -36,7 +37,7 @@ for strategy in (Strategy.SEQUENTIAL, Strategy.PAIRWISE):
     print(f"{strategy.value:13s}", logits, f" relative deviation {dev:.2e}")
 
 print()
-print("pairwise halves shrink in rounds, counted from the nodes a recording tape keeps:")
+print("pairwise halves shrink in rounds, counted from the nodes a taped forward keeps:")
 for n_sites in (10, 20, 196):
     chain = init_model(n_sites, n_labels, chi, seed=1)
     tape = Tape()
@@ -45,7 +46,7 @@ for n_sites in (10, 20, 196):
     forward_batch(chain, f, Strategy.PAIRWISE, tape=tape)
     halves = []  # [matrices, rounds] per half, left then right
     for node in tape.nodes:
-        if node.extra == "sdxy,bsd->sbxy":  # a half's absorb, one matrix per site
+        if node.extra == STACKED_ABSORB:  # a half's absorb, one matrix per site
             halves.append([node.output.shape[0], 0])
         elif node.kind == "pair_round":
             halves[-1][1] += 1

@@ -59,16 +59,17 @@ other use, or a row filed twice, expands them first (see
 Both schedules take their large per-call arrays from a tape's
 ``Workspace``: views of one flat float64 buffer while they fit, new arrays
 beyond it. The module's workspace is kept across calls and grows to the
-largest borrow by a recording tape so far, so a repeated step touches no
-fresh pages; no caller states a size. ``lend_workspace`` lends it to one
+largest borrow by a tape that recorded a node, so a repeated step touches
+no fresh pages; no caller states a size. ``lend_workspace`` lends it to one
 tape at a time and takes it back when its block exits. Its borrowers are
 the package's own callers whose results never alias it:
 ``training._taped_step``, once per step, and the untaped
 ``contraction.forward_batch``, once per block of images whose stacks (four
 sites per matrix) and rounds take at most ``contraction.BLOCK_BYTES``.
-Only the taped step grows the buffer, with its batch; an evaluation uses
-what the buffer holds, so a process that never trained keeps none. A tape
-the user builds keeps its own empty workspace, so all its arrays are new.
+Only the taped step grows the buffer, with its batch; an evaluation's
+tape watches nothing, so it records no node and uses what the buffer
+holds, and a process that never trained keeps none. A tape the user
+builds keeps its own empty workspace, so all its arrays are new.
 On a lent tape the absorbed label block and chain halves and every
 ``pair_round`` output may be views of the workspace: 15.3 MiB at the desk
 recipe (9.2 MiB for a sequential step: its label block, the stack of every
@@ -345,15 +346,14 @@ class Node:
 
 
 class Tape:
-    """Records primitive applications; with ``recording=False`` it only computes.
+    """Records each primitive that reads a watched array; watching nothing, it only computes.
 
     ``workspace`` allocates the arrays the pairwise schedule asks for. It is
     the tape's own empty ``Workspace``, so every array is new, unless
     ``lend_workspace`` has lent the tape the module's workspace.
     """
 
-    def __init__(self, recording: bool = True):
-        self.recording = recording
+    def __init__(self):
         self.nodes: list[Node] = []
         self._live: set[int] = set()
         self.workspace = Workspace()
@@ -367,7 +367,7 @@ class Tape:
             self.watch(arr)
 
     def _record(self, kind, inputs, output, extra=None) -> np.ndarray:
-        if not self.recording:
+        if not self._live:
             return output
         needs = tuple(id(op) in self._live for op in inputs)
         if any(needs):
@@ -420,9 +420,9 @@ class Tape:
         first row.
 
         The vectors are written into one ``[len(rows) + 1, *vec.shape]``
-        prefix buffer from ``workspace``, the input vector first, and the
-        call records one node (``_SweepNode``), whose rule reverses the run
-        in one loop.
+        prefix buffer from ``workspace``, the input vector first. If an
+        operand is watched, the call records one node (``_SweepNode``),
+        whose rule reverses the run in one loop.
         """
         if not isinstance(rows, range) or abs(rows.step) != 1:
             raise DimensionError(f"sweep rows must be a range of step 1 or -1, got {rows!r}")
@@ -447,7 +447,7 @@ class Tape:
         mats = stack[min(rows) : max(rows) + 1][:: rows.step]
         _SweepNode.run(product, at, prefix[0], mats, prefix[1:])
         needs = (id(vec) in self._live, id(stack) in self._live)
-        if not (self.recording and any(needs)):
+        if not any(needs):
             return prefix[-1]
         node = _SweepNode(subscripts, at, prefix, mats, needs, vec, stack, rows)
         self.nodes.append(node)
@@ -503,8 +503,8 @@ def lend_workspace(tape: Tape):
     """Lend ``tape`` the module's workspace for the block, restarted at its front.
 
     The workspace is handed back when the block exits, however it exits,
-    and keeps the size of the largest borrow by a recording tape (see
-    ``Workspace.restart``). A tape that does not record takes its arrays
+    and keeps the size of the largest borrow by a tape that recorded a node
+    (see ``Workspace.restart``). A tape that recorded none takes its arrays
     from the buffer as it is and new ones beyond it, and never grows it.
     While it is out, another borrow (nested, or from another thread) leaves
     its tape on its own workspace, so it gets new arrays. The next borrower
@@ -521,7 +521,7 @@ def lend_workspace(tape: Tape):
         yield tape
     finally:
         tape.workspace = own
-        if not tape.recording:
+        if not tape.nodes:
             _WORKSPACE._used = 0  # forget the overflow, so the next restart keeps the size
         _LENDING.release()
 
@@ -563,7 +563,7 @@ def _node_backward_flops(node: Node) -> int:
 
 # The absorb of stacked sites, weights first: ``contraction`` absorbs a pairwise half
 # and all of the sequential sweep's bond sites with it.
-_STACKED_ABSORB = "sdxy,bsd->sbxy"
+STACKED_ABSORB = "sdxy,bsd->sbxy"
 
 
 class _Rows:
@@ -630,7 +630,7 @@ def _file(acc: dict, source: np.ndarray, rows: range, u: np.ndarray, v: np.ndarr
 
 
 def _absorb_adjoint(shape: tuple, feats: np.ndarray, g) -> np.ndarray:
-    """The weights' adjoint [S, d, chi, chi] of ``_STACKED_ABSORB`` fed factors.
+    """The weights' adjoint [S, d, chi, chi] of ``STACKED_ABSORB`` fed factors.
 
     Row s, component d, is ``sum_b f[b, s, d] u[s, b] ⊗ v[s, b]``: u
     weighted by each feature component in turn, then one batched matmul
@@ -677,7 +677,7 @@ def _adjoint_plan(subscripts: str, shapes: tuple, needs: tuple) -> tuple:
             product = _compile(form, tuple(g_shape if j == i else x for j, x in enumerate(shapes)))
         else:
             product = lambda *ops, form=form: einsum(form, *ops)  # noqa: E731
-        plan.append((i, None, product, i == 0 and subscripts == _STACKED_ABSORB))
+        plan.append((i, None, product, i == 0 and subscripts == STACKED_ABSORB))
     return tuple(plan)
 
 
@@ -688,7 +688,7 @@ def _input_adjoints(node: Node, g):
     (``_Rows``); an adjoint is a dense array or factors. An einsum takes
     each adjoint from its cached plan (``_adjoint_plan``): factors where it
     is a bare outer product, the weights' adjoint of the stacked absorb
-    (``_STACKED_ABSORB``) made from factors or row factors as they are
+    (``STACKED_ABSORB``) made from factors or row factors as they are
     (``_absorb_adjoint``), and the compiled dense rule otherwise. A
     ``pair_round`` stacks row factors and turns factors into factors with
     two batched matrix-vector products per pair. Every other use expands
@@ -836,8 +836,6 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
     contribution meets them (a row filed twice included), when a
     ``slice_rows`` adds them into its source, and before they are returned.
     """
-    if not tape.recording:
-        raise ConsistencyError("cannot run backward over a non-recording tape")
     for arr in wrt:
         if id(arr) not in tape._live:
             raise ConsistencyError(f"array of shape {arr.shape} was not watched by this tape")

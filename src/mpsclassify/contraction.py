@@ -4,8 +4,8 @@ Two production schedules plus a brute-force oracle:
 
 * ``sequential``: sweep a vector from each end of the chain toward the
   label site, combining there so the label count L enters only the final
-  step. A recording tape absorbs every bond site in one node, straight
-  from ``cores`` (``"sdxy,bsd->sbxy"``), then multiplies the vector by
+  step. Taped, it absorbs every bond site in one node, straight
+  from ``cores`` (``STACKED_ABSORB``), then multiplies the vector by
   each site's matrix of that stack in one ``Tape.sweep`` per half, one
   node each, the vectors written into one prefix buffer. Its backward
   reverses each half's sweep in one loop into one environment buffer,
@@ -26,15 +26,16 @@ Two production schedules plus a brute-force oracle:
   round unpaired. Untaped, a half absorbs its sites four at a time: the
   batch-independent products ``A_k^s A_{k+1}^t A_{k+2}^u A_{k+3}^v`` are
   formed once per call and mixed per image by its feature outer products,
-  so the rounds start from a quarter as many matrices. A recording tape
+  so the rounds start from a quarter as many matrices. Taped, a half
   absorbs one site per matrix.
 * ``brute force``: the literal sum over every pixel-index assignment,
   guarded to small chains. Exists to anchor the fast schedules.
 
 The chain is split at the label core; each half reduces independently and
 the halves meet at the label block, so L never multiplies the inner work.
-FLOPs are counted from the nodes a recording tape keeps
-(``Tape.forward_flops``).
+``forward_batch`` runs a schedule's taped form iff it is given a tape,
+and its untaped form otherwise. FLOPs are counted from the nodes a tape
+keeps (``Tape.forward_flops``), so they follow the taped forms.
 
 Each schedule has one path, in plain float64 with no rescaling: a badly
 scaled long chain overflows to non-finite logits or underflows to logits
@@ -42,7 +43,7 @@ too small to carry a scale, and the taped training step names either
 failure (``train`` adds the epoch and batch).
 
 Layout: every absorb names the weights as its first operand (for example
-``"sdxy,bsd->sbxy"``), so the compiled plan's final ``matmul`` writes the
+``STACKED_ABSORB``), so the compiled plan's final ``matmul`` writes the
 stack batch-major and C-contiguous, ``[..., B, chi, chi]``, with no
 transposed view. Each matrix a pairwise round multiplies is then
 contiguous for BLAS. Brute force records nothing on a tape and has no
@@ -55,11 +56,12 @@ its label block, its stack of every bond site and each half's prefix and
 environment buffers; a taped step's round adjoints are [T, B, chi] factor
 pairs, new arrays freed round by round.
 The taped training step (``training._taped_step``) and each block of the
-untaped ``forward_batch`` are lent the module's workspace, but only a
-recording tape grows it (``autodiff.lend_workspace``). So an evaluation takes its
-arrays from the buffer that training steps left, and new arrays beyond
-it, and a process that never trained keeps no buffer at all. A tape
-passed in by the caller is never lent the workspace. The untaped
+untaped ``forward_batch`` are lent the module's workspace, but only a tape
+that recorded a node grows it (``autodiff.lend_workspace``). A block's
+tape watches nothing, so an evaluation takes its arrays from the buffer
+that training steps left, and new arrays beyond it, and a process that
+never trained keeps no buffer at all. A tape passed in by the caller is
+never lent the workspace. The untaped
 ``forward_batch`` runs a pairwise batch in even blocks of images whose
 stacks and round outputs take at most ``BLOCK_BYTES`` (8 MiB), each on its
 own tape, so what a block holds does not grow with the batch, and each
@@ -73,7 +75,7 @@ import itertools
 
 import numpy as np
 
-from .autodiff import Tape, lend_workspace
+from .autodiff import STACKED_ABSORB, Tape, lend_workspace
 from .errors import ConfigError, DimensionError, NumericError
 from .model import MpsClassifier
 from .tensor import DTYPE
@@ -132,17 +134,10 @@ def _half(model, feats, tape, right):
     return tape.slice_rows(model.cores, start, stop), feats[:, sites]
 
 
-def _absorb_half(model, feats, tape, right, quad):
-    """Absorb the bond sites of one half (``_half``): [n, B, chi, chi].
-
-    A tape that does not record absorbs the sites four at a time instead,
-    [n//4 + (n%4+1)//2, B, chi, chi] (``_absorb_quads``, given ``quad``).
-    """
-    cores, feats = _half(model, feats, tape, right)
-    if not tape.recording:
-        return _absorb_quads(tape, cores, feats, quad)
+def _absorb_half(tape, cores, feats):
+    """Taped absorb of a half's n sites (``_half``), one site per matrix: [n, B, chi, chi]."""
     out = tape.workspace.empty((len(cores), len(feats)) + cores.shape[2:])
-    return tape.contract("sdxy,bsd->sbxy", cores, feats, kind="absorb", out=out)
+    return tape.contract(STACKED_ABSORB, cores, feats, kind="absorb", out=out)
 
 
 def _pair(tape, subscripts, x):
@@ -159,21 +154,25 @@ def _quad_bond(tape, cores):
     return np.ascontiguousarray(_pair(tape, "ksxy,ktyz->kstxz", bond))
 
 
-def _absorb_quads(tape, cores, feats, quad):
-    """Untaped absorb of a half's n sites four at a time: [n//4 + (n%4+1)//2, B, chi, chi].
+def _quad_rows(n):
+    """How many matrices ``_absorb_quads`` stacks for n sites: n//4 + (n%4+1)//2."""
+    return n - n // 2 - n // 4
 
-    Row k, sites 4k to 4k+3, is its bond of bonds (``quad``, or ``_quad_bond``)
+
+def _absorb_quads(tape, cores, feats, quad):
+    """Untaped absorb of a half's n sites four at a time: [``_quad_rows(n)``, B, chi, chi].
+
+    Row k, sites 4k to 4k+3, is its bond of bonds (``quad``, from ``_quad_bond``)
     mixed by each image's weights of weights in one ``[n//4, B, d^4] @ [n//4,
     d^4, chi^2]`` product. The last 1-3 sites follow as a two-site matrix
     and/or a single site."""
     n, pairs, quads = len(cores), len(cores) // 2, len(cores) // 4
-    stack = tape.workspace.empty((n - pairs - quads, len(feats)) + cores.shape[2:])
+    stack = tape.workspace.empty((_quad_rows(n), len(feats)) + cores.shape[2:])
     if pairs:
         weights = _pair_weights(tape, feats)[1]
         # The bonds are named first: the plan pops operands in reverse, so
         # each mix's one matmul produces the stack's order directly.
         if quads:
-            quad = _quad_bond(tape, cores) if quad is None else quad
             mix = _pair(tape, "ksb,ktb->kstb", weights.reshape(pairs, -1, len(feats)))
             tape.contract("kstxz,kstb->kbxz", quad, mix, kind="absorb", out=stack[:quads])
         if pairs % 2:
@@ -244,25 +243,24 @@ def _combine(tape, lv, left_mat, lab, right_mat, rv):
     return tape.contract("by,blxy,bx->bl", rv, lab, lv, kind="combine")
 
 
-def _forward_pairwise_batch(model, feats, tape, quads=(None, None)):
+def _forward_pairwise_batch(model, feats, tape, absorbs=(_absorb_half, _absorb_half)):
+    """Pairwise logits [B, L]; ``absorbs`` stack the left and right half (``_half``)."""
     lv, lab, rv = _absorb_ends(model, feats, tape)
     left_mat, right_mat = (
-        _reduce_half(tape, _absorb_half(model, feats, tape, right, quad))
-        for right, quad in zip((False, True), quads)
+        _reduce_half(tape, absorb(tape, *_half(model, feats, tape, right)))
+        for right, absorb in zip((False, True), absorbs)
     )
     return _combine(tape, lv, left_mat, lab, right_mat, rv)
 
 
 def _forward_sequential_batch(model, feats, tape):
     m, n = model.label_site, model.n_sites
-    if not tape.recording:
-        return _sweep_untaped(model, feats, tape)
     lv, lab, rv = _absorb_ends(model, feats, tape)
     # Every bond site at once, in the order of ``cores``' rows; each half's
-    # sweep gathers its matrices from the stack, outward in.
+    # sweep reads its rows of the stack in place, outward in.
     bond_feats = np.concatenate((feats[:, 1:m], feats[:, m + 1 : n - 1]), axis=1)
     out = tape.workspace.empty((n - 3, len(feats)) + model.cores.shape[2:])
-    stack = tape.contract("sdxy,bsd->sbxy", model.cores, bond_feats, kind="absorb", out=out)
+    stack = tape.contract(STACKED_ABSORB, model.cores, bond_feats, kind="absorb", out=out)
     lv = tape.sweep("bx,bxy->by", lv, stack, range(m - 1))
     rv = tape.sweep("bxy,by->bx", rv, stack, range(n - 4, m - 2, -1))
     return _combine(tape, lv, None, lab, None, rv)
@@ -294,7 +292,7 @@ def _block_images(model):
     every round's output, about twice the stacks."""
     matrices = 0
     for rows in (model.label_site - 1, model.n_sites - 2 - model.label_site):
-        rows -= rows // 2 + rows // 4
+        rows = _quad_rows(rows)
         while rows > 1:
             matrices, rows = matrices + rows, rows - rows // 2
         matrices += rows
@@ -310,20 +308,19 @@ def forward_batch(
 ) -> np.ndarray:
     """Logits [B, L] for a batch of encoded images [B, N, d], as a new array.
 
-    Without ``tape``, the pairwise schedule forms each half's four-site
-    bonds once, then runs the batch in blocks of ``_block_images`` images,
-    each on its own tape that does not record and is lent the workspace
-    without growing it, and writes each block's logits into one new array.
-    A ``tape`` given runs the whole batch at once and is never lent the
-    workspace.
+    The one place that picks a schedule's form. Given a ``tape``, whatever
+    it watches, the taped form runs the whole batch at once, one site per
+    matrix, each half (pairwise) or every bond site (sequential) absorbed
+    in one node; the tape is never lent the workspace.
 
-    On a tape that does not record, blocks included, pairwise absorbs
-    each half four sites per matrix (``_absorb_quads``) and sequential
-    sweeps two-site bonds with the images on the vector's last axis, one
-    ``[d^2 chi, chi] @ [chi, B]`` product per site pair (``_sweep_pairs``),
-    taking the whole batch at once. A recording tape absorbs one
-    site per matrix, each half (pairwise) or every bond site (sequential)
-    in one node, so taped and untaped logits agree to rounding only.
+    Without one, the untaped form runs. Pairwise forms each half's
+    four-site bonds once, then runs the batch in blocks of
+    ``_block_images`` images, four sites per matrix (``_absorb_quads``),
+    each on its own tape that watches nothing and is lent the workspace
+    without growing it, and writes each block's logits into one new array.
+    Sequential sweeps the whole batch at once (``_sweep_untaped``), one
+    ``[d^2 chi, chi] @ [chi, B]`` product per site pair. So taped and
+    untaped logits agree to rounding only.
 
     When the budget holds fewer than three images (at N=196, chi >= 60),
     a block can hold one image, and a one-image block rounds differently
@@ -342,11 +339,13 @@ def forward_batch(
     if tape is not None:
         return forward(model, feats, tape)
     if strategy is Strategy.SEQUENTIAL:
-        return forward(model, feats, Tape(recording=False))
+        return _sweep_untaped(model, feats, Tape())
     # The four-site bonds do not depend on the batch, so every block shares them.
-    untaped = Tape(recording=False)
+    untaped = Tape()
     quads = [_quad_bond(untaped, _half(model, feats, untaped, right)[0])
              for right in (False, True)]
+    absorbs = [lambda tape, cores, feats, quad=quad: _absorb_quads(tape, cores, feats, quad)
+               for quad in quads]
     block = _block_images(model)
     count = feats.shape[0]
     blocks = -(-count // block)
@@ -356,8 +355,8 @@ def forward_batch(
     # one, because its einsum plans drop the batch axis.
     for k in range(blocks):
         rows = slice(count * k // blocks, count * (k + 1) // blocks)
-        with lend_workspace(Tape(recording=False)) as untaped:
-            logits[rows] = forward(model, feats[rows], untaped, quads)
+        with lend_workspace(Tape()) as untaped:
+            logits[rows] = forward(model, feats[rows], untaped, absorbs)
     return logits
 
 

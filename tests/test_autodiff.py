@@ -97,19 +97,16 @@ class TestTapeMechanics:
         with pytest.raises(ConsistencyError, match="replay"):
             tape.replay()
 
-    def test_backward_requires_recording_tape(self):
-        with pytest.raises(ConsistencyError):
-            backward(Tape(recording=False), [])
-
     def test_non_recording_tape_still_computes(self, rng):
+        """A tape that watches nothing records nothing and computes the same values."""
         a = rng.standard_normal((2, 2))
         recording = Tape()
         recording.watch(a)
-        silent = Tape(recording=False)
+        silent = Tape()
         np.testing.assert_array_equal(
             silent.contract("ij,jk->ik", a, a), recording.contract("ij,jk->ik", a, a)
         )
-        assert silent.nodes == []
+        assert silent.nodes == [] and len(recording.nodes) == 1
 
     def test_zero_loss_adjoint_gives_zero_gradients(self, rng):
         a = rng.standard_normal((3, 3))
@@ -210,7 +207,7 @@ class TestTapeMechanics:
             flat[k] = orig + h
 
             def value():
-                t = Tape(recording=False)
+                t = Tape()
                 return float((t.pair_round(stack) * w).sum())
 
             up = value()
@@ -343,9 +340,9 @@ class TestRowAdjointsInPlace:
         for k in range(x.size):
             orig = x.flat[k]
             x.flat[k] = orig + h
-            up = float(loss(Tape(recording=False)))
+            up = float(loss(Tape()))
             x.flat[k] = orig - h
-            down = float(loss(Tape(recording=False)))
+            down = float(loss(Tape()))
             x.flat[k] = orig
             numeric.flat[k] = (up - down) / (2 * h)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-7, atol=1e-9)
@@ -514,9 +511,9 @@ class TestRowFactors:
         for k in range(cores.size):
             orig = cores.flat[k]
             cores.flat[k] = orig + h
-            up = float(self.sweep(Tape(recording=False), cores, feats, rows, w)[1])
+            up = float(self.sweep(Tape(), cores, feats, rows, w)[1])
             cores.flat[k] = orig - h
-            down = float(self.sweep(Tape(recording=False), cores, feats, rows, w)[1])
+            down = float(self.sweep(Tape(), cores, feats, rows, w)[1])
             cores.flat[k] = orig
             out.flat[k] = (up - down) / (2 * h)
         return out
@@ -736,8 +733,9 @@ class TestSweep:
         assert tapes[0].backward_flops() + vector_adjoints == tapes[1].backward_flops()
 
     def test_a_tape_that_does_not_record_only_computes(self, rng):
+        """A tape that watches nothing sweeps without recording a node."""
         stack, vec = rng.standard_normal((4, 2, 3, 3)), rng.standard_normal((2, 3))
-        tape = Tape(recording=False)
+        tape = Tape()
         got = tape.sweep("bx,bxy->by", vec, stack, range(4))
         want = vec
         for row in range(4):

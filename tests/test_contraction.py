@@ -393,12 +393,36 @@ class TestSequentialSweep:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+class TestTapeChoosesTheForm:
+    """``forward_batch`` runs the taped form iff it is given a tape, whatever it watches."""
+
+    @pytest.mark.parametrize("strategy", [Strategy.PAIRWISE, Strategy.SEQUENTIAL])
+    @pytest.mark.parametrize("n_sites, bond_dim, batch", [(12, 3, 5), (196, 10, 7)],
+                             ids=["12-3-5", "196-10-7"])
+    def test_a_tape_that_watches_nothing_runs_the_taped_form(
+        self, monkeypatch, rng, strategy, n_sites, bond_dim, batch
+    ):
+        model = init_model(n_sites, 3, bond_dim, seed=4)
+        feats = encode_batch(model.feature_map, rng.random((batch, n_sites)))
+        watching = Tape()
+        watching.watch_model(model)
+        want = forward_batch(model, feats, strategy, tape=watching)
+        assert watching.nodes
+        for untaped in ("_absorb_quads", "_sweep_untaped"):
+            monkeypatch.setattr(contraction, untaped, None)
+        tape = Tape()
+        got = forward_batch(model, feats, strategy, tape=tape)
+        assert tape.nodes == []
+        assert got.tobytes() == want.tobytes()
+
+
 class TestUntapedBlocks:
     """An untaped pairwise call runs its batch in even blocks of at most ``BLOCK_BYTES``.
 
-    The reference records the whole batch on one tape, which is never
-    blocked. A one-image batch rounds differently from a larger one, so a
-    shape whose block is one image is compared with per-image calls.
+    The reference is the same untaped call with a budget so large that the
+    whole batch is one block. A one-image batch rounds differently from a
+    larger one, so a shape whose block is one image is compared with
+    per-image calls.
     """
 
     @pytest.mark.parametrize(
@@ -422,17 +446,21 @@ class TestUntapedBlocks:
         if block == 1:
             want = np.concatenate([forward_batch(model, feats[b : b + 1]) for b in range(count)])
         else:
-            want = forward_batch(model, feats, Strategy.PAIRWISE, tape=Tape(recording=False))
-        tapes = []
+            with monkeypatch.context() as whole:
+                whole.setattr(contraction, "BLOCK_BYTES", contraction.BLOCK_BYTES * count)
+                assert contraction._block_images(model) >= count
+                want = forward_batch(model, feats)
+        nodes = []
         real = contraction._forward_pairwise_batch
 
         def counted(model, feats, tape, *args):
-            tapes.append(tape.recording)
-            return real(model, feats, tape, *args)
+            logits = real(model, feats, tape, *args)
+            nodes.append(len(tape.nodes))
+            return logits
 
         monkeypatch.setattr(contraction, "_forward_pairwise_batch", counted)
         got = forward_batch(model, feats)
-        assert tapes == [False] * -(-count // block)
+        assert nodes == [0] * -(-count // block)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n_sites, bond_dim", [(196, 10), (784, 10), (196, 32)])
