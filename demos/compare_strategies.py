@@ -1,12 +1,12 @@
 """Contract the same chain three ways and compare answers and arithmetic cost.
 
-The taped sequential sweep never builds a matrix-matrix product, so its
-cost is quadratic in the bond dimension; untaped, it steps through two-site
-bonds whose products are cubic but formed once for the whole batch. The
-pairwise schedule multiplies adjacent matrices in rounds, paying a cubic
-term for the right to run wide. Brute force sums all 2^N index assignments
-and is the ground truth for tiny N. FLOPs are counted from the nodes a
-model-watching tape keeps, so they follow the taped schedules.
+The sequential sweep never builds a matrix-matrix product, so its cost is
+quadratic in the bond dimension. The pairwise schedule multiplies adjacent
+matrices in rounds, paying a cubic term for the right to run wide. Brute
+force sums all 2^N index assignments and is the ground truth for tiny N.
+Each schedule runs its own form on a tape: without one, ``forward_batch``
+evaluates both with the sequential sweep. FLOPs are counted from the nodes
+a model-watching tape keeps.
 
 Run: python3 demos/compare_strategies.py
 """
@@ -32,7 +32,7 @@ print(f"model: N={n}, L={n_labels}, chi={chi}")
 oracle = brute_force_logits(model, feats[0])
 print("brute force  ", oracle)
 for strategy in (Strategy.SEQUENTIAL, Strategy.PAIRWISE):
-    logits = forward_batch(model, feats, strategy)[0]
+    logits = forward_batch(model, feats, strategy, tape=Tape())[0]
     dev = np.abs(logits - oracle).max() / np.abs(oracle).max()
     print(f"{strategy.value:13s}", logits, f" relative deviation {dev:.2e}")
 

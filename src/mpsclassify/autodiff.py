@@ -56,20 +56,16 @@ component and run (``_absorb_adjoint``), with no copy of the factors; any
 other use, or a row filed twice, expands them first (see
 ``_input_adjoints`` and ``backward``).
 
-Both schedules take their large per-call arrays from a tape's
+Both taped schedules take their large per-call arrays from a tape's
 ``Workspace``: views of one flat float64 buffer while they fit, new arrays
 beyond it. The module's workspace is kept across calls and grows to the
-largest borrow by a tape that recorded a node, so a repeated step touches
-no fresh pages; no caller states a size. ``lend_workspace`` lends it to one
-tape at a time and takes it back when its block exits. Its borrowers are
-the package's own callers whose results never alias it:
-``training._taped_step``, once per step, and the untaped
-``contraction.forward_batch``, once per block of images whose stacks (four
-sites per matrix) and rounds take at most ``contraction.BLOCK_BYTES``.
-Only the taped step grows the buffer, with its batch; an evaluation's
-tape watches nothing, so it records no node and uses what the buffer
-holds, and a process that never trained keeps none. A tape the user
-builds keeps its own empty workspace, so all its arrays are new.
+largest borrow, so a repeated step touches no fresh pages; no caller
+states a size. ``lend_workspace`` lends it to one tape at a time and takes
+it back when its block exits. Its one borrower is the package's taped
+training step, ``training._taped_step``, whose results never alias it; a
+process that never trained keeps no buffer. The untaped sweep that
+evaluates both schedules takes no workspace, and a tape the user builds
+keeps its own empty one, so all its arrays are new.
 On a lent tape the absorbed label block and chain halves and every
 ``pair_round`` output may be views of the workspace: 15.3 MiB at the desk
 recipe (9.2 MiB for a sequential step: its label block, the stack of every
@@ -503,13 +499,11 @@ def lend_workspace(tape: Tape):
     """Lend ``tape`` the module's workspace for the block, restarted at its front.
 
     The workspace is handed back when the block exits, however it exits,
-    and keeps the size of the largest borrow by a tape that recorded a node
-    (see ``Workspace.restart``). A tape that recorded none takes its arrays
-    from the buffer as it is and new ones beyond it, and never grows it.
-    While it is out, another borrow (nested, or from another thread) leaves
-    its tape on its own workspace, so it gets new arrays. The next borrower
-    overwrites every view taken, so nothing that outlives the block may be
-    one.
+    and grows to the largest borrow at the next one (see
+    ``Workspace.restart``). While it is out, another borrow (nested, or
+    from another thread) leaves its tape on its own workspace, so it gets
+    new arrays. The next borrower overwrites every view taken, so nothing
+    that outlives the block may be one.
     """
     if not _LENDING.acquire(blocking=False):
         yield tape
@@ -521,8 +515,6 @@ def lend_workspace(tape: Tape):
         yield tape
     finally:
         tape.workspace = own
-        if not tape.nodes:
-            _WORKSPACE._used = 0  # forget the overflow, so the next restart keeps the size
         _LENDING.release()
 
 

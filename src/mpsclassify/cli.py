@@ -198,8 +198,10 @@ def _cmd_bench(args) -> int:
         feats = encode_batch(model.feature_map, images)
         for strategy_name in args.strategies:
             strategy = _STRATEGIES[strategy_name]
+            # Each schedule's own contraction, on a tape that watches nothing:
+            # what ``forward_flops`` counts. Untaped, both would run the sweep.
             best_fwd, fwd_faults = _timed(
-                args.repeats, lambda: forward_batch(model, feats, strategy)
+                args.repeats, lambda: forward_batch(model, feats, strategy, tape=Tape())
             )
             counted = Tape()
             counted.watch_model(model)

@@ -18,24 +18,22 @@ Two production schedules plus a brute-force oracle:
   the batch-independent bonds cost chi^3. The label core then takes the
   right vector first (``_sweep_untaped``), so no [B, L, chi, chi] label
   block is built.
-* ``pairwise``: absorb every pixel of each half at once, from the half's
-  own rows of ``cores``, then repeatedly multiply adjacent effective
-  matrices in rounds. All products of a round are independent, so a round
-  is one stacked matrix product, at the price of matrix-matrix (chi^3)
-  products. An odd matrix at the end of a round is carried to the next
-  round unpaired. Untaped, a half absorbs its sites four at a time: the
-  batch-independent products ``A_k^s A_{k+1}^t A_{k+2}^u A_{k+3}^v`` are
-  formed once per call and mixed per image by its feature outer products,
-  so the rounds start from a quarter as many matrices. Taped, a half
-  absorbs one site per matrix.
+* ``pairwise``: absorb every pixel of each half at once, one site per
+  matrix, from the half's own rows of ``cores``, then repeatedly multiply
+  adjacent effective matrices in rounds. All products of a round are
+  independent, so a round is one stacked matrix product, at the price of
+  matrix-matrix (chi^3) products. An odd matrix at the end of a round is
+  carried to the next round unpaired. The rounds exist for the taped
+  step; untaped, pairwise runs the sequential sweep (``forward_batch``).
 * ``brute force``: the literal sum over every pixel-index assignment,
   guarded to small chains. Exists to anchor the fast schedules.
 
 The chain is split at the label core; each half reduces independently and
 the halves meet at the label block, so L never multiplies the inner work.
 ``forward_batch`` runs a schedule's taped form iff it is given a tape,
-and its untaped form otherwise. FLOPs are counted from the nodes a tape
-keeps (``Tape.forward_flops``), so they follow the taped forms.
+and the untaped sequential sweep otherwise. FLOPs are counted from the
+nodes a tape keeps (``Tape.forward_flops``), so they follow the taped
+forms.
 
 Each schedule has one path, in plain float64 with no rescaling: a badly
 scaled long chain overflows to non-finite logits or underflows to logits
@@ -49,25 +47,16 @@ transposed view. Each matrix a pairwise round multiplies is then
 contiguous for BLAS. Brute force records nothing on a tape and has no
 gradients.
 
-Workspace: a pairwise call takes its absorbed label block and halves (one
-matrix per site taped, per four sites untaped) and its round outputs from
-its tape's workspace (``autodiff.Workspace``), and a taped sequential call
-its label block, its stack of every bond site and each half's prefix and
-environment buffers; a taped step's round adjoints are [T, B, chi] factor
-pairs, new arrays freed round by round.
-The taped training step (``training._taped_step``) and each block of the
-untaped ``forward_batch`` are lent the module's workspace, but only a tape
-that recorded a node grows it (``autodiff.lend_workspace``). A block's
-tape watches nothing, so an evaluation takes its arrays from the buffer
-that training steps left, and new arrays beyond it, and a process that
-never trained keeps no buffer at all. A tape passed in by the caller is
-never lent the workspace. The untaped
-``forward_batch`` runs a pairwise batch in even blocks of images whose
-stacks and round outputs take at most ``BLOCK_BYTES`` (8 MiB), each on its
-own tape, so what a block holds does not grow with the batch, and each
-block's stack is read back while it is still near the caches. A
-taped step records its whole batch at once. No logits returned are a view
-of the workspace.
+Workspace: a taped pairwise call takes its absorbed label block and halves
+and its round outputs from its tape's workspace (``autodiff.Workspace``),
+and a taped sequential call its label block, its stack of every bond site
+and each half's prefix and environment buffers; a step's round adjoints
+are [T, B, chi] factor pairs, new arrays freed round by round. Only the
+taped training step (``training._taped_step``) is lent the module's
+workspace (``autodiff.lend_workspace``); a tape passed in by the caller
+never is, and the untaped sweep takes only new arrays, so an evaluation
+leaves the workspace as it found it. No logits returned are a view of the
+workspace.
 """
 
 import enum
@@ -75,17 +64,12 @@ import itertools
 
 import numpy as np
 
-from .autodiff import STACKED_ABSORB, Tape, lend_workspace
+from .autodiff import STACKED_ABSORB, Tape
 from .errors import ConfigError, DimensionError, NumericError
 from .model import MpsClassifier
 from .tensor import DTYPE
 
 BRUTE_FORCE_MAX_SITES = 12
-
-# An untaped pairwise block's stacks and round outputs take at most this many
-# bytes, so they stay near the CPU caches and what an evaluation allocates is
-# bounded by one block, not by the batch.
-BLOCK_BYTES = 8 * 2**20
 
 
 class Strategy(enum.Enum):
@@ -147,43 +131,6 @@ def _pair(tape, subscripts, x):
     return tape.contract(subscripts, x[even], x[odd], kind="absorb")
 
 
-def _quad_bond(tape, cores):
-    """Bonds of bonds, [n//4, d^2, d^2, chi, chi], C-contiguous for the mix to read in place."""
-    bond = _pair(tape, "ksxy,ktyz->kstxz", cores[: len(cores) // 4 * 4])
-    bond = bond.reshape((len(bond), cores.shape[1] ** 2) + cores.shape[2:])
-    return np.ascontiguousarray(_pair(tape, "ksxy,ktyz->kstxz", bond))
-
-
-def _quad_rows(n):
-    """How many matrices ``_absorb_quads`` stacks for n sites: n//4 + (n%4+1)//2."""
-    return n - n // 2 - n // 4
-
-
-def _absorb_quads(tape, cores, feats, quad):
-    """Untaped absorb of a half's n sites four at a time: [``_quad_rows(n)``, B, chi, chi].
-
-    Row k, sites 4k to 4k+3, is its bond of bonds (``quad``, from ``_quad_bond``)
-    mixed by each image's weights of weights in one ``[n//4, B, d^4] @ [n//4,
-    d^4, chi^2]`` product. The last 1-3 sites follow as a two-site matrix
-    and/or a single site."""
-    n, pairs, quads = len(cores), len(cores) // 2, len(cores) // 4
-    stack = tape.workspace.empty((_quad_rows(n), len(feats)) + cores.shape[2:])
-    if pairs:
-        weights = _pair_weights(tape, feats)[1]
-        # The bonds are named first: the plan pops operands in reverse, so
-        # each mix's one matmul produces the stack's order directly.
-        if quads:
-            mix = _pair(tape, "ksb,ktb->kstb", weights.reshape(pairs, -1, len(feats)))
-            tape.contract("kstxz,kstb->kbxz", quad, mix, kind="absorb", out=stack[:quads])
-        if pairs % 2:
-            bond = _pair(tape, "ksxy,ktyz->kstxz", cores[2 * pairs - 2 : 2 * pairs])
-            tape.contract("kstxz,kstb->kbxz", bond, weights[-1:], kind="absorb",
-                          out=stack[quads : quads + 1])
-    if n % 2:
-        tape.contract("dxy,bd->bxy", cores[-1], feats[:, -1], kind="absorb", out=stack[-1])
-    return stack
-
-
 def _pair_weights(tape, feats):
     """Image-last features [n, d, B] of [B, n, d] ``feats``, and the outer products of
     sites (2k, 2k+1), [n//2, d, d, B]: each product runs along the batch."""
@@ -243,12 +190,12 @@ def _combine(tape, lv, left_mat, lab, right_mat, rv):
     return tape.contract("by,blxy,bx->bl", rv, lab, lv, kind="combine")
 
 
-def _forward_pairwise_batch(model, feats, tape, absorbs=(_absorb_half, _absorb_half)):
-    """Pairwise logits [B, L]; ``absorbs`` stack the left and right half (``_half``)."""
+def _forward_pairwise_batch(model, feats, tape):
+    """Taped pairwise logits [B, L]: each half (``_half``) absorbed, then reduced in rounds."""
     lv, lab, rv = _absorb_ends(model, feats, tape)
     left_mat, right_mat = (
-        _reduce_half(tape, absorb(tape, *_half(model, feats, tape, right)))
-        for right, absorb in zip((False, True), absorbs)
+        _reduce_half(tape, _absorb_half(tape, *_half(model, feats, tape, right)))
+        for right in (False, True)
     )
     return _combine(tape, lv, left_mat, lab, right_mat, rv)
 
@@ -286,20 +233,6 @@ def _sweep_untaped(model, feats, tape):
     return np.ascontiguousarray(np.add.reduce(block, axis=1).T)
 
 
-def _block_images(model):
-    """Images per block of an untaped pairwise ``forward_batch``: as many as
-    fit ``BLOCK_BYTES`` with both halves' stacks (``_absorb_quads``) and
-    every round's output, about twice the stacks."""
-    matrices = 0
-    for rows in (model.label_site - 1, model.n_sites - 2 - model.label_site):
-        rows = _quad_rows(rows)
-        while rows > 1:
-            matrices, rows = matrices + rows, rows - rows // 2
-        matrices += rows
-    # N=3 has no bond matrices; its block is then sized as if it had one.
-    return max(1, BLOCK_BYTES // (max(1, matrices) * model.bond_dim**2 * DTYPE().itemsize))
-
-
 def forward_batch(
     model: MpsClassifier,
     feats: np.ndarray,
@@ -309,23 +242,20 @@ def forward_batch(
     """Logits [B, L] for a batch of encoded images [B, N, d], as a new array.
 
     The one place that picks a schedule's form. Given a ``tape``, whatever
-    it watches, the taped form runs the whole batch at once, one site per
-    matrix, each half (pairwise) or every bond site (sequential) absorbed
-    in one node; the tape is never lent the workspace.
+    it watches, the schedule's taped form runs the whole batch at once, one
+    site per matrix, each half (pairwise) or every bond site (sequential)
+    absorbed in one node; the tape is never lent the workspace.
 
-    Without one, the untaped form runs. Pairwise forms each half's
-    four-site bonds once, then runs the batch in blocks of
-    ``_block_images`` images, four sites per matrix (``_absorb_quads``),
-    each on its own tape that watches nothing and is lent the workspace
-    without growing it, and writes each block's logits into one new array.
-    Sequential sweeps the whole batch at once (``_sweep_untaped``), one
-    ``[d^2 chi, chi] @ [chi, B]`` product per site pair. So taped and
-    untaped logits agree to rounding only.
-
-    When the budget holds fewer than three images (at N=196, chi >= 60),
-    a block can hold one image, and a one-image block rounds differently
-    from the whole batch: its logits then match per-image calls bit for bit
-    but may differ from a taped forward of the same batch in the last bits.
+    Without one, both schedules run the untaped sequential sweep
+    (``_sweep_untaped``), one ``[d^2 chi, chi] @ [chi, B]`` product per site
+    pair, so their untaped logits are the same bytes. A call that records
+    no graph gains nothing from the pairwise rounds, and on one thread of
+    a shared 2-core host the sweep evaluated 50 or 256 images 1.3-5.6x
+    faster than untaped pairwise did with four sites per matrix, at
+    (N, chi) = (196, 10), (784, 10) and (196, 32). What this gives up is a
+    single image at chi=10, which that pairwise path evaluated 1.2x faster
+    at N=196 (1.01 against 1.20 ms) and 2.3x faster at N=784 (2.08 against
+    4.80 ms). Taped and untaped logits agree to rounding only.
     """
     feats = check_batch_features(model, feats)
     if strategy is Strategy.PAIRWISE:
@@ -336,28 +266,9 @@ def forward_batch(
         return np.stack([brute_force_logits(model, feats[b]) for b in range(feats.shape[0])])
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    if tape is not None:
-        return forward(model, feats, tape)
-    if strategy is Strategy.SEQUENTIAL:
+    if tape is None:
         return _sweep_untaped(model, feats, Tape())
-    # The four-site bonds do not depend on the batch, so every block shares them.
-    untaped = Tape()
-    quads = [_quad_bond(untaped, _half(model, feats, untaped, right)[0])
-             for right in (False, True)]
-    absorbs = [lambda tape, cores, feats, quad=quad: _absorb_quads(tape, cores, feats, quad)
-               for quad in quads]
-    block = _block_images(model)
-    count = feats.shape[0]
-    blocks = -(-count // block)
-    logits = np.empty((count, model.n_labels), dtype=DTYPE)
-    # Blocks are even, so none holds one image unless the budget allows
-    # fewer than three: a one-image batch rounds differently from a larger
-    # one, because its einsum plans drop the batch axis.
-    for k in range(blocks):
-        rows = slice(count * k // blocks, count * (k + 1) // blocks)
-        with lend_workspace(Tape()) as untaped:
-            logits[rows] = forward(model, feats[rows], untaped, absorbs)
-    return logits
+    return forward(model, feats, tape)
 
 
 def brute_force_logits(model: MpsClassifier, image: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ one site at a time.
 """
 
 import csv
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -71,12 +72,19 @@ class TrainConfig:
             raise ConfigError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.eval_batch_size < 1:
-            raise ConfigError(f"eval_batch_size must be >= 1, got {self.eval_batch_size}")
+        for name in ("batch_size", "epochs", "eval_batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if not isinstance(self.loss_kind, LossKind):
+            raise ConfigError(f"loss_kind must be a LossKind, got {self.loss_kind!r}")
+        if self.strategy not in (Strategy.PAIRWISE, Strategy.SEQUENTIAL):
+            raise ConfigError(
+                "strategy must be Strategy.PAIRWISE or Strategy.SEQUENTIAL (brute force "
+                f"is an untaped oracle and has no gradients), got {self.strategy!r}"
+            )
 
 
 @dataclass
@@ -230,9 +238,9 @@ def evaluate(
 ) -> tuple[float, float]:
     """(mean loss, accuracy) over an encoded set, evaluated in batches.
 
-    The default, the sequential sweep, is the faster untaped schedule for
-    batches of 256 images or more at every measured shape
-    (``contraction.forward_batch``)."""
+    Every strategy but brute force evaluates with the untaped sequential
+    sweep (``contraction.forward_batch``), so pairwise and sequential give
+    the same bytes."""
     return evaluate_predictions(model, feats, labels, loss_kind, batch_size, strategy)[:2]
 
 
@@ -245,6 +253,7 @@ def evaluate_predictions(
     strategy: Strategy = Strategy.SEQUENTIAL,
 ) -> tuple[float, float, np.ndarray]:
     """``evaluate`` plus the predicted label of every image, from the same pass."""
+    feats = check_batch_features(model, feats)
     count = feats.shape[0]
     if count == 0:
         raise ConfigError("cannot evaluate an empty set: it holds no images")

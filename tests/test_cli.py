@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mpsclassify import init_model, load_checkpoint, save_checkpoint
+from mpsclassify import Tape, init_model, load_checkpoint, save_checkpoint
 from mpsclassify.cli import main
 
 
@@ -417,6 +417,20 @@ class TestBenchCommand:
         assert out == ""
         assert "--batch" in err and repr(batch) in err
         assert not out_csv.exists()
+
+    def test_forward_times_each_schedules_own_contraction(self, monkeypatch):
+        """Timed on a tape, the form ``forward_flops`` counts: untaped, both schedules sweep."""
+        import mpsclassify.cli as cli
+
+        tapes, real = [], cli.forward_batch
+
+        def watched(model, feats, strategy, tape=None):
+            tapes.append(tape)
+            return real(model, feats, strategy, tape=tape)
+
+        monkeypatch.setattr(cli, "forward_batch", watched)
+        assert main(["bench-contraction", "--sites", "10", "--bond-dims", "2", "--repeats", "1"]) == 0
+        assert len(tapes) == 2 * 3 and all(isinstance(tape, Tape) for tape in tapes)
 
 
 class TestParser:

@@ -26,6 +26,11 @@ def taped_forward(model, feats, strategy):
     return tape
 
 
+def rounds(model, feats):
+    """Pairwise logits from the rounds: untaped, ``forward_batch`` sweeps for every schedule."""
+    return forward_batch(model, feats, Strategy.PAIRWISE, tape=Tape())
+
+
 def absorbed(model, feats):
     """The ``absorb`` outputs of a taped pairwise forward: left, matrices, label block, right.
 
@@ -120,7 +125,7 @@ class TestStrategyAgreement:
             fmap = FeatureMap.LINEAR if rng.integers(2) else FeatureMap.TRIG
             model, feats = random_instance(rng, n, l, chi, fmap)
             seq = forward_batch(model, feats, Strategy.SEQUENTIAL)[0]
-            pair = forward_batch(model, feats, Strategy.PAIRWISE)[0]
+            pair = rounds(model, feats)[0]
             brute = brute_force_logits(model, feats[0])
             scale = np.abs(brute).max()
             assert np.abs(seq - brute).max() <= 1e-9 * scale
@@ -132,14 +137,14 @@ class TestStrategyAgreement:
         left, matrices, label_block, right = absorbed(model, feats)
         direct = left[0, 0] * matrices[:, 0, 0, 0].prod() * right[0, 0]
         want = direct * label_block[0, :, 0, 0]
-        for strategy in (Strategy.SEQUENTIAL, Strategy.PAIRWISE):
-            np.testing.assert_allclose(forward_batch(model, feats, strategy)[0], want, rtol=1e-12)
+        for got in (forward_batch(model, feats, Strategy.SEQUENTIAL), rounds(model, feats)):
+            np.testing.assert_allclose(got[0], want, rtol=1e-12)
 
     def test_minimal_chain_n3(self, rng):
         model, feats = random_instance(rng, 3, 2, 2)
         brute = brute_force_logits(model, feats[0])
-        for strategy in (Strategy.SEQUENTIAL, Strategy.PAIRWISE):
-            np.testing.assert_allclose(forward_batch(model, feats, strategy)[0], brute, rtol=1e-12)
+        for got in (forward_batch(model, feats, Strategy.SEQUENTIAL), rounds(model, feats)):
+            np.testing.assert_allclose(got[0], brute, rtol=1e-12)
 
     def test_n2_hand_checkable_sum(self, rng):
         """Tiny N=4 instance against a fully written-out assignment sum."""
@@ -164,14 +169,14 @@ class TestStrategyAgreement:
         images = rng.uniform(0, 1, size=(6, 10))
         feats = encode_batch(model.feature_map, images)
         batch_seq = forward_batch(model, feats, Strategy.SEQUENTIAL)
-        batch_pair = forward_batch(model, feats, Strategy.PAIRWISE)
+        batch_pair = rounds(model, feats)
         for b in range(6):
             one = feats[b : b + 1]
             np.testing.assert_allclose(
                 batch_seq[b], forward_batch(model, one, Strategy.SEQUENTIAL)[0], rtol=1e-12
             )
             np.testing.assert_allclose(
-                batch_pair[b], forward_batch(model, one, Strategy.PAIRWISE)[0], rtol=1e-12
+                batch_pair[b], rounds(model, one)[0], rtol=1e-12
             )
 
     def test_brute_force_strategy_through_forward_batch(self, rng):
@@ -182,7 +187,7 @@ class TestStrategyAgreement:
 
 
 class TestMultilinearity:
-    """Logits are linear in each core with all others held fixed (pairwise schedule)."""
+    """Logits are linear in each core with all others held fixed (untaped forward)."""
 
     def test_scaling_one_core_scales_logits(self, rng):
         model, feats = random_instance(rng, 9, 3, 3)
@@ -224,35 +229,13 @@ class TestPairwiseRounds:
             tape = taped_forward(model, feats, Strategy.PAIRWISE)
             assert sum(n.kind == "pair_round" for n in tape.nodes) == rounds
 
-    @pytest.mark.parametrize(
-        "n_left, round_rows",
-        [(1, []), (2, []), (3, [2]), (4, []), (5, [2]), (6, [2]), (7, [3, 2]), (8, [2]), (9, [3, 2])],
-        ids=[str(n) for n in range(1, 10)],
-    )
-    def test_untaped_rounds_multiply_a_matrix_per_four_sites(
-        self, monkeypatch, rng, n_left, round_rows
-    ):
-        """Untaped, a half of n sites enters the rounds as n//4 + (n%4+1)//2 absorbed matrices."""
-        model = init_model(n_left + 3, 2, 2, seed=0, label_site=n_left + 1)
-        feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(4, n_left + 3)))
-        rows = []
-        real = Tape.pair_round
-
-        def counted(tape, stack):
-            rows.append(stack.shape[0])
-            return real(tape, stack)
-
-        monkeypatch.setattr(Tape, "pair_round", counted)
-        forward_batch(model, feats)
-        assert rows == round_rows
-
     @pytest.mark.parametrize("n_sites", [11, 12])
     def test_every_label_site_matches_brute_force(self, rng, n_sites):
-        """Untaped halves of 0 to 9 sites, every remainder mod 4, on both sides of the label."""
+        """Halves of 0 to 9 sites, odd and even, on both sides of the label."""
         for label_site in range(1, n_sites - 1):
             model = init_model(n_sites, 2, 3, seed=n_sites, sigma=0.3, label_site=label_site)
             feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(2, n_sites)))
-            got = forward_batch(model, feats, Strategy.PAIRWISE)
+            got = rounds(model, feats)
             want = np.stack([brute_force_logits(model, image) for image in feats])
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), label_site
 
@@ -270,7 +253,7 @@ class TestPairwiseRounds:
         """Five matrices per half still reduce correctly (odd rounds)."""
         model, feats = random_instance(rng, 12, 2, 3)
         np.testing.assert_allclose(
-            forward_batch(model, feats)[0], brute_force_logits(model, feats[0]), rtol=1e-10
+            rounds(model, feats)[0], brute_force_logits(model, feats[0]), rtol=1e-10
         )
 
 
@@ -408,87 +391,34 @@ class TestTapeChoosesTheForm:
         watching.watch_model(model)
         want = forward_batch(model, feats, strategy, tape=watching)
         assert watching.nodes
-        for untaped in ("_absorb_quads", "_sweep_untaped"):
-            monkeypatch.setattr(contraction, untaped, None)
+        monkeypatch.setattr(contraction, "_sweep_untaped", None)
         tape = Tape()
         got = forward_batch(model, feats, strategy, tape=tape)
         assert tape.nodes == []
         assert got.tobytes() == want.tobytes()
 
-
-class TestUntapedBlocks:
-    """An untaped pairwise call runs its batch in even blocks of at most ``BLOCK_BYTES``.
-
-    The reference is the same untaped call with a budget so large that the
-    whole batch is one block. A one-image batch rounds differently from a
-    larger one, so a shape whose block is one image is compared with
-    per-image calls.
-    """
-
     @pytest.mark.parametrize(
-        "n_sites, bond_dim, count, budget",
-        [
-            (196, 10, 109, None),  # 104 images a block: two of 54-55, not 104 + 5
-            (196, 10, 20, None),  # smaller than one block
-            (3, 4, 7, None),  # no bond matrices
-            (132, 64, 3, 2**21),  # one image, about 2.1 MiB, fills a 2 MiB block
-        ],
-        ids=["196-10-109", "196-10-20", "3-4-7", "132-64-3"],
+        "n_sites, bond_dim, batch, label_sites",
+        [(196, 10, 256, [None]), (12, 3, 5, range(1, 11))],
+        ids=["196-10-256", "12-3-5"],
     )
-    def test_blocked_logits_are_byte_identical(
-        self, monkeypatch, rng, n_sites, bond_dim, count, budget
+    def test_untaped_schedules_run_the_one_sweep(
+        self, monkeypatch, rng, n_sites, bond_dim, batch, label_sites
     ):
-        if budget is not None:
-            monkeypatch.setattr(contraction, "BLOCK_BYTES", budget)
-        model = init_model(n_sites, 3, bond_dim, seed=2)
-        feats = encode_batch(model.feature_map, rng.random((count, n_sites)))
-        block = contraction._block_images(model)
-        if block == 1:
-            want = np.concatenate([forward_batch(model, feats[b : b + 1]) for b in range(count)])
-        else:
-            with monkeypatch.context() as whole:
-                whole.setattr(contraction, "BLOCK_BYTES", contraction.BLOCK_BYTES * count)
-                assert contraction._block_images(model) >= count
-                want = forward_batch(model, feats)
-        nodes = []
-        real = contraction._forward_pairwise_batch
-
-        def counted(model, feats, tape, *args):
-            logits = real(model, feats, tape, *args)
-            nodes.append(len(tape.nodes))
-            return logits
-
-        monkeypatch.setattr(contraction, "_forward_pairwise_batch", counted)
-        got = forward_batch(model, feats)
-        assert nodes == [0] * -(-count // block)
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("n_sites, bond_dim", [(196, 10), (784, 10), (196, 32)])
-    def test_block_stacks_and_rounds_fit_the_budget(self, monkeypatch, rng, n_sites, bond_dim):
-        """Two full blocks: each one's stacks and round outputs take at most
-        ``BLOCK_BYTES``, and one more image would not fit."""
-        model = init_model(n_sites, 3, bond_dim, seed=2)
-        block = contraction._block_images(model)
-        feats = encode_batch(model.feature_map, rng.random((2 * block, n_sites)))
-        held = {}
-        real_absorb, real_round = contraction._absorb_quads, Tape.pair_round
-
-        def absorb(tape, *args):
-            stack = real_absorb(tape, *args)
-            held[tape] = held.get(tape, 0) + stack.nbytes
-            return stack
-
-        def round_(tape, stack):
-            out = real_round(tape, stack)
-            held[tape] += out.nbytes
-            return out
-
-        monkeypatch.setattr(contraction, "_absorb_quads", absorb)
-        monkeypatch.setattr(Tape, "pair_round", round_)
-        forward_batch(model, feats)
-        assert len(held) == 2
-        for nbytes in held.values():
-            assert nbytes <= contraction.BLOCK_BYTES < nbytes // block * (block + 1)
+        """Without a tape, pairwise logits are the sequential sweep's bytes, and
+        neither call touches the module workspace that taped steps left."""
+        workspace = autodiff.Workspace()
+        monkeypatch.setattr(autodiff, "_WORKSPACE", workspace)
+        for label_site in label_sites:
+            model = init_model(n_sites, 3, bond_dim, seed=6, label_site=label_site)
+            feats = encode_batch(model.feature_map, rng.random((batch, n_sites)))
+            for _ in range(2):  # the buffer grows to the first step's need at the second
+                loss_and_gradients(model, feats[:2], np.arange(2))
+            flat, used = workspace._flat, workspace._used
+            pair = forward_batch(model, feats, Strategy.PAIRWISE)
+            seq = forward_batch(model, feats, Strategy.SEQUENTIAL)
+            assert workspace._flat is flat and workspace._used == used > 0
+            assert pair.tobytes() == seq.tobytes(), label_site
 
 
 class TestStackLayout:

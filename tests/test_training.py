@@ -409,12 +409,10 @@ class TestTrainLoop:
         feats = encode_batch(model.feature_map, train_set.images[:4, :8])
         with pytest.raises(ConfigError, match="brute force is an untaped oracle"):
             loss_and_gradients(model, feats, train_set.labels[:4], strategy=Strategy.BRUTE_FORCE)
-        model = init_model(16, 2, 3, seed=5)
-        config = TrainConfig(
-            learning_rate=1e-3, batch_size=10, epochs=1, seed=0, strategy=Strategy.BRUTE_FORCE
-        )
         with pytest.raises(ConfigError, match="brute force is an untaped oracle"):
-            train(model, train_set, synthetic_blobs(10, seed=1), config)
+            TrainConfig(
+                learning_rate=1e-3, batch_size=10, epochs=1, seed=0, strategy=Strategy.BRUTE_FORCE
+            )
 
     def test_evaluate_on_degenerate_model_predicts_class_zero(self):
         """sigma=0 makes all logits equal; tie-break sends everything to 0."""
@@ -568,6 +566,31 @@ class TestTrainLoop:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda: TrainConfig(strategy=Strategy.BRUTE_FORCE), ConfigError, "strategy must be"),
+            (lambda: TrainConfig(strategy="pairwise"), ConfigError, "strategy must be"),
+            (lambda: TrainConfig(loss_kind="cross-entropy"), ConfigError, "loss_kind must be"),
+            (lambda: TrainConfig(batch_size=2.5), ConfigError, "batch_size must be an integer"),
+            (lambda: TrainConfig(epochs=2.0), ConfigError, "epochs must be an integer"),
+            (lambda: TrainConfig(eval_batch_size=2.5), ConfigError,
+             "eval_batch_size must be an integer"),
+            (lambda: evaluate_predictions(init_model(12, 2, 2, seed=0), np.ones((12, 2)), [0]),
+             DimensionError, r"expected \[B, N, d\] features"),
+        ],
+        ids=["brute-force", "string-strategy", "string-loss", "float-batch", "float-epochs",
+             "float-eval-batch", "unbatched-features"],
+    )
+    def test_bad_inputs_are_named_up_front(self, call, error, match):
+        """Named where they are given, not at the first step or as a misleading count."""
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_numpy_integers_configure_a_run(self):
+        config = TrainConfig(batch_size=np.int64(8), epochs=np.int32(2), eval_batch_size=np.int64(4))
+        assert (config.batch_size, config.epochs, config.eval_batch_size) == (8, 2, 4)
 
     def test_metrics_csv_layout(self, tmp_path):
         train_set = synthetic_blobs(30, seed=0)

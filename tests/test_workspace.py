@@ -164,42 +164,30 @@ def test_a_borrow_while_the_workspace_is_out_gets_fresh_arrays():
 
 
 def test_untaped_calls_never_grow_the_workspace(monkeypatch):
-    """Untaped forwards and evaluation leave an empty workspace empty, and take
-    what fits from the buffer a taped step left, without growing it."""
+    """Untaped forwards and evaluation leave the workspace untouched: empty before
+    any step, and the buffer and bump that taped steps left after them."""
     workspace = autodiff.Workspace()
     monkeypatch.setattr(autodiff, "_WORKSPACE", workspace)
     model = init_model(21, 4, 3, seed=0)
     rng = np.random.default_rng(5)
     feats, labels = encoded(model, rng, 6), rng.integers(0, 4, 6)
 
-    def untaped_calls():
+    def assert_untaped_calls_leave_it():
+        flat, size, used = workspace._flat, workspace._flat.size, workspace._used
         for strategy in SCHEDULES * 2:
             forward_batch(model, feats, strategy)
             evaluate(model, feats, labels, batch_size=4, strategy=strategy)
+        assert workspace._flat is flat and workspace._flat.size == size
+        assert workspace._used == used
+        return used
 
-    untaped_calls()
+    assert assert_untaped_calls_leave_it() == 0
     assert workspace._flat.size == 0
-    assert workspace._used == 0
     # The buffer grows to a step's need at the next borrow, so each size takes two steps.
-    for _ in range(2):
-        loss_and_gradients(model, feats[:2], labels[:2])
-    small = workspace._flat.size
-    untaped_calls()
-    assert workspace._flat.size == small > 0
-    for _ in range(2):
-        loss_and_gradients(model, feats, labels)
-    real = autodiff.Workspace.empty
-    overflowed = []
-
-    def checked(self, shape):
-        arr = real(self, shape)
-        if self is workspace and not np.shares_memory(arr, self._flat):
-            overflowed.append(shape)
-        return arr
-
-    monkeypatch.setattr(autodiff.Workspace, "empty", checked)
-    forward_batch(model, feats)
-    assert overflowed == []
+    for count in (2, 6):
+        for _ in range(2):
+            loss_and_gradients(model, feats[:count], labels[:count])
+        assert assert_untaped_calls_leave_it() > 0
 
 
 def minor_faults() -> int:
