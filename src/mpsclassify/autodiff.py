@@ -26,18 +26,19 @@ per image, the per-image BLAS calls that sweep exists to avoid. ``einsum`` compi
 each (subscripts, operand shapes) pair once into a plan of transposes,
 reshapes and one ``np.matmul`` (or a broadcast multiply) per pairwise step,
 so repeated calls do no path search and no subscript parsing.
-``Tape.sweep`` steps a vector through a range of rows of a stack with one
-such plan, looked up once per call, writes the vectors into one prefix
-buffer and records the call as one ``contract`` node (``_SweepNode``): the
-row product with a run index prepended, so the FLOP counters read it as one
-``contract`` per row. Its rule reverses the run in one loop: per row one
-call of the compiled vector-adjoint product, written into one environment
-buffer. Every other einsum node takes its adjoints from a plan cached per
-(subscripts, operand shapes, graded operands): factors, or a compiled
-product (``_adjoint_plan``). Dense adjoints of ``gather`` and
-``slice_rows`` add into the rows they came from, in one buffer per source
-array, instead of scattering into a fresh zero copy of the source for
-every node.
+``Tape.sweep`` steps a vector through a range of rows of a stack without
+a plan: on views arranged once per call, the vectors of one prefix buffer
+as [..., 1, chi] rows and the rows as they are or transposed, it makes one
+direct ``np.matmul`` call per row (``_SweepNode.run``). It records the call
+as one ``contract`` node (``_SweepNode``): the row product with a run index
+prepended, so the FLOP counters read it as one ``contract`` per row. Its
+rule reverses the run in one loop of the same calls, the rows arranged the
+other way, written into one environment buffer. Every other einsum node
+takes its adjoints from a plan cached per (subscripts, operand shapes,
+graded operands): factors, or a compiled product (``_adjoint_plan``).
+Dense adjoints of ``gather`` and ``slice_rows`` add into the rows they
+came from, in one buffer per source array, instead of scattering into a
+fresh zero copy of the source for every node.
 
 A ``pair_round`` writes into one C-order output through
 ``np.matmul(..., out=)``, with the carried odd row copied in place. Where an
@@ -412,13 +413,14 @@ class Tape:
         result's adjoint, as a batched vector-matrix product does; the
         vector's operand is the one with ``vec.ndim`` indices (the first, if
         both have). ``rows`` is a range of step 1 or -1 within ``stack``.
-        All of this is checked, and the product's plan compiled, before the
-        first row.
+        All of this is checked before the first row.
 
         The vectors are written into one ``[len(rows) + 1, *vec.shape]``
-        prefix buffer from ``workspace``, the input vector first. If an
-        operand is watched, the call records one node (``_SweepNode``),
-        whose rule reverses the run in one loop.
+        prefix buffer from ``workspace``, the input vector first, by one
+        direct ``np.matmul`` per row on views arranged once per call
+        (``_SweepNode.run``), not by a compiled plan per row. If an operand
+        is watched, the call records one node (``_SweepNode``), whose rule
+        reverses the run in one loop.
         """
         if not isinstance(rows, range) or abs(rows.step) != 1:
             raise DimensionError(f"sweep rows must be a range of step 1 or -1, got {rows!r}")
@@ -431,7 +433,7 @@ class Tape:
         ins, result = subscripts.split("->")
         at = 0 if len(ins.split(",")[0]) == vec.ndim else 1
         shapes = (vec.shape, stack.shape[1:])[:: 1 - 2 * at]
-        product = _compile(subscripts, shapes)
+        _compile(subscripts, shapes)  # checks the subscripts against the operands
         sizes = dict(zip(ins.replace(",", ""), shapes[0] + shapes[1]))
         out_shape = tuple(sizes[ix] for ix in result)
         if out_shape != vec.shape:
@@ -441,7 +443,7 @@ class Tape:
         prefix = self.workspace.empty((len(rows) + 1,) + vec.shape)
         prefix[0] = vec
         mats = stack[min(rows) : max(rows) + 1][:: rows.step]
-        _SweepNode.run(product, at, prefix[0], mats, prefix[1:])
+        _SweepNode.run(mats.swapaxes(-1, -2) if _SweepNode.flips(subscripts, at) else mats, prefix)
         needs = (id(vec) in self._live, id(stack) in self._live)
         if not any(needs):
             return prefix[-1]
@@ -744,7 +746,9 @@ class _SweepNode(Node):
     would read one ``contract`` per row. ``result`` is the final vector that
     later nodes read, ``vec`` the input vector the call was given, and
     ``rows`` the range of ``stack`` it read; ``at`` is the vectors' position
-    among the operands.
+    among the operands. Forward, in ``recompute`` and in reverse, the rows
+    are stepped by ``run``, one direct ``np.matmul`` per row on views
+    arranged once per call, not by a compiled plan per row.
     """
 
     __slots__ = ("result", "vec", "stack", "rows", "at")
@@ -758,44 +762,50 @@ class _SweepNode(Node):
         super().__init__("contract", (prefix[:-1], mats)[order], needs[order], prefix[1:], extra)
         self.result, self.vec, self.stack, self.rows, self.at = prefix[-1], vec, stack, rows, at
 
-    def _row(self) -> tuple:
-        """The row product's subscripts and one row's operand shapes."""
-        return self.extra.replace(self.extra[0], ""), tuple(x.shape[1:] for x in self.inputs)
+    @staticmethod
+    def flips(subscripts: str, at: int) -> bool:
+        """Whether the vector meets each row's last index, so that, as a
+        [..., 1, chi] row, it is multiplied by the rows' transposes."""
+        terms = subscripts.split("->")[0].split(",")
+        return terms[at][-1] == terms[1 - at][-1]
 
     @staticmethod
-    def run(product, at: int, vec: np.ndarray, mats: np.ndarray, out: np.ndarray) -> None:
-        """Step ``vec`` through ``mats`` in turn by ``product``, row j's vector into ``out[j]``."""
-        for mat, into in zip(mats, out):
-            vec = product(*((vec, mat) if at == 0 else (mat, vec)), out=into)
+    def run(mats: np.ndarray, vecs: np.ndarray) -> None:
+        """Step ``vecs[0]`` through ``mats`` in turn, one ``np.matmul`` per row
+        into ``vecs``: ``vecs[j + 1] = vecs[j] @ mats[j]``, the vectors viewed
+        once as [..., 1, chi] rows and ``mats`` arranged by the caller, as
+        they are or as a ``swapaxes(-1, -2)`` view (``flips``)."""
+        vecs = vecs[..., None, :]
+        for vec, mat, into in zip(vecs, mats, vecs[1:]):
+            np.matmul(vec, mat, out=into)
 
     def recompute(self) -> np.ndarray:
         """The run again, from its input vector, into a new array."""
-        out = np.empty_like(self.output)
-        self.run(_compile(*self._row()), self.at, self.inputs[self.at][0],
-                 self.inputs[1 - self.at], out)
-        return out
+        mats = self.inputs[1 - self.at]
+        vecs = np.empty((len(mats) + 1,) + self.output.shape[1:], dtype=DTYPE)
+        vecs[0] = self.inputs[self.at][0]
+        self.run(mats.swapaxes(-1, -2) if self.flips(self.extra, self.at) else mats, vecs)
+        return vecs[1:]
 
     def reverse(self, g, acc: dict, workspace: Workspace) -> None:
         """Give the call's inputs their adjoints from ``g``, its final vector's.
 
         Row j's vector adjoint is written into row j - 1 of one environment
-        buffer from ``workspace``, in one loop; the input vector's adjoint
-        is a new array. ``stack`` gets the rows' matrix factors as the whole
-        prefix and environment arrays (``_file``).
+        buffer from ``workspace`` by ``run`` over the rows in reverse, each
+        arranged the other way from the forward run; the input vector's
+        adjoint is a new array. ``stack`` gets the rows' matrix factors as
+        the whole prefix and environment arrays (``_file``).
         """
         at, vecs, mats = self.at, self.inputs[self.at], self.inputs[1 - self.at]
-        plan = _adjoint_plan(*self._row(), (True, True))
-        adjoint, outer = plan[at][2], plan[1 - at][1]
+        flip = self.flips(self.extra, at)
+        back = mats if flip else mats.swapaxes(-1, -2)
         env = workspace.empty(vecs.shape)
         env[-1] = _dense(g)
-        for j in range(len(env) - 1, 0, -1):
-            adjoint(*((env[j], mats[j]) if at == 0 else (mats[j], env[j])), out=env[j - 1])
+        self.run(back[:0:-1], env[::-1])
         if self.needs[at]:
-            _accumulate(acc, id(self.vec),
-                        adjoint(*((env[0], mats[0]) if at == 0 else (mats[0], env[0]))))
+            _accumulate(acc, id(self.vec), np.matmul(env[0, ..., None, :], back[0])[..., 0, :])
         if self.needs[1 - at]:
-            ops = (vecs, env) if at == 0 else (env, vecs)
-            _file(acc, self.stack, self.rows, ops[outer[0]], ops[outer[1]])
+            _file(acc, self.stack, self.rows, *((env, vecs) if flip else (vecs, env)))
 
 
 def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:

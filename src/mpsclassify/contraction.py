@@ -263,7 +263,8 @@ def forward_batch(
     elif strategy is Strategy.SEQUENTIAL:
         forward = _forward_sequential_batch
     elif strategy is Strategy.BRUTE_FORCE:
-        return np.stack([brute_force_logits(model, feats[b]) for b in range(feats.shape[0])])
+        logits = [brute_force_logits(model, image) for image in feats]
+        return np.array(logits, dtype=DTYPE).reshape(len(feats), model.n_labels)
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
     if tape is None:

@@ -209,7 +209,8 @@ class TestCostModel:
 
 
 class TestRerunDeterminism:
-    def test_seeded_training_reproduces_metrics_bytes(self, tmp_path):
+    @pytest.mark.parametrize("strategy", ["pairwise", "sequential"])
+    def test_seeded_training_reproduces_metrics_bytes(self, tmp_path, strategy):
         args = [
             "train",
             "--synthetic", "150",
@@ -217,6 +218,7 @@ class TestRerunDeterminism:
             "--bond-dim", "3",
             "--learning-rate", "1e-3",
             "--seed", "9",
+            "--strategy", strategy,
         ]
         paths = (tmp_path / "first.csv", tmp_path / "second.csv")
         for path in paths:
@@ -229,7 +231,7 @@ class TestRerunDeterminism:
         first, second = (stable_lines(p) for p in paths)
         ok = first == second
         report(
-            "rerun-determinism",
+            f"rerun-determinism ({strategy})",
             ok,
             f"{len(first) - 1} epoch rows byte-identical across reruns "
             f"(timing column excluded)",

@@ -29,6 +29,22 @@ def weighted_sum(tape, y, w):
     return tape.contract(f"{letters},{letters}->", y, w)
 
 
+# Every row product ``Tape.sweep`` accepts for a [B, chi] vector and [B, chi, chi] rows.
+SWEEP_FORMS = ["bx,bxy->by", "bxy,by->bx", "by,bxy->bx", "bxy,bx->by"]
+
+
+class KeepingWorkspace(autodiff.Workspace):
+    """A tape's own workspace that keeps every array it hands out, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.arrays = []
+
+    def empty(self, shape):
+        self.arrays.append(super().empty(shape))
+        return self.arrays[-1]
+
+
 def per_site_sweep(tape, subscripts, vec, stack, rows):
     """``Tape.sweep`` as a loop of ``gather`` and ``contract`` calls, so that
     ``backward`` sends each row through the per-node rules."""
@@ -708,6 +724,40 @@ class TestSweep:
             grads.append(backward(tape, wrt))
         for got, want in zip(*grads):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 3, 50])
+    @pytest.mark.parametrize("subscripts", SWEEP_FORMS)
+    def test_every_row_of_every_form_is_numpys_product(self, rng, batch, subscripts):
+        """Each prefix row is ``np.einsum`` of the row product, and each
+        environment row, the input vector's adjoint included, ``np.einsum`` of
+        the vector's adjoint form, bit for bit; and the node replays. A row is
+        transposed or not by the subscripts, not by the operands' order alone."""
+        terms, out = subscripts.split("->")
+        terms = terms.split(",")
+        at = 0 if len(terms[0]) == 2 else 1
+        adjoint = ",".join(out if j == at else term for j, term in enumerate(terms))
+        adjoint += "->" + terms[at]
+
+        def operands(vec, mat):
+            return (vec, mat) if at == 0 else (mat, vec)
+
+        stack, vec = rng.standard_normal((5, batch, 4, 4)), rng.standard_normal((batch, 4))
+        rows = range(4, 0, -1)
+        tape = Tape()
+        tape.workspace = KeepingWorkspace()
+        tape.watch(stack)
+        tape.watch(vec)
+        w = rng.standard_normal((batch, 4))
+        weighted_sum(tape, tape.sweep(subscripts, vec, stack, rows), w)
+        tape.replay()
+        (vec_adjoint,) = backward(tape, [vec])
+        prefix, env = tape.workspace.arrays
+        for j, mat in enumerate(stack[list(rows)]):
+            want = np.einsum(subscripts, *operands(prefix[j], mat), optimize=True)
+            assert prefix[j + 1].shape == want.shape and prefix[j + 1].tobytes() == want.tobytes()
+            got = env[j - 1] if j else vec_adjoint
+            want = np.einsum(adjoint, *operands(env[j], mat), optimize=True)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("watched", ["both", "vec", "stack", "none"])
     def test_unwatched_operands_record_what_the_loop_records(self, rng, watched):

@@ -75,8 +75,9 @@ def cold_plans():
 @pytest.mark.parametrize("strategy", [Strategy.PAIRWISE, Strategy.SEQUENTIAL])
 @pytest.mark.parametrize("batch", [1, 50])
 def test_every_planned_contraction_matches_numpy(monkeypatch, cold_plans, strategy, batch):
-    """Plans run without ``einsum`` too: ``Tape.sweep``'s product and the cached
-    adjoint products. Every plan call of a taped step is NumPy's result bit for bit."""
+    """Plans run without ``einsum`` too: the cached adjoint products. Every plan
+    call of a taped step is NumPy's result bit for bit. ``Tape.sweep`` steps its
+    rows without a plan; ``TestSweep`` in test_autodiff.py checks them."""
     real = autodiff._compile
     calls = []
 
@@ -93,8 +94,6 @@ def test_every_planned_contraction_matches_numpy(monkeypatch, cold_plans, strate
     desk_step(strategy, batch)()
     forms = {subscripts for subscripts, _ in calls}
     assert forms <= set(FORMS)
-    if strategy is Strategy.SEQUENTIAL:  # the sweep's products and their dense adjoints
-        assert {"bx,bxy->by", "by,bxy->bx", "bxy,by->bx", "bxy,bx->by"} <= forms
     for subscripts, ops in calls:
         got = real(subscripts, tuple(op.shape for op in ops))(*ops)
         want = np.einsum(subscripts, *ops, optimize=True)

@@ -185,6 +185,16 @@ class TestStrategyAgreement:
         out = forward_batch(model, feats, Strategy.BRUTE_FORCE)
         np.testing.assert_allclose(out, forward_batch(model, feats), rtol=1e-10)
 
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.PAIRWISE, Strategy.SEQUENTIAL, Strategy.BRUTE_FORCE]
+    )
+    def test_an_empty_batch_gives_an_empty_logit_array(self, rng, strategy):
+        """No images give a (0, L) array of logits, brute force included."""
+        model = init_model(12, 3, 3, seed=4)
+        feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(2, 12)))
+        out = forward_batch(model, feats[:0], strategy)
+        assert out.shape == (0, 3) and out.dtype == np.float64
+
 
 class TestMultilinearity:
     """Logits are linear in each core with all others held fixed (untaped forward)."""
