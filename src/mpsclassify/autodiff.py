@@ -26,12 +26,14 @@ per image, the per-image BLAS calls that sweep exists to avoid. ``einsum`` compi
 each (subscripts, operand shapes) pair once into a plan of transposes,
 reshapes and one ``np.matmul`` (or a broadcast multiply) per pairwise step,
 so repeated calls do no path search and no subscript parsing.
-``Tape.sweep`` steps a vector through a range of rows of a stack without
-a plan: on views arranged once per call, the vectors of one prefix buffer
-as [..., 1, chi] rows and the rows as they are or transposed, it makes one
-direct ``np.matmul`` call per row (``_SweepNode.run``). It records the call
-as one ``contract`` node (``_SweepNode``): the row product with a run index
-prepended, so the FLOP counters read it as one ``contract`` per row. Its
+``Tape.sweep(vec, stack, rows)`` steps a [B, chi] vector through one chain
+half, rows of a [S, B, chi, chi] stack, without a plan: ascending rows as
+``v @ A``, descending ones as ``A @ v``. On views arranged once per call,
+the vectors of one prefix buffer as [..., 1, chi] rows and the rows as they
+are or transposed, it makes one direct ``np.matmul`` per row
+(``_SweepNode.run``). It records one ``contract`` node (``_SweepNode``),
+``"sbx,sbxy->sby"`` or ``"sby,sbxy->sbx"``, the row product with a run
+index prepended, so the FLOP counters read it as one ``contract`` per row. Its
 rule reverses the run in one loop of the same calls, the rows arranged the
 other way, written into one environment buffer. Every other einsum node
 takes its adjoints from a plan cached per (subscripts, operand shapes,
@@ -78,14 +80,13 @@ round's factors are [T, B, chi], small enough to be freed round by round.
 
 import functools
 import math
-import string
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, MpsError, NumericError
+from .errors import ConfigError, ConsistencyError, DimensionError, MpsError, NumericError
 from .losses import LossKind, compute_loss
 from .model import MpsClassifier
 from .tensor import DTYPE
@@ -404,50 +405,39 @@ class Tape:
             raise DimensionError(f"gather index {index} out of range for {x.shape}")
         return self._record("gather", (x,), x[index], index)
 
-    def sweep(self, subscripts: str, vec: np.ndarray, stack: np.ndarray, rows: range) -> np.ndarray:
-        """Step ``vec`` through rows ``rows`` of ``stack`` in turn: the final vector.
+    def sweep(self, vec: np.ndarray, stack: np.ndarray, rows: range) -> np.ndarray:
+        """Step ``vec`` [B, chi] through rows ``rows`` of ``stack`` [S, B, chi, chi]
+        in turn: the final vector.
 
-        ``subscripts`` multiplies the vector by one row, the two operands
-        named in either order, and must return a vector of ``vec``'s shape
-        and have the row's adjoint an outer product of the vector and the
-        result's adjoint, as a batched vector-matrix product does; the
-        vector's operand is the one with ``vec.ndim`` indices (the first, if
-        both have). ``rows`` is a range of step 1 or -1 within ``stack``.
-        All of this is checked before the first row.
+        ``rows``, a range of step 1 or -1 within ``stack``, sets the product:
+        ascending rows give ``v @ A`` (a left chain half), descending rows
+        ``A @ v`` (a right half). Rows and shapes are checked up front.
 
-        The vectors are written into one ``[len(rows) + 1, *vec.shape]``
-        prefix buffer from ``workspace``, the input vector first, by one
-        direct ``np.matmul`` per row on views arranged once per call
-        (``_SweepNode.run``), not by a compiled plan per row. If an operand
-        is watched, the call records one node (``_SweepNode``), whose rule
-        reverses the run in one loop.
+        The vectors are written into one ``[len(rows) + 1, B, chi]`` prefix
+        buffer from ``workspace``, the input vector first, by one direct
+        ``np.matmul`` per row on views arranged once per call
+        (``_SweepNode.run``). If an operand is watched, the call records one
+        node (``_SweepNode``), whose rule reverses the run in one loop.
         """
         if not isinstance(rows, range) or abs(rows.step) != 1:
             raise DimensionError(f"sweep rows must be a range of step 1 or -1, got {rows!r}")
+        if not (vec.ndim == 2 and stack.shape[1:] == vec.shape + vec.shape[-1:]):
+            raise DimensionError(f"sweep expects a [B, chi] vector and [S, B, chi, chi] "
+                                 f"rows, got {vec.shape} and {stack.shape}")
         if not rows:
             return vec
         if not (0 <= min(rows) and max(rows) < len(stack)):
             raise DimensionError(
                 f"sweep rows {rows[0]}..{rows[-1]} out of range for {stack.shape}"
             )
-        ins, result = subscripts.split("->")
-        at = 0 if len(ins.split(",")[0]) == vec.ndim else 1
-        shapes = (vec.shape, stack.shape[1:])[:: 1 - 2 * at]
-        _compile(subscripts, shapes)  # checks the subscripts against the operands
-        sizes = dict(zip(ins.replace(",", ""), shapes[0] + shapes[1]))
-        out_shape = tuple(sizes[ix] for ix in result)
-        if out_shape != vec.shape:
-            raise DimensionError(f"{subscripts!r} turns a vector {vec.shape} into {out_shape}")
-        if _adjoint_plan(subscripts, shapes, (True, True))[1 - at][1] is None:
-            raise DimensionError(f"{subscripts!r} has no outer-product adjoint for its rows")
         prefix = self.workspace.empty((len(rows) + 1,) + vec.shape)
         prefix[0] = vec
         mats = stack[min(rows) : max(rows) + 1][:: rows.step]
-        _SweepNode.run(mats.swapaxes(-1, -2) if _SweepNode.flips(subscripts, at) else mats, prefix)
+        _SweepNode.run(mats if rows.step > 0 else mats.swapaxes(-1, -2), prefix)
         needs = (id(vec) in self._live, id(stack) in self._live)
         if not any(needs):
             return prefix[-1]
-        node = _SweepNode(subscripts, at, prefix, mats, needs, vec, stack, rows)
+        node = _SweepNode(prefix, mats, needs, vec, stack, rows)
         self.nodes.append(node)
         self._live.add(id(node.result))
         return node.result
@@ -491,8 +481,10 @@ class Tape:
         return sum(_node_forward_flops(n) for n in self.nodes)
 
     def backward_flops(self) -> int:
-        """FLOPs of the dense adjoint rules: an upper bound, since a round fed
-        factors does about 1/chi of its count."""
+        """FLOPs of the dense adjoint rules, an upper bound: a round fed factors
+        does about 1/chi of its count, and each sweep row's matrix adjoint,
+        2·B·chi², is filed as factors, never computed (1.93 of the 8.23 MFLOP
+        counted for a desk-recipe sequential step)."""
         return sum(_node_backward_flops(n) for n in self.nodes)
 
 
@@ -739,53 +731,44 @@ def _input_adjoints(node: Node, g):
 class _SweepNode(Node):
     """One ``Tape.sweep`` call, recorded as a ``contract`` of its row product over the run.
 
-    Its subscripts are the row product's with a run index prepended, such
-    as ``"sbx,sbxy->sby"``; its inputs are the vectors the rows read,
-    ``prefix[:-1]``, and the rows in run order, and its output is the
-    vectors they give, ``prefix[1:]``. So the FLOP counters read it as they
-    would read one ``contract`` per row. ``result`` is the final vector that
-    later nodes read, ``vec`` the input vector the call was given, and
-    ``rows`` the range of ``stack`` it read; ``at`` is the vectors' position
-    among the operands. Forward, in ``recompute`` and in reverse, the rows
-    are stepped by ``run``, one direct ``np.matmul`` per row on views
-    arranged once per call, not by a compiled plan per row.
+    Its subscripts are the row product's with a run index prepended,
+    ``"sbx,sbxy->sby"`` for ascending rows (``v @ A``) and
+    ``"sby,sbxy->sbx"`` for descending ones (``A @ v``); its inputs are the
+    vectors the rows read, ``prefix[:-1]``, and the rows in run order, and
+    its output is the vectors they give, ``prefix[1:]``. So the FLOP
+    counters read it as they would read one ``contract`` per row.
+    ``result`` is the final vector that later nodes read, ``vec`` the input
+    vector the call was given, and ``rows`` the range of ``stack`` it read.
+    Forward, in ``recompute`` and in reverse, the rows are stepped by
+    ``run``, one direct ``np.matmul`` per row on views arranged once per
+    call, the rows transposed where ``rows`` descends.
     """
 
-    __slots__ = ("result", "vec", "stack", "rows", "at")
+    __slots__ = ("result", "vec", "stack", "rows")
 
-    def __init__(self, subscripts, at, prefix, mats, needs, vec, stack, rows):
+    def __init__(self, prefix, mats, needs, vec, stack, rows):
         """``needs`` says whether ``vec`` and ``stack``, in that order, are watched."""
-        run = next(ix for ix in "s" + string.ascii_letters if ix not in subscripts)
-        ins, out = subscripts.split("->")
-        extra = ",".join(run + term for term in ins.split(",")) + f"->{run}{out}"
-        order = slice(None, None, 1 - 2 * at)
-        super().__init__("contract", (prefix[:-1], mats)[order], needs[order], prefix[1:], extra)
-        self.result, self.vec, self.stack, self.rows, self.at = prefix[-1], vec, stack, rows, at
-
-    @staticmethod
-    def flips(subscripts: str, at: int) -> bool:
-        """Whether the vector meets each row's last index, so that, as a
-        [..., 1, chi] row, it is multiplied by the rows' transposes."""
-        terms = subscripts.split("->")[0].split(",")
-        return terms[at][-1] == terms[1 - at][-1]
+        extra = "sbx,sbxy->sby" if rows.step > 0 else "sby,sbxy->sbx"
+        super().__init__("contract", (prefix[:-1], mats), needs, prefix[1:], extra)
+        self.result, self.vec, self.stack, self.rows = prefix[-1], vec, stack, rows
 
     @staticmethod
     def run(mats: np.ndarray, vecs: np.ndarray) -> None:
         """Step ``vecs[0]`` through ``mats`` in turn, one ``np.matmul`` per row
         into ``vecs``: ``vecs[j + 1] = vecs[j] @ mats[j]``, the vectors viewed
         once as [..., 1, chi] rows and ``mats`` arranged by the caller, as
-        they are or as a ``swapaxes(-1, -2)`` view (``flips``)."""
+        they are or as a ``swapaxes(-1, -2)`` view."""
         vecs = vecs[..., None, :]
         for vec, mat, into in zip(vecs, mats, vecs[1:]):
             np.matmul(vec, mat, out=into)
 
     def recompute(self) -> np.ndarray:
         """The run again, from its input vector, into a new array."""
-        mats = self.inputs[1 - self.at]
-        vecs = np.empty((len(mats) + 1,) + self.output.shape[1:], dtype=DTYPE)
-        vecs[0] = self.inputs[self.at][0]
-        self.run(mats.swapaxes(-1, -2) if self.flips(self.extra, self.at) else mats, vecs)
-        return vecs[1:]
+        vecs, mats = self.inputs
+        out = np.empty((len(mats) + 1,) + vecs.shape[1:], dtype=DTYPE)
+        out[0] = vecs[0]
+        self.run(mats if self.rows.step > 0 else mats.swapaxes(-1, -2), out)
+        return out[1:]
 
     def reverse(self, g, acc: dict, workspace: Workspace) -> None:
         """Give the call's inputs their adjoints from ``g``, its final vector's.
@@ -796,16 +779,16 @@ class _SweepNode(Node):
         adjoint is a new array. ``stack`` gets the rows' matrix factors as
         the whole prefix and environment arrays (``_file``).
         """
-        at, vecs, mats = self.at, self.inputs[self.at], self.inputs[1 - self.at]
-        flip = self.flips(self.extra, at)
-        back = mats if flip else mats.swapaxes(-1, -2)
+        vecs, mats = self.inputs
+        ascending = self.rows.step > 0
+        back = mats.swapaxes(-1, -2) if ascending else mats
         env = workspace.empty(vecs.shape)
         env[-1] = _dense(g)
         self.run(back[:0:-1], env[::-1])
-        if self.needs[at]:
+        if self.needs[0]:
             _accumulate(acc, id(self.vec), np.matmul(env[0, ..., None, :], back[0])[..., 0, :])
-        if self.needs[1 - at]:
-            _file(acc, self.stack, self.rows, *((env, vecs) if flip else (vecs, env)))
+        if self.needs[1]:
+            _file(acc, self.stack, self.rows, *((vecs, env) if ascending else (env, vecs)))
 
 
 def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
@@ -940,7 +923,11 @@ def grad_check(
     are compared absolutely against it, which keeps finite-difference
     roundoff (of order 1e-10 for unit-scale losses) from dominating
     near-zero gradient entries. Cost is two forward passes per parameter.
+    ``h`` and ``tolerance`` must be positive and finite (``ConfigError``).
     """
+    for name, value in (("h", h), ("tolerance", tolerance)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
     from .encoding import encode_batch
     from .training import batch_loss, loss_and_gradients
 

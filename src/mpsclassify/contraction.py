@@ -7,11 +7,13 @@ Two production schedules plus a brute-force oracle:
   step. Taped, it absorbs every bond site in one node, straight
   from ``cores`` (``STACKED_ABSORB``), then multiplies the vector by
   each site's matrix of that stack in one ``Tape.sweep`` per half, one
-  node each, the vectors written into one prefix buffer. Its backward
-  reverses each half's sweep in one loop into one environment buffer,
-  then builds the ``cores`` gradient from the whole prefix and
-  environment arrays, one batched matmul per feature component and half,
-  with no dense [N-3, B, chi, chi] adjoint (``autodiff.backward``).
+  node each (``v @ A`` over the left half's ascending rows, ``A @ v``
+  over the right half's descending ones), the vectors written into one
+  prefix buffer. Its backward reverses each half's sweep in one loop into
+  one environment buffer, then builds the ``cores`` gradient from the
+  whole prefix and environment arrays, one batched matmul per feature
+  component and half, with no dense [N-3, B, chi, chi] adjoint
+  (``autodiff.backward``).
   Untaped, the vector is held image-last, [chi, B], and takes one step
   per two-site bond (``_sweep_pairs``): one matrix product with all d^2 of the bond's
   matrices for the whole batch, then a weighting along the batch. Only
@@ -208,8 +210,8 @@ def _forward_sequential_batch(model, feats, tape):
     bond_feats = np.concatenate((feats[:, 1:m], feats[:, m + 1 : n - 1]), axis=1)
     out = tape.workspace.empty((n - 3, len(feats)) + model.cores.shape[2:])
     stack = tape.contract(STACKED_ABSORB, model.cores, bond_feats, kind="absorb", out=out)
-    lv = tape.sweep("bx,bxy->by", lv, stack, range(m - 1))
-    rv = tape.sweep("bxy,by->bx", rv, stack, range(n - 4, m - 2, -1))
+    lv = tape.sweep(lv, stack, range(m - 1))
+    rv = tape.sweep(rv, stack, range(n - 4, m - 2, -1))
     return _combine(tape, lv, None, lab, None, rv)
 
 

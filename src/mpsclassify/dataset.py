@@ -260,9 +260,13 @@ def synthetic_digits(
 
     The class templates come from ``template_seed`` alone, so sets drawn
     with different ``seed`` values share the same task and can serve as
-    train/test splits of each other.
+    train/test splits of each other. ``side`` must be at least 2 and
+    ``n_classes`` at least 1 (``ConfigError``).
     """
     _check_count(count)
+    if side < 2 or n_classes < 1:
+        raise ConfigError(f"synthetic digits need side >= 2 and n_classes >= 1, "
+                          f"got side={side}, n_classes={n_classes}")
     template_rng = np.random.default_rng(template_seed)
     rng = np.random.default_rng(seed)
     templates = np.stack(

@@ -55,6 +55,14 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def _check_positive_int(name: str, value) -> None:
+    """Raise ``ConfigError`` unless ``value`` is an integer >= 1 (a bool is not one)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass
 class TrainConfig:
     """Knobs for one training run. Defaults follow common Adam practice."""
@@ -73,11 +81,7 @@ class TrainConfig:
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
         for name in ("batch_size", "epochs", "eval_batch_size"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+            _check_positive_int(name, getattr(self, name))
         if not isinstance(self.loss_kind, LossKind):
             raise ConfigError(f"loss_kind must be a LossKind, got {self.loss_kind!r}")
         if self.strategy not in (Strategy.PAIRWISE, Strategy.SEQUENTIAL):
@@ -257,8 +261,7 @@ def evaluate_predictions(
     count = feats.shape[0]
     if count == 0:
         raise ConfigError("cannot evaluate an empty set: it holds no images")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    _check_positive_int("batch_size", batch_size)
     if np.shape(labels) != (count,):
         raise DimensionError(f"{np.size(labels)} labels for {count} images")
     loss_sum = 0.0

@@ -29,10 +29,6 @@ def weighted_sum(tape, y, w):
     return tape.contract(f"{letters},{letters}->", y, w)
 
 
-# Every row product ``Tape.sweep`` accepts for a [B, chi] vector and [B, chi, chi] rows.
-SWEEP_FORMS = ["bx,bxy->by", "bxy,by->bx", "by,bxy->bx", "bxy,bx->by"]
-
-
 class KeepingWorkspace(autodiff.Workspace):
     """A tape's own workspace that keeps every array it hands out, in order."""
 
@@ -45,14 +41,18 @@ class KeepingWorkspace(autodiff.Workspace):
         return self.arrays[-1]
 
 
-def per_site_sweep(tape, subscripts, vec, stack, rows):
+def per_site_sweep(tape, vec, stack, rows):
     """``Tape.sweep`` as a loop of ``gather`` and ``contract`` calls, so that
-    ``backward`` sends each row through the per-node rules."""
-    first = len(subscripts.split(",")[0]) == vec.ndim
+    ``backward`` sends each row through the per-node rules: ``v @ A`` over
+    ascending rows, ``A @ v`` over descending ones."""
     for row in rows:
         mat = tape.gather(stack, row)
-        vec = tape.contract(subscripts, *((vec, mat) if first else (mat, vec)))
+        if rows.step > 0:
+            vec = tape.contract("bx,bxy->by", vec, mat)
+        else:
+            vec = tape.contract("bxy,by->bx", mat, vec)
     return vec
+
 
 
 class TestMatmulAdjoint:
@@ -628,8 +628,8 @@ class TestSweep:
         lv, lab, rv = contraction._absorb_ends(model, feats, tape)
         bond_feats = np.concatenate((feats[:, 1:m], feats[:, m + 1 : n - 1]), axis=1)
         stack = tape.contract("sdxy,bsd->sbxy", model.cores, bond_feats, kind="absorb")
-        lv = per_site_sweep(tape, "bx,bxy->by", lv, stack, range(m - 1))
-        rv = per_site_sweep(tape, "bxy,by->bx", rv, stack, range(n - 4, m - 2, -1))
+        lv = per_site_sweep(tape, lv, stack, range(m - 1))
+        rv = per_site_sweep(tape, rv, stack, range(n - 4, m - 2, -1))
         return contraction._combine(tape, lv, None, lab, None, rv)
 
     def assert_matches_the_loop(self, model, feats, labels, read_again=False):
@@ -708,11 +708,16 @@ class TestSweep:
     @pytest.mark.parametrize(
         "rows", [range(1, 4), range(3, 0, -1), range(5), range(4, -1, -1), range(2, 3)]
     )
-    @pytest.mark.parametrize("subscripts", ["bx,bxy->by", "bxy,by->bx"])
+    @pytest.mark.parametrize("form", ["bx,bxy->by", "bxy,by->bx"])
     @pytest.mark.parametrize("watched", ["both", "vec", "stack"])
-    def test_gradients_match_the_loop_for_any_rows(self, rng, rows, subscripts, watched):
-        """Some rows or all, either way, and one row."""
+    def test_gradients_match_the_loop_for_any_rows(self, rng, rows, form, watched):
+        """Some rows or all, either way, and one row, each row of the stack met
+        as ``form``: ``v @ A`` or ``A @ v``. Where that is not the product the
+        rows' direction makes, both sweeps are given the stack as a transposed
+        view, whose rows they step the other way."""
         stack = rng.standard_normal((5, 2, 3, 3))
+        if (form == "bx,bxy->by") != (rows.step > 0):
+            stack = stack.swapaxes(-1, -2)
         vec, w = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
         wrt = [x for name, x in (("stack", stack), ("vec", vec)) if watched in ("both", name)]
         grads = []
@@ -720,40 +725,37 @@ class TestSweep:
             tape = Tape()
             for x in wrt:
                 tape.watch(x)
-            weighted_sum(tape, sweep(tape, subscripts, vec, stack, rows), w)
+            weighted_sum(tape, sweep(tape, vec, stack, rows), w)
             grads.append(backward(tape, wrt))
         for got, want in zip(*grads):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("batch", [1, 3, 50])
-    @pytest.mark.parametrize("subscripts", SWEEP_FORMS)
-    def test_every_row_of_every_form_is_numpys_product(self, rng, batch, subscripts):
-        """Each prefix row is ``np.einsum`` of the row product, and each
+    @pytest.mark.parametrize("form", ["bx,bxy->by", "bxy,by->bx"])
+    def test_every_row_of_every_form_is_numpys_product(self, rng, batch, form):
+        """Each prefix row is ``np.einsum`` of the row product ``form``, ``v @ A``
+        over ascending rows and ``A @ v`` over descending ones, and each
         environment row, the input vector's adjoint included, ``np.einsum`` of
-        the vector's adjoint form, bit for bit; and the node replays. A row is
-        transposed or not by the subscripts, not by the operands' order alone."""
-        terms, out = subscripts.split("->")
-        terms = terms.split(",")
-        at = 0 if len(terms[0]) == 2 else 1
-        adjoint = ",".join(out if j == at else term for j, term in enumerate(terms))
-        adjoint += "->" + terms[at]
+        the vector's adjoint form, bit for bit; and the node replays."""
+        ascending = form == "bx,bxy->by"
+        adjoint = "by,bxy->bx" if ascending else "bxy,bx->by"
 
         def operands(vec, mat):
-            return (vec, mat) if at == 0 else (mat, vec)
+            return (vec, mat) if ascending else (mat, vec)
 
         stack, vec = rng.standard_normal((5, batch, 4, 4)), rng.standard_normal((batch, 4))
-        rows = range(4, 0, -1)
+        rows = range(1, 5) if ascending else range(4, 0, -1)
         tape = Tape()
         tape.workspace = KeepingWorkspace()
         tape.watch(stack)
         tape.watch(vec)
         w = rng.standard_normal((batch, 4))
-        weighted_sum(tape, tape.sweep(subscripts, vec, stack, rows), w)
+        weighted_sum(tape, tape.sweep(vec, stack, rows), w)
         tape.replay()
         (vec_adjoint,) = backward(tape, [vec])
         prefix, env = tape.workspace.arrays
         for j, mat in enumerate(stack[list(rows)]):
-            want = np.einsum(subscripts, *operands(prefix[j], mat), optimize=True)
+            want = np.einsum(form, *operands(prefix[j], mat), optimize=True)
             assert prefix[j + 1].shape == want.shape and prefix[j + 1].tobytes() == want.tobytes()
             got = env[j - 1] if j else vec_adjoint
             want = np.einsum(adjoint, *operands(env[j], mat), optimize=True)
@@ -772,8 +774,8 @@ class TestSweep:
             if watched in ("both", "stack"):
                 tape.watch(stack)
         rows = range(4, 0, -1)
-        got = tapes[0].sweep("bxy,by->bx", vec, stack, rows)
-        want = per_site_sweep(tapes[1], "bxy,by->bx", vec, stack, rows)
+        got = tapes[0].sweep(vec, stack, rows)
+        want = per_site_sweep(tapes[1], vec, stack, rows)
         assert got.tobytes() == want.tobytes()
         assert len(tapes[0].nodes) == (watched != "none")
         for tape in tapes:
@@ -786,13 +788,13 @@ class TestSweep:
         """A tape that watches nothing sweeps without recording a node."""
         stack, vec = rng.standard_normal((4, 2, 3, 3)), rng.standard_normal((2, 3))
         tape = Tape()
-        got = tape.sweep("bx,bxy->by", vec, stack, range(4))
+        got = tape.sweep(vec, stack, range(4))
         want = vec
         for row in range(4):
             want = np.einsum("bx,bxy->by", want, stack[row])
         np.testing.assert_allclose(got, want, rtol=1e-14)
         assert tape.nodes == []
-        assert tape.sweep("bx,bxy->by", vec, stack, range(0)) is vec
+        assert tape.sweep(vec, stack, range(0)) is vec
 
     @pytest.mark.parametrize("rows", [range(0, 5), range(-1, 1), range(7, 1, -1)])
     def test_a_row_out_of_range_is_named_before_any_record(self, rng, rows):
@@ -800,7 +802,7 @@ class TestSweep:
         tape = Tape()
         tape.watch(stack)
         with pytest.raises(DimensionError, match="out of range"):
-            tape.sweep("bx,bxy->by", vec, stack, rows)
+            tape.sweep(vec, stack, rows)
         assert tape.nodes == []
 
     @pytest.mark.parametrize(
@@ -811,25 +813,27 @@ class TestSweep:
         tape = Tape()
         tape.watch(stack)
         with pytest.raises(DimensionError, match="range of step 1 or -1"):
-            tape.sweep("bx,bxy->by", vec, stack, rows)
+            tape.sweep(vec, stack, rows)
         assert tape.nodes == []
 
-    def test_a_product_that_changes_the_vector_is_refused(self, rng):
-        stack, vec = rng.standard_normal((2, 2, 3, 4)), rng.standard_normal((2, 3))
-        with pytest.raises(DimensionError, match="turns a vector"):
-            Tape().sweep("bx,bxy->by", vec, stack, range(2))
-
-    def test_a_product_whose_row_adjoint_is_no_outer_product_is_refused(self, rng):
-        """One matrix for the whole batch: its adjoint sums over the batch."""
-        stack, vec = rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3))
-        with pytest.raises(DimensionError, match="outer-product adjoint"):
-            Tape().sweep("bx,xy->by", vec, stack, range(2))
+    def test_rows_that_are_no_square_matrix_per_image_are_refused_before_any_record(self, rng):
+        """A non-square stack would change the vector's shape; a batch-less one
+        would have a row adjoint summed over the batch, no outer product."""
+        vec = rng.standard_normal((2, 3))
+        for shape in [(2, 2, 3, 4), (2, 3, 3)]:
+            stack = rng.standard_normal(shape)
+            tape = Tape()
+            tape.watch(stack)
+            tape.watch(vec)
+            with pytest.raises(DimensionError, match=r"\[B, chi\] vector"):
+                tape.sweep(vec, stack, range(2))
+            assert tape.nodes == []
 
     def test_replay_names_a_sweep_whose_output_row_was_overwritten(self, rng):
         stack, vec = rng.standard_normal((4, 2, 3, 3)), rng.standard_normal((2, 3))
         tape = Tape()
         tape.watch(stack)
-        weighted_sum(tape, tape.sweep("bx,bxy->by", vec, stack, range(4)), np.ones((2, 3)))
+        weighted_sum(tape, tape.sweep(vec, stack, range(4)), np.ones((2, 3)))
         tape.replay()
         tape.nodes[0].output[1] += 1.0
         with pytest.raises(ConsistencyError, match=r"node 0 \(contract\)"):
@@ -842,7 +846,7 @@ class TestSweep:
             tapes.append(Tape())
             tapes[-1].watch(stack)
             tapes[-1].watch(vec)
-            final = sweep(tapes[-1], "bxy,by->bx", vec, stack, range(4, 0, -1))
+            final = sweep(tapes[-1], vec, stack, range(4, 0, -1))
             grads.append(backward(tapes[-1], [stack, vec, final], loss_adjoint=0.5))
         assert [type(node) for node in tapes[0].nodes] == [autodiff._SweepNode]
         np.testing.assert_array_equal(grads[0][2], np.full((2, 3), 0.5))
@@ -908,6 +912,17 @@ class TestGradCheck:
         report = grad_check(model, images, labels, h=0.1, tolerance=1e-9)
         assert not report.passed
         assert "FAIL" in report.format_table()
+
+    @pytest.mark.parametrize("option", ["h", "tolerance"])
+    @pytest.mark.parametrize("value", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_a_step_or_tolerance_that_is_not_positive_and_finite_is_refused(
+        self, rng, option, value
+    ):
+        """Named before any difference is taken, not a ZeroDivisionError."""
+        model = init_model(6, 2, 2, seed=3)
+        images = rng.uniform(0, 1, size=(1, 6))
+        with pytest.raises(ConfigError, match=f"{option} must be positive and finite"):
+            grad_check(model, images, np.array([1]), **{option: value})
 
     def test_deterministic(self, rng):
         model = init_model(6, 2, 2, seed=3)

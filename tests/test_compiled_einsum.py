@@ -76,8 +76,10 @@ def cold_plans():
 @pytest.mark.parametrize("batch", [1, 50])
 def test_every_planned_contraction_matches_numpy(monkeypatch, cold_plans, strategy, batch):
     """Plans run without ``einsum`` too: the cached adjoint products. Every plan
-    call of a taped step is NumPy's result bit for bit. ``Tape.sweep`` steps its
-    rows without a plan; ``TestSweep`` in test_autodiff.py checks them."""
+    call of a taped step is NumPy's result bit for bit. ``Tape.sweep(vec,
+    stack, rows)`` steps its rows without a plan, ``v @ A`` over ascending rows
+    and ``A @ v`` over descending ones; test_autodiff.py's
+    ``TestSweep::test_every_row_of_every_form_is_numpys_product`` checks both."""
     real = autodiff._compile
     calls = []
 

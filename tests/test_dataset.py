@@ -264,6 +264,14 @@ class TestSyntheticSets:
         with pytest.raises(ConfigError, match="-3"):
             generate(-3, seed=0)
 
+    @pytest.mark.parametrize(
+        "side, n_classes", [(1, 10), (0, 10), (14, 0)], ids=["side-1", "side-0", "no-classes"]
+    )
+    def test_a_digit_set_with_no_pixel_range_or_no_class_is_refused(self, side, n_classes):
+        """Not NaN pixels from a one-pixel template, and not a bare NumPy error."""
+        with pytest.raises(ConfigError, match=f"side={side}, n_classes={n_classes}"):
+            synthetic_digits(5, seed=0, side=side, n_classes=n_classes)
+
     def test_label_histogram(self):
         hist = label_histogram(np.array([0, 2, 2, 1]), n_labels=4)
         assert hist == [1, 1, 2, 0]

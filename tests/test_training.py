@@ -451,6 +451,20 @@ class TestTrainLoop:
             with pytest.raises(ConfigError, match="batch_size must be >= 1"):
                 evaluate_predictions(model, feats, test_set.labels, batch_size=batch_size)
 
+    def test_evaluate_checks_the_batch_size_as_train_config_does(self):
+        """A float is refused by name, not by range(), and a bool is no batch size of 1."""
+        test_set = synthetic_blobs(10, seed=4)
+        model = init_model(16, 2, 3, seed=0)
+        feats = encode_batch(model.feature_map, test_set.images)
+        for batch_size in (2.5, True, np.float64(4.0)):
+            for call in (evaluate, evaluate_predictions):
+                with pytest.raises(ConfigError, match="batch_size must be an integer"):
+                    call(model, feats, test_set.labels, batch_size=batch_size)
+            with pytest.raises(ConfigError, match="batch_size must be an integer"):
+                TrainConfig(batch_size=batch_size)
+        _, acc = evaluate(model, feats, test_set.labels, batch_size=np.int64(4))
+        assert 0.0 <= acc <= 1.0
+
     def test_evaluate_checks_the_label_count_before_any_contraction(self, monkeypatch):
         """12 labels for 10 images fail before the first batch, naming both counts."""
         test_set = synthetic_blobs(10, seed=4)
