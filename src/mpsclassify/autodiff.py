@@ -18,11 +18,12 @@ factors of all 193 bond sites, are views of the workspace. On a tape with
 its own workspace the environment buffers are new arrays, held until the
 absorb, and ``backward`` alone traces about 1.9 MiB.
 
-Every contraction, forward or adjoint, runs a plan of ``einsum``'s, save
-the weightings of the untaped sequential sweep (``contraction._sweep_pairs``
-and its label combine): a broadcast multiply and a sum, run directly
-along the batch. As an einsum each would compile to one matrix-vector product
-per image, the per-image BLAS calls that sweep exists to avoid. ``einsum`` compiles
+Every taped contraction, forward or adjoint, runs a plan of ``einsum``'s.
+The untaped sequential sweep (``contraction._sweep_half``) records nothing
+and uses no plan: per site, a broadcast multiply weights the vector along
+the batch, then one direct ``np.matmul`` serves the whole batch. As an
+einsum the weighting would compile to one matrix-vector product per image,
+the per-image BLAS calls that sweep exists to avoid. ``einsum`` compiles
 each (subscripts, operand shapes) pair once into a plan of transposes,
 reshapes and one ``np.matmul`` (or a broadcast multiply) per pairwise step,
 so repeated calls do no path search and no subscript parsing.
@@ -80,6 +81,7 @@ round's factors are [T, B, chi], small enough to be freed round by round.
 
 import functools
 import math
+import mmap
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -305,11 +307,30 @@ class Workspace:
         start = self._used
         self._used = start + math.prod(shape)
         if self._used > self._flat.size:
-            return np.empty(shape, dtype=DTYPE)
+            return self._beyond(shape)
         return self._flat[start : self._used].reshape(shape)
 
+    def _beyond(self, shape: tuple) -> np.ndarray:
+        return np.empty(shape, dtype=DTYPE)
 
-_WORKSPACE = Workspace()
+
+class _ModuleWorkspace(Workspace):
+    """The workspace ``lend_workspace`` lends, which overflows only while it grows.
+
+    Those arrays are mapped on their own, so they go back to the system
+    once freed. From the heap, a first desk step's 15 MiB of them could
+    stay resident behind a small live block while the next step faulted in
+    the grown buffer, some 12 MB over the usual peak. A tape's own
+    workspace overflows on every call, and takes its arrays from the heap.
+    """
+
+    def _beyond(self, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        mapping = mmap.mmap(-1, max(size, 1) * np.dtype(DTYPE).itemsize)
+        return np.frombuffer(mapping, DTYPE, size).reshape(shape)
+
+
+_WORKSPACE = _ModuleWorkspace()
 _LENDING = threading.Lock()
 
 

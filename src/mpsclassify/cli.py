@@ -198,8 +198,12 @@ def _cmd_bench(args) -> int:
         feats = encode_batch(model.feature_map, images)
         for strategy_name in args.strategies:
             strategy = _STRATEGIES[strategy_name]
+            # The evaluation path, before any taped call: untaped, both schedules sweep.
+            best_untaped, untaped_faults = _timed(
+                args.repeats, lambda: forward_batch(model, feats, strategy)
+            )
             # Each schedule's own contraction, on a tape that watches nothing:
-            # what ``forward_flops`` counts. Untaped, both would run the sweep.
+            # what ``forward_flops`` counts.
             best_fwd, fwd_faults = _timed(
                 args.repeats, lambda: forward_batch(model, feats, strategy, tape=Tape())
             )
@@ -214,6 +218,8 @@ def _cmd_bench(args) -> int:
                 "forward_seconds": best_fwd,
                 "forward_flops": counted.forward_flops(),
                 "forward_minor_faults": fwd_faults,
+                "untaped_seconds": best_untaped,
+                "untaped_minor_faults": untaped_faults,
             }
             if args.backward:
                 labels = np.zeros(args.batch, dtype=np.int64)

@@ -15,10 +15,11 @@ Two production schedules plus a brute-force oracle:
   component and half, with no dense [N-3, B, chi, chi] adjoint
   (``autodiff.backward``).
   Untaped, the vector is held image-last, [chi, B], and takes one step
-  per two-site bond (``_sweep_pairs``): one matrix product with all d^2 of the bond's
-  matrices for the whole batch, then a weighting along the batch. Only
-  the batch-independent bonds cost chi^3. The label core then takes the
-  right vector first (``_sweep_untaped``), so no [B, L, chi, chi] label
+  per site, weights first (``_sweep_half``): the site's features weight
+  the vector along the batch, ``u = f ⊗ v`` [d, chi, B], then one
+  ``[chi, d chi] @ [d chi, B]`` product with the site's d matrices side by
+  side serves the whole batch. The label core is one more such step on
+  the right vector (``_sweep_untaped``), so no [B, L, chi, chi] label
   block is built.
 * ``pairwise``: absorb every pixel of each half at once, one site per
   matrix, from the half's own rows of ``cores``, then repeatedly multiply
@@ -126,50 +127,19 @@ def _absorb_half(tape, cores, feats):
     return tape.contract(STACKED_ABSORB, cores, feats, kind="absorb", out=out)
 
 
-def _pair(tape, subscripts, x):
-    """``subscripts`` over rows (2k, 2k+1) of ``x``, an odd last row left out: the bonds
-    ``A_2k^s A_2k+1^t`` of cores, or the feature outer products that mix them per image."""
-    even, odd = slice(0, len(x) // 2 * 2, 2), slice(1, len(x) // 2 * 2, 2)
-    return tape.contract(subscripts, x[even], x[odd], kind="absorb")
+def _sweep_half(mats, feats, vec):
+    """Untaped sweep of an image-last vector [chi, B] through ``mats`` in order: [rows, B].
 
-
-def _pair_weights(tape, feats):
-    """Image-last features [n, d, B] of [B, n, d] ``feats``, and the outer products of
-    sites (2k, 2k+1), [n//2, d, d, B]: each product runs along the batch."""
-    feats = np.ascontiguousarray(feats.transpose(1, 2, 0))
-    return feats, _pair(tape, "ksb,ktb->kstb", feats)
-
-
-def _sweep_pairs(tape, cores, feats, vec, right):
-    """Untaped sweep of a boundary vector [B, chi] through a half's n sites: [chi, B].
-
-    The vector is held image-last, [chi, B]. Each of its ceil(n/2) steps is
-    one ``[d^2 chi, chi] @ [chi, B]`` product with all d^2 matrices of a
-    two-site bond, then one broadcast multiply by the pair's image-last
-    weights [d^2, 1, B] and a sum over the d^2 matrices, both along the
-    batch. The weighting is not an einsum: compiled, it would be one
-    matrix-vector product per image. An odd last site is stepped alone the
-    same way, on d matrices; on the right it is the outermost, so it goes
-    first.
+    ``mats`` [n, rows, d chi] holds each site's d matrices side by side and
+    ``feats`` [n, d, B] its image-last features. Each step weights first,
+    ``u = f ⊗ v`` [d, chi, B] along the batch, then makes one
+    ``[rows, d chi] @ [d chi, B]`` product for the whole batch.
     """
-    feats, weights = _pair_weights(tape, feats)
-    # Each half's bonds are laid out with the index its step sums over last,
-    # [d^2, x, z] on the right and [d^2, z, x] on the left, so no pair step copies its bond.
-    layout = "xz" if right else "zx"
-    bonds = _pair(tape, f"ksxy,ktyz->kst{layout}", cores)
-    d2 = cores.shape[1] ** 2
-    steps = list(zip(bonds.reshape((len(bonds), d2) + cores.shape[2:]),
-                     weights.reshape(len(weights), d2, 1, feats.shape[2])))
-    if len(cores) % 2:
-        last = cores[-1] if right else cores[-1].swapaxes(1, 2)
-        steps.append((last, feats[-1, :, None]))
-    # The vector is named first: the plan pops operands in reverse, so its
-    # one matmul produces [d^2, chi, B] directly, not a transposed view.
-    form = f"zb,j{layout}->jxb" if right else f"xb,j{layout}->jzb"
-    vec = vec.T
-    for bond, w in reversed(steps) if right else steps:
-        step = tape.contract(form, vec, bond)  # a new array, weighted in place
-        vec = np.add.reduce(np.multiply(step, w, out=step))
+    u = np.empty(feats.shape[1:2] + vec.shape)
+    flat = u.reshape(mats.shape[-1], -1)
+    for mat, f in zip(mats, feats[:, :, None]):
+        np.multiply(f, vec, out=u)
+        vec = np.matmul(mat, flat)
     return vec
 
 
@@ -215,23 +185,30 @@ def _forward_sequential_batch(model, feats, tape):
     return _combine(tape, lv, None, lab, None, rv)
 
 
-def _sweep_untaped(model, feats, tape):
-    """Untaped sequential logits [B, L]: both halves swept image-last (``_sweep_pairs``),
-    then the label core met with the right vector first.
+def _sweep_untaped(model, feats):
+    """Untaped sequential logits [B, L]: both halves swept image-last, one
+    weight-first step per site (``_sweep_half``), then the label core met
+    with the right vector first.
 
-    The label core [d, L, chi, chi] takes the right vector in one
-    ``[d L chi, chi] @ [chi, B]`` product, then is weighted by the label
-    site's features and the left vector along the batch, so no
-    [B, L, chi, chi] block is built."""
+    The image-last features [N, d, B] are made once per call, and so is
+    each half's [n, chi_out, d chi_in] arrangement of its rows of
+    ``cores``, the d matrices of a site side by side. The label core takes
+    the right vector as one more step, ``[L chi, d chi] @ [d chi, B]``; the
+    [L, chi, B] result is weighted by the left vector along the batch and
+    summed over chi, so no [B, L, chi, chi] block is built.
+    """
     m, n = model.label_site, model.n_sites
-    lv = tape.contract("dx,bd->bx", model.left_boundary, feats[:, 0], kind="absorb")
-    rv = tape.contract("dx,bd->bx", model.right_boundary, feats[:, n - 1], kind="absorb")
-    lv, rv = (_sweep_pairs(tape, *_half(model, feats, tape, right), v, right)
-              for right, v in ((False, lv), (True, rv)))
-    block = tape.contract("dlxy,yb->dlxb", model.label_core, rv, kind="combine")
-    block *= feats[:, m].T[:, None, None]
-    block = np.add.reduce(block)
-    block *= lv
+    d, chi = model.local_dim, model.bond_dim
+    feats = np.ascontiguousarray(feats.transpose(1, 2, 0))
+    lv = np.matmul(model.left_boundary.T, feats[0])
+    rv = np.matmul(model.right_boundary.T, feats[n - 1])
+    left = model.cores[: m - 1].transpose(0, 3, 1, 2).reshape(-1, chi, d * chi)
+    right = model.cores[m - 1 :].transpose(0, 2, 1, 3).reshape(-1, chi, d * chi)
+    lv = _sweep_half(left, feats[1:m], lv)
+    rv = _sweep_half(right[::-1], feats[n - 2 : m : -1], rv)
+    label = model.label_core.transpose(1, 2, 0, 3).reshape(1, -1, d * chi)
+    block = _sweep_half(label, feats[m : m + 1], rv).reshape(model.n_labels, chi, -1)
+    np.multiply(block, lv, out=block)
     return np.ascontiguousarray(np.add.reduce(block, axis=1).T)
 
 
@@ -249,15 +226,11 @@ def forward_batch(
     absorbed in one node; the tape is never lent the workspace.
 
     Without one, both schedules run the untaped sequential sweep
-    (``_sweep_untaped``), one ``[d^2 chi, chi] @ [chi, B]`` product per site
-    pair, so their untaped logits are the same bytes. A call that records
-    no graph gains nothing from the pairwise rounds, and on one thread of
-    a shared 2-core host the sweep evaluated 50 or 256 images 1.3-5.6x
-    faster than untaped pairwise did with four sites per matrix, at
-    (N, chi) = (196, 10), (784, 10) and (196, 32). What this gives up is a
-    single image at chi=10, which that pairwise path evaluated 1.2x faster
-    at N=196 (1.01 against 1.20 ms) and 2.3x faster at N=784 (2.08 against
-    4.80 ms). Taped and untaped logits agree to rounding only.
+    (``_sweep_untaped``), so their untaped logits are the same bytes: per
+    site, the features weight the image-last vector first, then one
+    ``[chi, d chi] @ [d chi, B]`` product serves the whole batch. A call
+    that records no graph gains nothing from the pairwise rounds. Taped and
+    untaped logits agree to rounding only.
     """
     feats = check_batch_features(model, feats)
     if strategy is Strategy.PAIRWISE:
@@ -270,7 +243,7 @@ def forward_batch(
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
     if tape is None:
-        return _sweep_untaped(model, feats, Tape())
+        return _sweep_untaped(model, feats)
     return forward(model, feats, tape)
 
 

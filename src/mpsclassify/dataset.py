@@ -12,6 +12,7 @@ system can be exercised without any files at all.
 """
 
 import gzip
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -224,7 +225,12 @@ def _smooth(field: np.ndarray, passes: int = 2) -> np.ndarray:
     return out
 
 
-def _check_count(count: int) -> None:
+def _check_count(count: int, **sizes) -> None:
+    """Raise ``ConfigError`` naming the first of ``count`` and ``sizes`` that is not an
+    integer (a bool is not one), or for a negative ``count``."""
+    for name, value in dict(count=count, **sizes).items():
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if count < 0:
         raise ConfigError(f"cannot generate {count} images")
 
@@ -263,7 +269,7 @@ def synthetic_digits(
     train/test splits of each other. ``side`` must be at least 2 and
     ``n_classes`` at least 1 (``ConfigError``).
     """
-    _check_count(count)
+    _check_count(count, side=side, n_classes=n_classes)
     if side < 2 or n_classes < 1:
         raise ConfigError(f"synthetic digits need side >= 2 and n_classes >= 1, "
                           f"got side={side}, n_classes={n_classes}")

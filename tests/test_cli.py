@@ -330,7 +330,9 @@ class TestBenchCommand:
         rows = read_rows(out)
         assert "backward_flops" in rows[0]
         assert int(rows[1][rows[0].index("backward_flops")]) > 0
-        for column in ("forward_minor_faults", "forward_backward_minor_faults"):
+        assert float(rows[1][rows[0].index("untaped_seconds")]) > 0
+        for column in ("forward_minor_faults", "untaped_minor_faults",
+                       "forward_backward_minor_faults"):
             assert int(rows[1][rows[0].index(column)]) >= 0
         assert float(rows[1][rows[0].index("forward_backward_peak_mib")]) > 0
         assert float(rows[1][rows[0].index("workspace_mib")]) > 0
@@ -419,7 +421,8 @@ class TestBenchCommand:
         assert not out_csv.exists()
 
     def test_forward_times_each_schedules_own_contraction(self, monkeypatch):
-        """Timed on a tape, the form ``forward_flops`` counts: untaped, both schedules sweep."""
+        """Timed on a tape, the form ``forward_flops`` counts; the untaped columns time
+        the evaluation path, in two calls with no tape before them."""
         import mpsclassify.cli as cli
 
         tapes, real = [], cli.forward_batch
@@ -430,7 +433,9 @@ class TestBenchCommand:
 
         monkeypatch.setattr(cli, "forward_batch", watched)
         assert main(["bench-contraction", "--sites", "10", "--bond-dims", "2", "--repeats", "1"]) == 0
-        assert len(tapes) == 2 * 3 and all(isinstance(tape, Tape) for tape in tapes)
+        assert len(tapes) == 2 * 5
+        for row in (tapes[:5], tapes[5:]):
+            assert row[:2] == [None, None] and all(isinstance(tape, Tape) for tape in row[2:])
 
 
 class TestParser:

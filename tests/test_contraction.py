@@ -1,5 +1,10 @@
 """Contraction schedules against oracles and each other."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,6 +34,19 @@ def taped_forward(model, feats, strategy):
 def rounds(model, feats):
     """Pairwise logits from the rounds: untaped, ``forward_batch`` sweeps for every schedule."""
     return forward_batch(model, feats, Strategy.PAIRWISE, tape=Tape())
+
+
+def watch(monkeypatch, name):
+    """The operand and result shapes of every later ``np.<name>`` call, as a list it fills."""
+    calls, real = [], getattr(np, name)
+
+    def watched(*ops, **kwargs):
+        result = real(*ops, **kwargs)
+        calls.append(tuple(np.shape(op) for op in ops) + (result.shape,))
+        return result
+
+    monkeypatch.setattr(np, name, watched)
+    return calls
 
 
 def absorbed(model, feats):
@@ -267,8 +285,42 @@ class TestPairwiseRounds:
         )
 
 
+def assert_matches_a_recording_tape(model, images):
+    """Untaped sequential logits against the taped form, run 16 images at a time,
+    within 1e-12 of the batch's largest |logit|."""
+    feats = encode_batch(model.feature_map, images)
+    got = forward_batch(model, feats, Strategy.SEQUENTIAL)
+    want = []
+    for k in range(0, len(feats), 16):
+        tape = Tape()
+        tape.watch_model(model)
+        want.append(forward_batch(model, feats[k : k + 16], Strategy.SEQUENTIAL, tape=tape))
+        assert len(tape.nodes) > 0
+    want = np.concatenate(want)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# Warm untaped 256-image desk calls in a process that never trained: the
+# minor page faults per call.
+FAULT_PROBE = """
+import resource
+import numpy as np
+from mpsclassify import Strategy, forward_batch, init_model
+from mpsclassify.encoding import encode_batch
+
+model = init_model(196, 10, 10, seed=0)
+feats = encode_batch(model.feature_map, np.random.default_rng(0).random((256, 196)))
+for _ in range(5):
+    forward_batch(model, feats, Strategy.SEQUENTIAL)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    forward_batch(model, feats, Strategy.SEQUENTIAL)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
 class TestSequentialSweep:
-    """Untaped, the sequential sweep steps each vector through two-site bonds."""
+    """Untaped, the sequential sweep steps each vector through one site at a time."""
 
     @pytest.mark.parametrize("n_sites", range(3, 12))
     def test_every_label_site_matches_brute_force(self, rng, n_sites):
@@ -282,49 +334,36 @@ class TestSequentialSweep:
 
     @pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
-    def test_half_takes_one_vector_step_per_site_pair(self, monkeypatch, rng, n, right):
-        """A half of n sites, the other half empty, takes ceil(n/2) vector steps.
+    def test_half_takes_one_vector_step_per_site(self, monkeypatch, rng, n, right):
+        """A half of n sites, the other half empty, takes n vector steps.
 
-        The steps are the untaped call's only ``contract``-kind calls: the
-        ends, bonds and weights are ``absorb``, the label contraction ``combine``."""
-        model = init_model(n + 3, 2, 2, seed=0, label_site=1 if right else n + 1)
+        A step is the untaped call's only ``[chi, d chi] @ [d chi, B]``
+        product: the ends are ``[chi, d] @ [d, B]``, the label ``[L chi, d chi] @ [d chi, B]``."""
+        model = init_model(n + 3, 3, 2, seed=0, label_site=1 if right else n + 1)
         feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(4, n + 3)))
-        steps = []
-        real = Tape.contract
-
-        def counted(tape, subscripts, *ops, kind="contract", out=None):
-            if kind == "contract":
-                steps.append(subscripts)
-            return real(tape, subscripts, *ops, kind=kind, out=out)
-
-        monkeypatch.setattr(Tape, "contract", counted)
+        products = watch(monkeypatch, "matmul")
         forward_batch(model, feats, Strategy.SEQUENTIAL)
-        assert len(steps) == -(-n // 2)
+        monkeypatch.undo()
+        assert sum(ops == ((2, 4), (4, 4), (2, 4)) for ops in products) == n
+        assert len(products) == n + 3
 
     @pytest.mark.parametrize("n_sites", [5, 6, 7, 8])
     def test_every_step_keeps_the_images_on_its_last_axis(self, monkeypatch, rng, n_sites):
-        """Each step reads the vector as [chi, B] and returns [d^2 or d, chi, B]."""
+        """Each step reads the vector as [chi, B], weights it into a [d, chi, B]
+        ``u`` and returns [chi, B]; the label's step returns [L chi, B]."""
         chi, batch = 3, 7
         for label_site in range(1, n_sites - 1):
             model = init_model(n_sites, 2, chi, seed=n_sites, label_site=label_site)
             feats = encode_batch(model.feature_map, rng.random((batch, n_sites)))
-            shapes = []
-            real = Tape.contract
-
-            def watched(tape, subscripts, *ops, kind="contract", out=None):
-                result = real(tape, subscripts, *ops, kind=kind, out=out)
-                if kind == "contract":
-                    shapes.append((ops[0].shape, result.shape))
-                return result
-
-            monkeypatch.setattr(Tape, "contract", watched)
+            weightings = watch(monkeypatch, "multiply")
+            products = watch(monkeypatch, "matmul")
             forward_batch(model, feats, Strategy.SEQUENTIAL)
             monkeypatch.undo()
-            halves = (label_site - 1, n_sites - 2 - label_site)
-            assert len(shapes) == sum(-(-n // 2) for n in halves)
-            for vec, step in shapes:
-                assert vec == (chi, batch)
-                assert step in ((4, chi, batch), (2, chi, batch)), label_site
+            steps = n_sites - 3 + 1
+            assert weightings[:steps] == [((2, 1, batch), (chi, batch), (2, chi, batch))] * steps
+            assert [result for *_, result in products[2:]] == [(chi, batch)] * (steps - 1) + [
+                (2 * chi, batch)
+            ], label_site
 
     @pytest.mark.parametrize("batch", [1, 2, 7, 256])
     @pytest.mark.parametrize("n_sites, bond_dim", [(196, 10), (784, 10), (196, 32)],
@@ -332,16 +371,14 @@ class TestSequentialSweep:
     def test_logits_match_a_recording_tape(self, rng, n_sites, bond_dim, batch):
         """The tape runs at most 16 images at a time, so its stack of every bond site stays small."""
         model = init_model(n_sites, 10, bond_dim, seed=0)
-        feats = encode_batch(model.feature_map, rng.random((batch, n_sites)))
-        got = forward_batch(model, feats, Strategy.SEQUENTIAL)
-        want = []
-        for k in range(0, batch, 16):
-            tape = Tape()
-            tape.watch_model(model)
-            want.append(forward_batch(model, feats[k : k + 16], Strategy.SEQUENTIAL, tape=tape))
-            assert len(tape.nodes) > 0
-        want = np.concatenate(want)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert_matches_a_recording_tape(model, rng.random((batch, n_sites)))
+
+    @pytest.mark.parametrize("batch", [1, 256])
+    @pytest.mark.parametrize("n_sites, bond_dim", [(784, 10), (196, 32)],
+                             ids=["784-10", "196-32"])
+    def test_trig_logits_match_a_recording_tape(self, rng, n_sites, bond_dim, batch):
+        model = init_model(n_sites, 10, bond_dim, seed=0, feature_map=FeatureMap.TRIG)
+        assert_matches_a_recording_tape(model, rng.random((batch, n_sites)))
 
     @pytest.mark.parametrize("n_sites", range(5, 13))
     def test_every_label_site_matches_a_recording_tape(self, rng, n_sites):
@@ -358,22 +395,24 @@ class TestSequentialSweep:
 
     @pytest.mark.parametrize("batch", [1, 7])
     def test_no_label_block_is_built(self, monkeypatch, rng, batch):
-        """The label core takes the right vector first: no contraction returns
-        a [B, L, chi, chi] block, and the logits are a C-order [B, L] array."""
+        """The label core takes the right vector first: no product returns
+        a [B, L, chi, chi] block, the left vector weights an [L, chi, B] one,
+        and the logits are a C-order [B, L] array."""
         model = init_model(9, 3, 4, seed=0)
         feats = encode_batch(model.feature_map, rng.random((batch, 9)))
-        shapes = []
-        real = Tape.contract
-
-        def watched(tape, subscripts, *ops, kind="contract", out=None):
-            result = real(tape, subscripts, *ops, kind=kind, out=out)
-            shapes.append(result.shape)
-            return result
-
-        monkeypatch.setattr(Tape, "contract", watched)
+        products, weightings = watch(monkeypatch, "matmul"), watch(monkeypatch, "multiply")
         got = forward_batch(model, feats, Strategy.SEQUENTIAL)
-        assert (batch, 3, 4, 4) not in shapes and (2, 3, 4, batch) in shapes
+        monkeypatch.undo()
+        shapes = [result for *_, result in products + weightings]
+        assert (batch, 3, 4, 4) not in shapes and (3, 4, batch) in shapes
         assert got.shape == (batch, 3) and got.flags.c_contiguous
+
+    def test_warm_desk_calls_fault_in_no_fresh_pages(self):
+        """Every array a call makes is small enough to be reused from the heap."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        done = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        assert float(done.stdout) <= 10
 
     def test_desk_logits_match_a_recording_tape(self, rng):
         model = init_model(196, 10, 10, seed=0)

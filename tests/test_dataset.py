@@ -265,6 +265,18 @@ class TestSyntheticSets:
             generate(-3, seed=0)
 
     @pytest.mark.parametrize(
+        "generate, argument",
+        [(synthetic_blobs, "count"), (synthetic_digits, "count"), (synthetic_digits, "side"),
+         (synthetic_digits, "n_classes")],
+        ids=["blobs-count", "digits-count", "digits-side", "digits-n_classes"],
+    )
+    def test_a_non_integer_size_is_refused_by_name(self, generate, argument):
+        """Not NumPy's or Python's bare ``TypeError``."""
+        kwargs = {"count": 5, argument: 2.5}
+        with pytest.raises(ConfigError, match=f"{argument} must be an integer, got 2.5"):
+            generate(**kwargs)
+
+    @pytest.mark.parametrize(
         "side, n_classes", [(1, 10), (0, 10), (14, 0)], ids=["side-1", "side-0", "no-classes"]
     )
     def test_a_digit_set_with_no_pixel_range_or_no_class_is_refused(self, side, n_classes):

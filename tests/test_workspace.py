@@ -1,6 +1,7 @@
 """The reusable workspace: nothing returned aliases it, and a warm step or
 evaluation batch touches no fresh pages."""
 
+import mmap
 import resource
 
 import numpy as np
@@ -127,6 +128,23 @@ def test_a_call_that_overflows_matches_one_from_the_buffer(monkeypatch, taped):
     assert workspace._flat.size == took
     for got in (second, call_on_user_tape()):
         assert [arr.tobytes() for arr in got] == [arr.tobytes() for arr in first]
+
+
+def test_the_module_workspace_maps_each_array_beyond_its_buffer():
+    """Freed, such an array goes back to the system at once, not to a heap
+    where a live block above it could keep it resident while the grown
+    buffer faults in. A tape's own workspace takes its arrays from the heap."""
+    assert isinstance(autodiff._WORKSPACE, autodiff._ModuleWorkspace)
+    workspace = autodiff._ModuleWorkspace()
+    arr, empty = workspace.empty((3, 4)), workspace.empty((0, 2))
+    base = arr
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base.obj, mmap.mmap)
+    arr[...] = 1.0
+    assert arr.dtype == np.float64 and arr.sum() == 12
+    assert empty.shape == (0, 2) and workspace._used == 12
+    assert Tape().workspace.empty((3, 4)).base is None
 
 
 def test_desk_step_workspace_holds_at_most_20_mib(monkeypatch):
