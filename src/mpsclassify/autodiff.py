@@ -49,16 +49,17 @@ einsum's adjoint is a bare outer product over an operand's last two
 indices, as where a chain half's matrix meets its boundary vector, it is
 kept as factors ``(u, v)`` of ``[..., chi]`` arrays that stand for ``u ⊗ v``
 (the environment form of arXiv:1605.05775). A ``gather`` fed them files
-them as its row's factors of the source, and a sweep node files all of
-its rows at once, its prefix and environment buffers being their factors
-(``_Rows``, one run of consecutive rows per filing). A round stacks those
-and turns them into the factors of its input with two batched
-matrix-vector products per pair, so a round's adjoint costs chi^2, not
-chi^3, per product. The stacked absorb ``"sdxy,bsd->sbxy"`` turns factors
-or row factors into the weights' gradient, one batched matmul per feature
-component and run (``_absorb_adjoint``), with no copy of the factors; any
-other use, or a row filed twice, expands them first (see
-``_input_adjoints`` and ``backward``).
+them as its row's factors of the source, a sweep node files all of its
+rows at once, its prefix and environment buffers being their factors, and
+a ``slice_rows`` files them as rows of its source (``_Rows``, one run of
+consecutive rows per filing). A round stacks those and turns them into
+the factors of its input with two batched matrix-vector products per
+pair, so a round's adjoint costs chi^2, not chi^3, per product. The
+stacked absorb ``"sdxy,bsd->sbxy"`` turns factors or row factors into
+the weights' gradient, one batched matmul per feature component and run
+(``_absorb_adjoint``), with no copy of the factors; any other use, or a
+row filed twice, expands them first (see ``_input_adjoints`` and
+``backward``).
 
 Both taped schedules take their large per-call arrays from a tape's
 ``Workspace``: views of one flat float64 buffer while they fit, new arrays
@@ -70,13 +71,14 @@ training step, ``training._taped_step``, whose results never alias it; a
 process that never trained keeps no buffer. The untaped sweep that
 evaluates both schedules takes no workspace, and a tape the user builds
 keeps its own empty one, so all its arrays are new.
-On a lent tape the absorbed label block and chain halves and every
-``pair_round`` output may be views of the workspace: 15.3 MiB at the desk
-recipe (9.2 MiB for a sequential step: its label block, the stack of every
-bond site, and each sweep's prefix and environment buffers). Nothing
-returned, the gradients included, is one: the next borrower overwrites
-them. Adjoints other than a sweep's environment buffer are new arrays: a
-round's factors are [T, B, chi], small enough to be freed round by round.
+On a lent tape the absorbed label block, the stack of every bond site and
+every ``pair_round`` output may be views of the workspace: 15.3 MiB at the
+desk recipe (9.2 MiB for a sequential step: its label block, the stack,
+and each sweep's prefix and environment buffers). Nothing returned, the
+gradients included, is one: the next borrower overwrites them. Adjoints
+other than a sweep's environment buffer are new arrays: a round's factors
+are [T, B, chi], small enough to be freed round by round but for each
+half's first, which the absorb's adjoint reads.
 """
 
 import functools
@@ -415,7 +417,7 @@ class Tape:
                 f"pair_round expects a stack of square matrices, got {stack.shape}"
             )
         if stack.shape[0] < 2:
-            raise DimensionError("pair_round needs at least two matrices")
+            raise DimensionError(f"pair_round needs at least two matrices, got {stack.shape}")
         out = self.workspace.empty(_round_shape(stack))
         return self._record("pair_round", (stack,), _pair_round_value(stack, out))
 
@@ -568,8 +570,8 @@ def _node_backward_flops(node: Node) -> int:
     return _node_forward_flops(node)
 
 
-# The absorb of stacked sites, weights first: ``contraction`` absorbs a pairwise half
-# and all of the sequential sweep's bond sites with it.
+# The absorb of stacked sites, weights first: ``contraction`` absorbs every bond site
+# with it, on both schedules.
 STACKED_ABSORB = "sdxy,bsd->sbxy"
 
 
@@ -598,6 +600,11 @@ class _Rows:
             for buf, f in zip(out, factors):
                 buf[rows] = f
         return out
+
+
+def _runs(g, count: int) -> list:
+    """The runs ``(rows, U, V)`` of factors ``g``: its own, or one of all ``count`` rows."""
+    return g.runs if isinstance(g, _Rows) else [(slice(0, count),) + g]
 
 
 def _outer(factors: tuple) -> np.ndarray:
@@ -645,8 +652,7 @@ def _absorb_adjoint(shape: tuple, feats: np.ndarray, g) -> np.ndarray:
     ``_Rows``, taken run by run as the arrays it was filed with.
     """
     grad = np.zeros(shape, dtype=DTYPE)
-    runs = g.runs if isinstance(g, _Rows) else [(slice(0, shape[0]),) + g]
-    for rows, u, v in runs:
+    for rows, u, v in _runs(g, shape[0]):
         weights = feats[:, rows].transpose(1, 2, 0)  # [rows, d, B]
         for d in range(shape[1]):
             np.matmul((u * weights[:, d, :, None]).swapaxes(-1, -2), v, out=grad[rows, d])
@@ -819,7 +825,7 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
     results), so a tape ending in a loss node receives the scalar loss
     adjoint directly. An array of ``wrt`` that the output does not reach
     gets zeros; one the tape does not watch raises ``ConsistencyError``. A
-    ``gather`` or ``slice_rows`` adjoint is added into the rows of its
+    dense ``gather`` or ``slice_rows`` adjoint is added into the rows of its
     source's accumulator, which starts as ``np.zeros_like(source)`` when the
     source has none yet.
 
@@ -834,13 +840,13 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
     A ``Tape.sweep`` node (``_SweepNode``) takes its adjoint from its final
     vector, the only one of its vectors that later nodes read, and reverses
     its run in one loop. An adjoint may be factors ``(u, v)``
-    (``_input_adjoints``). A sweep node, or a ``gather`` fed factors, files
-    them as its rows' factors of the source (``_Rows``), the rows none
-    reached being zero, so the sequential sweep never builds a dense
-    [N-3, B, chi, chi] adjoint; the source's producer decides how to take
-    them (``_input_adjoints``). Factors are expanded when a second
-    contribution meets them (a row filed twice included), when a
-    ``slice_rows`` adds them into its source, and before they are returned.
+    (``_input_adjoints``). A sweep node, or a ``gather`` or ``slice_rows``
+    fed factors, files them as its rows' factors of the source (``_Rows``),
+    the rows none reached being zero, so neither schedule builds a dense
+    [N-3, B, chi, chi] adjoint or a ``cores``-shaped accumulator; the
+    source's producer decides how to take them (``_input_adjoints``).
+    Factors are expanded when a second contribution meets them (a row
+    filed twice included) and before they are returned.
     """
     for arr in wrt:
         if id(arr) not in tape._live:
@@ -862,6 +868,11 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
             if isinstance(g, tuple) and node.kind == "gather":
                 row = range(node.extra, node.extra + 1)
                 _file(acc, source, row, g[0][None], g[1][None])
+                continue
+            if node.kind == "slice_rows" and not isinstance(g, np.ndarray):
+                start = node.extra.start
+                for rows, u, v in _runs(g, node.extra.stop - start):
+                    _file(acc, source, range(start + rows.start, start + rows.stop), u, v)
                 continue
             key = id(source)
             acc[key] = _dense(acc[key]) if key in acc else np.zeros_like(source)

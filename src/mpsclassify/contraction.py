@@ -1,19 +1,20 @@
 """Per-label score evaluation by tensor-network contraction.
 
-Two production schedules plus a brute-force oracle:
+Two production schedules plus a brute-force oracle. Taped, both absorb
+every bond site in one node, straight from ``cores`` (``STACKED_ABSORB``),
+then carry each boundary vector through its half's rows of that stack
+with the schedule's step (``_forward_taped``):
 
 * ``sequential``: sweep a vector from each end of the chain toward the
   label site, combining there so the label count L enters only the final
-  step. Taped, it absorbs every bond site in one node, straight
-  from ``cores`` (``STACKED_ABSORB``), then multiplies the vector by
-  each site's matrix of that stack in one ``Tape.sweep`` per half, one
-  node each (``v @ A`` over the left half's ascending rows, ``A @ v``
-  over the right half's descending ones), the vectors written into one
-  prefix buffer. Its backward reverses each half's sweep in one loop into
-  one environment buffer, then builds the ``cores`` gradient from the
-  whole prefix and environment arrays, one batched matmul per feature
-  component and half, with no dense [N-3, B, chi, chi] adjoint
-  (``autodiff.backward``).
+  step. Taped, it multiplies the vector by each site's matrix of the
+  stack in one ``Tape.sweep`` per half, one node each (``v @ A`` over the
+  left half's ascending rows, ``A @ v`` over the right half's descending
+  ones), the vectors written into one prefix buffer. Its backward
+  reverses each half's sweep in one loop into one environment buffer,
+  then builds the ``cores`` gradient from the whole prefix and
+  environment arrays, one batched matmul per feature component and half,
+  with no dense [N-3, B, chi, chi] adjoint (``autodiff.backward``).
   Untaped, the vector is held image-last, [chi, B], and takes one step
   per site, weights first (``_sweep_half``): the site's features weight
   the vector along the batch, ``u = f ⊗ v`` [d, chi, B], then one
@@ -21,13 +22,14 @@ Two production schedules plus a brute-force oracle:
   side serves the whole batch. The label core is one more such step on
   the right vector (``_sweep_untaped``), so no [B, L, chi, chi] label
   block is built.
-* ``pairwise``: absorb every pixel of each half at once, one site per
-  matrix, from the half's own rows of ``cores``, then repeatedly multiply
-  adjacent effective matrices in rounds. All products of a round are
-  independent, so a round is one stacked matrix product, at the price of
-  matrix-matrix (chi^3) products. An odd matrix at the end of a round is
-  carried to the next round unpaired. The rounds exist for the taped
-  step; untaped, pairwise runs the sequential sweep (``forward_batch``).
+* ``pairwise``: slice each half's rows of the absorbed stack, one site per
+  matrix, then repeatedly multiply adjacent effective matrices in rounds
+  and meet the vector with the one matrix left (``_pair_reduce``). All
+  products of a round are independent, so a round is one stacked matrix
+  product, at the price of matrix-matrix (chi^3) products. An odd matrix
+  at the end of a round is carried to the next round unpaired. The
+  rounds exist for the taped step; untaped, pairwise runs the sequential
+  sweep (``forward_batch``).
 * ``brute force``: the literal sum over every pixel-index assignment,
   guarded to small chains. Exists to anchor the fast schedules.
 
@@ -50,15 +52,15 @@ transposed view. Each matrix a pairwise round multiplies is then
 contiguous for BLAS. Brute force records nothing on a tape and has no
 gradients.
 
-Workspace: a taped pairwise call takes its absorbed label block and halves
-and its round outputs from its tape's workspace (``autodiff.Workspace``),
-and a taped sequential call its label block, its stack of every bond site
-and each half's prefix and environment buffers; a step's round adjoints
-are [T, B, chi] factor pairs, new arrays freed round by round. Only the
-taped training step (``training._taped_step``) is lent the module's
-workspace (``autodiff.lend_workspace``); a tape passed in by the caller
-never is, and the untaped sweep takes only new arrays, so an evaluation
-leaves the workspace as it found it. No logits returned are a view of the
+Workspace: a taped call takes its absorbed label block and its stack of
+every bond site from its tape's workspace (``autodiff.Workspace``), and
+then a pairwise call its round outputs, a sequential one each half's
+prefix and environment buffers. A pairwise step's round adjoints are
+[T, B, chi] factor pairs, new arrays. Only the taped training step
+(``training._taped_step``) is lent the module's workspace
+(``autodiff.lend_workspace``); a tape passed in by the caller never is,
+and the untaped sweep takes only new arrays, so an evaluation leaves the
+workspace as it found it. No logits returned are a view of the
 workspace.
 """
 
@@ -112,21 +114,6 @@ def _absorb_ends(model, feats, tape):
     return lv, lab, rv
 
 
-def _half(model, feats, tape, right):
-    """A half's n bond sites: its own rows of ``cores`` sliced on the tape, so
-    their adjoint adds straight into the ``cores`` gradient, and its [B, n, d] features."""
-    m, n = model.label_site, model.n_sites
-    start, stop = (m - 1, n - 3) if right else (0, m - 1)
-    sites = slice(m + 1, n - 1) if right else slice(1, m)
-    return tape.slice_rows(model.cores, start, stop), feats[:, sites]
-
-
-def _absorb_half(tape, cores, feats):
-    """Taped absorb of a half's n sites (``_half``), one site per matrix: [n, B, chi, chi]."""
-    out = tape.workspace.empty((len(cores), len(feats)) + cores.shape[2:])
-    return tape.contract(STACKED_ABSORB, cores, feats, kind="absorb", out=out)
-
-
 def _sweep_half(mats, feats, vec):
     """Untaped sweep of an image-last vector [chi, B] through ``mats`` in order: [rows, B].
 
@@ -143,46 +130,38 @@ def _sweep_half(mats, feats, vec):
     return vec
 
 
-def _reduce_half(tape, stack):
-    """Pairwise rounds until one [B, chi, chi] matrix remains; None if empty."""
-    if stack.shape[0] == 0:
-        return None
-    while stack.shape[0] > 1:
-        stack = tape.pair_round(stack)
-    return tape.gather(stack, 0)
+def _pair_reduce(tape, vec, stack, rows):
+    """``Tape.sweep``'s result by pairwise rounds: the rows sliced on the tape,
+    reduced to one matrix P, met with ``vec`` in one combine, ``v @ P`` where
+    ``rows`` ascends and ``P @ v`` where it descends."""
+    if not rows:
+        return vec
+    start = min(rows)
+    half = tape.slice_rows(stack, start, start + len(rows))
+    while half.shape[0] > 1:
+        half = tape.pair_round(half)
+    mat = tape.gather(half, 0)
+    if rows.step > 0:
+        return tape.contract("bx,bxy->by", vec, mat, kind="combine")
+    return tape.contract("bxy,by->bx", mat, vec, kind="combine")
 
 
-def _combine(tape, lv, left_mat, lab, right_mat, rv):
-    if left_mat is not None:
-        lv = tape.contract("bx,bxy->by", lv, left_mat, kind="combine")
-    if right_mat is not None:
-        rv = tape.contract("bxy,by->bx", right_mat, rv, kind="combine")
-    # y, the label block's last index, is contracted first, so the plan
-    # multiplies the block as it lies instead of copying it transposed.
-    return tape.contract("by,blxy,bx->bl", rv, lab, lv, kind="combine")
-
-
-def _forward_pairwise_batch(model, feats, tape):
-    """Taped pairwise logits [B, L]: each half (``_half``) absorbed, then reduced in rounds."""
-    lv, lab, rv = _absorb_ends(model, feats, tape)
-    left_mat, right_mat = (
-        _reduce_half(tape, _absorb_half(tape, *_half(model, feats, tape, right)))
-        for right in (False, True)
-    )
-    return _combine(tape, lv, left_mat, lab, right_mat, rv)
-
-
-def _forward_sequential_batch(model, feats, tape):
+def _forward_taped(model, feats, tape, step):
+    """Taped logits [B, L]: every bond site absorbed in one node, each half's
+    boundary vector carried through its rows by ``step`` (``Tape.sweep`` or
+    ``_pair_reduce``), then the halves met at the label block."""
     m, n = model.label_site, model.n_sites
     lv, lab, rv = _absorb_ends(model, feats, tape)
     # Every bond site at once, in the order of ``cores``' rows; each half's
-    # sweep reads its rows of the stack in place, outward in.
+    # step reads its rows of the stack in place, outward in.
     bond_feats = np.concatenate((feats[:, 1:m], feats[:, m + 1 : n - 1]), axis=1)
     out = tape.workspace.empty((n - 3, len(feats)) + model.cores.shape[2:])
     stack = tape.contract(STACKED_ABSORB, model.cores, bond_feats, kind="absorb", out=out)
-    lv = tape.sweep(lv, stack, range(m - 1))
-    rv = tape.sweep(rv, stack, range(n - 4, m - 2, -1))
-    return _combine(tape, lv, None, lab, None, rv)
+    lv = step(tape, lv, stack, range(m - 1))
+    rv = step(tape, rv, stack, range(n - 4, m - 2, -1))
+    # y, the label block's last index, is contracted first, so the plan
+    # multiplies the block as it lies instead of copying it transposed.
+    return tape.contract("by,blxy,bx->bl", rv, lab, lv, kind="combine")
 
 
 def _sweep_untaped(model, feats):
@@ -221,9 +200,10 @@ def forward_batch(
     """Logits [B, L] for a batch of encoded images [B, N, d], as a new array.
 
     The one place that picks a schedule's form. Given a ``tape``, whatever
-    it watches, the schedule's taped form runs the whole batch at once, one
-    site per matrix, each half (pairwise) or every bond site (sequential)
-    absorbed in one node; the tape is never lent the workspace.
+    it watches, the schedule's taped form runs the whole batch at once with
+    its step (``_forward_taped``): ``Tape.sweep``, looked up at call time so
+    a wrapper put on the class is called, or ``_pair_reduce``; the tape is
+    never lent the workspace.
 
     Without one, both schedules run the untaped sequential sweep
     (``_sweep_untaped``), so their untaped logits are the same bytes: per
@@ -234,9 +214,9 @@ def forward_batch(
     """
     feats = check_batch_features(model, feats)
     if strategy is Strategy.PAIRWISE:
-        forward = _forward_pairwise_batch
+        step = _pair_reduce
     elif strategy is Strategy.SEQUENTIAL:
-        forward = _forward_sequential_batch
+        step = Tape.sweep
     elif strategy is Strategy.BRUTE_FORCE:
         logits = [brute_force_logits(model, image) for image in feats]
         return np.array(logits, dtype=DTYPE).reshape(len(feats), model.n_labels)
@@ -244,7 +224,7 @@ def forward_batch(
         raise ConfigError(f"unknown strategy {strategy!r}")
     if tape is None:
         return _sweep_untaped(model, feats)
-    return forward(model, feats, tape)
+    return _forward_taped(model, feats, tape, step)
 
 
 def brute_force_logits(model: MpsClassifier, image: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from mpsclassify import autodiff, contraction
 from mpsclassify.autodiff import Gradients
 from mpsclassify.contraction import forward_batch
 from mpsclassify.encoding import encode_batch
-from mpsclassify.errors import ConfigError, ConsistencyError, DimensionError
+from mpsclassify.errors import ConfigError, ConsistencyError, DimensionError, NumericError
 from mpsclassify.losses import cross_entropy_loss, cross_entropy_with_grad, mean_square_with_grad
 from mpsclassify.training import batch_loss
 
@@ -302,14 +302,14 @@ class TestRowAdjointsInPlace:
         assert (model.n_sites - 3, 4) + model.cores.shape[2:] not in shapes
         assert shapes.count(model.cores.shape) <= 1  # not one per site (N-3 = 17)
 
-    def test_pairwise_allocates_one_accumulator_per_source(self, monkeypatch):
-        """A training step's ``backward`` makes one row accumulator per sliced or gathered array.
+    def test_pairwise_allocates_no_row_accumulator(self, monkeypatch):
+        """A pairwise training step's ``backward`` makes no ``zeros_like`` row accumulator.
 
-        Both halves slice ``cores``, so they share one ``cores``-shaped
-        accumulator. Each half's ``gather`` reads the one row of its last
-        round, so its accumulator is the gathered adjoint's factors, not a
-        [1, B, chi, chi] array. No accumulator has the shape of an absorbed
-        half.
+        Each half's ``gather`` reads the one row of its last round, so its
+        accumulator is the gathered adjoint's factors, not a [1, B, chi, chi]
+        array. Each half's ``slice_rows`` of the one absorbed stack files its
+        first round's factors as rows of that stack, so neither the stack
+        nor ``cores`` gets a dense accumulator.
         """
         model = init_model(20, 3, 3, seed=0)
         feats = encode_batch(model.feature_map, np.random.default_rng(0).random((4, model.n_sites)))
@@ -322,7 +322,7 @@ class TestRowAdjointsInPlace:
 
         monkeypatch.setattr(np, "zeros_like", counting)
         loss_and_gradients(model, feats, np.array([0, 1, 2, 0]))
-        assert shapes == [model.cores.shape]
+        assert shapes == []
 
     @pytest.mark.parametrize("rows_first", [True, False])
     def test_gathered_and_dense_array_matches_finite_differences(self, rng, rows_first):
@@ -493,7 +493,8 @@ class TestFactoredAdjoints:
 
 
 class TestRowFactors:
-    """A ``gather`` fed factors files them as its row's factors of the source (``_Rows``)."""
+    """A ``gather`` or ``slice_rows`` fed factors files them as rows' factors of
+    the source (``_Rows``)."""
 
     @staticmethod
     def sweep(tape, cores, feats, rows, w):
@@ -563,6 +564,49 @@ class TestRowFactors:
         for g, want in zip(got, dense):
             np.testing.assert_allclose(g, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
+    @pytest.mark.parametrize("reduce", ["sweep", "rounds"])
+    def test_a_slice_files_its_factors_as_rows_of_its_source(self, monkeypatch, rng, reduce):
+        """Rows 1..3 of the stack, sliced, then swept (row factors reach the
+        slice) or reduced in rounds (factors reach it): the absorb gets one
+        run of rows 1..3, and the gradients match the dense rules."""
+        cores = rng.standard_normal((5, 2, 3, 3)) * 0.5
+        feats = rng.random((4, 5, 2))
+        w = rng.standard_normal((4, 3))
+
+        def loss(tape):
+            stack = tape.contract("sdxy,bsd->sbxy", cores, feats, kind="absorb")
+            half = tape.slice_rows(stack, 1, 4)
+            vec = np.ones((4, 3))
+            if reduce == "sweep":
+                vec = tape.sweep(vec, half, range(3))
+            else:
+                while half.shape[0] > 1:
+                    half = tape.pair_round(half)
+                vec = tape.contract("bx,bxy->by", vec, tape.gather(half, 0))
+            return tape.contract("by,by->", vec, w)
+
+        seeds = []
+        real = autodiff._input_adjoints
+
+        def recording(node, g):
+            if node.kind == "absorb":
+                seeds.append([(r.start, r.stop) for r, _, _ in g.runs])
+            return real(node, g)
+
+        grads = []
+        for rule in (recording, lambda node, g: real(node, autodiff._dense(g))):
+            monkeypatch.setattr(autodiff, "_input_adjoints", rule)
+            tape = Tape()
+            tape.watch(cores)
+            tape.watch(feats)
+            loss(tape)
+            grads.append(backward(tape, [cores, feats]))
+        monkeypatch.undo()
+        assert seeds == [[(1, 4)]]
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        assert not grads[0][0][[0, 4]].any()
+
     def test_a_watched_leaf_read_by_rows_gets_its_dense_adjoint(self, rng):
         stack = rng.standard_normal((4, 2, 3, 3))
         v = rng.standard_normal((2, 3))
@@ -596,9 +640,12 @@ class TestRowFactors:
             ((_, want),) = autodiff._input_adjoints(node, autodiff._dense(g))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
+    @pytest.mark.parametrize("strategy", [Strategy.SEQUENTIAL, Strategy.PAIRWISE])
     @pytest.mark.parametrize("sites, chi", [(196, 10), (784, 10), (196, 32)])
-    def test_every_sequential_row_reaches_the_absorb_as_factors(self, monkeypatch, sites, chi):
-        """Each half's sweep files its rows as one run of prefix and environment arrays."""
+    def test_every_row_reaches_the_absorb_as_factors(self, monkeypatch, sites, chi, strategy):
+        """Each half files its rows as one run: a sweep its prefix and
+        environment arrays, the pairwise rounds their first round's factors
+        through the half's ``slice_rows``."""
         model = init_model(sites, 10, chi, seed=0)
         rng = np.random.default_rng(0)
         feats = encode_batch(model.feature_map, rng.random((6, sites)))
@@ -612,7 +659,7 @@ class TestRowFactors:
             return real(node, g)
 
         monkeypatch.setattr(autodiff, "_input_adjoints", recording)
-        loss_and_gradients(model, feats, rng.integers(0, 10, 6), strategy=Strategy.SEQUENTIAL)
+        loss_and_gradients(model, feats, rng.integers(0, 10, 6), strategy=strategy)
         m = model.label_site
         assert [(0, m - 1), (m - 1, sites - 3)] in seeds
 
@@ -630,7 +677,7 @@ class TestSweep:
         stack = tape.contract("sdxy,bsd->sbxy", model.cores, bond_feats, kind="absorb")
         lv = per_site_sweep(tape, lv, stack, range(m - 1))
         rv = per_site_sweep(tape, rv, stack, range(n - 4, m - 2, -1))
-        return contraction._combine(tape, lv, None, lab, None, rv)
+        return tape.contract("by,blxy,bx->bl", rv, lab, lv, kind="combine")
 
     def assert_matches_the_loop(self, model, feats, labels, read_again=False):
         """The sequential forward and ``per_site`` give the same logits, FLOP
@@ -973,3 +1020,26 @@ class TestSoftmaxHelper:
         direct = -np.log(p[np.arange(3), labels]).mean()
         np.testing.assert_allclose(value, direct, rtol=1e-12)
 
+
+def _non_finite_gradients():
+    model = init_model(4, 2, 2, seed=0)
+    arrays = {name: np.zeros_like(arr) for name, arr in model.parameters()}
+    arrays["label_core"][0, 0, 0, 0] = np.inf
+    return Gradients(**arrays)
+
+
+@pytest.mark.parametrize(
+    "call, error, named",
+    [
+        (lambda: _non_finite_gradients().check_finite(), NumericError, "label_core"),
+        (lambda: Tape().pair_round(np.zeros((4, 2, 3, 2))), DimensionError, r"\(4, 2, 3, 2\)"),
+        (lambda: Tape().pair_round(np.zeros((1, 2, 3, 3))), DimensionError, r"\(1, 2, 3, 3\)"),
+        (lambda: Tape().gather(np.zeros((3, 2)), 3), DimensionError, "index 3"),
+        (lambda: Tape().slice_rows(np.zeros((3, 2)), 1, 4), DimensionError, r"\[1:4\]"),
+    ],
+    ids=["non-finite-gradient", "non-square-round", "one-row-round", "gather-index",
+         "slice-range"],
+)
+def test_a_bad_argument_is_refused_by_value(call, error, named):
+    with pytest.raises(error, match=named):
+        call()

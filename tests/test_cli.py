@@ -8,6 +8,7 @@ import pytest
 
 from mpsclassify import Tape, init_model, load_checkpoint, save_checkpoint
 from mpsclassify.cli import main
+from test_dataset import idx_image_bytes, idx_label_bytes
 
 
 def read_rows(path):
@@ -246,6 +247,51 @@ class TestEval:
         )
         assert code == 1
         assert "label_site" in capsys.readouterr().err
+
+
+def write_idx_set(directory, seed=0):
+    """A tiny 4x4 set of three classes under the standard MNIST file names:
+    30 train images and 12 test images."""
+    directory.mkdir(parents=True)
+    rng = np.random.default_rng(seed)
+    for stem, count in (("train", 30), ("t10k", 12)):
+        pixels = rng.integers(0, 256, (count, 4, 4), dtype=np.uint8)
+        labels = (np.arange(count) % 3).astype(np.uint8)
+        (directory / f"{stem}-images-idx3-ubyte").write_bytes(idx_image_bytes(pixels))
+        (directory / f"{stem}-labels-idx1-ubyte").write_bytes(idx_label_bytes(labels))
+
+
+class TestRealData:
+    """``train`` and ``eval`` on IDX files, found by ``--data-dir`` or under
+    ``MPSCLASSIFY_DATA_DIR``, with seeded subsets."""
+
+    subset = ["--train-count", "21", "--test-count", "9"]
+    model = ["--bond-dim", "2", "--epochs", "1", "--batch-size", "7"]
+
+    def test_train_then_eval_from_a_data_dir(self, tmp_path, capsys):
+        data, ckpt = tmp_path / "digits", tmp_path / "model.mps"
+        write_idx_set(data)
+        argv = ["train", "--data-dir", str(data), *self.subset, *self.model,
+                "--checkpoint", str(ckpt)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "digits/train[21@seed0]: 21 images of 4x4 (N=16)" in out
+        assert "digits/test[9@seed1]: 9 images of 4x4 (N=16)" in out
+        assert load_checkpoint(ckpt).n_sites == 16
+        argv = ["eval", "--data-dir", str(data), "--split", "test", "--checkpoint", str(ckpt)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "digits/test: 12 images of 4x4 (N=16), labels [4, 4, 4]" in out
+        assert "accuracy" in out
+
+    def test_train_from_the_environment_names_the_dataset(self, tmp_path, capsys, monkeypatch):
+        write_idx_set(tmp_path / "fashion-mnist")
+        monkeypatch.setenv("MPSCLASSIFY_DATA_DIR", str(tmp_path))
+        argv = ["train", "--dataset", "fashion-mnist", *self.subset, *self.model]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "fashion-mnist/train[21@seed0]: 21 images of 4x4 (N=16)" in out
+        assert "fashion-mnist/test[9@seed1]: 9 images of 4x4 (N=16)" in out
 
 
 class TestGradCheckCommand:

@@ -590,3 +590,19 @@ class TestPredict:
         np.testing.assert_array_equal(
             predict_batch(logits), [predict_batch(row[None])[0] for row in logits]
         )
+
+
+@pytest.mark.parametrize(
+    "call, error, named",
+    [
+        (lambda m, f: contraction.check_batch_features(m, f[:, :, :1]), DimensionError,
+         "feature dimension 1"),
+        (lambda m, f: forward_batch(m, f, "pairwise"), ConfigError, "'pairwise'"),
+    ],
+    ids=["wrong-d", "strategy-not-a-member"],
+)
+def test_a_bad_argument_is_refused_by_value(call, error, named):
+    model = init_model(6, 2, 2, seed=0)
+    feats = encode_batch(model.feature_map, np.full((2, 6), 0.5))
+    with pytest.raises(error, match=named):
+        call(model, feats)

@@ -287,3 +287,22 @@ class TestSyntheticSets:
     def test_label_histogram(self):
         hist = label_histogram(np.array([0, 2, 2, 1]), n_labels=4)
         assert hist == [1, 1, 2, 0]
+
+
+def _short_labels(tmp_path):
+    path = tmp_path / "short-labels-idx1-ubyte"
+    path.write_bytes(idx_label_bytes(np.array([1, 2, 3], dtype=np.uint8))[:-1])
+    return load_idx_labels(path)
+
+
+@pytest.mark.parametrize(
+    "call, error, named",
+    [
+        (_short_labels, IdxParseError, "holds 2 labels, header promises 3"),
+        (lambda _: downsample_images(np.zeros((1, 4)), 2, 2, 0), ConfigError, "got 0"),
+    ],
+    ids=["short-label-payload", "factor-below-one"],
+)
+def test_a_bad_input_is_refused_by_value(tmp_path, call, error, named):
+    with pytest.raises(error, match=named):
+        call(tmp_path)

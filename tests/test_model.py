@@ -189,3 +189,15 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(1, 10)))
         np.testing.assert_array_equal(forward_batch(model, feats), forward_batch(loaded, feats))
+
+
+@pytest.mark.parametrize("code", [2, 99])
+def test_an_unknown_feature_map_code_is_refused_by_value(tmp_path, code):
+    """The header's last field, after the magic and six others."""
+    path = tmp_path / "fmap.mps"
+    save_checkpoint(init_model(8, 2, 2, seed=0), path)
+    blob = bytearray(path.read_bytes())
+    blob[32:36] = code.to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointFormatError, match=f"feature map code {code}"):
+        load_checkpoint(path)

@@ -618,3 +618,16 @@ class TestTrainLoop:
         assert lines[0] == ",".join(METRICS_COLUMNS)
         assert len(lines) == 5
         assert lines[1].startswith("1,")
+
+
+@pytest.mark.parametrize(
+    "logits, labels, named",
+    [
+        (np.zeros(3), np.zeros(3, dtype=np.int64), r"shape \(3,\)"),
+        (np.zeros((3, 2)), np.zeros(2, dtype=np.int64), r"labels shape \(2,\)"),
+    ],
+    ids=["one-dimensional-logits", "label-count"],
+)
+def test_a_bad_loss_batch_is_refused_by_value(logits, labels, named):
+    with pytest.raises(DimensionError, match=named):
+        compute_loss(LossKind.CROSS_ENTROPY, logits, labels)

@@ -148,7 +148,7 @@ def test_the_module_workspace_maps_each_array_beyond_its_buffer():
 
 
 def test_desk_step_workspace_holds_at_most_20_mib(monkeypatch):
-    """The label block, the absorbed halves and the round outputs: 15.3 MiB.
+    """The label block, the stack of every bond site and the round outputs: 15.3 MiB.
 
     Dense [T, B, chi, chi] round adjoints in the buffer took it to 30.1 MiB.
     """
