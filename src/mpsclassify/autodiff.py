@@ -37,8 +37,8 @@ are or transposed, it makes one direct ``np.matmul`` per row
 index prepended, so the FLOP counters read it as one ``contract`` per row. Its
 rule reverses the run in one loop of the same calls, the rows arranged the
 other way, written into one environment buffer. Every other einsum node
-takes its adjoints from a plan cached per (subscripts, operand shapes,
-graded operands): factors, or a compiled product (``_adjoint_plan``).
+takes its adjoints from a plan cached per (subscripts, graded operands):
+factors, or an ``einsum`` product (``_adjoint_plan``).
 Dense adjoints of ``gather`` and ``slice_rows`` add into the rows they
 came from, in one buffer per source array, instead of scattering into a
 fresh zero copy of the source for every node.
@@ -90,7 +90,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, DimensionError, MpsError, NumericError
+from .errors import (ConfigError, ConsistencyError, DimensionError, MpsError, NumericError,
+                     check_integer)
 from .losses import LossKind, compute_loss
 from .model import MpsClassifier
 from .tensor import DTYPE
@@ -98,6 +99,9 @@ from .tensor import DTYPE
 _EINSUM_KINDS = ("contract", "absorb", "combine")
 _ROW_KINDS = ("gather", "slice_rows")
 _LOSS_KINDS = ("cross_entropy", "mean_square")
+
+# ``grad_check`` compares entries below this magnitude absolutely.
+GRAD_CHECK_ATOL = 1e-3
 
 
 def einsum(subscripts: str, *ops: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -180,13 +184,7 @@ def _plan(steps: list):
             operands.append(run(*[operands.pop(p) for p in at]))
         return _into(last(*[operands.pop(p) for p in positions], out=out), out)
 
-    if inner or positions != (1, 0):
-        return plan
-
-    def pair(a, b, out=None):
-        return last(b, a) if out is None else _into(last(b, a, out=out), out)
-
-    return pair
+    return plan
 
 
 def _into(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -423,7 +421,7 @@ class Tape:
 
     def gather(self, x: np.ndarray, index: int) -> np.ndarray:
         """Select row ``index`` along the leading axis, differentiably."""
-        index = int(index)
+        check_integer("gather index", index, DimensionError)
         if not 0 <= index < x.shape[0]:
             raise DimensionError(f"gather index {index} out of range for {x.shape}")
         return self._record("gather", (x,), x[index], index)
@@ -467,6 +465,8 @@ class Tape:
 
     def slice_rows(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
         """Rows ``start:stop`` along the leading axis, differentiably."""
+        check_integer("slice_rows start", start, DimensionError)
+        check_integer("slice_rows stop", stop, DimensionError)
         if not 0 <= start <= stop <= x.shape[0]:
             raise DimensionError(
                 f"slice_rows [{start}:{stop}] out of range for {x.shape}"
@@ -660,22 +660,19 @@ def _absorb_adjoint(shape: tuple, feats: np.ndarray, g) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=512)
-def _adjoint_plan(subscripts: str, shapes: tuple, needs: tuple) -> tuple:
+def _adjoint_plan(subscripts: str, needs: tuple) -> tuple:
     """``(i, outer, product, rows)`` per graded operand ``i`` of the einsum
-    ``subscripts`` over operands of ``shapes``.
+    ``subscripts``.
 
     The dense adjoint replaces operand i by g, indexed like the output. When
     it is a bare outer product over the operand's last two indices,
     ``outer`` holds the positions of its factors (u, v) among the operands;
-    otherwise ``product`` runs it: the compiled plan of a two-operand form
-    (``_compile``), ``einsum`` for more operands, such as a combine's.
+    otherwise ``product`` runs it as ``einsum(form, *ops)``.
     ``rows`` marks the weights of the stacked absorb, whose adjoint from
     factors is ``_absorb_adjoint``'s.
     """
     ins, out = subscripts.split("->")
     ins = ins.split(",")
-    sizes = {ix: n for term, shape in zip(ins, shapes) for ix, n in zip(term, shape)}
-    g_shape = tuple(sizes[ix] for ix in out)
     plan = []
     for i, own in enumerate(ins):
         if not needs[i]:
@@ -686,10 +683,7 @@ def _adjoint_plan(subscripts: str, shapes: tuple, needs: tuple) -> tuple:
                 plan.append((i, (i, 1 - i) if out == pair[0] else (1 - i, i), None, False))
                 continue
         form = ",".join(out if j == i else term for j, term in enumerate(ins)) + "->" + own
-        if len(ins) == 2:
-            product = _compile(form, tuple(g_shape if j == i else x for j, x in enumerate(shapes)))
-        else:
-            product = lambda *ops, form=form: einsum(form, *ops)  # noqa: E731
+        product = lambda *ops, form=form: einsum(form, *ops)  # noqa: E731
         plan.append((i, None, product, i == 0 and subscripts == STACKED_ABSORB))
     return tuple(plan)
 
@@ -712,9 +706,7 @@ def _input_adjoints(node: Node, g):
     kind = node.kind
     if kind in _EINSUM_KINDS:
         inputs = node.inputs
-        for i, outer, product, rows in _adjoint_plan(
-            node.extra, tuple([x.shape for x in inputs]), node.needs
-        ):
+        for i, outer, product, rows in _adjoint_plan(node.extra, node.needs):
             if rows and not isinstance(g, np.ndarray):
                 yield i, _absorb_adjoint(inputs[0].shape, inputs[1], g)
                 continue
@@ -944,14 +936,13 @@ def grad_check(
     h: float = 1e-5,
     tolerance: float = 1e-6,
     loss_kind: LossKind = LossKind.CROSS_ENTROPY,
-    atol: float = 1e-3,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     ``images`` is a [B, N] batch of normalized pixels. For every scalar
     parameter theta the analytic entry is compared with
     (loss(theta + h) - loss(theta - h)) / 2h. The relative error uses
-    denominator max(|analytic|, |numeric|, atol): entries below ``atol``
+    denominator max(|analytic|, |numeric|, GRAD_CHECK_ATOL): entries below it
     are compared absolutely against it, which keeps finite-difference
     roundoff (of order 1e-10 for unit-scale losses) from dominating
     near-zero gradient entries. Cost is two forward passes per parameter.
@@ -983,7 +974,7 @@ def grad_check(
             flat[k] = orig
             numeric = (up - down) / (2.0 * h)
             a = analytic.reshape(-1)[k]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), atol)
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), GRAD_CHECK_ATOL)
             if rel >= worst[0]:
                 index = tuple(int(i) for i in np.unravel_index(k, arr.shape))
                 worst = (rel, index, float(a), numeric)

@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=_positive_int, default=50)
     p.add_argument("--learning-rate", type=_positive_float, default=1e-4)
     p.add_argument("--loss", choices=sorted(_LOSSES), default="cross-entropy")
-    p.add_argument("--strategy", choices=["sequential", "pairwise"], default="pairwise")
+    p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="pairwise")
     p.add_argument("--feature-map", choices=sorted(_FEATURE_MAPS), default="linear")
     p.add_argument("--metrics-csv", help="write per-epoch metrics here")
     p.add_argument("--checkpoint", help="write the trained model here")
@@ -365,10 +365,7 @@ def _strategy_list(text: str) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "backward", False) and "brute-force" in args.strategies:
-        parser.error("--backward cannot time --strategies brute-force: brute force has no gradients")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (MpsError, FileNotFoundError) as exc:

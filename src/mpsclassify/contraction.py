@@ -1,9 +1,10 @@
 """Per-label score evaluation by tensor-network contraction.
 
-Two production schedules plus a brute-force oracle. Taped, both absorb
-every bond site in one node, straight from ``cores`` (``STACKED_ABSORB``),
-then carry each boundary vector through its half's rows of that stack
-with the schedule's step (``_forward_taped``):
+Two schedules, the ones ``Strategy`` names, plus the brute-force oracle
+``brute_force_logits``. Taped, both absorb every bond site in one node,
+straight from ``cores`` (``STACKED_ABSORB``), then carry each boundary
+vector through its half's rows of that stack with the schedule's step
+(``_forward_taped``):
 
 * ``sequential``: sweep a vector from each end of the chain toward the
   label site, combining there so the label count L enters only the final
@@ -30,8 +31,10 @@ with the schedule's step (``_forward_taped``):
   at the end of a round is carried to the next round unpaired. The
   rounds exist for the taped step; untaped, pairwise runs the sequential
   sweep (``forward_batch``).
-* ``brute force``: the literal sum over every pixel-index assignment,
-  guarded to small chains. Exists to anchor the fast schedules.
+
+``brute_force_logits`` is no schedule: it is the literal sum over every
+pixel-index assignment of one image, guarded to small chains, and exists
+to anchor the two. It records nothing on a tape and has no gradients.
 
 The chain is split at the label core; each half reduces independently and
 the halves meet at the label block, so L never multiplies the inner work.
@@ -49,8 +52,7 @@ Layout: every absorb names the weights as its first operand (for example
 ``STACKED_ABSORB``), so the compiled plan's final ``matmul`` writes the
 stack batch-major and C-contiguous, ``[..., B, chi, chi]``, with no
 transposed view. Each matrix a pairwise round multiplies is then
-contiguous for BLAS. Brute force records nothing on a tape and has no
-gradients.
+contiguous for BLAS.
 
 Workspace: a taped call takes its absorbed label block and its stack of
 every bond site from its tape's workspace (``autodiff.Workspace``), and
@@ -78,9 +80,10 @@ BRUTE_FORCE_MAX_SITES = 12
 
 
 class Strategy(enum.Enum):
+    """The two contraction schedules; the brute-force oracle is ``brute_force_logits``."""
+
     SEQUENTIAL = "sequential"
     PAIRWISE = "pairwise"
-    BRUTE_FORCE = "brute-force"
 
 
 def check_batch_features(model: MpsClassifier, feats: np.ndarray) -> np.ndarray:
@@ -199,10 +202,12 @@ def forward_batch(
 ) -> np.ndarray:
     """Logits [B, L] for a batch of encoded images [B, N, d], as a new array.
 
-    The one place that picks a schedule's form. Given a ``tape``, whatever
-    it watches, the schedule's taped form runs the whole batch at once with
-    its step (``_forward_taped``): ``Tape.sweep``, looked up at call time so
-    a wrapper put on the class is called, or ``_pair_reduce``; the tape is
+    ``strategy`` is one of the two schedules; the brute-force oracle is
+    ``brute_force_logits``, one image per call. This is the one place that
+    picks a schedule's form. Given a ``tape``, whatever it watches, the
+    schedule's taped form runs the whole batch at once with its step
+    (``_forward_taped``): ``Tape.sweep``, looked up at call time so a
+    wrapper put on the class is called, or ``_pair_reduce``; the tape is
     never lent the workspace.
 
     Without one, both schedules run the untaped sequential sweep
@@ -217,9 +222,6 @@ def forward_batch(
         step = _pair_reduce
     elif strategy is Strategy.SEQUENTIAL:
         step = Tape.sweep
-    elif strategy is Strategy.BRUTE_FORCE:
-        logits = [brute_force_logits(model, image) for image in feats]
-        return np.array(logits, dtype=DTYPE).reshape(len(feats), model.n_labels)
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
     if tape is None:

@@ -12,14 +12,13 @@ system can be exercised without any files at all.
 """
 
 import gzip
-import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, IdxParseError
+from .errors import ConfigError, DimensionError, IdxParseError, check_integer
 from .tensor import DTYPE
 
 IMAGE_MAGIC = 0x00000803
@@ -212,6 +211,9 @@ def label_histogram(labels: np.ndarray, n_labels: int | None = None) -> list[int
 
 # -- synthetic fixtures --------------------------------------------------------
 
+# Seeds the class templates of ``synthetic_digits``, so every set shares one task.
+TEMPLATE_SEED = 12345
+
 
 def _smooth(field: np.ndarray, passes: int = 2) -> np.ndarray:
     """Cheap box blur with wraparound; keeps the generator dependency-free."""
@@ -227,10 +229,9 @@ def _smooth(field: np.ndarray, passes: int = 2) -> np.ndarray:
 
 def _check_count(count: int, **sizes) -> None:
     """Raise ``ConfigError`` naming the first of ``count`` and ``sizes`` that is not an
-    integer (a bool is not one), or for a negative ``count``."""
+    integer (``check_integer``), or for a negative ``count``."""
     for name, value in dict(count=count, **sizes).items():
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_integer(name, value)
     if count < 0:
         raise ConfigError(f"cannot generate {count} images")
 
@@ -258,13 +259,12 @@ def synthetic_digits(
     seed: int = 0,
     side: int = 14,
     n_classes: int = 10,
-    template_seed: int = 12345,
 ) -> ImageSet:
     """Ten-class stand-in at desk scale: smoothed random template per class,
     jittered by a one-pixel roll and additive noise. Useful where the real
     scanned digits are not on disk.
 
-    The class templates come from ``template_seed`` alone, so sets drawn
+    The class templates come from ``TEMPLATE_SEED`` alone, so sets drawn
     with different ``seed`` values share the same task and can serve as
     train/test splits of each other. ``side`` must be at least 2 and
     ``n_classes`` at least 1 (``ConfigError``).
@@ -273,7 +273,7 @@ def synthetic_digits(
     if side < 2 or n_classes < 1:
         raise ConfigError(f"synthetic digits need side >= 2 and n_classes >= 1, "
                           f"got side={side}, n_classes={n_classes}")
-    template_rng = np.random.default_rng(template_seed)
+    template_rng = np.random.default_rng(TEMPLATE_SEED)
     rng = np.random.default_rng(seed)
     templates = np.stack(
         [_smooth(template_rng.uniform(0.0, 1.0, size=(side, side))) for _ in range(n_classes)]

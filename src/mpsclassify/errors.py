@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all mpsclassify modules."""
+"""Exception hierarchy shared by all mpsclassify modules, and the one
+integer check of a configured size."""
+
+import numbers
 
 
 class MpsError(Exception):
@@ -43,3 +46,9 @@ class CheckpointTruncatedError(CheckpointError):
 
 class IdxParseError(MpsError):
     """An IDX dataset file is malformed (magic, header, or payload)."""
+
+
+def check_integer(name: str, value, error: type = ConfigError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer (a bool is not one)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")

@@ -22,6 +22,7 @@ from .errors import (
     CheckpointTruncatedError,
     CheckpointVersionError,
     ConfigError,
+    check_integer,
 )
 from .tensor import DTYPE
 
@@ -79,6 +80,9 @@ class MpsClassifier:
 
 def _check_layout(n_sites: int, n_labels: int, bond_dim: int, label_site: int) -> None:
     """Raise ConfigError naming the first field that no chain layout allows."""
+    sizes = dict(n_sites=n_sites, n_labels=n_labels, bond_dim=bond_dim, label_site=label_site)
+    for name, value in sizes.items():
+        check_integer(name, value)
     if n_sites < 3:
         raise ConfigError(
             f"n_sites must be >= 3 so the label core sits strictly between "
@@ -114,8 +118,8 @@ def init_model(
     """
     m = n_sites // 2 if label_site is None else label_site
     _check_layout(n_sites, n_labels, bond_dim, m)
-    if sigma < 0:
-        raise ConfigError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < float("inf"):
+        raise ConfigError(f"sigma must be >= 0 and finite, got {sigma}")
 
     d, chi, big_l = LOCAL_DIM, bond_dim, n_labels
     rng = np.random.default_rng(seed)

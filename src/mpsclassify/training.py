@@ -12,7 +12,6 @@ one site at a time.
 """
 
 import csv
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -21,7 +20,7 @@ import numpy as np
 from .autodiff import Gradients, Tape, backward, lend_workspace
 from .contraction import Strategy, check_batch_features, forward_batch, predict_batch
 from .encoding import check_pixels, encode_batch
-from .errors import ConfigError, ConsistencyError, DimensionError, NumericError
+from .errors import ConfigError, ConsistencyError, DimensionError, NumericError, check_integer
 from .losses import LossKind, compute_loss, cross_entropy_loss, mean_square_loss
 from .model import MpsClassifier
 from .tensor import DTYPE
@@ -56,9 +55,8 @@ ADAM_EPS = 1e-8
 
 
 def _check_positive_int(name: str, value) -> None:
-    """Raise ``ConfigError`` unless ``value`` is an integer >= 1 (a bool is not one)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    """Raise ``ConfigError`` unless ``value`` is an integer >= 1 (``check_integer``)."""
+    check_integer(name, value)
     if value < 1:
         raise ConfigError(f"{name} must be >= 1, got {value}")
 
@@ -84,11 +82,8 @@ class TrainConfig:
             _check_positive_int(name, getattr(self, name))
         if not isinstance(self.loss_kind, LossKind):
             raise ConfigError(f"loss_kind must be a LossKind, got {self.loss_kind!r}")
-        if self.strategy not in (Strategy.PAIRWISE, Strategy.SEQUENTIAL):
-            raise ConfigError(
-                "strategy must be Strategy.PAIRWISE or Strategy.SEQUENTIAL (brute force "
-                f"is an untaped oracle and has no gradients), got {self.strategy!r}"
-            )
+        if not isinstance(self.strategy, Strategy):
+            raise ConfigError(f"strategy must be a Strategy, got {self.strategy!r}")
 
 
 @dataclass
@@ -131,17 +126,11 @@ def _taped_step(model, feats, labels, loss_kind, strategy) -> tuple[float, np.nd
 
     Raises ``NumericError`` when the loss is not finite, when every logit
     is below ``TINY_LOGIT`` in magnitude, or when a gradient is not finite.
-    Brute force records nothing on the tape, and an empty batch has no
-    loss, so either raises ``ConfigError``.
+    An empty batch has no loss, so it raises ``ConfigError``.
     The tape borrows the module's workspace (``autodiff.lend_workspace``),
     which grows to the largest step so far; the loss, logits and gradients
     returned are new arrays, not views of it.
     """
-    if strategy is Strategy.BRUTE_FORCE:
-        raise ConfigError(
-            "brute force is an untaped oracle and has no gradients: "
-            "use the pairwise or sequential strategy"
-        )
     feats = check_batch_features(model, feats)
     if feats.shape[0] == 0:
         raise ConfigError("cannot take a step on an empty batch: it holds no images")
@@ -242,9 +231,10 @@ def evaluate(
 ) -> tuple[float, float]:
     """(mean loss, accuracy) over an encoded set, evaluated in batches.
 
-    Every strategy but brute force evaluates with the untaped sequential
-    sweep (``contraction.forward_batch``), so pairwise and sequential give
-    the same bytes."""
+    Both schedules evaluate with the untaped sequential sweep
+    (``contraction.forward_batch``), so pairwise and sequential give the
+    same bytes; the brute-force oracle, ``brute_force_logits``, is no
+    strategy."""
     return evaluate_predictions(model, feats, labels, loss_kind, batch_size, strategy)[:2]
 
 

@@ -1036,9 +1036,16 @@ def _non_finite_gradients():
         (lambda: Tape().pair_round(np.zeros((1, 2, 3, 3))), DimensionError, r"\(1, 2, 3, 3\)"),
         (lambda: Tape().gather(np.zeros((3, 2)), 3), DimensionError, "index 3"),
         (lambda: Tape().slice_rows(np.zeros((3, 2)), 1, 4), DimensionError, r"\[1:4\]"),
+        (lambda: Tape().gather(np.zeros((3, 2)), 1.5), DimensionError, "index must be an integer"),
+        (lambda: Tape().gather(np.zeros((3, 2)), "1"), DimensionError, "index must be an integer"),
+        (lambda: Tape().slice_rows(np.zeros((3, 2)), 0.5, 2), DimensionError,
+         "start must be an integer"),
+        (lambda: Tape().slice_rows(np.zeros((3, 2)), 0, 2.0), DimensionError,
+         "stop must be an integer"),
     ],
     ids=["non-finite-gradient", "non-square-round", "one-row-round", "gather-index",
-         "slice-range"],
+         "slice-range", "float-gather-index", "string-gather-index", "float-slice-start",
+         "float-slice-stop"],
 )
 def test_a_bad_argument_is_refused_by_value(call, error, named):
     with pytest.raises(error, match=named):

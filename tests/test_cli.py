@@ -401,7 +401,8 @@ class TestBenchCommand:
         assert len(runs) == 4
 
     def test_brute_force_backward_is_a_named_error(self, tmp_path, capsys):
-        """Rejected at parse time, before any row is timed or the CSV is written."""
+        """Brute force is no strategy: refused at parse time, before any row
+        is timed or the CSV is written."""
         out_csv = tmp_path / "bench.csv"
         with pytest.raises(SystemExit) as exc:
             main(["bench-contraction", "--sites", "8", "--batch", "2", "--bond-dims", "2",
@@ -410,7 +411,17 @@ class TestBenchCommand:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "--backward" in err and "--strategies brute-force" in err
+        assert "--strategies" in err and "sequential,brute-force" in err
+        assert not out_csv.exists()
+
+    def test_train_refuses_brute_force_strategy(self, tmp_path, capsys):
+        out_csv = tmp_path / "metrics.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--synthetic", "20", "--epochs", "1", "--strategy", "brute-force",
+                  "--metrics-csv", str(out_csv)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--strategy" in err and "brute-force" in err
         assert not out_csv.exists()
 
     def test_unknown_strategy_rejected_before_timing(self, capsys):

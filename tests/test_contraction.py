@@ -197,17 +197,19 @@ class TestStrategyAgreement:
                 batch_pair[b], rounds(model, one)[0], rtol=1e-12
             )
 
-    def test_brute_force_strategy_through_forward_batch(self, rng):
+    def test_brute_force_per_image_matches_forward_batch(self, rng):
         model = init_model(6, 2, 2, seed=4)
         feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(3, 6)))
-        out = forward_batch(model, feats, Strategy.BRUTE_FORCE)
+        out = np.stack([brute_force_logits(model, image) for image in feats])
         np.testing.assert_allclose(out, forward_batch(model, feats), rtol=1e-10)
 
-    @pytest.mark.parametrize(
-        "strategy", [Strategy.PAIRWISE, Strategy.SEQUENTIAL, Strategy.BRUTE_FORCE]
-    )
+    def test_strategy_names_the_two_schedules(self):
+        """Brute force is the oracle function, not a third schedule."""
+        assert [s.value for s in Strategy] == ["sequential", "pairwise"]
+
+    @pytest.mark.parametrize("strategy", [Strategy.PAIRWISE, Strategy.SEQUENTIAL])
     def test_an_empty_batch_gives_an_empty_logit_array(self, rng, strategy):
-        """No images give a (0, L) array of logits, brute force included."""
+        """No images give a (0, L) array of logits."""
         model = init_model(12, 3, 3, seed=4)
         feats = encode_batch(model.feature_map, rng.uniform(0, 1, size=(2, 12)))
         out = forward_batch(model, feats[:0], strategy)

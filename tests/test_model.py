@@ -88,6 +88,27 @@ class TestInit:
         with pytest.raises(ConfigError):
             init_model(seed=0, **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            (dict(n_sites=10, label_site=2.5), "label_site must be an integer"),
+            (dict(n_sites=10, label_site=True), "label_site must be an integer"),
+            (dict(n_sites=10.0), "n_sites must be an integer"),
+            (dict(n_sites=10, n_labels=3.0), "n_labels must be an integer"),
+            (dict(n_sites=10, bond_dim=2.5), "bond_dim must be an integer"),
+            (dict(n_sites=10, sigma=float("nan")), "sigma must be"),
+            (dict(n_sites=10, sigma=float("inf")), "sigma must be"),
+        ],
+        ids=["float-label-site", "bool-label-site", "float-sites", "float-labels",
+             "float-bond-dim", "nan-sigma", "inf-sigma"],
+    )
+    def test_sizes_are_checked_up_front(self, kwargs, named):
+        """Named at construction, not as NumPy's bare TypeError at the first
+        forward pass or as silently non-finite weights."""
+        kwargs = dict(dict(n_labels=3, bond_dim=2, seed=0), **kwargs)
+        with pytest.raises(ConfigError, match=named):
+            init_model(**kwargs)
+
     def test_core_stack_index_rejects_label_and_boundary_sites(self):
         model = init_model(8, 2, 2, seed=0)
         for bad in (0, model.label_site, 7):

@@ -400,20 +400,6 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match="below 1e-100 in magnitude"):
             loss_and_gradients(model, feats, train_set.labels)
 
-    def test_brute_force_has_no_gradients_and_says_so(self):
-        """Brute force records no tape nodes: a named error, not zero gradients."""
-        from mpsclassify import Strategy
-
-        train_set = synthetic_blobs(20, seed=0)
-        model = init_model(8, 2, 3, seed=5)
-        feats = encode_batch(model.feature_map, train_set.images[:4, :8])
-        with pytest.raises(ConfigError, match="brute force is an untaped oracle"):
-            loss_and_gradients(model, feats, train_set.labels[:4], strategy=Strategy.BRUTE_FORCE)
-        with pytest.raises(ConfigError, match="brute force is an untaped oracle"):
-            TrainConfig(
-                learning_rate=1e-3, batch_size=10, epochs=1, seed=0, strategy=Strategy.BRUTE_FORCE
-            )
-
     def test_evaluate_on_degenerate_model_predicts_class_zero(self):
         """sigma=0 makes all logits equal; tie-break sends everything to 0."""
         test_set = synthetic_blobs(50, seed=4)
@@ -584,7 +570,6 @@ class TestTrainLoop:
     @pytest.mark.parametrize(
         "call, error, match",
         [
-            (lambda: TrainConfig(strategy=Strategy.BRUTE_FORCE), ConfigError, "strategy must be"),
             (lambda: TrainConfig(strategy="pairwise"), ConfigError, "strategy must be"),
             (lambda: TrainConfig(loss_kind="cross-entropy"), ConfigError, "loss_kind must be"),
             (lambda: TrainConfig(batch_size=2.5), ConfigError, "batch_size must be an integer"),
@@ -594,7 +579,7 @@ class TestTrainLoop:
             (lambda: evaluate_predictions(init_model(12, 2, 2, seed=0), np.ones((12, 2)), [0]),
              DimensionError, r"expected \[B, N, d\] features"),
         ],
-        ids=["brute-force", "string-strategy", "string-loss", "float-batch", "float-epochs",
+        ids=["string-strategy", "string-loss", "float-batch", "float-epochs",
              "float-eval-batch", "unbatched-features"],
     )
     def test_bad_inputs_are_named_up_front(self, call, error, match):
