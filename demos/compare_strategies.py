@@ -21,7 +21,6 @@ from mpsclassify import (
     forward_batch,
     init_model,
 )
-from mpsclassify.autodiff import STACKED_ABSORB
 
 rng = np.random.default_rng(7)
 n, n_labels, chi = 10, 3, 4
@@ -46,7 +45,7 @@ for n_sites in (10, 20, 196):
     forward_batch(chain, f, Strategy.PAIRWISE, tape=tape)
     halves = []  # [matrices, rounds] per half, left then right
     for node in tape.nodes:
-        if node.extra == STACKED_ABSORB:  # a half's absorb, one matrix per site
+        if node.kind == "slice_rows":  # a half's rows of the absorbed stack, one per site
             halves.append([node.output.shape[0], 0])
         elif node.kind == "pair_round":
             halves[-1][1] += 1

@@ -1,13 +1,13 @@
 """Reverse-mode gradients over a recorded contraction graph.
 
-The tape records a small set of primitives (multilinear contractions,
-rounds of stacked matrix products, structural slicing and the losses) as
-they execute. ``backward(tape, wrt)`` walks the records in reverse,
-applies the matching adjoint rule for each, accumulating across batch
-entries by summation, and returns the adjoints of the watched arrays in
-``wrt`` only. Arrays are treated as immutable while a tape referencing
-them is alive. The per-node FLOP counters (``forward_flops``,
-``backward_flops``) are the package's only FLOP accounting.
+The tape records a small set of primitives (fixed products, rounds of
+stacked matrix products, structural slicing and the losses) as they
+execute. ``backward(tape, wrt)`` walks the records in reverse, applies the
+matching adjoint rule for each, accumulating across batch entries by
+summation, and returns the adjoints of the watched arrays in ``wrt`` only.
+Arrays are treated as immutable while a tape referencing them is alive.
+The per-node FLOP counters (``forward_flops``, ``backward_flops``) are the
+package's only FLOP accounting.
 
 An adjoint lives from its first contribution until the node that produced
 its array runs; only the adjoints of ``wrt`` and the row accumulators of
@@ -18,75 +18,58 @@ factors of all 193 bond sites, are views of the workspace. On a tape with
 its own workspace the environment buffers are new arrays, held until the
 absorb, and ``backward`` alone traces about 1.9 MiB.
 
-Every taped contraction, forward or adjoint, runs a plan of ``einsum``'s.
-The untaped sequential sweep (``contraction._sweep_half``) records nothing
-and uses no plan: per site, a broadcast multiply weights the vector along
-the batch, then one direct ``np.matmul`` serves the whole batch. As an
-einsum the weighting would compile to one matrix-vector product per image,
-the per-image BLAS calls that sweep exists to avoid. ``einsum`` compiles
-each (subscripts, operand shapes) pair once into a plan of transposes,
-reshapes and one ``np.matmul`` (or a broadcast multiply) per pairwise step,
-so repeated calls do no path search and no subscript parsing.
+Every taped product, forward or adjoint, is an entry of one fixed table,
+``_FORMS``, keyed by the six subscripts ``contraction`` records: three
+absorbs, the label combine and a pairwise half's two vector-matrix
+combines. Each runs the matmuls NumPy's optimized einsum runs for it, on
+operands arranged the same way, so the bits agree; subscripts are read
+only to check operand extents and count FLOPs, and no path is searched.
 ``Tape.sweep(vec, stack, rows)`` steps a [B, chi] vector through one chain
-half, rows of a [S, B, chi, chi] stack, without a plan: ascending rows as
-``v @ A``, descending ones as ``A @ v``. On views arranged once per call,
-the vectors of one prefix buffer as [..., 1, chi] rows and the rows as they
-are or transposed, it makes one direct ``np.matmul`` per row
-(``_SweepNode.run``). It records one ``contract`` node (``_SweepNode``),
-``"sbx,sbxy->sby"`` or ``"sby,sbxy->sbx"``, the row product with a run
-index prepended, so the FLOP counters read it as one ``contract`` per row. Its
-rule reverses the run in one loop of the same calls, the rows arranged the
-other way, written into one environment buffer. Every other einsum node
-takes its adjoints from a plan cached per (subscripts, graded operands):
-factors, or an ``einsum`` product (``_adjoint_plan``).
-Dense adjoints of ``gather`` and ``slice_rows`` add into the rows they
-came from, in one buffer per source array, instead of scattering into a
-fresh zero copy of the source for every node.
+half, rows of a [S, B, chi, chi] stack, one ``np.vecmat`` per row
+(``_SweepNode.run``), and records one ``contract`` node (``_SweepNode``),
+``"sbx,sbxy->sby"`` or ``"sby,sbxy->sbx"``: the row product with a run
+index prepended, so the FLOP counters read it as one ``contract`` per row. Its rule reverses the
+run in one loop of the same calls into one environment buffer. Dense
+adjoints of ``gather`` and ``slice_rows`` add into the rows they came
+from, in one buffer per source array.
 
-A ``pair_round`` writes into one C-order output through
-``np.matmul(..., out=)``, with the carried odd row copied in place. Where an
-einsum's adjoint is a bare outer product over an operand's last two
-indices, as where a chain half's matrix meets its boundary vector, it is
-kept as factors ``(u, v)`` of ``[..., chi]`` arrays that stand for ``u ⊗ v``
-(the environment form of arXiv:1605.05775). A ``gather`` fed them files
-them as its row's factors of the source, a sweep node files all of its
-rows at once, its prefix and environment buffers being their factors, and
-a ``slice_rows`` files them as rows of its source (``_Rows``, one run of
-consecutive rows per filing). A round stacks those and turns them into
-the factors of its input with two batched matrix-vector products per
-pair, so a round's adjoint costs chi^2, not chi^3, per product. The
-stacked absorb ``"sdxy,bsd->sbxy"`` turns factors or row factors into
-the weights' gradient, one batched matmul per feature component and run
+Where a product's adjoint is a bare outer product over an operand's last
+two indices, as where a chain half's matrix meets its boundary vector, it
+is kept as factors ``(u, v)`` of ``[..., chi]`` arrays that stand for
+``u ⊗ v`` (the environment form of arXiv:1605.05775). A ``gather`` fed them
+files them as its row's factors of the source, a sweep node files all of
+its rows at once, its prefix and environment buffers being their factors,
+and a ``slice_rows`` files them as rows of its source (``_Rows``, one run
+of consecutive rows per filing). A ``pair_round`` stacks those and turns
+them into its input's factors with one ``np.matvec`` and one ``np.vecmat``,
+so a round's adjoint costs chi^2, not chi^3, per product. The stacked
+absorb (``STACKED_ABSORB``) turns factors or row factors into the weights'
+gradient, one batched matmul per feature component and run
 (``_absorb_adjoint``), with no copy of the factors; any other use, or a
-row filed twice, expands them first (see ``_input_adjoints`` and
-``backward``).
+row filed twice, expands them first (see ``_input_adjoints``).
 
 Both taped schedules take their large per-call arrays from a tape's
 ``Workspace``: views of one flat float64 buffer while they fit, new arrays
-beyond it. The module's workspace is kept across calls and grows to the
-largest borrow, so a repeated step touches no fresh pages; no caller
-states a size. ``lend_workspace`` lends it to one tape at a time and takes
-it back when its block exits. Its one borrower is the package's taped
-training step, ``training._taped_step``, whose results never alias it; a
-process that never trained keeps no buffer. The untaped sweep that
-evaluates both schedules takes no workspace, and a tape the user builds
-keeps its own empty one, so all its arrays are new.
-On a lent tape the absorbed label block, the stack of every bond site and
-every ``pair_round`` output may be views of the workspace: 15.3 MiB at the
-desk recipe (9.2 MiB for a sequential step: its label block, the stack,
-and each sweep's prefix and environment buffers). Nothing returned, the
-gradients included, is one: the next borrower overwrites them. Adjoints
-other than a sweep's environment buffer are new arrays: a round's factors
-are [T, B, chi], small enough to be freed round by round but for each
-half's first, which the absorb's adjoint reads.
+beyond it. ``lend_workspace`` lends the module's workspace, kept across
+calls and grown to the largest borrow, to one tape at a time, so a
+repeated step touches no fresh pages. Its one borrower is the taped
+training step, ``training._taped_step``, whose results never alias it. A
+tape the user builds keeps its own empty workspace, so all its arrays are
+new. On a lent tape the absorbed label block, the stack of every bond site
+and every ``pair_round`` output may be views of the workspace: 15.3 MiB at
+the desk recipe (9.2 MiB for a sequential step: its label block, the stack,
+and each sweep's prefix and environment buffers). Adjoints other than a
+sweep's environment buffer are new arrays: a round's factors are
+[T, B, chi], freed round by round but for each half's first, which the
+absorb's adjoint reads.
 """
 
-import functools
 import math
 import mmap
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -96,171 +79,12 @@ from .losses import LossKind, compute_loss
 from .model import MpsClassifier
 from .tensor import DTYPE
 
-_EINSUM_KINDS = ("contract", "absorb", "combine")
+_CONTRACT_KINDS = ("contract", "absorb", "combine")
 _ROW_KINDS = ("gather", "slice_rows")
 _LOSS_KINDS = ("cross_entropy", "mean_square")
 
 # ``grad_check`` compares entries below this magnitude absolutely.
 GRAD_CHECK_ATOL = 1e-3
-
-
-def einsum(subscripts: str, *ops: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.einsum(subscripts, *ops, optimize=True)`` run from a cached plan.
-
-    ``subscripts`` must be explicit (``->``), with no index repeated inside
-    one operand, no index summed within a single operand and no
-    broadcasting. The first call for a given set of operand shapes compiles
-    the plan; later calls only run it. The result equals NumPy 2.4's bit for
-    bit, since its optimized einsum also runs each pairwise step as one
-    ``matmul``; NumPy releases that run those steps another way agree with
-    it to rounding.
-
-    With ``out``, an array of the result's shape, the result is written into
-    it and ``out`` is returned. A final ``matmul`` that produces the output
-    order writes into a C-contiguous ``out`` directly; any other final step
-    is copied in.
-    """
-    return _compile(subscripts, tuple([op.shape for op in ops]))(*ops, out=out)
-
-
-@functools.lru_cache(maxsize=512)
-def _compile(subscripts: str, shapes: tuple):
-    """``einsum``'s plan for ``subscripts`` over operands of ``shapes``, as one
-    function ``plan(*ops, out=None)``.
-
-    Each pairwise step ``(positions, run)`` pops ``positions`` and pushes
-    ``run(*popped)``; a plan of one step runs it on the operands directly.
-
-    The pairwise order is the one ``np.einsum_path(optimize=True)`` picks.
-    Operands are popped, and intermediates are indexed, in the order
-    ``np.einsum`` uses, and each step mirrors the ``matmul`` or multiply
-    that NumPy's optimized einsum performs for it, so the values and the
-    memory layouts agree exactly.
-    """
-    inputs, output = subscripts.split("->")
-    terms = inputs.split(",")
-    if len(terms) != len(shapes):
-        raise DimensionError(f"{subscripts!r} names {len(terms)} operands, got {len(shapes)}")
-    sizes: dict[str, int] = {}
-    for term, shape in zip(terms, shapes):
-        if len(term) != len(shape) or len(set(term)) != len(term):
-            raise DimensionError(f"{subscripts!r} does not fit operand shapes {shapes}")
-        for ix, n in zip(term, shape):
-            if sizes.setdefault(ix, n) != n:
-                raise DimensionError(f"index {ix!r} of {subscripts!r} has extents {sizes[ix]} and {n}")
-    for ix in sizes:
-        if ix not in output and inputs.count(ix) < 2 and sizes[ix] != 1:
-            raise DimensionError(f"index {ix!r} of {subscripts!r} is summed within one operand")
-    dummies = [np.broadcast_to(np.zeros((), DTYPE), shape) for shape in shapes]
-    path = np.einsum_path(subscripts, *dummies, optimize=True)[0][1:]
-    steps = []
-    for k, positions in enumerate(path):
-        positions = tuple(sorted(positions, reverse=True))
-        picked = [terms.pop(p) for p in positions]
-        if k == len(path) - 1:
-            result = output
-        else:
-            needed = set(output).union(*terms)
-            kept = set("".join(picked)) & needed
-            result = "".join(sorted(kept, key=lambda ix: (sizes[ix], ix)))
-        terms.append(result)
-        summed = any(ix not in result and sizes[ix] != 1 for ix in picked[0])
-        if len(picked) == 2 and summed:
-            steps.append((positions, _matmul_step(*picked, result, sizes)))
-        elif not summed:
-            steps.append((positions, _product_step(picked, result, sizes)))
-        else:
-            raise DimensionError(f"{subscripts!r} has no pairwise contraction order")
-    return _plan(steps)
-
-
-def _plan(steps: list):
-    """Run ``steps`` (``_compile``), the last one into ``out`` when given."""
-    *inner, (positions, last) = steps
-
-    def plan(*ops, out=None):
-        operands = list(ops)
-        for at, run in inner:
-            operands.append(run(*[operands.pop(p) for p in at]))
-        return _into(last(*[operands.pop(p) for p in positions], out=out), out)
-
-    return plan
-
-
-def _into(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    if out is None or result is out:
-        return result
-    out[...] = result
-    return out
-
-
-def _arrange(term: str, order: str, sizes: dict, shape=None):
-    """Bring an operand indexed by ``term`` to the index order ``order``, then to ``shape``.
-
-    Size-1 indices of ``term`` that ``order`` leaves out are dropped.
-    """
-    if order == term:
-        return (lambda x: x) if shape is None else (lambda x: x.reshape(shape))
-    dropped = tuple(i for i, ix in enumerate(term) if ix not in order)
-    perm = tuple(term.index(ix) for ix in order) + dropped
-    shape = shape or tuple(sizes[ix] for ix in order)
-    return lambda x: x.transpose(perm).reshape(shape)
-
-
-def _matmul_step(a: str, b: str, out: str, sizes: dict):
-    """One batched ``matmul`` over the shared indices of ``a`` and ``b``."""
-    big = {ix for ix in a + b if sizes[ix] != 1}
-    bat = [ix for ix in a if ix in big and ix in b and ix in out]
-    con = [ix for ix in a if ix in big and ix in b and ix not in out]
-    a_keep = [ix for ix in a if ix in big and ix not in b]
-    b_keep = [ix for ix in b if ix in big and ix not in a]
-    groups_a, groups_b, groups_ab = (bat, a_keep, con), (bat, con, b_keep), (bat, a_keep, b_keep)
-    if not bat:
-        groups_a, groups_b, groups_ab = groups_a[1:], groups_b[1:], groups_ab[1:]
-
-    def fused(groups):
-        if all(len(group) == 1 for group in groups):
-            return None
-        return tuple(int(np.prod([sizes[ix] for ix in group])) for group in groups)
-
-    arrange_a = _arrange(a, "".join(bat + a_keep + con), sizes, fused(groups_a))
-    arrange_b = _arrange(b, "".join(bat + con + b_keep), sizes, fused(groups_b))
-    ones = [ix for ix in out if sizes[ix] == 1]
-    ab_shape = None
-    if ones or fused(groups_ab) is not None:
-        ab_shape = (1,) * len(ones) + tuple(sizes[ix] for group in groups_ab for ix in group)
-    produced = "".join(ones + bat + a_keep + b_keep)
-    ab_perm = None if produced == out else tuple(produced.index(ix) for ix in out)
-    mm_shape = tuple(math.prod(sizes[ix] for ix in group) for group in groups_ab)
-
-    def run(x, y, out=None):
-        if out is not None and ab_perm is None and out.flags.c_contiguous:
-            np.matmul(arrange_a(x), arrange_b(y), out=out.reshape(mm_shape))
-            return out
-        ab = np.matmul(arrange_a(x), arrange_b(y))
-        if ab_shape is not None:
-            ab = ab.reshape(ab_shape)
-        return ab if ab_perm is None else ab.transpose(ab_perm)
-
-    return run
-
-
-def _product_step(terms: list, out: str, sizes: dict):
-    """A broadcast product of operands that share no summed index."""
-    arranges = [
-        _arrange(
-            term,
-            "".join(ix for ix in out if ix in term),
-            sizes,
-            tuple(sizes[ix] if ix in term else 1 for ix in out),
-        )
-        for term in terms
-    ]
-
-    def run(*xs, out=None):
-        return functools.reduce(np.multiply, [f(x) for f, x in zip(arranges, xs)])
-
-    return run
 
 
 def _pair_round_value(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -352,8 +176,8 @@ class Node:
         return self.output
 
     def recompute(self) -> np.ndarray:
-        if self.kind in _EINSUM_KINDS:
-            return einsum(self.extra, *self.inputs)
+        if self.kind in _CONTRACT_KINDS:
+            return _FORMS[self.extra].forward(*self.inputs)
         if self.kind == "pair_round":
             return _pair_round_value(self.inputs[0])
         if self.kind in _ROW_KINDS:
@@ -399,8 +223,20 @@ class Tape:
     def contract(
         self, subscripts: str, *ops, kind: str = "contract", out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Multilinear einsum with no repeated index inside one operand, into ``out`` if given."""
-        return self._record(kind, ops, einsum(subscripts, *ops, out=out), subscripts)
+        """The recorded product ``subscripts`` of ``ops``, into ``out`` if given.
+
+        ``subscripts`` names one of the forms in ``_FORMS``, the six products
+        ``contraction`` records; any other raises ``DimensionError`` naming
+        it, and so do operands that do not fit it and an ``out`` that is not
+        C-contiguous. ``out`` is written and returned.
+        """
+        if subscripts not in _FORMS:
+            raise DimensionError(f"{subscripts!r} is not a recorded product: {', '.join(_FORMS)}")
+        if out is not None and not out.flags.c_contiguous:
+            raise DimensionError(f"out of {subscripts!r} must be C-contiguous")
+        _extents(subscripts, ops)
+        result = _FORMS[subscripts].forward(*ops, out=out)
+        return self._record(kind, ops, result if out is None else out, subscripts)
 
     def pair_round(self, stack: np.ndarray) -> np.ndarray:
         """One reduction round: products of adjacent rows of [T, ..., k, k].
@@ -435,10 +271,9 @@ class Tape:
         ``A @ v`` (a right half). Rows and shapes are checked up front.
 
         The vectors are written into one ``[len(rows) + 1, B, chi]`` prefix
-        buffer from ``workspace``, the input vector first, by one direct
-        ``np.matmul`` per row on views arranged once per call
-        (``_SweepNode.run``). If an operand is watched, the call records one
-        node (``_SweepNode``), whose rule reverses the run in one loop.
+        buffer from ``workspace``, the input vector first, by one ``np.vecmat``
+        per row (``_SweepNode.run``). If an operand is watched, the call
+        records one node (``_SweepNode``), whose rule reverses the run in one loop.
         """
         if not isinstance(rows, range) or abs(rows.step) != 1:
             raise DimensionError(f"sweep rows must be a range of step 1 or -1, got {rows!r}")
@@ -448,9 +283,7 @@ class Tape:
         if not rows:
             return vec
         if not (0 <= min(rows) and max(rows) < len(stack)):
-            raise DimensionError(
-                f"sweep rows {rows[0]}..{rows[-1]} out of range for {stack.shape}"
-            )
+            raise DimensionError(f"sweep rows {rows[0]}..{rows[-1]} out of range for {stack.shape}")
         prefix = self.workspace.empty((len(rows) + 1,) + vec.shape)
         prefix[0] = vec
         mats = stack[min(rows) : max(rows) + 1][:: rows.step]
@@ -468,9 +301,7 @@ class Tape:
         check_integer("slice_rows start", start, DimensionError)
         check_integer("slice_rows stop", stop, DimensionError)
         if not 0 <= start <= stop <= x.shape[0]:
-            raise DimensionError(
-                f"slice_rows [{start}:{stop}] out of range for {x.shape}"
-            )
+            raise DimensionError(f"slice_rows [{start}:{stop}] out of range for {x.shape}")
         rows = slice(start, stop)
         return self._record("slice_rows", (x,), x[rows], rows)
 
@@ -494,11 +325,8 @@ class Tape:
     def replay(self) -> None:
         """Re-execute every node and verify outputs bit-exactly."""
         for i, node in enumerate(self.nodes):
-            again = node.recompute()
-            if not np.array_equal(again, node.output):
-                raise ConsistencyError(
-                    f"tape replay diverged at node {i} ({node.kind})"
-                )
+            if not np.array_equal(node.recompute(), node.output):
+                raise ConsistencyError(f"tape replay diverged at node {i} ({node.kind})")
 
     def forward_flops(self) -> int:
         return sum(_node_forward_flops(n) for n in self.nodes)
@@ -535,19 +363,24 @@ def lend_workspace(tape: Tape):
         _LENDING.release()
 
 
-def _subscript_extents(subscripts: str, ops) -> dict[str, int]:
-    ins = subscripts.split("->")[0].split(",")
+def _extents(subscripts: str, ops) -> dict[str, int]:
+    """Each index's extent; ``DimensionError`` unless ``ops`` fit ``subscripts``."""
+    terms = subscripts.split("->")[0].split(",")
     extents: dict[str, int] = {}
-    for sub, op in zip(ins, ops):
-        for ch, n in zip(sub, op.shape):
-            extents[ch] = n
+    if len(terms) != len(ops) or any(len(t) != np.ndim(op) for t, op in zip(terms, ops)):
+        raise DimensionError(f"{subscripts!r} does not fit operand shapes "
+                             f"{[np.shape(op) for op in ops]}")
+    for term, op in zip(terms, ops):
+        for ix, n in zip(term, op.shape):
+            if extents.setdefault(ix, n) != n:
+                raise DimensionError(f"index {ix!r} of {subscripts!r} has extents "
+                                     f"{extents[ix]} and {n}")
     return extents
 
 
 def _node_forward_flops(node: Node) -> int:
-    if node.kind in _EINSUM_KINDS:
-        ext = _subscript_extents(node.extra, node.inputs)
-        return 2 * int(np.prod(list(ext.values())))
+    if node.kind in _CONTRACT_KINDS:
+        return 2 * math.prod(_extents(node.extra, node.inputs).values())
     if node.kind == "pair_round":
         stack = node.inputs[0]
         pairs = stack.shape[0] // 2
@@ -560,19 +393,12 @@ def _node_forward_flops(node: Node) -> int:
 
 
 def _node_backward_flops(node: Node) -> int:
-    if node.kind in _EINSUM_KINDS:
-        ext = _subscript_extents(node.extra, node.inputs)
-        per = 2 * int(np.prod(list(ext.values())))
-        return per * sum(node.needs)
+    if node.kind in _CONTRACT_KINDS:
+        return _node_forward_flops(node) * sum(node.needs)
     if node.kind == "pair_round":
         # The dense rule, dA and dB per pair: two products for each forward product.
         return 2 * _node_forward_flops(node)
     return _node_forward_flops(node)
-
-
-# The absorb of stacked sites, weights first: ``contraction`` absorbs every bond site
-# with it, on both schedules.
-STACKED_ABSORB = "sdxy,bsd->sbxy"
 
 
 class _Rows:
@@ -659,64 +485,139 @@ def _absorb_adjoint(shape: tuple, feats: np.ndarray, g) -> np.ndarray:
     return grad
 
 
-@functools.lru_cache(maxsize=512)
-def _adjoint_plan(subscripts: str, needs: tuple) -> tuple:
-    """``(i, outer, product, rows)`` per graded operand ``i`` of the einsum
-    ``subscripts``.
+class _Form(NamedTuple):
+    """A recorded product: ``forward(*ops, out=None)``, writing into a C-contiguous
+    ``out`` if given, and per operand a rule ``adjoints[i](g, *ops)`` of its adjoint."""
 
-    The dense adjoint replaces operand i by g, indexed like the output. When
-    it is a bare outer product over the operand's last two indices,
-    ``outer`` holds the positions of its factors (u, v) among the operands;
-    otherwise ``product`` runs it as ``einsum(form, *ops)``.
-    ``rows`` marks the weights of the stacked absorb, whose adjoint from
-    factors is ``_absorb_adjoint``'s.
-    """
-    ins, out = subscripts.split("->")
-    ins = ins.split(",")
-    plan = []
-    for i, own in enumerate(ins):
-        if not needs[i]:
-            continue
-        if len(ins) == 2 and len(own) >= 2:
-            pair = (own[:-1], own[:-2] + own[-1])
-            if (out, ins[1 - i]) in (pair, pair[::-1]):
-                plan.append((i, (i, 1 - i) if out == pair[0] else (1 - i, i), None, False))
-                continue
-        form = ",".join(out if j == i else term for j, term in enumerate(ins)) + "->" + own
-        product = lambda *ops, form=form: einsum(form, *ops)  # noqa: E731
-        plan.append((i, None, product, i == 0 and subscripts == STACKED_ABSORB))
-    return tuple(plan)
+    forward: Callable
+    adjoints: tuple
+
+
+def _flat(a: np.ndarray, lead: int) -> np.ndarray:
+    """``a`` with every axis after the first ``lead`` merged into one."""
+    return a.reshape(a.shape[:lead] + (math.prod(a.shape[lead:]),))
+
+
+def _over_batch(f, g):
+    """``f @ g`` [..., d, B] by [..., B, n]: a weights' adjoint, summed over the batch.
+    A batch of one is the outer product as it stands, whose -0.0 a matmul would add to +0.0."""
+    return np.matmul(f, g) if f.shape[-1] != 1 else f * g
+
+
+def _site_absorb(w, f, out=None):
+    """``[B, d] @ [d, ...]``, the weights' trailing axes flattened: ``[B, ...]``."""
+    flat = None if out is None else _flat(out, 1)
+    return np.matmul(f, _flat(w, 1), out=flat).reshape(f.shape[:1] + w.shape[1:])
+
+
+def _stacked_absorb(w, f, out=None):
+    """``_site_absorb`` per row s of ``w`` [S, d, chi, chi] with ``f[:, s]``: [S, B, chi, chi]."""
+    flat = None if out is None else _flat(out, 2)
+    rows = np.matmul(f.transpose(1, 0, 2), _flat(w, 2), out=flat)
+    return rows.reshape(w.shape[:1] + f.shape[:1] + w.shape[2:])
+
+
+def _stacked_weights(g, w, f):
+    """The weights' adjoint of ``_stacked_absorb``; factors go to ``_absorb_adjoint``."""
+    if not isinstance(g, np.ndarray):
+        return _absorb_adjoint(w.shape, f, g)
+    return _over_batch(f.transpose(1, 2, 0), _flat(g, 2)).reshape(w.shape)
+
+
+def _mv(m, v, out=None):
+    """``m @ v`` per image, [..., n, k] by [..., k], one matmul with ``v`` a column. (Where
+    an operand is Fortran-ordered, ``np.matvec`` differs from NumPy's einsum in rounding.)"""
+    return np.matmul(m, v[..., None], out=None if out is None else out[..., None])[..., 0]
+
+
+def _vm(v, m, out=None):
+    """``v @ m`` per image, [..., k] by [..., k, n], one matmul with ``v`` a row."""
+    return np.matmul(v[..., None, :], m, out=None if out is None else out[..., None, :])[..., 0, :]
+
+
+def _y_first(lab, rv):
+    """The label block [B, L, x, y] met with ``rv`` [B, y] as it lies: [B, L, x]."""
+    b, l, x, y = lab.shape
+    return _mv(lab.reshape(b, l * x, y), rv).reshape(b, l, x)
+
+
+def _combine_right(g, rv, lab, lv):
+    """``rv``'s adjoint of the label combine: the labels summed first where
+    L >= chi, so the middle array is [B, x, y], else x, so it is [B, L, y]."""
+    b, l, x, y = lab.shape
+    if l >= x:
+        by_labels = _mv(lab.transpose(0, 2, 3, 1).reshape(b, x * y, l), g)
+        return _mv(by_labels.reshape(b, x, y).mT, lv)
+    by_x = _vm(lv, lab.transpose(0, 2, 1, 3).reshape(b, x, l * y))
+    return _mv(by_x.reshape(b, l, y).mT, g)
+
+
+def _combine_left(g, rv, lab, lv):
+    """``lv``'s adjoint of the label combine: the labels summed first where
+    L > chi, so the middle array is [B, x, y], else y, so it is [B, L, x]."""
+    b, l, x, y = lab.shape
+    if l > x:
+        return _mv(_vm(g, lab.reshape(b, l, x * y)).reshape(b, x, y), rv)
+    return _mv(_y_first(lab, rv).mT, g)
+
+
+# The absorb of stacked sites, weights first: ``contraction`` absorbs every bond site
+# with it, on both schedules.
+STACKED_ABSORB = "sdxy,bsd->sbxy"
+
+# Every product a tape records, keyed by the subscripts its nodes keep in ``extra``:
+# the matmuls NumPy 2.4's ``einsum(..., optimize=True)`` runs, on operands arranged the
+# same way. A rule that returns a pair returns factors ``(u, v)`` (``_outer``).
+_SITE_ABSORB = _Form(_site_absorb, (
+    lambda g, w, f: _over_batch(f.T, _flat(g, 1)).reshape(w.shape),
+    lambda g, w, f: np.matmul(_flat(g, 1), np.moveaxis(w, 0, -1).reshape(-1, len(w))),
+))
+_FORMS = {
+    "dx,bd->bx": _SITE_ABSORB,
+    "dlxy,bd->blxy": _SITE_ABSORB,
+    STACKED_ABSORB: _Form(_stacked_absorb, (
+        _stacked_weights,
+        lambda g, w, f: np.matmul(
+            _flat(g, 2), np.moveaxis(w, 1, -1).reshape(len(w), -1, w.shape[1])
+        ).transpose(1, 0, 2),
+    )),
+    "by,blxy,bx->bl": _Form(lambda rv, lab, lv, out=None: _mv(_y_first(lab, rv), lv, out=out), (
+        _combine_right,
+        lambda g, rv, lab, lv: lv[:, None, :, None] * g[:, :, None, None] * rv[:, None, None, :],
+        _combine_left,
+    )),
+    "bx,bxy->by": _Form(
+        lambda v, m, out=None: _mv(m.mT, v, out=out),
+        (lambda g, v, m: _mv(m, g), lambda g, v, m: (v, g)),
+    ),
+    "bxy,by->bx": _Form(
+        lambda m, v, out=None: _vm(v, m.mT, out=out),
+        (lambda g, m, v: (g, v), lambda g, m, v: _vm(g, m)),
+    ),
+}
 
 
 def _input_adjoints(node: Node, g):
     """Yield (input index, adjoint) for graded inputs; each adjoint is new or factored.
 
     ``g`` is a dense array, factors ``(u, v)`` (``_outer``) or row factors
-    (``_Rows``); an adjoint is a dense array or factors. An einsum takes
-    each adjoint from its cached plan (``_adjoint_plan``): factors where it
-    is a bare outer product, the weights' adjoint of the stacked absorb
+    (``_Rows``); an adjoint is a dense array or factors. A recorded product
+    takes each adjoint from its rule in ``_FORMS``: factors where it is a
+    bare outer product, the weights' adjoint of the stacked absorb
     (``STACKED_ABSORB``) made from factors or row factors as they are
-    (``_absorb_adjoint``), and the compiled dense rule otherwise. A
+    (``_stacked_weights``), and one direct product otherwise. A
     ``pair_round`` stacks row factors and turns factors into factors with
-    two batched matrix-vector products per pair. Every other use expands
+    one ``np.matvec`` and one ``np.vecmat``. Every other use expands
     g first and gets the plain dense rule. ``gather`` and ``slice_rows``
     have no rule here: ``backward`` adds their adjoint into the source's
     rows in place.
     """
     kind = node.kind
-    if kind in _EINSUM_KINDS:
-        inputs = node.inputs
-        for i, outer, product, rows in _adjoint_plan(node.extra, node.needs):
-            if rows and not isinstance(g, np.ndarray):
-                yield i, _absorb_adjoint(inputs[0].shape, inputs[1], g)
-                continue
-            if not isinstance(g, np.ndarray):
-                g = _dense(g)
-            operands = inputs[:i] + (g,) + inputs[i + 1 :]
-            if outer is None:
-                yield i, product(*operands)
-            else:
-                yield i, (operands[outer[0]], operands[outer[1]])
+    if kind in _CONTRACT_KINDS:
+        for i, rule in enumerate(_FORMS[node.extra].adjoints):
+            if node.needs[i]:
+                g = g if rule is _stacked_weights else _dense(g)
+                yield i, rule(g, *node.inputs)
         return
     if kind == "pair_round":
         if isinstance(g, _Rows):
@@ -736,8 +637,8 @@ def _input_adjoints(node: Node, g):
         u, v = g
         du, dv = (np.empty(stack.shape[:-1], dtype=DTYPE) for _ in range(2))
         du[evens], dv[odds] = u[:pairs], v[:pairs]
-        np.matmul(b, v[:pairs, ..., None], out=dv[evens, ..., None])
-        np.matmul(u[:pairs, ..., None, :], a, out=du[odds, ..., None, :])
+        np.matvec(b, v[:pairs], out=dv[evens])
+        np.vecmat(u[:pairs], a, out=du[odds])
         du[2 * pairs :], dv[2 * pairs :] = u[pairs:], v[pairs:]
         yield 0, (du, dv)
         return
@@ -754,13 +655,9 @@ class _SweepNode(Node):
     ``"sbx,sbxy->sby"`` for ascending rows (``v @ A``) and
     ``"sby,sbxy->sbx"`` for descending ones (``A @ v``); its inputs are the
     vectors the rows read, ``prefix[:-1]``, and the rows in run order, and
-    its output is the vectors they give, ``prefix[1:]``. So the FLOP
-    counters read it as they would read one ``contract`` per row.
-    ``result`` is the final vector that later nodes read, ``vec`` the input
-    vector the call was given, and ``rows`` the range of ``stack`` it read.
-    Forward, in ``recompute`` and in reverse, the rows are stepped by
-    ``run``, one direct ``np.matmul`` per row on views arranged once per
-    call, the rows transposed where ``rows`` descends.
+    its output is the vectors they give, ``prefix[1:]``. ``result`` is the
+    final vector that later nodes read, ``vec`` the input vector the call
+    was given, and ``rows`` the range of ``stack`` it read.
     """
 
     __slots__ = ("result", "vec", "stack", "rows")
@@ -773,13 +670,11 @@ class _SweepNode(Node):
 
     @staticmethod
     def run(mats: np.ndarray, vecs: np.ndarray) -> None:
-        """Step ``vecs[0]`` through ``mats`` in turn, one ``np.matmul`` per row
-        into ``vecs``: ``vecs[j + 1] = vecs[j] @ mats[j]``, the vectors viewed
-        once as [..., 1, chi] rows and ``mats`` arranged by the caller, as
-        they are or as a ``swapaxes(-1, -2)`` view."""
-        vecs = vecs[..., None, :]
+        """Step ``vecs[0]`` through ``mats`` in turn, one ``np.vecmat`` per row
+        into ``vecs``: ``vecs[j + 1] = vecs[j] @ mats[j]``, ``mats`` arranged by
+        the caller, as they are or as a ``swapaxes(-1, -2)`` view."""
         for vec, mat, into in zip(vecs, mats, vecs[1:]):
-            np.matmul(vec, mat, out=into)
+            np.vecmat(vec, mat, out=into)
 
     def recompute(self) -> np.ndarray:
         """The run again, from its input vector, into a new array."""
@@ -805,7 +700,7 @@ class _SweepNode(Node):
         env[-1] = _dense(g)
         self.run(back[:0:-1], env[::-1])
         if self.needs[0]:
-            _accumulate(acc, id(self.vec), np.matmul(env[0, ..., None, :], back[0])[..., 0, :])
+            _accumulate(acc, id(self.vec), np.vecmat(env[0], back[0]))
         if self.needs[1]:
             _file(acc, self.stack, self.rows, *((vecs, env) if ascending else (env, vecs)))
 
@@ -830,13 +725,10 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
     of each watched leaf, such as ``cores``, since no node produces it.
 
     A ``Tape.sweep`` node (``_SweepNode``) takes its adjoint from its final
-    vector, the only one of its vectors that later nodes read, and reverses
-    its run in one loop. An adjoint may be factors ``(u, v)``
-    (``_input_adjoints``). A sweep node, or a ``gather`` or ``slice_rows``
-    fed factors, files them as its rows' factors of the source (``_Rows``),
-    the rows none reached being zero, so neither schedule builds a dense
-    [N-3, B, chi, chi] adjoint or a ``cores``-shaped accumulator; the
-    source's producer decides how to take them (``_input_adjoints``).
+    vector, the only one of its vectors that later nodes read. A sweep
+    node, or a ``gather`` or ``slice_rows`` fed factors, files them as its
+    rows' factors of the source (``_Rows``), so neither schedule builds a
+    dense [N-3, B, chi, chi] adjoint or a ``cores``-shaped accumulator.
     Factors are expanded when a second contribution meets them (a row
     filed twice included) and before they are returned.
     """

@@ -49,21 +49,17 @@ too small to carry a scale, and the taped training step names either
 failure (``train`` adds the epoch and batch).
 
 Layout: every absorb names the weights as its first operand (for example
-``STACKED_ABSORB``), so the compiled plan's final ``matmul`` writes the
+``STACKED_ABSORB``), so its one ``matmul`` (``autodiff._FORMS``) writes the
 stack batch-major and C-contiguous, ``[..., B, chi, chi]``, with no
 transposed view. Each matrix a pairwise round multiplies is then
 contiguous for BLAS.
 
-Workspace: a taped call takes its absorbed label block and its stack of
-every bond site from its tape's workspace (``autodiff.Workspace``), and
-then a pairwise call its round outputs, a sequential one each half's
-prefix and environment buffers. A pairwise step's round adjoints are
-[T, B, chi] factor pairs, new arrays. Only the taped training step
-(``training._taped_step``) is lent the module's workspace
-(``autodiff.lend_workspace``); a tape passed in by the caller never is,
-and the untaped sweep takes only new arrays, so an evaluation leaves the
-workspace as it found it. No logits returned are a view of the
-workspace.
+Workspace: a taped call takes its absorbed label block, its stack of
+every bond site and its round outputs or prefix and environment buffers
+from its tape's workspace (``autodiff.Workspace``). Only the taped
+training step is lent the module's workspace (``autodiff.lend_workspace``);
+the untaped sweep takes only new arrays, so an evaluation leaves the
+workspace as it found it. No logits returned are a view of it.
 """
 
 import enum
@@ -162,7 +158,7 @@ def _forward_taped(model, feats, tape, step):
     stack = tape.contract(STACKED_ABSORB, model.cores, bond_feats, kind="absorb", out=out)
     lv = step(tape, lv, stack, range(m - 1))
     rv = step(tape, rv, stack, range(n - 4, m - 2, -1))
-    # y, the label block's last index, is contracted first, so the plan
+    # y, the label block's last index, is contracted first, so the product
     # multiplies the block as it lies instead of copying it transposed.
     return tape.contract("by,blxy,bx->bl", rv, lab, lv, kind="combine")
 
@@ -211,9 +207,7 @@ def forward_batch(
     never lent the workspace.
 
     Without one, both schedules run the untaped sequential sweep
-    (``_sweep_untaped``), so their untaped logits are the same bytes: per
-    site, the features weight the image-last vector first, then one
-    ``[chi, d chi] @ [d chi, B]`` product serves the whole batch. A call
+    (``_sweep_untaped``), so their untaped logits are the same bytes: a call
     that records no graph gains nothing from the pairwise rounds. Taped and
     untaped logits agree to rounding only.
     """

@@ -116,6 +116,8 @@ def init_model(
     largest |logit| per synthetic digit is 1e25 to 3e27. Deterministic
     given ``seed``.
     """
+    check_integer("n_sites", n_sites)
+    check_integer("seed", seed)
     m = n_sites // 2 if label_site is None else label_site
     _check_layout(n_sites, n_labels, bond_dim, m)
     if not 0 <= sigma < float("inf"):

@@ -17,16 +17,24 @@ from mpsclassify import (
 from mpsclassify import autodiff, contraction
 from mpsclassify.autodiff import Gradients
 from mpsclassify.contraction import forward_batch
-from mpsclassify.encoding import encode_batch
+from mpsclassify.encoding import FeatureMap, encode_batch
 from mpsclassify.errors import ConfigError, ConsistencyError, DimensionError, NumericError
 from mpsclassify.losses import cross_entropy_loss, cross_entropy_with_grad, mean_square_with_grad
 from mpsclassify.training import batch_loss
 
 
 def weighted_sum(tape, y, w):
-    """Record the scalar sum(y * w) so that the adjoint reaching ``y`` is ``w``."""
-    letters = "ijkl"[: y.ndim]
-    return tape.contract(f"{letters},{letters}->", y, w)
+    """Record sum(y * w) of [B, x] arrays as the rows of a [B, 1] product,
+    ``y @ w`` per image, which ``backward``'s seed fills with ones: the
+    adjoint reaching ``y`` is ``w``."""
+    return tape.contract("bx,bxy->by", y, w[:, :, None])
+
+
+def row_dots(tape, u, v):
+    """Record ``u · v`` per row of two [B, chi] arrays, both read on the tape, as
+    the label combine with an identity block: one label, [B, 1]."""
+    eye = np.tile(np.eye(u.shape[1]), (len(u), 1, 1, 1))
+    return tape.contract("by,blxy,bx->bl", u, eye, v)
 
 
 class KeepingWorkspace(autodiff.Workspace):
@@ -57,38 +65,38 @@ def per_site_sweep(tape, vec, stack, rows):
 
 class TestMatmulAdjoint:
     def test_closed_form_for_sum_of_product(self, rng):
-        """loss = sum(W * (A B)): dA = W @ B^T, dB = A^T @ W."""
+        """loss = sum over images of w · (a M): da = M w, dM = a ⊗ w."""
         a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 5))
+        m = rng.standard_normal((3, 4, 5))
         w = rng.standard_normal((3, 5))
         tape = Tape()
         tape.watch(a)
-        tape.watch(b)
-        c = tape.contract("ij,jk->ik", a, b)
+        tape.watch(m)
+        c = tape.contract("bx,bxy->by", a, m)
         weighted_sum(tape, c, w)
-        da, db = backward(tape, [a, b])
-        np.testing.assert_allclose(da, w @ b.T, rtol=1e-14)
-        np.testing.assert_allclose(db, a.T @ w, rtol=1e-14)
+        da, dm = backward(tape, [a, m])
+        np.testing.assert_allclose(da, (m @ w[:, :, None])[:, :, 0], rtol=1e-14)
+        np.testing.assert_allclose(dm, a[:, :, None] * w[:, None, :], rtol=1e-14)
 
     def test_batched_variant(self, rng):
-        a = rng.standard_normal((2, 3, 4))
-        b = rng.standard_normal((2, 4, 3))
-        w = rng.standard_normal((2, 3, 3))
+        """loss = sum over images of w · (M v): dM = w ⊗ v, and v, unwatched, has none."""
+        m = rng.standard_normal((2, 3, 4))
+        v = rng.standard_normal((2, 4))
+        w = rng.standard_normal((2, 3))
         tape = Tape()
-        tape.watch(a)
-        c = tape.contract("bij,bjk->bik", a, b)
+        tape.watch(m)
+        c = tape.contract("bxy,by->bx", m, v)
         weighted_sum(tape, c, w)
-        (da,) = backward(tape, [a])
-        want = w @ np.swapaxes(b, -1, -2)
-        np.testing.assert_allclose(da, want, rtol=1e-14)
+        (dm,) = backward(tape, [m])
+        np.testing.assert_allclose(dm, w[:, :, None] * v[:, None, :], rtol=1e-14)
         with pytest.raises(ConsistencyError, match="not watched"):
-            backward(tape, [a, b])
+            backward(tape, [m, v])
 
 
 class TestTapeMechanics:
     def test_unwatched_graph_records_nothing(self, rng):
         tape = Tape()
-        tape.contract("ij,jk->ik", rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
+        tape.contract("bx,bxy->by", rng.standard_normal((2, 2)), rng.standard_normal((2, 2, 2)))
         assert tape.nodes == []
 
     def test_replay_reproduces_outputs(self, rng):
@@ -104,10 +112,10 @@ class TestTapeMechanics:
         tape.replay()  # must not raise
 
     def test_replay_detects_tampering(self, rng):
-        a = rng.standard_normal((2, 2))
+        a, m = rng.standard_normal((2, 2)), rng.standard_normal((2, 2, 2))
         tape = Tape()
         tape.watch(a)
-        c = tape.contract("ij,jk->ik", a, a)
+        c = tape.contract("bx,bxy->by", a, m)
         weighted_sum(tape, c, np.ones((2, 2)))
         tape.nodes[0].output[0, 0] += 1.0
         with pytest.raises(ConsistencyError, match="replay"):
@@ -115,30 +123,30 @@ class TestTapeMechanics:
 
     def test_non_recording_tape_still_computes(self, rng):
         """A tape that watches nothing records nothing and computes the same values."""
-        a = rng.standard_normal((2, 2))
+        a, m = rng.standard_normal((2, 2)), rng.standard_normal((2, 2, 2))
         recording = Tape()
         recording.watch(a)
         silent = Tape()
         np.testing.assert_array_equal(
-            silent.contract("ij,jk->ik", a, a), recording.contract("ij,jk->ik", a, a)
+            silent.contract("bx,bxy->by", a, m), recording.contract("bx,bxy->by", a, m)
         )
         assert silent.nodes == [] and len(recording.nodes) == 1
 
     def test_zero_loss_adjoint_gives_zero_gradients(self, rng):
-        a = rng.standard_normal((3, 3))
+        a, m = rng.standard_normal((3, 3)), rng.standard_normal((3, 3, 3))
         tape = Tape()
         tape.watch(a)
-        weighted_sum(tape, tape.contract("ij,jk->ik", a, a), rng.standard_normal((3, 3)))
+        weighted_sum(tape, tape.contract("bx,bxy->by", a, m), rng.standard_normal((3, 3)))
         (da,) = backward(tape, [a], loss_adjoint=0.0)
         np.testing.assert_array_equal(da, np.zeros_like(a))
 
     def test_watched_array_the_output_does_not_reach_gets_zeros(self, rng):
-        a = rng.standard_normal((3, 3))
+        a, m = rng.standard_normal((3, 3)), rng.standard_normal((3, 3, 3))
         unused = rng.standard_normal((2, 4))
         tape = Tape()
         tape.watch(a)
         tape.watch(unused)
-        weighted_sum(tape, tape.contract("ij,jk->ik", a, a), rng.standard_normal((3, 3)))
+        weighted_sum(tape, tape.contract("bx,bxy->by", a, m), rng.standard_normal((3, 3)))
         da, d_unused = backward(tape, [a, unused])
         assert np.abs(da).max() > 0
         np.testing.assert_array_equal(d_unused, np.zeros((2, 4)))
@@ -165,19 +173,19 @@ class TestTapeMechanics:
     def test_sum_rule(self, rng):
         """Adjoints reaching x along two paths add up to the gradient.
 
-        loss = sum((x a) * (x b)); each path's share is the gradient with the
-        other path's product held constant.
+        loss = sum over images of (x A) · (x B); each path's share is the
+        gradient with the other path's product held constant.
         """
         x = rng.standard_normal((3, 3))
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3))
+        a = rng.standard_normal((3, 3, 3))
+        b = rng.standard_normal((3, 3, 3))
 
         def grad_of(watch_a, watch_b):
             tape = Tape()
             tape.watch(x)
-            xa = tape.contract("ij,jk->ik", x, a) if watch_a else x @ a
-            xb = tape.contract("ij,jk->ik", x, b) if watch_b else x @ b
-            weighted_sum(tape, xa, xb)
+            xa = tape.contract("bx,bxy->by", x, a) if watch_a else (x[:, None] @ a)[:, 0]
+            xb = tape.contract("bx,bxy->by", x, b) if watch_b else (x[:, None] @ b)[:, 0]
+            row_dots(tape, xa, xb)
             return backward(tape, [x])[0]
 
         combined = grad_of(True, True)
@@ -185,6 +193,8 @@ class TestTapeMechanics:
         np.testing.assert_allclose(combined, separate, rtol=1e-12, atol=1e-15)
 
     def test_gather_and_slice_scatter_back(self, rng):
+        """A gathered [2, 2] row of a stack of matrices, and a sliced [2, 2]
+        block of rows of a stack of vectors, get dense adjoints."""
         stack = rng.standard_normal((4, 2, 2))
         tape = Tape()
         tape.watch(stack)
@@ -196,10 +206,11 @@ class TestTapeMechanics:
         want[2] = w_row
         np.testing.assert_array_equal(adj, want)
 
+        stack = rng.standard_normal((4, 2))
         tape = Tape()
         tape.watch(stack)
         part = tape.slice_rows(stack, 1, 3)
-        w_part = rng.standard_normal((2, 2, 2))
+        w_part = rng.standard_normal((2, 2))
         weighted_sum(tape, part, w_part)
         (adj,) = backward(tape, [stack])
         want = np.zeros_like(stack)
@@ -207,12 +218,15 @@ class TestTapeMechanics:
         np.testing.assert_array_equal(adj, want)
 
     def test_pair_round_adjoint_matches_finite_differences(self, rng):
+        """The round's [3, 1, 3, 3] output is met as a label block, whose dense
+        adjoint ``rv ⊗ lv`` per row reaches the round's dense rule."""
         stack = rng.standard_normal((5, 1, 3, 3))
-        w = rng.standard_normal((3, 1, 3, 3))
+        rv, lv = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+        w = lv[:, None, :, None] * rv[:, None, None, :]
         tape = Tape()
         tape.watch(stack)
         out = tape.pair_round(stack)
-        weighted_sum(tape, out, w)
+        tape.contract("by,blxy,bx->bl", rv, out, lv)
         (analytic,) = backward(tape, [stack])
 
         h = 1e-6
@@ -326,25 +340,32 @@ class TestRowAdjointsInPlace:
 
     @pytest.mark.parametrize("rows_first", [True, False])
     def test_gathered_and_dense_array_matches_finite_differences(self, rng, rows_first):
-        """x reaches the loss through gather, slice_rows and a dense contract.
+        """x [4, 2, 3, 3] reaches the loss through a gather, a slice_rows and
+        a dense absorb, which meet in the label combine.
 
+        Row 1 is gathered and row 3 through the slice, each read as matrices
+        whose adjoints are factors; the absorb reads every row densely.
         ``rows_first`` records the row nodes before the dense use, so backward
         adds the rows into the dense adjoint; otherwise the dense adjoint is
-        added into the row buffer.
+        added into the filed rows.
         """
-        x = rng.standard_normal((4, 3))
-        u = rng.standard_normal(3)
-        v = rng.standard_normal(4)
-        w = rng.standard_normal((2, 3))
+        x = rng.standard_normal((4, 2, 3, 3))
+        u, v = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+        f = rng.standard_normal((2, 4))
 
         def loss(tape):
+            def rows():
+                row = tape.contract("bxy,by->bx", tape.gather(x, 1), v)
+                part = tape.slice_rows(x, 2, 4)
+                return row, tape.contract("bx,bxy->by", u, tape.gather(part, 1))
+
             if rows_first:
-                row, part = tape.gather(x, 1), tape.slice_rows(x, 2, 4)
-                dense = tape.contract("ij,j->i", x, u)
+                row, part = rows()
+                dense = tape.contract("dlxy,bd->blxy", x, f)
             else:
-                dense = tape.contract("ij,j->i", x, u)
-                row, part = tape.gather(x, 1), tape.slice_rows(x, 2, 4)
-            return tape.contract("i,i,j,kj,kj->", dense, v, row, part, w)
+                dense = tape.contract("dlxy,bd->blxy", x, f)
+                row, part = rows()
+            return tape.contract("by,blxy,bx->bl", row, dense, part)
 
         tape = Tape()
         tape.watch(x)
@@ -356,9 +377,9 @@ class TestRowAdjointsInPlace:
         for k in range(x.size):
             orig = x.flat[k]
             x.flat[k] = orig + h
-            up = float(loss(Tape()))
+            up = loss(Tape()).sum()
             x.flat[k] = orig - h
-            down = float(loss(Tape()))
+            down = loss(Tape()).sum()
             x.flat[k] = orig
             numeric.flat[k] = (up - down) / (2 * h)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-7, atol=1e-9)
@@ -398,21 +419,25 @@ class TestAdjointLifetimes:
         assert peak < 2 * 2**20, f"backward traced {peak / 2**20:.2f} MiB"
 
     def test_intermediate_arrays_in_wrt_keep_their_adjoints(self, rng):
-        """loss = sum(W * (A B)[1]): d(row) = W, d(AB) = W in row 1, dA = d(AB) B^T."""
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 5))
-        w = rng.standard_normal(5)
+        """loss = sum(w * (c[1] v)), c the stacked absorb of a: d(c[1] v) = w,
+        d(c[1]) = w ⊗ v, d(c) = that in row 1, and da its absorb adjoint."""
+        a = rng.standard_normal((3, 2, 4, 4))
+        f = rng.standard_normal((5, 3, 2))
+        v, w = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
         tape = Tape()
         tape.watch(a)
-        c = tape.contract("ij,jk->ik", a, b)
+        c = tape.contract("sdxy,bsd->sbxy", a, f)
         row = tape.gather(c, 1)
-        weighted_sum(tape, row, w)
-        da, dc, drow = backward(tape, [a, c, row])
-        np.testing.assert_array_equal(drow, w)
+        vec = tape.contract("bxy,by->bx", row, v)
+        weighted_sum(tape, vec, w)
+        da, dc, drow, dvec = backward(tape, [a, c, row, vec])
+        np.testing.assert_array_equal(dvec, w)
+        np.testing.assert_array_equal(drow, w[:, :, None] * v[:, None, :])
         want_dc = np.zeros_like(c)
-        want_dc[1] = w
+        want_dc[1] = drow
         np.testing.assert_array_equal(dc, want_dc)
-        np.testing.assert_allclose(da, want_dc @ b.T, rtol=1e-14)
+        want_da = np.einsum("sbxy,bsd->sdxy", want_dc, f)
+        np.testing.assert_allclose(da, want_da, rtol=0, atol=1e-13 * np.abs(want_da).max())
 
 
 class TestFactoredAdjoints:
@@ -503,7 +528,7 @@ class TestRowFactors:
         vec = np.ones(feats.shape[:1] + cores.shape[2:3])
         for row in rows:
             vec = tape.contract("bx,bxy->by", vec, tape.gather(stack, row))
-        return stack, tape.contract("by,by->", vec, w)
+        return stack, weighted_sum(tape, vec, w)
 
     def gradients(self, monkeypatch, cores, feats, rows, w, expand, wrt=("cores",)):
         if expand:
@@ -528,9 +553,9 @@ class TestRowFactors:
         for k in range(cores.size):
             orig = cores.flat[k]
             cores.flat[k] = orig + h
-            up = float(self.sweep(Tape(), cores, feats, rows, w)[1])
+            up = self.sweep(Tape(), cores, feats, rows, w)[1].sum()
             cores.flat[k] = orig - h
-            down = float(self.sweep(Tape(), cores, feats, rows, w)[1])
+            down = self.sweep(Tape(), cores, feats, rows, w)[1].sum()
             cores.flat[k] = orig
             out.flat[k] = (up - down) / (2 * h)
         return out
@@ -583,7 +608,7 @@ class TestRowFactors:
                 while half.shape[0] > 1:
                     half = tape.pair_round(half)
                 vec = tape.contract("bx,bxy->by", vec, tape.gather(half, 0))
-            return tape.contract("by,by->", vec, w)
+            return weighted_sum(tape, vec, w)
 
         seeds = []
         real = autodiff._input_adjoints
@@ -612,7 +637,7 @@ class TestRowFactors:
         v = rng.standard_normal((2, 3))
         tape = Tape()
         tape.watch(stack)
-        tape.contract("by,by->", tape.contract("bx,bxy->by", v, tape.gather(stack, 2)), v)
+        weighted_sum(tape, tape.contract("bx,bxy->by", v, tape.gather(stack, 2)), v)
         (got,) = backward(tape, [stack])
         want = np.zeros_like(stack)
         want[2] = v[:, :, None] * v[:, None, :]
@@ -683,8 +708,9 @@ class TestSweep:
         """The sequential forward and ``per_site`` give the same logits, FLOP
         counts and gradient bytes, and both replay.
 
-        With ``read_again``, a further contraction scales the logits by the
-        two halves' final vectors, the label combine's outer operands, which
+        With ``read_again``, the logits weight a further label block
+        (``dlxy,bd->blxy``), which a second label combine meets with the two
+        halves' final vectors, the first one's outer operands, which
         ``backward`` is also asked for.
         """
         tapes, logits, grads = [], [], []
@@ -695,9 +721,11 @@ class TestSweep:
             logits.append(forward(tape))
             out, combine = logits[-1], tape.nodes[-1]
             vectors = [combine.inputs[0], combine.inputs[2]] if read_again else []
-            for vec in vectors:
-                w = np.linspace(0.5, 1.5, vec.shape[1])
-                out = tape.contract("bl,bx,x->bl", out, vec, w)
+            if read_again:
+                shape = (model.n_labels,) * 2 + (model.bond_dim,) * 2
+                w = np.linspace(-0.5, 0.5, np.prod(shape)).reshape(shape)
+                block = tape.contract("dlxy,bd->blxy", w, out)
+                out = tape.contract("by,blxy,bx->bl", vectors[0], block, vectors[1])
             tape.loss(LossKind.CROSS_ENTROPY, out, labels)
             tape.replay()
             tapes.append(tape)
@@ -992,6 +1020,43 @@ class TestGradCheck:
         labels = np.array([0, 1, 2, 1])
         taped, _ = loss_and_gradients(model, feats, labels)
         assert abs(batch_loss(model, feats, labels) - taped) <= 1e-12 * abs(taped)
+
+
+class TestBenchmarkShapes:
+    """``<grad, u>`` against a central difference of ``batch_loss`` along
+    seeded unit directions ``u`` over all four weight arrays, at the shapes
+    the benchmark trains. Step and tolerance are ``grad_check``'s defaults."""
+
+    STEP, TOLERANCE = 1e-5, 1e-6
+
+    @pytest.mark.parametrize("strategy", [Strategy.PAIRWISE, Strategy.SEQUENTIAL])
+    @pytest.mark.parametrize(
+        "sites, chi, feature_map",
+        [(196, 10, FeatureMap.LINEAR), (784, 10, FeatureMap.LINEAR),
+         (196, 32, FeatureMap.LINEAR), (196, 10, FeatureMap.TRIG)],
+    )
+    def test_directional_derivatives_match_central_differences(
+        self, strategy, sites, chi, feature_map
+    ):
+        model = init_model(sites, 10, chi, seed=0, feature_map=feature_map)
+        rng = np.random.default_rng(sites + chi)
+        feats = encode_batch(feature_map, rng.random((4, sites)))
+        labels = rng.integers(0, 10, 4)
+        _, grads = loss_and_gradients(model, feats, labels, strategy=strategy)
+        for _ in range(3):
+            u = [rng.standard_normal(arr.shape) for _, arr in model.parameters()]
+            norm = np.sqrt(sum(np.vdot(x, x) for x in u))
+            u = [x / norm for x in u]
+            analytic = sum(np.vdot(g, x) for (_, g), x in zip(grads.arrays(), u))
+            losses = []
+            for sign in (1.0, -1.0):
+                moved = model.copy()
+                for (_, arr), x in zip(moved.parameters(), u):
+                    arr += sign * self.STEP * x
+                losses.append(batch_loss(moved, feats, labels, strategy=strategy))
+            numeric = (losses[0] - losses[1]) / (2 * self.STEP)
+            error = abs(analytic - numeric) / max(abs(analytic), abs(numeric))
+            assert error <= self.TOLERANCE, (analytic, numeric)
 
 
 class TestSoftmaxHelper:

@@ -515,10 +515,12 @@ class TestPlanFlops:
     """FLOPs of the contraction plan, read from the nodes a tape records."""
 
     def test_step_flops_formula(self, rng):
+        """A product counts two FLOPs per term: the label combine, 2·B·L·x·y."""
         tape = Tape()
-        a = rng.standard_normal((7, 3, 4))
-        tape.watch(a)
-        tape.contract("bmk,bkn->bmn", a, rng.standard_normal((7, 4, 5)))
+        block = rng.standard_normal((7, 3, 4, 5))
+        tape.watch(block)
+        tape.contract("by,blxy,bx->bl", rng.standard_normal((7, 5)), block,
+                      rng.standard_normal((7, 4)))
         assert tape.forward_flops() == 2 * 3 * 4 * 5 * 7
 
     def test_sequential_has_no_cubic_steps(self, rng):

@@ -10,6 +10,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# A line each of these demos must print: at N=196 the pairwise halves are
+# the label core's 97 bond sites on the left and 96 on the right.
+PRINTS = {
+    "compare_strategies.py": "N=196  97 matrices -> 7 rounds, 96 matrices -> 7 rounds",
+}
+
 
 @pytest.mark.parametrize("script", DEMOS, ids=[path.name for path in DEMOS])
 def test_demo_exits_cleanly(script, tmp_path):
@@ -26,3 +32,4 @@ def test_demo_exits_cleanly(script, tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+    assert PRINTS.get(script.name, "") in done.stdout

@@ -94,13 +94,15 @@ class TestInit:
             (dict(n_sites=10, label_site=2.5), "label_site must be an integer"),
             (dict(n_sites=10, label_site=True), "label_site must be an integer"),
             (dict(n_sites=10.0), "n_sites must be an integer"),
+            (dict(n_sites="10"), "n_sites must be an integer"),
+            (dict(n_sites=10, seed=2.5), "seed must be an integer"),
             (dict(n_sites=10, n_labels=3.0), "n_labels must be an integer"),
             (dict(n_sites=10, bond_dim=2.5), "bond_dim must be an integer"),
             (dict(n_sites=10, sigma=float("nan")), "sigma must be"),
             (dict(n_sites=10, sigma=float("inf")), "sigma must be"),
         ],
-        ids=["float-label-site", "bool-label-site", "float-sites", "float-labels",
-             "float-bond-dim", "nan-sigma", "inf-sigma"],
+        ids=["float-label-site", "bool-label-site", "float-sites", "string-sites", "float-seed",
+             "float-labels", "float-bond-dim", "nan-sigma", "inf-sigma"],
     )
     def test_sizes_are_checked_up_front(self, kwargs, named):
         """Named at construction, not as NumPy's bare TypeError at the first
