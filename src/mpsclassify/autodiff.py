@@ -21,17 +21,23 @@ absorb, and ``backward`` alone traces about 1.9 MiB.
 Every taped product, forward or adjoint, is an entry of one fixed table,
 ``_FORMS``, keyed by the six subscripts ``contraction`` records: three
 absorbs, the label combine and a pairwise half's two vector-matrix
-combines. Each runs the matmuls NumPy's optimized einsum runs for it, on
-operands arranged the same way, so the bits agree; subscripts are read
-only to check operand extents and count FLOPs, and no path is searched.
+combines. Each forward runs the matmuls NumPy's optimized einsum runs for
+it, on operands arranged the same way, so the bits agree; subscripts are
+read only to check operand extents and count FLOPs, and no path is
+searched. The label combine's vector adjoints keep one summation order
+each, the one NumPy picks at the desk recipe (L = chi), so at other label
+counts they agree with einsum to rounding, as does the combine at chi = 1,
+where NumPy takes another order.
 ``Tape.sweep(vec, stack, rows)`` steps a [B, chi] vector through one chain
-half, rows of a [S, B, chi, chi] stack, one ``np.vecmat`` per row
-(``_SweepNode.run``), and records one ``contract`` node (``_SweepNode``),
-``"sbx,sbxy->sby"`` or ``"sby,sbxy->sbx"``: the row product with a run
-index prepended, so the FLOP counters read it as one ``contract`` per row. Its rule reverses the
-run in one loop of the same calls into one environment buffer. Dense
-adjoints of ``gather`` and ``slice_rows`` add into the rows they came
-from, in one buffer per source array.
+half, rows of a [S, B, chi, chi] stack: one direct ``np.matmul`` per row
+on views arranged once per call, the vectors of one prefix buffer as
+[..., 1, chi] rows (``_SweepNode.run``). It records one ``contract`` node
+(``_SweepNode``), ``"sbx,sbxy->sby"`` or ``"sby,sbxy->sbx"``: the row
+product with a run index prepended, so the FLOP counters read it as one
+``contract`` per row. Its rule reverses the run in one loop of the same
+calls into one environment buffer. Dense adjoints of ``gather`` and
+``slice_rows`` add into the rows they came from, in one buffer per source
+array.
 
 Where a product's adjoint is a bare outer product over an operand's last
 two indices, as where a chain half's matrix meets its boundary vector, it
@@ -41,27 +47,31 @@ files them as its row's factors of the source, a sweep node files all of
 its rows at once, its prefix and environment buffers being their factors,
 and a ``slice_rows`` files them as rows of its source (``_Rows``, one run
 of consecutive rows per filing). A ``pair_round`` stacks those and turns
-them into its input's factors with one ``np.matvec`` and one ``np.vecmat``,
-so a round's adjoint costs chi^2, not chi^3, per product. The stacked
-absorb (``STACKED_ABSORB``) turns factors or row factors into the weights'
-gradient, one batched matmul per feature component and run
-(``_absorb_adjoint``), with no copy of the factors; any other use, or a
+them into its input's factors with two batched matrix-vector products per
+pair, so a round's adjoint costs chi^2, not chi^3, per product. The
+stacked absorb (``STACKED_ABSORB``) turns factors or row factors into the
+weights' gradient, one batched matmul per feature component and run
+(``_absorb_weights``), with no copy of the factors; any other use, or a
 row filed twice, expands them first (see ``_input_adjoints``).
 
 Both taped schedules take their large per-call arrays from a tape's
 ``Workspace``: views of one flat float64 buffer while they fit, new arrays
-beyond it. ``lend_workspace`` lends the module's workspace, kept across
-calls and grown to the largest borrow, to one tape at a time, so a
-repeated step touches no fresh pages. Its one borrower is the taped
-training step, ``training._taped_step``, whose results never alias it. A
-tape the user builds keeps its own empty workspace, so all its arrays are
-new. On a lent tape the absorbed label block, the stack of every bond site
-and every ``pair_round`` output may be views of the workspace: 15.3 MiB at
-the desk recipe (9.2 MiB for a sequential step: its label block, the stack,
-and each sweep's prefix and environment buffers). Adjoints other than a
-sweep's environment buffer are new arrays: a round's factors are
-[T, B, chi], freed round by round but for each half's first, which the
-absorb's adjoint reads.
+beyond it. The module's workspace is kept across calls and grows to the
+largest borrow, so a repeated step touches no fresh pages; no caller
+states a size. ``lend_workspace`` lends it to one tape at a time and takes
+it back when its block exits. Its one borrower is the package's taped
+training step, ``training._taped_step``, whose results never alias it; a
+process that never trained keeps no buffer. The untaped sweep that
+evaluates both schedules takes no workspace, and a tape the user builds
+keeps its own empty one, so all its arrays are new.
+On a lent tape the absorbed label block, the stack of every bond site and
+every ``pair_round`` output may be views of the workspace: 15.3 MiB at the
+desk recipe (9.2 MiB for a sequential step: its label block, the stack,
+and each sweep's prefix and environment buffers). Nothing returned, the
+gradients included, is one: the next borrower overwrites them. Adjoints
+other than a sweep's environment buffer are new arrays: a round's factors
+are [T, B, chi], small enough to be freed round by round but for each
+half's first, which the absorb's adjoint reads.
 """
 
 import math
@@ -271,9 +281,10 @@ class Tape:
         ``A @ v`` (a right half). Rows and shapes are checked up front.
 
         The vectors are written into one ``[len(rows) + 1, B, chi]`` prefix
-        buffer from ``workspace``, the input vector first, by one ``np.vecmat``
-        per row (``_SweepNode.run``). If an operand is watched, the call
-        records one node (``_SweepNode``), whose rule reverses the run in one loop.
+        buffer from ``workspace``, the input vector first, by one direct
+        ``np.matmul`` per row on views arranged once per call
+        (``_SweepNode.run``). If an operand is watched, the call records one
+        node (``_SweepNode``), whose rule reverses the run in one loop.
         """
         if not isinstance(rows, range) or abs(rows.step) != 1:
             raise DimensionError(f"sweep rows must be a range of step 1 or -1, got {rows!r}")
@@ -283,7 +294,9 @@ class Tape:
         if not rows:
             return vec
         if not (0 <= min(rows) and max(rows) < len(stack)):
-            raise DimensionError(f"sweep rows {rows[0]}..{rows[-1]} out of range for {stack.shape}")
+            raise DimensionError(
+                f"sweep rows {rows[0]}..{rows[-1]} out of range for {stack.shape}"
+            )
         prefix = self.workspace.empty((len(rows) + 1,) + vec.shape)
         prefix[0] = vec
         mats = stack[min(rows) : max(rows) + 1][:: rows.step]
@@ -301,7 +314,9 @@ class Tape:
         check_integer("slice_rows start", start, DimensionError)
         check_integer("slice_rows stop", stop, DimensionError)
         if not 0 <= start <= stop <= x.shape[0]:
-            raise DimensionError(f"slice_rows [{start}:{stop}] out of range for {x.shape}")
+            raise DimensionError(
+                f"slice_rows [{start}:{stop}] out of range for {x.shape}"
+            )
         rows = slice(start, stop)
         return self._record("slice_rows", (x,), x[rows], rows)
 
@@ -325,8 +340,11 @@ class Tape:
     def replay(self) -> None:
         """Re-execute every node and verify outputs bit-exactly."""
         for i, node in enumerate(self.nodes):
-            if not np.array_equal(node.recompute(), node.output):
-                raise ConsistencyError(f"tape replay diverged at node {i} ({node.kind})")
+            again = node.recompute()
+            if not np.array_equal(again, node.output):
+                raise ConsistencyError(
+                    f"tape replay diverged at node {i} ({node.kind})"
+                )
 
     def forward_flops(self) -> int:
         return sum(_node_forward_flops(n) for n in self.nodes)
@@ -381,24 +399,18 @@ def _extents(subscripts: str, ops) -> dict[str, int]:
 def _node_forward_flops(node: Node) -> int:
     if node.kind in _CONTRACT_KINDS:
         return 2 * math.prod(_extents(node.extra, node.inputs).values())
-    if node.kind == "pair_round":
+    if node.kind == "pair_round":  # a k x k product per pair and slice: 2 k^3
         stack = node.inputs[0]
-        pairs = stack.shape[0] // 2
-        slices = int(np.prod(stack.shape[1:-2])) if stack.ndim > 3 else 1
-        k = stack.shape[-1]
-        return 2 * pairs * slices * k * k * k
+        return 2 * (stack.shape[0] // 2) * math.prod(stack.shape[1:]) * stack.shape[-1]
     if node.kind in _LOSS_KINDS:
         return 3 * node.inputs[0].size
     return 0  # gather, slice_rows
 
 
 def _node_backward_flops(node: Node) -> int:
-    if node.kind in _CONTRACT_KINDS:
-        return _node_forward_flops(node) * sum(node.needs)
-    if node.kind == "pair_round":
-        # The dense rule, dA and dB per pair: two products for each forward product.
-        return 2 * _node_forward_flops(node)
-    return _node_forward_flops(node)
+    """One dense product per graded operand; a round's dense rule, dA and dB
+    per pair, makes two for each forward product."""
+    return _node_forward_flops(node) * (2 if node.kind == "pair_round" else sum(node.needs))
 
 
 class _Rows:
@@ -469,22 +481,6 @@ def _file(acc: dict, source: np.ndarray, rows: range, u: np.ndarray, v: np.ndarr
     dense[rows.start : rows.stop] += _outer((u, v))
 
 
-def _absorb_adjoint(shape: tuple, feats: np.ndarray, g) -> np.ndarray:
-    """The weights' adjoint [S, d, chi, chi] of ``STACKED_ABSORB`` fed factors.
-
-    Row s, component d, is ``sum_b f[b, s, d] u[s, b] ⊗ v[s, b]``: u
-    weighted by each feature component in turn, then one batched matmul
-    with v per component. ``g`` is factors ``(u, v)`` of every row, or
-    ``_Rows``, taken run by run as the arrays it was filed with.
-    """
-    grad = np.zeros(shape, dtype=DTYPE)
-    for rows, u, v in _runs(g, shape[0]):
-        weights = feats[:, rows].transpose(1, 2, 0)  # [rows, d, B]
-        for d in range(shape[1]):
-            np.matmul((u * weights[:, d, :, None]).swapaxes(-1, -2), v, out=grad[rows, d])
-    return grad
-
-
 class _Form(NamedTuple):
     """A recorded product: ``forward(*ops, out=None)``, writing into a C-contiguous
     ``out`` if given, and per operand a rule ``adjoints[i](g, *ops)`` of its adjoint."""
@@ -504,24 +500,41 @@ def _over_batch(f, g):
     return np.matmul(f, g) if f.shape[-1] != 1 else f * g
 
 
-def _site_absorb(w, f, out=None):
-    """``[B, d] @ [d, ...]``, the weights' trailing axes flattened: ``[B, ...]``."""
-    flat = None if out is None else _flat(out, 1)
-    return np.matmul(f, _flat(w, 1), out=flat).reshape(f.shape[:1] + w.shape[1:])
+def _absorb(w, f, out=None):
+    """An absorb, weights first: ``[B, d] @ [d, ...]``, the weights' trailing axes
+    flattened, or per row s of a stacked one (``f`` [B, S, d], ``w`` [S, d, ...])."""
+    lead = f.ndim - 1
+    flat = None if out is None else _flat(out, lead)
+    rows = np.matmul(np.moveaxis(f, 0, -2), _flat(w, lead), out=flat)
+    return rows.reshape(w.shape[: lead - 1] + f.shape[:1] + w.shape[lead:])
 
 
-def _stacked_absorb(w, f, out=None):
-    """``_site_absorb`` per row s of ``w`` [S, d, chi, chi] with ``f[:, s]``: [S, B, chi, chi]."""
-    flat = None if out is None else _flat(out, 2)
-    rows = np.matmul(f.transpose(1, 0, 2), _flat(w, 2), out=flat)
-    return rows.reshape(w.shape[:1] + f.shape[:1] + w.shape[2:])
+def _absorb_weights(g, w, f):
+    """The weights' adjoint of ``_absorb``, the one rule fed factors as they are.
+
+    For a stacked absorb fed factors, row s, component d, is
+    ``sum_b f[b, s, d] u[s, b] ⊗ v[s, b]``: u weighted by each feature
+    component in turn, then one batched matmul with v per component. ``g``
+    is then factors ``(u, v)`` of every row, or ``_Rows``, taken run by run
+    as the arrays it was filed with. Any other ``g`` is expanded first.
+    """
+    if isinstance(g, np.ndarray) or f.ndim == 2:
+        return _over_batch(np.moveaxis(f, 0, -1), _flat(_dense(g), f.ndim - 1)).reshape(w.shape)
+    grad = np.zeros(w.shape, dtype=DTYPE)
+    for rows, u, v in _runs(g, len(w)):
+        weights = f[:, rows].transpose(1, 2, 0)  # [rows, d, B]
+        for d in range(w.shape[1]):
+            np.matmul((u * weights[:, d, :, None]).swapaxes(-1, -2), v, out=grad[rows, d])
+    return grad
 
 
-def _stacked_weights(g, w, f):
-    """The weights' adjoint of ``_stacked_absorb``; factors go to ``_absorb_adjoint``."""
-    if not isinstance(g, np.ndarray):
-        return _absorb_adjoint(w.shape, f, g)
-    return _over_batch(f.transpose(1, 2, 0), _flat(g, 2)).reshape(w.shape)
+def _absorb_features(g, w, f):
+    """The features' adjoint of ``_absorb``: ``g`` times the weights, summed over their
+    trailing axes, arranged before the feature axis as einsum arranges them."""
+    lead = f.ndim - 1
+    shape = w.shape[: lead - 1] + (math.prod(w.shape[lead:]), w.shape[lead - 1])
+    arranged = np.moveaxis(w, lead - 1, -1).reshape(shape)
+    return np.moveaxis(np.matmul(_flat(_dense(g), lead), arranged), -2, 0)
 
 
 def _mv(m, v, out=None):
@@ -542,23 +555,10 @@ def _y_first(lab, rv):
 
 
 def _combine_right(g, rv, lab, lv):
-    """``rv``'s adjoint of the label combine: the labels summed first where
-    L >= chi, so the middle array is [B, x, y], else x, so it is [B, L, y]."""
+    """``rv``'s adjoint of the label combine: the labels summed first, then x."""
     b, l, x, y = lab.shape
-    if l >= x:
-        by_labels = _mv(lab.transpose(0, 2, 3, 1).reshape(b, x * y, l), g)
-        return _mv(by_labels.reshape(b, x, y).mT, lv)
-    by_x = _vm(lv, lab.transpose(0, 2, 1, 3).reshape(b, x, l * y))
-    return _mv(by_x.reshape(b, l, y).mT, g)
-
-
-def _combine_left(g, rv, lab, lv):
-    """``lv``'s adjoint of the label combine: the labels summed first where
-    L > chi, so the middle array is [B, x, y], else y, so it is [B, L, x]."""
-    b, l, x, y = lab.shape
-    if l > x:
-        return _mv(_vm(g, lab.reshape(b, l, x * y)).reshape(b, x, y), rv)
-    return _mv(_y_first(lab, rv).mT, g)
+    by_labels = _mv(lab.transpose(0, 2, 3, 1).reshape(b, x * y, l), g)
+    return _mv(by_labels.reshape(b, x, y).mT, lv)
 
 
 # The absorb of stacked sites, weights first: ``contraction`` absorbs every bond site
@@ -567,24 +567,19 @@ STACKED_ABSORB = "sdxy,bsd->sbxy"
 
 # Every product a tape records, keyed by the subscripts its nodes keep in ``extra``:
 # the matmuls NumPy 2.4's ``einsum(..., optimize=True)`` runs, on operands arranged the
-# same way. A rule that returns a pair returns factors ``(u, v)`` (``_outer``).
-_SITE_ABSORB = _Form(_site_absorb, (
-    lambda g, w, f: _over_batch(f.T, _flat(g, 1)).reshape(w.shape),
-    lambda g, w, f: np.matmul(_flat(g, 1), np.moveaxis(w, 0, -1).reshape(-1, len(w))),
-))
+# same way (the label combine's adjoints: as it runs them at L = chi). A rule that
+# returns a pair returns factors ``(u, v)`` (``_outer``). Factors stand for arrays of
+# [..., chi, chi] matrices, which only the absorbs output, so only their rules expand
+# them (``_dense``), and the stacked absorb's weights' adjoint reads them as they are.
+_ABSORB = _Form(_absorb, (_absorb_weights, _absorb_features))
 _FORMS = {
-    "dx,bd->bx": _SITE_ABSORB,
-    "dlxy,bd->blxy": _SITE_ABSORB,
-    STACKED_ABSORB: _Form(_stacked_absorb, (
-        _stacked_weights,
-        lambda g, w, f: np.matmul(
-            _flat(g, 2), np.moveaxis(w, 1, -1).reshape(len(w), -1, w.shape[1])
-        ).transpose(1, 0, 2),
-    )),
+    "dx,bd->bx": _ABSORB,
+    "dlxy,bd->blxy": _ABSORB,
+    STACKED_ABSORB: _ABSORB,
     "by,blxy,bx->bl": _Form(lambda rv, lab, lv, out=None: _mv(_y_first(lab, rv), lv, out=out), (
         _combine_right,
         lambda g, rv, lab, lv: lv[:, None, :, None] * g[:, :, None, None] * rv[:, None, None, :],
-        _combine_left,
+        lambda g, rv, lab, lv: _mv(_y_first(lab, rv).mT, g),  # y summed first, as forward
     )),
     "bx,bxy->by": _Form(
         lambda v, m, out=None: _mv(m.mT, v, out=out),
@@ -605,9 +600,9 @@ def _input_adjoints(node: Node, g):
     takes each adjoint from its rule in ``_FORMS``: factors where it is a
     bare outer product, the weights' adjoint of the stacked absorb
     (``STACKED_ABSORB``) made from factors or row factors as they are
-    (``_stacked_weights``), and one direct product otherwise. A
+    (``_absorb_weights``), and one direct product otherwise. A
     ``pair_round`` stacks row factors and turns factors into factors with
-    one ``np.matvec`` and one ``np.vecmat``. Every other use expands
+    two batched matrix-vector products per pair. Every other use expands
     g first and gets the plain dense rule. ``gather`` and ``slice_rows``
     have no rule here: ``backward`` adds their adjoint into the source's
     rows in place.
@@ -616,7 +611,6 @@ def _input_adjoints(node: Node, g):
     if kind in _CONTRACT_KINDS:
         for i, rule in enumerate(_FORMS[node.extra].adjoints):
             if node.needs[i]:
-                g = g if rule is _stacked_weights else _dense(g)
                 yield i, rule(g, *node.inputs)
         return
     if kind == "pair_round":
@@ -637,8 +631,8 @@ def _input_adjoints(node: Node, g):
         u, v = g
         du, dv = (np.empty(stack.shape[:-1], dtype=DTYPE) for _ in range(2))
         du[evens], dv[odds] = u[:pairs], v[:pairs]
-        np.matvec(b, v[:pairs], out=dv[evens])
-        np.vecmat(u[:pairs], a, out=du[odds])
+        np.matmul(b, v[:pairs, ..., None], out=dv[evens, ..., None])
+        np.matmul(u[:pairs, ..., None, :], a, out=du[odds, ..., None, :])
         du[2 * pairs :], dv[2 * pairs :] = u[pairs:], v[pairs:]
         yield 0, (du, dv)
         return
@@ -655,9 +649,13 @@ class _SweepNode(Node):
     ``"sbx,sbxy->sby"`` for ascending rows (``v @ A``) and
     ``"sby,sbxy->sbx"`` for descending ones (``A @ v``); its inputs are the
     vectors the rows read, ``prefix[:-1]``, and the rows in run order, and
-    its output is the vectors they give, ``prefix[1:]``. ``result`` is the
-    final vector that later nodes read, ``vec`` the input vector the call
-    was given, and ``rows`` the range of ``stack`` it read.
+    its output is the vectors they give, ``prefix[1:]``. So the FLOP
+    counters read it as they would read one ``contract`` per row.
+    ``result`` is the final vector that later nodes read, ``vec`` the input
+    vector the call was given, and ``rows`` the range of ``stack`` it read.
+    Forward, in ``recompute`` and in reverse, the rows are stepped by
+    ``run``, one direct ``np.matmul`` per row on views arranged once per
+    call, the rows transposed where ``rows`` descends.
     """
 
     __slots__ = ("result", "vec", "stack", "rows")
@@ -670,11 +668,13 @@ class _SweepNode(Node):
 
     @staticmethod
     def run(mats: np.ndarray, vecs: np.ndarray) -> None:
-        """Step ``vecs[0]`` through ``mats`` in turn, one ``np.vecmat`` per row
-        into ``vecs``: ``vecs[j + 1] = vecs[j] @ mats[j]``, ``mats`` arranged by
-        the caller, as they are or as a ``swapaxes(-1, -2)`` view."""
+        """Step ``vecs[0]`` through ``mats`` in turn, one ``np.matmul`` per row
+        into ``vecs``: ``vecs[j + 1] = vecs[j] @ mats[j]``, the vectors viewed
+        once as [..., 1, chi] rows and ``mats`` arranged by the caller, as
+        they are or as a ``swapaxes(-1, -2)`` view."""
+        vecs = vecs[..., None, :]
         for vec, mat, into in zip(vecs, mats, vecs[1:]):
-            np.vecmat(vec, mat, out=into)
+            np.matmul(vec, mat, out=into)
 
     def recompute(self) -> np.ndarray:
         """The run again, from its input vector, into a new array."""
@@ -700,7 +700,7 @@ class _SweepNode(Node):
         env[-1] = _dense(g)
         self.run(back[:0:-1], env[::-1])
         if self.needs[0]:
-            _accumulate(acc, id(self.vec), np.vecmat(env[0], back[0]))
+            _accumulate(acc, id(self.vec), _vm(env[0], back[0]))
         if self.needs[1]:
             _file(acc, self.stack, self.rows, *((vecs, env) if ascending else (env, vecs)))
 
@@ -725,10 +725,13 @@ def backward(tape: Tape, wrt, loss_adjoint: float = 1.0) -> list[np.ndarray]:
     of each watched leaf, such as ``cores``, since no node produces it.
 
     A ``Tape.sweep`` node (``_SweepNode``) takes its adjoint from its final
-    vector, the only one of its vectors that later nodes read. A sweep
-    node, or a ``gather`` or ``slice_rows`` fed factors, files them as its
-    rows' factors of the source (``_Rows``), so neither schedule builds a
-    dense [N-3, B, chi, chi] adjoint or a ``cores``-shaped accumulator.
+    vector, the only one of its vectors that later nodes read, and reverses
+    its run in one loop. An adjoint may be factors ``(u, v)``
+    (``_input_adjoints``). A sweep node, or a ``gather`` or ``slice_rows``
+    fed factors, files them as its rows' factors of the source (``_Rows``),
+    the rows none reached being zero, so neither schedule builds a dense
+    [N-3, B, chi, chi] adjoint or a ``cores``-shaped accumulator; the
+    source's producer decides how to take them (``_input_adjoints``).
     Factors are expanded when a second contribution meets them (a row
     filed twice included) and before they are returned.
     """

@@ -54,12 +54,16 @@ stack batch-major and C-contiguous, ``[..., B, chi, chi]``, with no
 transposed view. Each matrix a pairwise round multiplies is then
 contiguous for BLAS.
 
-Workspace: a taped call takes its absorbed label block, its stack of
-every bond site and its round outputs or prefix and environment buffers
-from its tape's workspace (``autodiff.Workspace``). Only the taped
-training step is lent the module's workspace (``autodiff.lend_workspace``);
-the untaped sweep takes only new arrays, so an evaluation leaves the
-workspace as it found it. No logits returned are a view of it.
+Workspace: a taped call takes its absorbed label block and its stack of
+every bond site from its tape's workspace (``autodiff.Workspace``), and
+then a pairwise call its round outputs, a sequential one each half's
+prefix and environment buffers. A pairwise step's round adjoints are
+[T, B, chi] factor pairs, new arrays. Only the taped training step
+(``training._taped_step``) is lent the module's workspace
+(``autodiff.lend_workspace``); a tape passed in by the caller never is,
+and the untaped sweep takes only new arrays, so an evaluation leaves the
+workspace as it found it. No logits returned are a view of the
+workspace.
 """
 
 import enum
@@ -207,7 +211,9 @@ def forward_batch(
     never lent the workspace.
 
     Without one, both schedules run the untaped sequential sweep
-    (``_sweep_untaped``), so their untaped logits are the same bytes: a call
+    (``_sweep_untaped``), so their untaped logits are the same bytes: per
+    site, the features weight the image-last vector first, then one
+    ``[chi, d chi] @ [d chi, B]`` product serves the whole batch. A call
     that records no graph gains nothing from the pairwise rounds. Taped and
     untaped logits agree to rounding only.
     """

@@ -190,25 +190,18 @@ def adam_step(
     magnitude of any single update is bounded by roughly the learning rate.
     A second moment that would leave the float64 range raises
     ``NumericError`` naming its weight array, before any array changes.
-    Each weight array takes two new arrays: its next second moment, copied
-    into the state once every check has passed, and ``(1 - beta2) g^2``.
-    Both then serve as scratch; every other operation runs in place, in the
-    order of the textbook formula, so the update is the same bits.
     """
     grad_by_name = dict(grads.arrays())
-    v_next, scratch = {}, {}
+    v_next = {}
     for name, param in model.parameters():
         g = grad_by_name[name]
         if g.shape != param.shape:
             raise ConsistencyError(
                 f"gradient shape {g.shape} does not match parameter {name!r} {param.shape}"
             )
-        v = v_next[name] = np.multiply(state.v[name], ADAM_BETA2)
         with np.errstate(over="ignore"):
-            square = scratch[name] = np.multiply(g, g)
-            square *= 1.0 - ADAM_BETA2
-            v += square
-        if not np.isfinite(v).all():
+            v_next[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+        if not np.isfinite(v_next[name]).all():
             raise NumericError(
                 f"Adam second moment of {name!r} overflows float64 "
                 f"(largest gradient entry {np.abs(g).max():.3g})"
@@ -216,17 +209,13 @@ def adam_step(
     state.step_count += 1
     t = state.step_count
     for name, param in model.parameters():
-        m, v, step, denom = state.m[name], state.v[name], v_next[name], scratch[name]
-        np.copyto(v, step)
+        m = state.m[name]
         m *= ADAM_BETA1
-        m += np.multiply(grad_by_name[name], 1.0 - ADAM_BETA1, out=denom)
-        np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
-        step *= learning_rate
-        np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        step /= denom
-        param -= step
+        m += (1.0 - ADAM_BETA1) * grad_by_name[name]
+        v = state.v[name] = v_next[name]
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        param -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # -- training loop -------------------------------------------------------------

@@ -18,6 +18,7 @@ RECORDED = {
     "dx,bd->bx", "dlxy,bd->blxy", "sdxy,bsd->sbxy", "by,blxy,bx->bl", "bx,bxy->by", "bxy,by->bx",
 }
 FORMS = sorted(RECORDED)
+COMBINE = "by,blxy,bx->bl"
 
 
 def adjoint_form(subscripts: str, i: int) -> str:
@@ -39,19 +40,39 @@ def dense(adjoint):
     return autodiff._outer(adjoint) if isinstance(adjoint, tuple) else adjoint
 
 
+def rounded(subscripts: str, i, ops: list) -> bool:
+    """Whether the forward (``i`` None) or operand ``i``'s adjoint may differ
+    from NumPy's in rounding. Only the label combine's may: at chi = 1, where
+    NumPy's path takes another order, and its vector adjoints at L != chi,
+    which keep the order NumPy picks at L = chi."""
+    if subscripts != COMBINE:
+        return False
+    _, labels, chi, _ = ops[1].shape
+    return chi == 1 or (i in (0, 2) and labels != chi)
+
+
+def assert_same(got, want, rounded: bool, what) -> None:
+    """Bit for bit, or within 1e-12 of the largest entry where ``rounded``."""
+    assert got.shape == want.shape, what
+    if rounded:
+        atol = 1e-12 * np.abs(want).max(initial=0.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol, err_msg=str(what))
+    else:
+        assert np.array_equal(got, want), what
+
+
 def assert_is_numpys(subscripts: str, ops: list) -> None:
     """The forward and every operand's adjoint, fed a dense output adjoint,
-    equal ``np.einsum(..., optimize=True)`` bit for bit."""
+    equal ``np.einsum(..., optimize=True)``: bit for bit, or to rounding
+    where ``rounded``."""
     form = autodiff._FORMS[subscripts]
-    got = form.forward(*ops)
     want = np.einsum(subscripts, *ops, optimize=True)
-    assert got.shape == want.shape and np.array_equal(got, want), subscripts
+    assert_same(form.forward(*ops), want, rounded(subscripts, None, ops), subscripts)
     g = np.random.default_rng(1).standard_normal(want.shape)
     for i, rule in enumerate(form.adjoints):
         adjoint = ops[:i] + [g] + ops[i + 1 :]
-        got = dense(rule(g, *ops))
         want = np.einsum(adjoint_form(subscripts, i), *adjoint, optimize=True)
-        assert got.shape == want.shape and np.array_equal(got, want), (subscripts, i)
+        assert_same(dense(rule(g, *ops)), want, rounded(subscripts, i, ops), (subscripts, i))
 
 
 def test_the_table_holds_the_recorded_products_only():
@@ -60,11 +81,14 @@ def test_the_table_holds_the_recorded_products_only():
 
 
 @pytest.mark.parametrize("form", FORMS)
-@pytest.mark.parametrize("batch", [1, 5, 7, 50])
-@pytest.mark.parametrize("chi, labels", [(3, 2), (3, 3), (3, 10), (10, 10), (32, 10), (10, 3)])
+@pytest.mark.parametrize("batch", [0, 1, 5, 7, 50])
+@pytest.mark.parametrize(
+    "chi, labels", [(1, 3), (3, 2), (3, 3), (3, 10), (10, 10), (32, 10), (10, 3)]
+)
 def test_each_product_and_its_adjoints_are_numpys(form, batch, chi, labels):
-    """Labels fewer than, as many as and more than chi: the label combine's
-    adjoints sum the cheaper index first, as NumPy's path does."""
+    """Labels fewer than, as many as and more than chi: at L = chi every
+    adjoint is NumPy's bits, elsewhere the label combine's vector adjoints
+    are within rounding (``rounded``)."""
     extent = dict(b=batch, d=2, s=4, l=labels, x=chi, y=chi)
     assert_is_numpys(form, operands(form, extent, np.random.default_rng(batch * chi + labels)))
 
@@ -72,15 +96,15 @@ def test_each_product_and_its_adjoints_are_numpys(form, batch, chi, labels):
 @settings(max_examples=300, deadline=None)
 @given(
     form=st.sampled_from(FORMS),
-    sizes=st.lists(st.integers(1, 7), min_size=3, max_size=3),
-    square=st.lists(st.integers(2, 7), min_size=2, max_size=2),
+    sizes=st.lists(st.integers(0, 7), min_size=4, max_size=4),
+    chi=st.integers(1, 7),
     layouts=st.lists(st.booleans(), min_size=3, max_size=3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_products_equal_einsum_over_random_extents(form, sizes, square, layouts, seed):
-    """Any batch, feature and row count; every matrix chi x chi with chi >= 2;
-    C- or Fortran-ordered operands."""
-    (b, d, s), (l, chi) = sizes, square
+def test_products_equal_einsum_over_random_extents(form, sizes, chi, layouts, seed):
+    """Any batch, feature, row and label count, the empty batch included;
+    every matrix chi x chi with chi >= 1; C- or Fortran-ordered operands."""
+    b, d, s, l = sizes
     extent = dict(b=b, d=d, s=s, l=l, x=chi, y=chi)
     assert_is_numpys(form, operands(form, extent, np.random.default_rng(seed), layouts))
 
@@ -140,21 +164,19 @@ def test_every_product_of_a_desk_step_is_numpys(monkeypatch, strategy, batch):
                               dense(got)))
                 return got
 
-            return rule if rule is autodiff._stacked_weights else run
+            return run
 
         return autodiff._Form(forward, tuple(adjoint(i, r) for i, r in enumerate(form.adjoints)))
 
     for subscripts, form in list(autodiff._FORMS.items()):
         monkeypatch.setitem(autodiff._FORMS, subscripts, recording(subscripts, form))
-    real_weights = autodiff._stacked_weights
 
     def weights(g, w, f):
-        got = real_weights(g, w, f)
+        got = autodiff._absorb_weights(g, w, f)
         want = np.einsum("sbxy,bsd->sdxy", autodiff._dense(g), f, optimize=True)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
         return got
 
-    monkeypatch.setattr(autodiff, "_stacked_weights", weights)
     stacked = autodiff._FORMS[autodiff.STACKED_ABSORB]
     monkeypatch.setitem(autodiff._FORMS, autodiff.STACKED_ABSORB,
                         stacked._replace(adjoints=(weights,) + stacked.adjoints[1:]))
