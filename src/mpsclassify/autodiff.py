@@ -54,24 +54,25 @@ weights' gradient, one batched matmul per feature component and run
 (``_absorb_weights``), with no copy of the factors; any other use, or a
 row filed twice, expands them first (see ``_input_adjoints``).
 
-Both taped schedules take their large per-call arrays from a tape's
-``Workspace``: views of one flat float64 buffer while they fit, new arrays
-beyond it. The module's workspace is kept across calls and grows to the
-largest borrow, so a repeated step touches no fresh pages; no caller
-states a size. ``lend_workspace`` lends it to one tape at a time and takes
-it back when its block exits. Its one borrower is the package's taped
-training step, ``training._taped_step``, whose results never alias it; a
-process that never trained keeps no buffer. The untaped sweep that
-evaluates both schedules takes no workspace, and a tape the user builds
-keeps its own empty one, so all its arrays are new.
-On a lent tape the absorbed label block, the stack of every bond site and
-every ``pair_round`` output may be views of the workspace: 15.3 MiB at the
-desk recipe (9.2 MiB for a sequential step: its label block, the stack,
-and each sweep's prefix and environment buffers). Nothing returned, the
-gradients included, is one: the next borrower overwrites them. Adjoints
-other than a sweep's environment buffer are new arrays: a round's factors
-are [T, B, chi], small enough to be freed round by round but for each
-half's first, which the absorb's adjoint reads.
+A tape takes every array it writes, each product, round output and sweep
+buffer, from its ``Workspace``: views of one flat float64 buffer while they
+fit, new arrays beyond it; ``contraction`` states no allocation. The
+module's workspace is kept across calls and grows to the largest borrow,
+so a repeated step touches no fresh pages; no caller states a size.
+``lend_workspace`` lends it to one tape at a time and takes it back when
+its block exits. Its one borrower is the package's taped training step,
+``training._taped_step``, whose results never alias it; a process that
+never trained keeps no buffer. The untaped sweep that evaluates both
+schedules takes no workspace, and a tape the user builds keeps its own
+empty one, so all its arrays are new.
+On a lent tape every product and ``pair_round`` output may be a view of
+the workspace, the logits included: 15.3 MiB at the desk recipe (9.2 MiB
+for a sequential step, mostly its label block, the stack of every bond
+site, and each sweep's prefix and environment buffers). Nothing returned,
+the logits and gradients included, is one: the next borrower overwrites
+them. Adjoints other than a sweep's environment buffer are new arrays: a
+round's factors are [T, B, chi], small enough to be freed round by round
+but for each half's first, which the absorb's adjoint reads.
 """
 
 import math
@@ -83,8 +84,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (ConfigError, ConsistencyError, DimensionError, MpsError, NumericError,
-                     check_integer)
+from .errors import (ConsistencyError, DimensionError, MpsError, NumericError, check_integer,
+                     check_real)
 from .losses import LossKind, compute_loss
 from .model import MpsClassifier
 from .tensor import DTYPE
@@ -97,23 +98,16 @@ _LOSS_KINDS = ("cross_entropy", "mean_square")
 GRAD_CHECK_ATOL = 1e-3
 
 
-def _pair_round_value(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _pair_round_value(stack: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Products of rows (0,1), (2,3), ... of ``stack``; an odd last row is carried.
 
-    The products and the carried row are written into one C-order output,
-    ``out`` when given.
+    The products and the carried row are written into ``out``, one C-order
+    array of ceil(T/2) rows of ``stack``'s [T, ...], and it is returned.
     """
     pairs = stack.shape[0] // 2
-    if out is None:
-        out = np.empty(_round_shape(stack), dtype=DTYPE)
     np.matmul(stack[0 : 2 * pairs : 2], stack[1 : 2 * pairs : 2], out=out[:pairs])
     out[pairs:] = stack[2 * pairs :]
     return out
-
-
-def _round_shape(stack: np.ndarray) -> tuple:
-    """Shape of a ``pair_round`` output: ceil(T/2) rows of ``stack``'s [T, ...]."""
-    return (stack.shape[0] - stack.shape[0] // 2,) + stack.shape[1:]
 
 
 class Workspace:
@@ -189,7 +183,7 @@ class Node:
         if self.kind in _CONTRACT_KINDS:
             return _FORMS[self.extra].forward(*self.inputs)
         if self.kind == "pair_round":
-            return _pair_round_value(self.inputs[0])
+            return _pair_round_value(self.inputs[0], np.empty_like(self.output))
         if self.kind in _ROW_KINDS:
             return self.inputs[0][self.extra]
         if self.kind in _LOSS_KINDS:
@@ -201,8 +195,8 @@ class Node:
 class Tape:
     """Records each primitive that reads a watched array; watching nothing, it only computes.
 
-    ``workspace`` allocates the arrays the pairwise schedule asks for. It is
-    the tape's own empty ``Workspace``, so every array is new, unless
+    ``workspace`` allocates every array the tape writes. It is the tape's
+    own empty ``Workspace``, so every array is new, unless
     ``lend_workspace`` has lent the tape the module's workspace.
     """
 
@@ -230,23 +224,20 @@ class Tape:
 
     # -- primitives -------------------------------------------------------
 
-    def contract(
-        self, subscripts: str, *ops, kind: str = "contract", out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """The recorded product ``subscripts`` of ``ops``, into ``out`` if given.
+    def contract(self, subscripts: str, *ops) -> np.ndarray:
+        """The recorded product ``subscripts`` of ``ops``, an array from ``workspace``.
 
         ``subscripts`` names one of the forms in ``_FORMS``, the six products
-        ``contraction`` records; any other raises ``DimensionError`` naming
-        it, and so do operands that do not fit it and an ``out`` that is not
-        C-contiguous. ``out`` is written and returned.
+        ``contraction`` records, and the form sets the node's kind; any other
+        raises ``DimensionError`` naming it, and so do operands that do not
+        fit it.
         """
         if subscripts not in _FORMS:
             raise DimensionError(f"{subscripts!r} is not a recorded product: {', '.join(_FORMS)}")
-        if out is not None and not out.flags.c_contiguous:
-            raise DimensionError(f"out of {subscripts!r} must be C-contiguous")
-        _extents(subscripts, ops)
-        result = _FORMS[subscripts].forward(*ops, out=out)
-        return self._record(kind, ops, result if out is None else out, subscripts)
+        form, extents = _FORMS[subscripts], _extents(subscripts, ops)
+        out = self.workspace.empty(tuple(extents[ix] for ix in subscripts.split("->")[1]))
+        form.forward(*ops, out=out)
+        return self._record(form.kind, ops, out, subscripts)
 
     def pair_round(self, stack: np.ndarray) -> np.ndarray:
         """One reduction round: products of adjacent rows of [T, ..., k, k].
@@ -262,7 +253,7 @@ class Tape:
             )
         if stack.shape[0] < 2:
             raise DimensionError(f"pair_round needs at least two matrices, got {stack.shape}")
-        out = self.workspace.empty(_round_shape(stack))
+        out = self.workspace.empty((len(stack) - len(stack) // 2,) + stack.shape[1:])
         return self._record("pair_round", (stack,), _pair_round_value(stack, out))
 
     def gather(self, x: np.ndarray, index: int) -> np.ndarray:
@@ -483,10 +474,12 @@ def _file(acc: dict, source: np.ndarray, rows: range, u: np.ndarray, v: np.ndarr
 
 class _Form(NamedTuple):
     """A recorded product: ``forward(*ops, out=None)``, writing into a C-contiguous
-    ``out`` if given, and per operand a rule ``adjoints[i](g, *ops)`` of its adjoint."""
+    ``out`` if given, per operand a rule ``adjoints[i](g, *ops)`` of its adjoint,
+    and the ``kind`` of its nodes."""
 
     forward: Callable
     adjoints: tuple
+    kind: str
 
 
 def _flat(a: np.ndarray, lead: int) -> np.ndarray:
@@ -571,7 +564,7 @@ STACKED_ABSORB = "sdxy,bsd->sbxy"
 # returns a pair returns factors ``(u, v)`` (``_outer``). Factors stand for arrays of
 # [..., chi, chi] matrices, which only the absorbs output, so only their rules expand
 # them (``_dense``), and the stacked absorb's weights' adjoint reads them as they are.
-_ABSORB = _Form(_absorb, (_absorb_weights, _absorb_features))
+_ABSORB = _Form(_absorb, (_absorb_weights, _absorb_features), "absorb")
 _FORMS = {
     "dx,bd->bx": _ABSORB,
     "dlxy,bd->blxy": _ABSORB,
@@ -580,14 +573,16 @@ _FORMS = {
         _combine_right,
         lambda g, rv, lab, lv: lv[:, None, :, None] * g[:, :, None, None] * rv[:, None, None, :],
         lambda g, rv, lab, lv: _mv(_y_first(lab, rv).mT, g),  # y summed first, as forward
-    )),
+    ), "combine"),
     "bx,bxy->by": _Form(
         lambda v, m, out=None: _mv(m.mT, v, out=out),
         (lambda g, v, m: _mv(m, g), lambda g, v, m: (v, g)),
+        "combine",
     ),
     "bxy,by->bx": _Form(
         lambda m, v, out=None: _vm(v, m.mT, out=out),
         (lambda g, m, v: (g, v), lambda g, m, v: _vm(g, m)),
+        "combine",
     ),
 }
 
@@ -843,9 +838,8 @@ def grad_check(
     near-zero gradient entries. Cost is two forward passes per parameter.
     ``h`` and ``tolerance`` must be positive and finite (``ConfigError``).
     """
-    for name, value in (("h", h), ("tolerance", tolerance)):
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{name} must be positive and finite, got {value}")
+    check_real("h", h)
+    check_real("tolerance", tolerance)
     from .encoding import encode_batch
     from .training import batch_loss, loss_and_gradients
 

@@ -54,16 +54,8 @@ stack batch-major and C-contiguous, ``[..., B, chi, chi]``, with no
 transposed view. Each matrix a pairwise round multiplies is then
 contiguous for BLAS.
 
-Workspace: a taped call takes its absorbed label block and its stack of
-every bond site from its tape's workspace (``autodiff.Workspace``), and
-then a pairwise call its round outputs, a sequential one each half's
-prefix and environment buffers. A pairwise step's round adjoints are
-[T, B, chi] factor pairs, new arrays. Only the taped training step
-(``training._taped_step``) is lent the module's workspace
-(``autodiff.lend_workspace``); a tape passed in by the caller never is,
-and the untaped sweep takes only new arrays, so an evaluation leaves the
-workspace as it found it. No logits returned are a view of the
-workspace.
+Allocation is the tape's: it writes every product into an array of its
+own choosing, and which arrays may be reused is ``autodiff``'s to say.
 """
 
 import enum
@@ -103,17 +95,9 @@ def check_batch_features(model: MpsClassifier, feats: np.ndarray) -> np.ndarray:
 
 def _absorb_ends(model, feats, tape):
     """Absorb both boundary sites and the label site: (lv, lab, rv)."""
-    lv = tape.contract("dx,bd->bx", model.left_boundary, feats[:, 0, :], kind="absorb")
-    lab = tape.contract(
-        "dlxy,bd->blxy",
-        model.label_core,
-        feats[:, model.label_site, :],
-        kind="absorb",
-        out=tape.workspace.empty((feats.shape[0],) + model.label_core.shape[1:]),
-    )
-    rv = tape.contract(
-        "dx,bd->bx", model.right_boundary, feats[:, model.n_sites - 1, :], kind="absorb"
-    )
+    lv = tape.contract("dx,bd->bx", model.left_boundary, feats[:, 0, :])
+    lab = tape.contract("dlxy,bd->blxy", model.label_core, feats[:, model.label_site, :])
+    rv = tape.contract("dx,bd->bx", model.right_boundary, feats[:, model.n_sites - 1, :])
     return lv, lab, rv
 
 
@@ -145,8 +129,8 @@ def _pair_reduce(tape, vec, stack, rows):
         half = tape.pair_round(half)
     mat = tape.gather(half, 0)
     if rows.step > 0:
-        return tape.contract("bx,bxy->by", vec, mat, kind="combine")
-    return tape.contract("bxy,by->bx", mat, vec, kind="combine")
+        return tape.contract("bx,bxy->by", vec, mat)
+    return tape.contract("bxy,by->bx", mat, vec)
 
 
 def _forward_taped(model, feats, tape, step):
@@ -158,13 +142,12 @@ def _forward_taped(model, feats, tape, step):
     # Every bond site at once, in the order of ``cores``' rows; each half's
     # step reads its rows of the stack in place, outward in.
     bond_feats = np.concatenate((feats[:, 1:m], feats[:, m + 1 : n - 1]), axis=1)
-    out = tape.workspace.empty((n - 3, len(feats)) + model.cores.shape[2:])
-    stack = tape.contract(STACKED_ABSORB, model.cores, bond_feats, kind="absorb", out=out)
+    stack = tape.contract(STACKED_ABSORB, model.cores, bond_feats)
     lv = step(tape, lv, stack, range(m - 1))
     rv = step(tape, rv, stack, range(n - 4, m - 2, -1))
     # y, the label block's last index, is contracted first, so the product
     # multiplies the block as it lies instead of copying it transposed.
-    return tape.contract("by,blxy,bx->bl", rv, lab, lv, kind="combine")
+    return tape.contract("by,blxy,bx->bl", rv, lab, lv)
 
 
 def _sweep_untaped(model, feats):
@@ -207,8 +190,7 @@ def forward_batch(
     picks a schedule's form. Given a ``tape``, whatever it watches, the
     schedule's taped form runs the whole batch at once with its step
     (``_forward_taped``): ``Tape.sweep``, looked up at call time so a
-    wrapper put on the class is called, or ``_pair_reduce``; the tape is
-    never lent the workspace.
+    wrapper put on the class is called, or ``_pair_reduce``.
 
     Without one, both schedules run the untaped sequential sweep
     (``_sweep_untaped``), so their untaped logits are the same bytes: per

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all mpsclassify modules, and the one
-integer check of a configured size."""
+"""Exception hierarchy shared by all mpsclassify modules, and the checks
+that a configured value is an integer or a real number."""
 
 import numbers
 
@@ -52,3 +52,13 @@ def check_integer(name: str, value, error: type = ConfigError) -> None:
     """Raise ``error`` naming ``name`` unless ``value`` is an integer (a bool is not one)."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise error(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value, allow_zero: bool = False) -> None:
+    """Raise ``ConfigError`` naming ``name`` unless ``value`` is a real number (a
+    bool is not one), finite and positive, or 0 too where ``allow_zero``."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not 0 <= value < float("inf") or (value == 0 and not allow_zero)):
+        raise ConfigError(
+            f"{name} must be {'>= 0' if allow_zero else 'positive'} and finite, got {value!r}"
+        )

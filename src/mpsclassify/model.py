@@ -23,6 +23,7 @@ from .errors import (
     CheckpointVersionError,
     ConfigError,
     check_integer,
+    check_real,
 )
 from .tensor import DTYPE
 
@@ -120,8 +121,7 @@ def init_model(
     check_integer("seed", seed)
     m = n_sites // 2 if label_site is None else label_site
     _check_layout(n_sites, n_labels, bond_dim, m)
-    if not 0 <= sigma < float("inf"):
-        raise ConfigError(f"sigma must be >= 0 and finite, got {sigma}")
+    check_real("sigma", sigma, allow_zero=True)
 
     d, chi, big_l = LOCAL_DIM, bond_dim, n_labels
     rng = np.random.default_rng(seed)

@@ -20,7 +20,8 @@ import numpy as np
 from .autodiff import Gradients, Tape, backward, lend_workspace
 from .contraction import Strategy, check_batch_features, forward_batch, predict_batch
 from .encoding import check_pixels, encode_batch
-from .errors import ConfigError, ConsistencyError, DimensionError, NumericError, check_integer
+from .errors import (ConfigError, ConsistencyError, DimensionError, NumericError, check_integer,
+                     check_real)
 from .losses import LossKind, compute_loss, cross_entropy_loss, mean_square_loss
 from .model import MpsClassifier
 from .tensor import DTYPE
@@ -74,10 +75,7 @@ class TrainConfig:
     eval_batch_size: int = 256
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < float("inf"):
-            raise ConfigError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
+        check_real("learning_rate", self.learning_rate)
         for name in ("batch_size", "epochs", "eval_batch_size"):
             _check_positive_int(name, getattr(self, name))
         if not isinstance(self.loss_kind, LossKind):
@@ -114,11 +112,10 @@ def batch_loss(
     feats: np.ndarray,
     labels: np.ndarray,
     loss_kind: LossKind = LossKind.CROSS_ENTROPY,
-    strategy: Strategy = Strategy.PAIRWISE,
 ) -> float:
-    """Loss of one encoded batch, no gradients."""
-    logits = forward_batch(model, feats, strategy)
-    return compute_loss(loss_kind, logits, labels)
+    """Loss of one encoded batch, no gradients, from the untaped sweep, which
+    serves both schedules (``forward_batch``)."""
+    return compute_loss(loss_kind, forward_batch(model, feats), labels)
 
 
 def _taped_step(model, feats, labels, loss_kind, strategy) -> tuple[float, np.ndarray, Gradients]:
@@ -129,7 +126,8 @@ def _taped_step(model, feats, labels, loss_kind, strategy) -> tuple[float, np.nd
     An empty batch has no loss, so it raises ``ConfigError``.
     The tape borrows the module's workspace (``autodiff.lend_workspace``),
     which grows to the largest step so far; the loss, logits and gradients
-    returned are new arrays, not views of it.
+    returned are new arrays, not views of it, the logits a copy of the
+    tape's.
     """
     feats = check_batch_features(model, feats)
     if feats.shape[0] == 0:
@@ -146,7 +144,7 @@ def _taped_step(model, feats, labels, loss_kind, strategy) -> tuple[float, np.nd
                 f"(largest {np.abs(logits).max():.3g}): the chain product underflowed float64"
             )
         params = [arr for _, arr in model.parameters()]
-        return loss, logits, Gradients(*backward(tape, params)).check_finite()
+        return loss, logits.copy(), Gradients(*backward(tape, params)).check_finite()
 
 
 def loss_and_gradients(
@@ -189,16 +187,19 @@ def adam_step(
     Bias-corrected moments; the eps sits outside the square root, so the
     magnitude of any single update is bounded by roughly the learning rate.
     A second moment that would leave the float64 range raises
-    ``NumericError`` naming its weight array, before any array changes.
+    ``NumericError``, and a gradient or moment of another shape than its
+    weight array ``ConsistencyError``, each naming the weight array, before
+    any array changes.
     """
     grad_by_name = dict(grads.arrays())
     v_next = {}
     for name, param in model.parameters():
         g = grad_by_name[name]
-        if g.shape != param.shape:
-            raise ConsistencyError(
-                f"gradient shape {g.shape} does not match parameter {name!r} {param.shape}"
-            )
+        for what, arr in (("gradient", g), ("Adam m", state.m[name]), ("Adam v", state.v[name])):
+            if arr.shape != param.shape:
+                raise ConsistencyError(
+                    f"{what} shape {arr.shape} does not match parameter {name!r} {param.shape}"
+                )
         with np.errstate(over="ignore"):
             v_next[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
         if not np.isfinite(v_next[name]).all():
@@ -238,6 +239,14 @@ def evaluate(
     return evaluate_predictions(model, feats, labels, loss_kind, batch_size, strategy)[:2]
 
 
+def _check_labels(labels, count: int) -> np.ndarray:
+    """``labels`` as an array; ``DimensionError`` naming both counts unless it has
+    one label per image."""
+    if np.shape(labels) != (count,):
+        raise DimensionError(f"{np.size(labels)} labels for {count} images")
+    return np.asarray(labels)
+
+
 def evaluate_predictions(
     model: MpsClassifier,
     feats: np.ndarray,
@@ -252,8 +261,7 @@ def evaluate_predictions(
     if count == 0:
         raise ConfigError("cannot evaluate an empty set: it holds no images")
     _check_positive_int("batch_size", batch_size)
-    if np.shape(labels) != (count,):
-        raise DimensionError(f"{np.size(labels)} labels for {count} images")
+    labels = _check_labels(labels, count)
     loss_sum = 0.0
     preds = np.empty(count, dtype=np.int64)
     for start in range(0, count, batch_size):
@@ -294,14 +302,14 @@ def train(
     """
     rng = np.random.default_rng(config.seed)
     train_images = check_pixels(train_set.images)
-    train_labels = np.asarray(train_set.labels)
     test_feats = encode_batch(model.feature_map, test_set.images)
-    test_labels = np.asarray(test_set.labels)
     count = train_images.shape[0]
     if count == 0:
         raise ConfigError("cannot train on an empty train set: it holds no images")
     if test_feats.shape[0] == 0:
         raise ConfigError("cannot evaluate an empty test set: it holds no images")
+    train_labels = _check_labels(train_set.labels, count)
+    test_labels = _check_labels(test_set.labels, test_feats.shape[0])
 
     if adam is None:
         adam = init_adam(model)

@@ -524,7 +524,7 @@ class TestRowFactors:
     @staticmethod
     def sweep(tape, cores, feats, rows, w):
         """sum(w * (1 M_r1 M_r2 ...)) over the absorbed stack's ``rows``, as the sequential sweep reads them."""
-        stack = tape.contract("sdxy,bsd->sbxy", cores, feats, kind="absorb")
+        stack = tape.contract("sdxy,bsd->sbxy", cores, feats)
         vec = np.ones(feats.shape[:1] + cores.shape[2:3])
         for row in rows:
             vec = tape.contract("bx,bxy->by", vec, tape.gather(stack, row))
@@ -599,7 +599,7 @@ class TestRowFactors:
         w = rng.standard_normal((4, 3))
 
         def loss(tape):
-            stack = tape.contract("sdxy,bsd->sbxy", cores, feats, kind="absorb")
+            stack = tape.contract("sdxy,bsd->sbxy", cores, feats)
             half = tape.slice_rows(stack, 1, 4)
             vec = np.ones((4, 3))
             if reduce == "sweep":
@@ -699,10 +699,10 @@ class TestSweep:
         m, n = model.label_site, model.n_sites
         lv, lab, rv = contraction._absorb_ends(model, feats, tape)
         bond_feats = np.concatenate((feats[:, 1:m], feats[:, m + 1 : n - 1]), axis=1)
-        stack = tape.contract("sdxy,bsd->sbxy", model.cores, bond_feats, kind="absorb")
+        stack = tape.contract("sdxy,bsd->sbxy", model.cores, bond_feats)
         lv = per_site_sweep(tape, lv, stack, range(m - 1))
         rv = per_site_sweep(tape, rv, stack, range(n - 4, m - 2, -1))
-        return tape.contract("by,blxy,bx->bl", rv, lab, lv, kind="combine")
+        return tape.contract("by,blxy,bx->bl", rv, lab, lv)
 
     def assert_matches_the_loop(self, model, feats, labels, read_again=False):
         """The sequential forward and ``per_site`` give the same logits, FLOP
@@ -828,7 +828,7 @@ class TestSweep:
         weighted_sum(tape, tape.sweep(vec, stack, rows), w)
         tape.replay()
         (vec_adjoint,) = backward(tape, [vec])
-        prefix, env = tape.workspace.arrays
+        prefix, _, env = tape.workspace.arrays  # the sweep's, the weighted sum's, the reverse's
         for j, mat in enumerate(stack[list(rows)]):
             want = np.einsum(form, *operands(prefix[j], mat), optimize=True)
             assert prefix[j + 1].shape == want.shape and prefix[j + 1].tobytes() == want.tobytes()
@@ -989,11 +989,12 @@ class TestGradCheck:
         assert "FAIL" in report.format_table()
 
     @pytest.mark.parametrize("option", ["h", "tolerance"])
-    @pytest.mark.parametrize("value", [0.0, -1e-5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [0.0, -1e-5, float("nan"), float("inf"), "1e-5"])
     def test_a_step_or_tolerance_that_is_not_positive_and_finite_is_refused(
         self, rng, option, value
     ):
-        """Named before any difference is taken, not a ZeroDivisionError."""
+        """Named before any difference is taken, not a ZeroDivisionError or,
+        for a string, a comparison's bare TypeError."""
         model = init_model(6, 2, 2, seed=3)
         images = rng.uniform(0, 1, size=(1, 6))
         with pytest.raises(ConfigError, match=f"{option} must be positive and finite"):
@@ -1053,7 +1054,7 @@ class TestBenchmarkShapes:
                 moved = model.copy()
                 for (_, arr), x in zip(moved.parameters(), u):
                     arr += sign * self.STEP * x
-                losses.append(batch_loss(moved, feats, labels, strategy=strategy))
+                losses.append(batch_loss(moved, feats, labels))
             numeric = (losses[0] - losses[1]) / (2 * self.STEP)
             error = abs(analytic - numeric) / max(abs(analytic), abs(numeric))
             assert error <= self.TOLERANCE, (analytic, numeric)

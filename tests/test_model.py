@@ -100,9 +100,10 @@ class TestInit:
             (dict(n_sites=10, bond_dim=2.5), "bond_dim must be an integer"),
             (dict(n_sites=10, sigma=float("nan")), "sigma must be"),
             (dict(n_sites=10, sigma=float("inf")), "sigma must be"),
+            (dict(n_sites=10, sigma="0.1"), "sigma must be >= 0 and finite, got '0.1'"),
         ],
         ids=["float-label-site", "bool-label-site", "float-sites", "string-sites", "float-seed",
-             "float-labels", "float-bond-dim", "nan-sigma", "inf-sigma"],
+             "float-labels", "float-bond-dim", "nan-sigma", "inf-sigma", "string-sigma"],
     )
     def test_sizes_are_checked_up_front(self, kwargs, named):
         """Named at construction, not as NumPy's bare TypeError at the first

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpsclassify import Strategy, Tape, autodiff, encode_batch, init_model, loss_and_gradients
+from mpsclassify import (LossKind, Strategy, Tape, autodiff, encode_batch, forward_batch,
+                         init_model, loss_and_gradients)
 from mpsclassify.errors import DimensionError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mpsclassify"
@@ -110,15 +111,20 @@ def test_products_equal_einsum_over_random_extents(form, sizes, chi, layouts, se
 
 
 @pytest.mark.parametrize("form", FORMS)
-def test_a_product_writes_into_out(form):
-    """``Tape.contract(..., out=)`` returns the buffer given, holding NumPy's bits."""
+def test_a_product_writes_into_its_tapes_workspace(form):
+    """``Tape.contract`` takes one array, sized from the form's output, from its
+    tape's workspace, and returns it holding NumPy's bits."""
     extent = dict(b=5, d=2, s=4, l=3, x=6, y=6)
     ops = operands(form, extent, np.random.default_rng(0))
     want = np.einsum(form, *ops, optimize=True)
-    out = np.full(want.shape, np.nan)
-    got = Tape().contract(form, *ops, out=out)
-    assert got is out
-    assert np.array_equal(out, want)
+    tape = Tape()
+    workspace = tape.workspace
+    workspace._used = want.size
+    workspace.restart()  # a buffer of exactly one output
+    workspace._flat[:] = np.nan
+    got = tape.contract(form, *ops)
+    assert workspace._used == want.size and np.shares_memory(got, workspace._flat)
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_a_form_outside_the_table_or_operands_that_do_not_fit_are_named():
@@ -131,8 +137,6 @@ def test_a_form_outside_the_table_or_operands_that_do_not_fit_are_named():
         Tape().contract("bx,bxy->by", a, np.ones((2, 3)))
     with pytest.raises(DimensionError, match="does not fit"):
         Tape().contract("bx,bxy->by", a)
-    with pytest.raises(DimensionError, match="C-contiguous"):
-        Tape().contract("dx,bd->bx", np.ones((3, 4)), np.ones((2, 3)), out=np.empty((4, 2)).T)
 
 
 def desk_step(strategy, batch):
@@ -166,7 +170,9 @@ def test_every_product_of_a_desk_step_is_numpys(monkeypatch, strategy, batch):
 
             return run
 
-        return autodiff._Form(forward, tuple(adjoint(i, r) for i, r in enumerate(form.adjoints)))
+        return form._replace(
+            forward=forward, adjoints=tuple(adjoint(i, r) for i, r in enumerate(form.adjoints))
+        )
 
     for subscripts, form in list(autodiff._FORMS.items()):
         monkeypatch.setitem(autodiff._FORMS, subscripts, recording(subscripts, form))
@@ -221,3 +227,40 @@ def test_the_package_calls_no_numpy_einsum():
         for path in sorted(SRC.rglob("*.py"))
     }
     assert found and all(references == [] for references in found.values()), found
+
+
+def contract_keywords(path: Path):
+    """(line, keywords) of every ``.contract(...)`` call that passes a keyword."""
+    return [
+        (node.lineno, [k.arg for k in node.keywords])
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "contract" and node.keywords
+    ]
+
+
+def test_the_form_alone_sets_what_a_product_records():
+    """No ``Tape.contract`` call in the package passes a keyword, and
+    ``contraction.py`` never names the workspace: the table sets each node's
+    kind and the tape allocates its output. So every product node of a desk
+    step, on both schedules, has the kind its ``_FORMS`` entry gives."""
+    found = {
+        path.relative_to(SRC).as_posix(): contract_keywords(path)
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    assert found and all(calls == [] for calls in found.values()), found
+    assert "workspace" not in (SRC / "contraction.py").read_text().lower()
+    model = init_model(196, 10, 10, seed=0)
+    rng = np.random.default_rng(0)
+    feats = encode_batch(model.feature_map, rng.random((50, 196)))
+    for strategy in (Strategy.PAIRWISE, Strategy.SEQUENTIAL):
+        tape = Tape()
+        tape.watch_model(model)
+        logits = forward_batch(model, feats, strategy, tape=tape)
+        tape.loss(LossKind.CROSS_ENTROPY, logits, rng.integers(0, 10, 50))
+        products = [node for node in tape.nodes if node.kind in autodiff._CONTRACT_KINDS
+                    and not isinstance(node, autodiff._SweepNode)]
+        assert {node.extra for node in products} >= {"dx,bd->bx", "dlxy,bd->blxy", COMBINE}
+        assert [node.kind for node in products] == [
+            autodiff._FORMS[node.extra].kind for node in products
+        ], strategy

@@ -245,6 +245,32 @@ class TestAdam:
             np.testing.assert_array_equal(arr, before[name])
             np.testing.assert_array_equal(state.v[name], 0.0)
 
+    @pytest.mark.parametrize(
+        "other, named",
+        [(dict(n_sites=16, bond_dim=4), "left_boundary"),
+         (dict(n_sites=17, bond_dim=3), "cores")],
+        ids=["other-chi", "other-n"],
+    )
+    def test_another_models_state_is_named_before_any_update(self, other, named):
+        """A state built for another shape raises ``ConsistencyError`` naming the
+        first weight array it does not fit, not NumPy's broadcast error, and
+        neither the model nor the state changes."""
+        model = init_model(16, 2, 3, seed=0)
+        state = init_adam(init_model(n_labels=2, seed=0, **other))
+        state.m["cores"][...] = 0.5
+        before = [arr.tobytes() for _, arr in model.parameters()]
+        moments = [arr.tobytes() for arr in (*state.m.values(), *state.v.values())]
+        grads = Gradients(*(np.ones_like(arr) for _, arr in model.parameters()))
+        with pytest.raises(ConsistencyError, match=f"Adam m shape .* parameter '{named}'"):
+            adam_step(model, grads, state, learning_rate=1e-3)
+        with pytest.raises(ConsistencyError, match=f"parameter '{named}'"):
+            config = TrainConfig(learning_rate=1e-3, batch_size=5, epochs=1, seed=0)
+            train(model, synthetic_blobs(10, seed=1), synthetic_blobs(5, seed=2), config,
+                  adam=state)
+        assert [arr.tobytes() for _, arr in model.parameters()] == before
+        assert [arr.tobytes() for arr in (*state.m.values(), *state.v.values())] == moments
+        assert state.step_count == 0
+
 
 class TestTrainLoop:
     def test_blob_fixture_reaches_full_train_accuracy(self):
@@ -520,6 +546,32 @@ class TestTrainLoop:
         assert [arr.tobytes() for arr in (*adam.m.values(), *adam.v.values())] == moments
         assert adam.step_count == 0
 
+    @pytest.mark.parametrize(
+        "split, labels, named",
+        [("train", 9, "9 labels for 10 images"), ("train", 11, "11 labels for 10 images"),
+         ("test", 4, "4 labels for 5 images")],
+        ids=["fewer-train", "more-train", "fewer-test"],
+    )
+    def test_a_label_count_off_its_image_count_is_named_before_any_step(
+        self, split, labels, named
+    ):
+        """Either split's labels must be one per image, checked before the first
+        step as ``evaluate_predictions`` checks them, so the model keeps its bytes."""
+        sets = {"train": synthetic_blobs(10, seed=1), "test": synthetic_blobs(5, seed=2)}
+        images = sets[split].images
+
+        class Short:
+            pass
+
+        Short.images, Short.labels = images, np.zeros(labels, dtype=np.int64)
+        sets[split] = Short
+        model = init_model(16, 2, 3, seed=0)
+        before = [arr.tobytes() for _, arr in model.parameters()]
+        config = TrainConfig(learning_rate=1e-3, batch_size=5, epochs=1, seed=0)
+        with pytest.raises(DimensionError, match=named):
+            train(model, sets["train"], sets["test"], config)
+        assert [arr.tobytes() for _, arr in model.parameters()] == before
+
     def test_train_encodes_each_batch_as_it_draws_it(self, monkeypatch):
         """No encoded copy of the training set: only the test set is encoded whole."""
         train_set, test_set = synthetic_blobs(30, seed=1), synthetic_blobs(12, seed=2)
@@ -576,11 +628,13 @@ class TestTrainLoop:
             (lambda: TrainConfig(epochs=2.0), ConfigError, "epochs must be an integer"),
             (lambda: TrainConfig(eval_batch_size=2.5), ConfigError,
              "eval_batch_size must be an integer"),
+            (lambda: TrainConfig(learning_rate=None), ConfigError,
+             "learning_rate must be positive and finite, got None"),
             (lambda: evaluate_predictions(init_model(12, 2, 2, seed=0), np.ones((12, 2)), [0]),
              DimensionError, r"expected \[B, N, d\] features"),
         ],
         ids=["string-strategy", "string-loss", "float-batch", "float-epochs",
-             "float-eval-batch", "unbatched-features"],
+             "float-eval-batch", "none-learning-rate", "unbatched-features"],
     )
     def test_bad_inputs_are_named_up_front(self, call, error, match):
         """Named where they are given, not at the first step or as a misleading count."""
