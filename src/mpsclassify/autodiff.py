@@ -258,7 +258,7 @@ class Tape:
 
     def gather(self, x: np.ndarray, index: int) -> np.ndarray:
         """Select row ``index`` along the leading axis, differentiably."""
-        check_integer("gather index", index, DimensionError)
+        check_integer("gather index", index, error=DimensionError)
         if not 0 <= index < x.shape[0]:
             raise DimensionError(f"gather index {index} out of range for {x.shape}")
         return self._record("gather", (x,), x[index], index)
@@ -302,8 +302,8 @@ class Tape:
 
     def slice_rows(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
         """Rows ``start:stop`` along the leading axis, differentiably."""
-        check_integer("slice_rows start", start, DimensionError)
-        check_integer("slice_rows stop", stop, DimensionError)
+        check_integer("slice_rows start", start, error=DimensionError)
+        check_integer("slice_rows stop", stop, error=DimensionError)
         if not 0 <= start <= stop <= x.shape[0]:
             raise DimensionError(
                 f"slice_rows [{start}:{stop}] out of range for {x.shape}"

@@ -45,20 +45,26 @@ def _data_dir(args) -> Path:
     )
 
 
+def _held_out_set(args, split: str, synthetic_count: int):
+    """The set ``train`` tests on and ``eval`` scores: ``synthetic_count`` generated
+    images on seed + 1000 under ``--synthetic``, else the ``split`` files, cut to
+    ``--test-count`` images on seed + 1."""
+    if args.synthetic:
+        return synthetic_digits(synthetic_count, seed=args.seed + 1000)
+    held_out = load_split(_data_dir(args), split)
+    if args.test_count:
+        held_out = take(held_out, args.test_count, seed=args.seed + 1)
+    return held_out
+
+
 def _load_sets(args):
-    if getattr(args, "synthetic", 0):
+    if args.synthetic:
         train_set = synthetic_digits(args.synthetic, seed=args.seed)
-        test_set = synthetic_digits(
-            max(args.synthetic // 4, 1), seed=args.seed + 1000
-        )
     else:
-        base = _data_dir(args)
-        train_set = load_split(base, "train")
-        test_set = load_split(base, "test")
+        train_set = load_split(_data_dir(args), "train")
         if args.train_count:
             train_set = take(train_set, args.train_count, seed=args.seed)
-        if args.test_count:
-            test_set = take(test_set, args.test_count, seed=args.seed + 1)
+    test_set = _held_out_set(args, "test", max(args.synthetic // 4, 1))
     if args.downsample > 1:
         train_set = downsample(train_set, args.downsample)
         test_set = downsample(test_set, args.downsample)
@@ -110,12 +116,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    if getattr(args, "synthetic", 0):
-        test_set = synthetic_digits(args.synthetic, seed=args.seed + 1000)
-    else:
-        test_set = load_split(_data_dir(args), args.split)
-        if args.test_count:
-            test_set = take(test_set, args.test_count, seed=args.seed + 1)
+    test_set = _held_out_set(args, args.split, args.synthetic)
     if args.downsample > 1:
         test_set = downsample(test_set, args.downsample)
     if test_set.n_sites != model.n_sites:
@@ -368,7 +369,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MpsError, FileNotFoundError) as exc:
+    except (MpsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

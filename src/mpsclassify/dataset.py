@@ -153,13 +153,10 @@ def load_split(data_dir, split: str) -> ImageSet:
 
 
 def downsample_images(images: np.ndarray, height: int, width: int, factor: int) -> np.ndarray:
-    """Block-mean pooling of flattened images by an integer factor."""
+    """Block-mean pooling of flattened images by an integer factor; always a new
+    array, so factor 1 returns a copy."""
     images = np.asarray(images, dtype=DTYPE)
-    check_integer("factor", factor)
-    if factor < 1:
-        raise ConfigError(f"downsample factor must be >= 1, got {factor}")
-    if factor == 1:
-        return images
+    check_integer("factor", factor, 1)
     if height % factor or width % factor:
         raise ConfigError(
             f"{height}x{width} images do not divide into {factor}x{factor} blocks"
@@ -168,6 +165,8 @@ def downsample_images(images: np.ndarray, height: int, width: int, factor: int) 
         raise DimensionError(
             f"expected [count, {height * width}] images, got {images.shape}"
         )
+    if factor == 1:
+        return images.copy()
     count = images.shape[0]
     blocks = images.reshape(count, height // factor, factor, width // factor, factor)
     pooled = blocks.mean(axis=(2, 4))
@@ -175,7 +174,8 @@ def downsample_images(images: np.ndarray, height: int, width: int, factor: int) 
 
 
 def downsample(s: ImageSet, factor: int) -> ImageSet:
-    """Downsampled copy of an image set; factor 1 returns an unchanged copy."""
+    """Downsampled copy of an image set; factor 1 returns an unchanged copy that
+    shares no array with ``s``."""
     pooled = downsample_images(s.images, s.height, s.width, factor)
     return ImageSet(
         images=pooled,
@@ -189,9 +189,9 @@ def downsample(s: ImageSet, factor: int) -> ImageSet:
 
 def take(s: ImageSet, count: int, seed: int) -> ImageSet:
     """Seeded subset without replacement, kept in the order drawn."""
-    check_integer("count", count)
-    check_integer("seed", seed)
-    if not 0 <= count <= s.count:
+    check_integer("count", count, 0)
+    check_integer("seed", seed, 0)
+    if count > s.count:
         raise ConfigError(f"cannot take {count} images from a set of {s.count}")
     rng = np.random.default_rng(seed)
     picked = rng.choice(s.count, size=count, replace=False)
@@ -230,18 +230,10 @@ def _smooth(field: np.ndarray, passes: int = 2) -> np.ndarray:
     return out
 
 
-def _check_count(count: int, **integers) -> None:
-    """Raise ``ConfigError`` naming the first of ``count`` and ``integers`` that is not
-    an integer (``check_integer``), or for a negative ``count``."""
-    for name, value in dict(count=count, **integers).items():
-        check_integer(name, value)
-    if count < 0:
-        raise ConfigError(f"cannot generate {count} images")
-
-
 def synthetic_blobs(count: int, seed: int = 0) -> ImageSet:
     """Two-class 4x4 toy set: bright top-left vs bright bottom-right corner."""
-    _check_count(count, seed=seed)
+    check_integer("count", count, 0)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, size=count)
     images = rng.uniform(0.0, 0.25, size=(count, 4, 4))
@@ -269,13 +261,13 @@ def synthetic_digits(
 
     The class templates come from ``TEMPLATE_SEED`` alone, so sets drawn
     with different ``seed`` values share the same task and can serve as
-    train/test splits of each other. ``side`` must be at least 2 and
-    ``n_classes`` at least 1 (``ConfigError``).
+    train/test splits of each other. ``count`` and ``seed`` must be at least 0,
+    ``side`` at least 2 and ``n_classes`` at least 1 (``ConfigError``).
     """
-    _check_count(count, seed=seed, side=side, n_classes=n_classes)
-    if side < 2 or n_classes < 1:
-        raise ConfigError(f"synthetic digits need side >= 2 and n_classes >= 1, "
-                          f"got side={side}, n_classes={n_classes}")
+    check_integer("count", count, 0)
+    check_integer("seed", seed, 0)
+    check_integer("side", side, 2)
+    check_integer("n_classes", n_classes, 1)
     template_rng = np.random.default_rng(TEMPLATE_SEED)
     rng = np.random.default_rng(seed)
     templates = np.stack(

@@ -1,5 +1,11 @@
 """Exception hierarchy shared by all mpsclassify modules, and the checks
-that a configured value is an integer or a real number."""
+that a configured value is an integer or a real number.
+
+``check_integer`` is the one integer check: every size, count and seed in
+the package goes through it, with the lower bound its argument needs.
+Upper bounds that depend on an array's length are checked where the
+array is.
+"""
 
 import numbers
 
@@ -48,10 +54,13 @@ class IdxParseError(MpsError):
     """An IDX dataset file is malformed (magic, header, or payload)."""
 
 
-def check_integer(name: str, value, error: type = ConfigError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` is an integer (a bool is not one)."""
+def check_integer(name: str, value, low: int | None = None, error: type = ConfigError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer (a bool is not
+    one) and, where ``low`` is given, at least ``low``."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise error(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
 
 
 def check_real(name: str, value, allow_zero: bool = False) -> None:

@@ -80,20 +80,15 @@ class MpsClassifier:
 
 
 def _check_layout(n_sites: int, n_labels: int, bond_dim: int, label_site: int) -> None:
-    """Raise ConfigError naming the first field that no chain layout allows."""
-    sizes = dict(n_sites=n_sites, n_labels=n_labels, bond_dim=bond_dim, label_site=label_site)
-    for name, value in sizes.items():
-        check_integer(name, value)
-    if n_sites < 3:
-        raise ConfigError(
-            f"n_sites must be >= 3 so the label core sits strictly between "
-            f"the boundary sites, got {n_sites}"
-        )
-    if n_labels < 2:
-        raise ConfigError(f"n_labels must be >= 2, got {n_labels}")
-    if bond_dim < 1:
-        raise ConfigError(f"bond_dim must be >= 1, got {bond_dim}")
-    if not 1 <= label_site <= n_sites - 2:
+    """Raise ConfigError naming the first field that no chain layout allows.
+
+    Three sites at least, so the label core sits strictly between the boundary sites.
+    """
+    check_integer("n_sites", n_sites, 3)
+    check_integer("n_labels", n_labels, 2)
+    check_integer("bond_dim", bond_dim, 1)
+    check_integer("label_site", label_site, 1)
+    if label_site > n_sites - 2:
         raise ConfigError(f"label_site must lie in [1, {n_sites - 2}], got {label_site}")
 
 
@@ -118,7 +113,7 @@ def init_model(
     given ``seed``.
     """
     check_integer("n_sites", n_sites)
-    check_integer("seed", seed)
+    check_integer("seed", seed, 0)
     m = n_sites // 2 if label_site is None else label_site
     _check_layout(n_sites, n_labels, bond_dim, m)
     check_real("sigma", sigma, allow_zero=True)

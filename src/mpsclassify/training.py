@@ -24,7 +24,6 @@ from .errors import (ConfigError, ConsistencyError, DimensionError, NumericError
                      check_real)
 from .losses import LossKind, compute_loss, cross_entropy_loss, mean_square_loss
 from .model import MpsClassifier
-from .tensor import DTYPE
 
 __all__ = [
     "LossKind",
@@ -55,16 +54,13 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _check_positive_int(name: str, value) -> None:
-    """Raise ``ConfigError`` unless ``value`` is an integer >= 1 (``check_integer``)."""
-    check_integer(name, value)
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
-
-
 @dataclass
 class TrainConfig:
-    """Knobs for one training run. Defaults follow common Adam practice."""
+    """Knobs for one training run. Defaults follow common Adam practice.
+
+    Every field is checked at construction (``ConfigError`` naming it): the
+    batch sizes and ``epochs`` are integers >= 1, ``seed`` an integer >= 0.
+    """
 
     learning_rate: float = 1e-4
     batch_size: int = 50
@@ -77,7 +73,8 @@ class TrainConfig:
     def __post_init__(self):
         check_real("learning_rate", self.learning_rate)
         for name in ("batch_size", "epochs", "eval_batch_size"):
-            _check_positive_int(name, getattr(self, name))
+            check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed, 0)
         if not isinstance(self.loss_kind, LossKind):
             raise ConfigError(f"loss_kind must be a LossKind, got {self.loss_kind!r}")
         if not isinstance(self.strategy, Strategy):
@@ -260,7 +257,7 @@ def evaluate_predictions(
     count = feats.shape[0]
     if count == 0:
         raise ConfigError("cannot evaluate an empty set: it holds no images")
-    _check_positive_int("batch_size", batch_size)
+    check_integer("batch_size", batch_size, 1)
     labels = _check_labels(labels, count)
     loss_sum = 0.0
     preds = np.empty(count, dtype=np.int64)

@@ -249,6 +249,23 @@ class TestEval:
         assert "label_site" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--synthetic", "20", "--checkpoint", "{dir}"],
+        ["train", "--synthetic", "20", "--epochs", "1", "--bond-dim", "2",
+         "--metrics-csv", "{dir}"],
+    ],
+    ids=["eval-checkpoint", "train-metrics-csv"],
+)
+def test_a_directory_for_a_file_is_a_named_error(tmp_path, capsys, argv):
+    """The file-system error is printed, not raised as a traceback."""
+    code = main([arg.format(dir=tmp_path) for arg in argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
 def write_idx_set(directory, seed=0):
     """A tiny 4x4 set of three classes under the standard MNIST file names:
     30 train images and 12 test images."""

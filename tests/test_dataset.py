@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mpsclassify.dataset import (
-    ImageSet,
     _smooth,
     downsample,
     downsample_images,
@@ -157,6 +156,17 @@ class TestDownsample:
     def test_factor_one_is_identity(self):
         images = np.random.default_rng(0).uniform(0, 1, (3, 9))
         np.testing.assert_array_equal(downsample_images(images, 3, 3, 1), images)
+
+    def test_factor_one_shares_no_array_with_its_source(self):
+        s = synthetic_digits(5, seed=0)
+        d = downsample(s, 1)
+        d.images[0, 0] = 7.0
+        assert s.images[0, 0] != 7.0
+
+    def test_factor_one_checks_the_shape(self):
+        """As every other factor does, not handing the [3, 5] array back."""
+        with pytest.raises(DimensionError, match=r"expected \[count, 196\] images"):
+            downsample_images(np.zeros((3, 5)), 14, 14, 1)
 
     def test_indivisible_rejected(self):
         with pytest.raises(ConfigError, match="divide"):
@@ -324,7 +334,9 @@ class TestSyntheticSets:
     )
     def test_a_digit_set_with_no_pixel_range_or_no_class_is_refused(self, side, n_classes):
         """Not NaN pixels from a one-pixel template, and not a bare NumPy error."""
-        with pytest.raises(ConfigError, match=f"side={side}, n_classes={n_classes}"):
+        named = (f"side must be >= 2, got {side}" if side < 2
+                 else f"n_classes must be >= 1, got {n_classes}")
+        with pytest.raises(ConfigError, match=named):
             synthetic_digits(5, seed=0, side=side, n_classes=n_classes)
 
     def test_label_histogram(self):

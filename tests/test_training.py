@@ -19,6 +19,8 @@ from mpsclassify import (
     init_model,
     loss_and_gradients,
     synthetic_blobs,
+    synthetic_digits,
+    take,
     train,
     write_metrics_csv,
 )
@@ -640,6 +642,23 @@ class TestTrainLoop:
         """Named where they are given, not at the first step or as a misleading count."""
         with pytest.raises(error, match=match):
             call()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "fractional", "bool"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda seed: init_model(8, 2, 2, seed=seed),
+            lambda seed: TrainConfig(seed=seed),
+            lambda seed: synthetic_digits(3, seed=seed),
+            lambda seed: synthetic_blobs(3, seed=seed),
+            lambda seed: take(synthetic_blobs(5), 3, seed=seed),
+        ],
+        ids=["init_model", "TrainConfig", "synthetic_digits", "synthetic_blobs", "take"],
+    )
+    def test_every_seed_is_a_non_negative_integer(self, call, seed):
+        """Named where it is given, not NumPy's bare error at the first draw."""
+        with pytest.raises(ConfigError, match=f"^seed must be .*, got {seed!r}$"):
+            call(seed)
 
     def test_numpy_integers_configure_a_run(self):
         config = TrainConfig(batch_size=np.int64(8), epochs=np.int32(2), eval_batch_size=np.int64(4))
