@@ -206,28 +206,26 @@ def take(s: ImageSet, count: int, seed: int) -> ImageSet:
 
 
 def label_histogram(labels: np.ndarray, n_labels: int | None = None) -> list[int]:
-    labels = np.asarray(labels)
-    if n_labels is None:
-        n_labels = int(labels.max()) + 1 if labels.size else 0
-    return np.bincount(labels, minlength=n_labels).tolist()
+    return np.bincount(np.asarray(labels), minlength=n_labels or 0).tolist()
 
 
 # -- synthetic fixtures --------------------------------------------------------
 
 # Seeds the class templates of ``synthetic_digits``, so every set shares one task.
 TEMPLATE_SEED = 12345
+# Rows per add of ``synthetic_digits``, so its temporary is a block, not the set.
+ADD_BLOCK = 256
 
 
 def _smooth(field: np.ndarray, passes: int = 2) -> np.ndarray:
-    """Cheap box blur with wraparound; keeps the generator dependency-free."""
-    out = field
+    """Wraparound box blur of the last two axes, so a stack blurs at once; dependency-free."""
     for _ in range(passes):
-        acc = out.copy()
-        for axis in (0, 1):
+        acc = field.copy()
+        for axis in (-2, -1):
             for shift in (-1, 1):
-                acc = acc + np.roll(out, shift, axis=axis)
-        out = acc / 5.0
-    return out
+                acc += np.roll(field, shift, axis=axis)
+        field = acc / 5.0
+    return field
 
 
 def synthetic_blobs(count: int, seed: int = 0) -> ImageSet:
@@ -259,6 +257,9 @@ def synthetic_digits(
     shift in {-1, 0, 1} per axis, plus noise in [0, 0.25). ``seed`` draws, in
     order, the labels [count], the shifts [count, 2], the noise [count, side, side].
 
+    One call blurs the template stack once, rolls it to the nine shifts once and
+    adds them to the noise ``ADD_BLOCK`` rows at a time, so only the adds grow with
+    ``count``; a seeded set keeps the bytes of rolling and adding each image in turn.
     The class templates come from ``TEMPLATE_SEED`` alone, so sets drawn
     with different ``seed`` values share the same task and can serve as
     train/test splits of each other. ``count`` and ``seed`` must be at least 0,
@@ -270,20 +271,21 @@ def synthetic_digits(
     check_integer("n_classes", n_classes, 1)
     template_rng = np.random.default_rng(TEMPLATE_SEED)
     rng = np.random.default_rng(seed)
-    templates = np.stack(
-        [_smooth(template_rng.uniform(0.0, 1.0, size=(side, side))) for _ in range(n_classes)]
-    )
+    templates = _smooth(template_rng.uniform(0.0, 1.0, size=(n_classes, side, side)))
     templates -= templates.min(axis=(1, 2), keepdims=True)
     templates /= templates.max(axis=(1, 2), keepdims=True)
+    templates *= 0.75
+    # [n_classes, 9, side, side]: shift (dy, dx) sits at 3 * dy + dx + 4.
+    shifted = np.stack([np.roll(templates, (i - 1, j - 1), (1, 2)) for i, j in np.ndindex(3, 3)], 1)
     labels = rng.integers(0, n_classes, size=count)
     shifts = rng.integers(-1, 2, size=(count, 2))
-    images = rng.uniform(0.0, 0.25, size=(count, side, side))
-    # One group per (label, shift), so the temporary is a group's rows, not the set.
-    groups = (labels * 3 + shifts[:, 0] + 1) * 3 + shifts[:, 1] + 1
-    for group in np.unique(groups):
-        rows = np.flatnonzero(groups == group)
-        label, shift = labels[rows[0]], tuple(shifts[rows[0]])
-        images[rows] += 0.75 * np.roll(templates[label], shift, axis=(0, 1))
+    which = 3 * shifts[:, 0] + shifts[:, 1] + 4
+    # 0.25 * U is uniform(0.0, 0.25)'s 0.0 + 0.25 * U, bit for bit.
+    images = rng.random((count, side, side))
+    images *= 0.25
+    for a in range(0, count, ADD_BLOCK):
+        rows = slice(a, a + ADD_BLOCK)
+        images[rows] += shifted[labels[rows], which[rows]]
     np.clip(images, 0.0, 1.0, out=images)
     return ImageSet(
         images=images.reshape(count, side * side),

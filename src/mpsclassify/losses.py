@@ -46,27 +46,26 @@ def _one_hot(labels: np.ndarray, n_labels: int) -> np.ndarray:
     return out
 
 
-def cross_entropy_with_grad(logits, labels):
-    """Value, d(loss)/d(logits), and softmax probabilities.
-
-    Computed via a log-sum-exp shift by the row max so large logits cannot
-    overflow the exponential.
-    """
-    logits, labels = _check_batch(logits, labels)
-    batch = logits.shape[0]
+def _log_softmax(logits, labels):
+    """Mean -log softmax of the true labels, the logits shifted by their row max
+    (so large logits cannot overflow the exponential), and each row's log-sum-exp."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
-    logp = shifted[np.arange(batch), labels] - lse
-    value = float(-logp.mean())
+    return float(-(shifted[np.arange(logits.shape[0]), labels] - lse).mean()), shifted, lse
+
+
+def cross_entropy_with_grad(logits, labels):
+    """Value, d(loss)/d(logits), and softmax probabilities."""
+    logits, labels = _check_batch(logits, labels)
+    value, shifted, lse = _log_softmax(logits, labels)
     probs = np.exp(shifted - lse[:, None])
-    grad = (probs - _one_hot(labels, logits.shape[1])) / batch
+    grad = (probs - _one_hot(labels, logits.shape[1])) / logits.shape[0]
     return value, grad, probs
 
 
 def cross_entropy_loss(logits, labels) -> float:
-    """Mean over the batch of -log softmax of the true-label logit."""
-    value, _, _ = cross_entropy_with_grad(logits, labels)
-    return value
+    """Mean over the batch of -log softmax of the true-label logit, without the gradient."""
+    return _log_softmax(*_check_batch(logits, labels))[0]
 
 
 def mean_square_with_grad(logits, labels):
@@ -82,8 +81,7 @@ def mean_square_with_grad(logits, labels):
 
 def mean_square_loss(logits, labels) -> float:
     """Mean over the batch of half the squared distance to the one-hot target."""
-    value, _, _ = mean_square_with_grad(logits, labels)
-    return value
+    return mean_square_with_grad(logits, labels)[0]
 
 
 def compute_loss(kind: LossKind, logits, labels, with_grad: bool = False):

@@ -2,11 +2,13 @@
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mpsclassify.dataset import (
+    ADD_BLOCK,
     _smooth,
     downsample,
     downsample_images,
@@ -238,7 +240,9 @@ class TestSyntheticSets:
         assert s.labels.max() < 10
 
     @pytest.mark.parametrize(
-        "count, seed, side", [(2000, 1, 14), (37, 5, 14), (1, 4, 14), (0, 0, 14), (60, 9, 28)]
+        "count, seed, side",
+        [(2000, 1, 14), (37, 5, 14), (1, 4, 14), (0, 0, 14), (60, 9, 28),
+         (3 * ADD_BLOCK, 6, 14), (4 * ADD_BLOCK + 1, 2, 14), (ADD_BLOCK + 1, 3, 28)],
     )
     def test_digits_match_the_per_image_draw(self, count, seed, side):
         """Bit for bit what rolling and adding each image gives, with the stream drawn
@@ -290,6 +294,33 @@ class TestSyntheticSets:
             generate(count, seed=3)
             per_count.append(len(calls))
         assert per_count[0] == per_count[1] > 0
+
+    def test_the_rolls_do_not_grow_with_the_count(self, monkeypatch):
+        """The templates are blurred and shifted once per set, not per image or group."""
+        calls = []
+        roll = np.roll
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return roll(*args, **kwargs)
+
+        monkeypatch.setattr(np, "roll", counted)
+        per_count = []
+        for count in (10, 1000):
+            calls.clear()
+            synthetic_digits(count, seed=3)
+            per_count.append(len(calls))
+        assert per_count[0] == per_count[1] > 0
+
+    def test_the_temporaries_stay_within_a_block(self):
+        """Peak traced memory is the images plus a fixed allowance, not twice the set."""
+        tracemalloc.start()
+        try:
+            s = synthetic_digits(20000, seed=0, side=14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= s.images.nbytes + 4 * 2**20
 
     @pytest.mark.parametrize("count, seed", [(0, 0), (1, 1), (25, 2), (500, 7)])
     def test_blobs_match_the_per_image_add(self, count, seed):

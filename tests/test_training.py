@@ -24,7 +24,7 @@ from mpsclassify import (
     train,
     write_metrics_csv,
 )
-from mpsclassify import training
+from mpsclassify import losses, training
 from mpsclassify.autodiff import Gradients
 from mpsclassify.encoding import encode_batch
 from mpsclassify.errors import (
@@ -112,6 +112,28 @@ class TestCrossEntropy:
                 bumped[i, j] -= 2 * h
                 down = cross_entropy_loss(bumped, labels)
                 np.testing.assert_allclose(grad[i, j], (up - down) / (2 * h), atol=1e-8)
+
+    @pytest.mark.parametrize("kind", ["random", "large", "tied"])
+    def test_the_value_alone_has_the_bytes_of_the_value_with_its_gradient(self, kind, rng):
+        logits = {
+            "random": rng.standard_normal((256, 10)),
+            "large": rng.standard_normal((256, 10)) * 1e27,
+            "tied": np.full((256, 10), 3.5),
+        }[kind]
+        labels = rng.integers(0, 10, size=256)
+        value = cross_entropy_loss(logits, labels)
+        want = cross_entropy_with_grad(logits, labels)[0]
+        assert np.float64(value).tobytes() == np.float64(want).tobytes()
+
+    def test_a_value_only_call_builds_no_one_hot(self, rng, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a value-only loss built a one-hot target")
+
+        monkeypatch.setattr(losses, "_one_hot", refused)
+        logits = rng.standard_normal((8, 5))
+        labels = rng.integers(0, 5, size=8)
+        assert cross_entropy_loss(logits, labels) > 0
+        assert compute_loss(LossKind.CROSS_ENTROPY, logits, labels) > 0
 
     def test_non_finite_logits_rejected(self):
         with pytest.raises(NumericError):
